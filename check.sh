@@ -48,4 +48,7 @@ echo "==> cargo bench --no-run (incremental factorization bench must compile)"
 cargo bench -p easybo-bench --bench incremental --no-run
 cargo bench --workspace --no-run
 
+echo "==> repository benchmark: builds against the public API and passes its own tests"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> all checks passed"

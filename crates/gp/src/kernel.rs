@@ -102,18 +102,6 @@ impl ArdKernel {
         theta[self.dim].exp()
     }
 
-    /// Scaled squared distance `r² = Σ ((aᵢ-bᵢ)/ℓᵢ)²` and, via `r = sqrt(r²)`,
-    /// the argument of every stationary kernel here.
-    fn r2(&self, theta: &[f64], a: &[f64], b: &[f64]) -> f64 {
-        let mut r2 = 0.0;
-        for i in 0..self.dim {
-            let inv_l = (-theta[i]).exp();
-            let d = (a[i] - b[i]) * inv_l;
-            r2 += d * d;
-        }
-        r2
-    }
-
     /// Family-specific kernel value from the signal variance and scaled
     /// squared distance — the single place the radial profile is computed,
     /// shared by the scalar and batched evaluation paths.
@@ -134,9 +122,47 @@ impl ArdKernel {
         }
     }
 
+    /// Kernel value and radial gradient factor `(k, g)` of one pair under
+    /// hoisted inverse length-scales `inv_l` and signal variance `sf2`,
+    /// writing the scaled differences `uᵢ = (aᵢ-bᵢ)·ℓᵢ⁻¹` into `u`. The
+    /// value is bit-identical to [`ArdKernel::eval`]; the gradient is
+    /// `∂k/∂log ℓᵢ = g · uᵢ · uᵢ` and `∂k/∂log σ_f² = k`. The one place each
+    /// family's derivative is written, beside its value in [`Self::eval_r2`].
+    pub(crate) fn eval_scaled(
+        &self,
+        sf2: f64,
+        inv_l: &[f64],
+        a: &[f64],
+        b: &[f64],
+        u: &mut [f64],
+    ) -> (f64, f64) {
+        let mut r2 = 0.0;
+        for (((ui, &ai), &bi), &il) in u.iter_mut().zip(a).zip(b).zip(inv_l) {
+            *ui = (ai - bi) * il;
+            r2 += *ui * *ui;
+        }
+        let k = self.eval_r2(sf2, r2);
+        let r = r2.sqrt();
+        let radial = match self.family {
+            // dk/du_i = -k/2  =>  dk/d log l_i = k * u_i²
+            KernelFamily::SquaredExponential => k,
+            // sf2 * (5/3)(1 + √5 r) e^{-√5 r}
+            KernelFamily::Matern52 => {
+                sf2 * (5.0 / 3.0) * (1.0 + 5f64.sqrt() * r) * (-5f64.sqrt() * r).exp()
+            }
+            // sf2 * 3 e^{-√3 r}
+            KernelFamily::Matern32 => sf2 * 3.0 * (-3f64.sqrt() * r).exp(),
+            // sf2 * (1 + r²/2α)^{-α-1}
+            KernelFamily::RationalQuadratic => {
+                sf2 * (1.0 + r2 / (2.0 * RQ_ALPHA)).powf(-RQ_ALPHA - 1.0)
+            }
+        };
+        (k, radial)
+    }
+
     /// Inverse length-scales `ℓᵢ⁻¹ = e^{-θᵢ}`, hoisted out of batched builds
     /// so the O(n·m·d) inner loop pays no transcendental calls.
-    fn inv_lengthscales(&self, theta: &[f64]) -> Vec<f64> {
+    pub(crate) fn inv_lengthscales(&self, theta: &[f64]) -> Vec<f64> {
         theta[..self.dim].iter().map(|t| (-t).exp()).collect()
     }
 
@@ -149,9 +175,12 @@ impl ArdKernel {
         assert_eq!(theta.len(), self.n_theta(), "theta length mismatch");
         assert_eq!(a.len(), self.dim, "input a dimension mismatch");
         assert_eq!(b.len(), self.dim, "input b dimension mismatch");
-        let sf2 = theta[self.dim].exp();
-        let r2 = self.r2(theta, a, b);
-        self.eval_r2(sf2, r2)
+        let mut r2 = 0.0;
+        for i in 0..self.dim {
+            let d = (a[i] - b[i]) * (-theta[i]).exp();
+            r2 += d * d;
+        }
+        self.eval_r2(theta[self.dim].exp(), r2)
     }
 
     /// Symmetric noise-free covariance matrix `K[i,j] = k(xs[i], xs[j])`.
@@ -215,46 +244,21 @@ impl ArdKernel {
     ///
     /// Panics if any slice has the wrong length.
     pub fn eval_with_grad(&self, theta: &[f64], a: &[f64], b: &[f64], grad: &mut [f64]) -> f64 {
+        assert_eq!(theta.len(), self.n_theta(), "theta length mismatch");
+        assert_eq!(a.len(), self.dim, "input a dimension mismatch");
+        assert_eq!(b.len(), self.dim, "input b dimension mismatch");
         assert_eq!(
             grad.len(),
             self.n_theta(),
             "gradient buffer length mismatch"
         );
-        let k = self.eval(theta, a, b);
-        let d = self.dim;
-        // Per-dimension scaled squared differences u_i = (Δ_i / ℓ_i)².
-        // For every family, ∂k/∂log ℓ_i = g(r) · u_i with a family-specific
-        // radial factor g(r); ∂k/∂log σ_f² = k.
-        let r2 = self.r2(theta, a, b);
-        let radial = match self.family {
-            // d k / d u_i = -k/2  =>  d k / d log l_i = k * u_i
-            KernelFamily::SquaredExponential => k,
-            KernelFamily::Matern52 => {
-                let sf2 = theta[d].exp();
-                let r = r2.sqrt();
-                let s5 = 5f64.sqrt();
-                // dk/d log l_i = sf2 * (5/3)(1 + √5 r) e^{-√5 r} * u_i
-                sf2 * (5.0 / 3.0) * (1.0 + s5 * r) * (-s5 * r).exp()
-            }
-            KernelFamily::Matern32 => {
-                let sf2 = theta[d].exp();
-                let r = r2.sqrt();
-                let s3 = 3f64.sqrt();
-                // dk/d log l_i = sf2 * 3 e^{-√3 r} * u_i
-                sf2 * 3.0 * (-s3 * r).exp()
-            }
-            KernelFamily::RationalQuadratic => {
-                // dk/d log l_i = sf2 * (1 + r²/2α)^{-α-1} * u_i
-                let sf2 = theta[d].exp();
-                sf2 * (1.0 + r2 / (2.0 * RQ_ALPHA)).powf(-RQ_ALPHA - 1.0)
-            }
-        };
-        for i in 0..d {
-            let inv_l = (-theta[i]).exp();
-            let u = (a[i] - b[i]) * inv_l;
-            grad[i] = radial * u * u;
+        let (u, sf2_grad) = grad.split_at_mut(self.dim);
+        let inv_l = self.inv_lengthscales(theta);
+        let (k, radial) = self.eval_scaled(theta[self.dim].exp(), &inv_l, a, b, u);
+        for g in u.iter_mut() {
+            *g = radial * *g * *g;
         }
-        grad[d] = k;
+        sf2_grad[0] = k;
         k
     }
 }
@@ -366,6 +370,74 @@ mod tests {
                     "{fam:?} theta[{j}]: analytic {} vs fd {fd}",
                     grad[j]
                 );
+            }
+        }
+    }
+
+    /// Straightforward `eval_with_grad` that the hoisted path must match
+    /// bit for bit: every term recomputes `e^{-θᵢ}` and the radial factor
+    /// is derived inline.
+    fn eval_with_grad_reference(k: &ArdKernel, theta: &[f64], a: &[f64], b: &[f64]) -> Vec<f64> {
+        let d = k.dim();
+        let value = k.eval(theta, a, b);
+        let mut r2 = 0.0;
+        for i in 0..d {
+            let u = (a[i] - b[i]) * (-theta[i]).exp();
+            r2 += u * u;
+        }
+        let sf2 = theta[d].exp();
+        let radial = match k.family() {
+            KernelFamily::SquaredExponential => value,
+            KernelFamily::Matern52 => {
+                let r = r2.sqrt();
+                let s5 = 5f64.sqrt();
+                sf2 * (5.0 / 3.0) * (1.0 + s5 * r) * (-s5 * r).exp()
+            }
+            KernelFamily::Matern32 => {
+                let r = r2.sqrt();
+                let s3 = 3f64.sqrt();
+                sf2 * 3.0 * (-s3 * r).exp()
+            }
+            KernelFamily::RationalQuadratic => {
+                sf2 * (1.0 + r2 / (2.0 * RQ_ALPHA)).powf(-RQ_ALPHA - 1.0)
+            }
+        };
+        let mut grad: Vec<f64> = (0..d)
+            .map(|i| {
+                let u = (a[i] - b[i]) * (-theta[i]).exp();
+                radial * u * u
+            })
+            .collect();
+        grad.push(value);
+        grad
+    }
+
+    #[test]
+    fn eval_with_grad_is_bitwise_reference() {
+        for fam in FAMILIES {
+            let k = ArdKernel::new(fam, 4);
+            for step in 0..25 {
+                let t = step as f64;
+                let theta: Vec<f64> = (0..5)
+                    .map(|i| ((t + i as f64) * 0.71).sin() * 2.0)
+                    .collect();
+                let a: Vec<f64> = (0..4)
+                    .map(|i| ((t * 3.0 + i as f64) * 0.37).cos())
+                    .collect();
+                let b: Vec<f64> = if step % 5 == 0 {
+                    a.clone()
+                } else {
+                    (0..4)
+                        .map(|i| ((t * 5.0 + i as f64) * 0.53).sin())
+                        .collect()
+                };
+                let mut grad = vec![0.0; 5];
+                let value = k.eval_with_grad(&theta, &a, &b, &mut grad);
+                let reference = eval_with_grad_reference(&k, &theta, &a, &b);
+                assert_eq!(value.to_bits(), reference[4].to_bits(), "{fam:?} value");
+                for (g, r) in grad.iter().zip(&reference) {
+                    assert_eq!(g.to_bits(), r.to_bits(), "{fam:?} step {step}");
+                }
             }
         }
     }

@@ -1108,6 +1108,23 @@ mod tests {
     }
 
     #[test]
+    fn loo_residuals_are_bitwise_full_inverse() {
+        // The closed form reads only diag(K⁻¹); the triangular inverse must
+        // leave it exactly as the full solve of each unit vector had it.
+        let (x, y) = toy_1d();
+        let gp = fixed_gp(x, y);
+        let n = gp.n_train();
+        for (i, &(resid, std)) in gp.loo_residuals().iter().enumerate() {
+            let unit = Vector::from_iter((0..n).map(|j| if j == i { 1.0 } else { 0.0 }));
+            let kii = gp.chol.solve_vec(&unit)[i].max(1e-300);
+            let expect_resid = gp.alpha[i] / kii * gp.scaler.std();
+            let expect_std = (1.0 / kii).sqrt() * gp.scaler.std();
+            assert_eq!(resid.to_bits(), expect_resid.to_bits(), "residual {i}");
+            assert_eq!(std.to_bits(), expect_std.to_bits(), "std {i}");
+        }
+    }
+
+    #[test]
     fn loo_flags_an_outlier() {
         let mut x: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64 / 9.0]).collect();
         let mut y: Vec<f64> = x.iter().map(|p| p[0]).collect();

@@ -1,7 +1,7 @@
 //! Hyperparameter training: multi-restart L-BFGS on the penalized negative
 //! log marginal likelihood, with analytic gradients.
 
-use easybo_linalg::{Cholesky, Matrix, Vector};
+use easybo_linalg::{Cholesky, Vector};
 use easybo_opt::Parallelism;
 use easybo_telemetry::Telemetry;
 use rand::{Rng, SeedableRng};
@@ -205,28 +205,33 @@ fn penalized_nll(
         - 0.5 * chol.log_det()
         - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
 
-    // W = ααᵀ − K⁻¹ (symmetric). tr(W ∂K/∂θ) accumulated pairwise.
+    // W = ααᵀ − K⁻¹ is symmetric, so tr(W ∂K/∂θ) runs over the lower
+    // triangle with off-diagonal pairs counted twice. Each pair's scaled
+    // differences are computed once and feed the kernel value, its radial
+    // derivative and every gradient term; W is formed entry by entry.
     let kinv = chol.inverse();
-    let mut w = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..n {
-            w[(i, j)] = alpha[i] * alpha[j] - kinv[(i, j)];
-        }
-    }
-    let mut kgrad = vec![0.0; n_kernel];
+    let dim = kernel.dim();
+    let inv_l = kernel.inv_lengthscales(theta);
+    let sf2 = kernel.signal_variance(theta);
+    let mut u = vec![0.0; dim];
     let mut lml_grad = vec![0.0; n_kernel + 1];
+    let mut w_trace = 0.0;
     for i in 0..n {
+        let kinv_i = kinv.row(i);
         for j in 0..=i {
-            kernel.eval_with_grad(theta, &x[i], &x[j], &mut kgrad);
-            let weight = if i == j { w[(i, j)] } else { 2.0 * w[(i, j)] };
-            for (gsum, &kg) in lml_grad[..n_kernel].iter_mut().zip(kgrad.iter()) {
-                *gsum += 0.5 * weight * kg;
+            let (kv, radial) = kernel.eval_scaled(sf2, &inv_l, &x[i], &x[j], &mut u);
+            let w = alpha[i] * alpha[j] - kinv_i[j];
+            let weight = if i == j { w } else { 2.0 * w };
+            for (gsum, &ut) in lml_grad[..dim].iter_mut().zip(&u) {
+                *gsum += 0.5 * weight * (radial * ut * ut);
             }
+            lml_grad[dim] += 0.5 * weight * kv;
         }
+        w_trace += alpha[i] * alpha[i] - kinv_i[i];
     }
     // ∂K/∂log σ_n² = σ_n² I.
     let noise = log_noise.exp();
-    lml_grad[n_kernel] = 0.5 * noise * w.trace();
+    lml_grad[n_kernel] = 0.5 * noise * w_trace;
 
     // Negate for minimization and add the Gaussian prior penalty.
     let mut obj = -lml;
@@ -242,6 +247,139 @@ fn penalized_nll(
 mod tests {
     use super::*;
     use crate::kernel::KernelFamily;
+    use easybo_linalg::Matrix;
+
+    /// The two-pass objective — a materialized W = ααᵀ − K⁻¹ and one
+    /// `eval_with_grad` per pair. Oracle for the fused
+    /// [`penalized_nll`]; it reads only the lower triangle of K⁻¹, which
+    /// `Cholesky::inverse` keeps bit-identical to the full identity solve.
+    fn penalized_nll_reference(
+        kernel: &ArdKernel,
+        x: &[Vec<f64>],
+        z: &Vector,
+        params: &[f64],
+        prior_center: &[f64],
+        prior_strength: f64,
+        grad: &mut [f64],
+    ) -> f64 {
+        let n = x.len();
+        let n_kernel = kernel.n_theta();
+        let theta = &params[..n_kernel];
+        let log_noise = params[n_kernel];
+        if params.iter().any(|v| !v.is_finite() || v.abs() > 20.0) {
+            grad.iter_mut().for_each(|g| *g = 0.0);
+            return f64::INFINITY;
+        }
+        let k = covariance_matrix(kernel, theta, log_noise, x);
+        let chol = match Cholesky::new(&k) {
+            Ok(c) => c,
+            Err(_) => {
+                grad.iter_mut().for_each(|g| *g = 0.0);
+                return f64::INFINITY;
+            }
+        };
+        let alpha = chol.solve_vec(z);
+        let lml = -0.5 * z.dot(&alpha)
+            - 0.5 * chol.log_det()
+            - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
+        let kinv = chol.inverse();
+        let mut w = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                w[(i, j)] = alpha[i] * alpha[j] - kinv[(i, j)];
+            }
+        }
+        let mut kgrad = vec![0.0; n_kernel];
+        let mut lml_grad = vec![0.0; n_kernel + 1];
+        for i in 0..n {
+            for j in 0..=i {
+                kernel.eval_with_grad(theta, &x[i], &x[j], &mut kgrad);
+                let weight = if i == j { w[(i, j)] } else { 2.0 * w[(i, j)] };
+                for (gsum, &kg) in lml_grad[..n_kernel].iter_mut().zip(kgrad.iter()) {
+                    *gsum += 0.5 * weight * kg;
+                }
+            }
+        }
+        let noise = log_noise.exp();
+        lml_grad[n_kernel] = 0.5 * noise * w.trace();
+        let mut obj = -lml;
+        for i in 0..params.len() {
+            let d = params[i] - prior_center[i];
+            obj += prior_strength * d * d;
+            grad[i] = -lml_grad[i] + 2.0 * prior_strength * d;
+        }
+        obj
+    }
+
+    const FAMILIES: [KernelFamily; 4] = [
+        KernelFamily::SquaredExponential,
+        KernelFamily::Matern52,
+        KernelFamily::Matern32,
+        KernelFamily::RationalQuadratic,
+    ];
+
+    /// Asserts the fused objective and its gradient equal the reference
+    /// bit for bit at `params`.
+    fn assert_matches_reference(
+        kernel: &ArdKernel,
+        x: &[Vec<f64>],
+        z: &Vector,
+        params: &[f64],
+        center: &[f64],
+    ) {
+        let mut grad = vec![f64::NAN; params.len()];
+        let mut grad_ref = vec![f64::NAN; params.len()];
+        let obj = penalized_nll(kernel, x, z, params, center, 0.05, &mut grad);
+        let obj_ref = penalized_nll_reference(kernel, x, z, params, center, 0.05, &mut grad_ref);
+        let ctx = format!("{:?} n={} params={params:?}", kernel.family(), x.len());
+        assert_eq!(obj.to_bits(), obj_ref.to_bits(), "objective, {ctx}");
+        for (j, (g, r)) in grad.iter().zip(&grad_ref).enumerate() {
+            assert_eq!(g.to_bits(), r.to_bits(), "gradient {j}, {ctx}");
+        }
+    }
+
+    #[test]
+    fn fused_objective_is_bitwise_reference() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2020);
+        for (n, dim) in [(1usize, 3usize), (2, 3), (3, 2), (24, 10), (160, 12)] {
+            let x: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..dim).map(|_| rng.gen_range(0.0..1.0)).collect())
+                .collect();
+            let z = Vector::from_iter((0..n).map(|_| rng.gen_range(-2.0..2.0)));
+            for fam in FAMILIES {
+                let kernel = ArdKernel::new(fam, dim);
+                let center = vec![0.0; dim + 2];
+                for _ in 0..3 {
+                    let mut params: Vec<f64> = (0..dim).map(|_| rng.gen_range(-2.5..1.5)).collect();
+                    params.push(rng.gen_range(-1.5..1.5)); // log sf2
+                    params.push(rng.gen_range(-9.0..-1.0)); // log sn2
+                    assert_matches_reference(&kernel, &x, &z, &params, &center);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn early_returns_give_infinity_and_zero_gradient() {
+        let (x, z) = data();
+        let kernel = ArdKernel::new(KernelFamily::SquaredExponential, 1);
+        let center = [0.0; 3];
+        let mut bad_x = x.clone();
+        bad_x[3][0] = f64::NAN; // non-finite kernel matrix: Cholesky fails
+        let cases: [(&[Vec<f64>], [f64; 3]); 4] = [
+            (&x, [f64::NAN, 0.0, -3.0]),
+            (&x, [0.0, f64::INFINITY, -3.0]),
+            (&x, [0.0, 0.0, -20.5]),
+            (&bad_x, [-0.5, 0.2, -3.0]),
+        ];
+        for (xs, params) in cases {
+            let mut grad = vec![1.0; 3];
+            let obj = penalized_nll(&kernel, xs, &z, &params, &center, 0.05, &mut grad);
+            assert_eq!(obj, f64::INFINITY, "{params:?}");
+            assert!(grad.iter().all(|&g| g == 0.0), "{params:?}: {grad:?}");
+            assert_matches_reference(&kernel, xs, &z, &params, &center);
+        }
+    }
 
     fn data() -> (Vec<Vec<f64>>, Vector) {
         let x: Vec<Vec<f64>> = (0..15).map(|i| vec![i as f64 / 14.0]).collect();

@@ -256,7 +256,7 @@ impl Cholesky {
         self.jitter
     }
 
-    /// Solves `L y = b` (forward substitution).
+    /// Solves `L y = b` (forward substitution), four rows at a time.
     ///
     /// # Panics
     ///
@@ -264,19 +264,44 @@ impl Cholesky {
     pub fn solve_lower(&self, b: &Vector) -> Vector {
         let n = self.dim();
         assert_eq!(b.len(), n, "solve_lower dimension mismatch");
-        let mut y = Vector::zeros(n);
-        for i in 0..n {
-            let mut v = b[i];
-            let row = self.l.row(i);
-            for k in 0..i {
-                v -= row[k] * y[k];
-            }
-            y[i] = v / row[i];
+        let mut y = vec![0.0; n];
+        let blocked = n - n % 4;
+        for i in (0..blocked).step_by(4) {
+            self.forward_rows::<4>(b, &mut y, i);
         }
-        y
+        for i in blocked..n {
+            self.forward_rows::<1>(b, &mut y, i);
+        }
+        Vector::from(y)
+    }
+
+    /// Forward-substitutes rows `i..i + R` of `L y = b` given `y[..i]`.
+    /// The shared prefix `k < i` runs as `R` independent accumulation
+    /// chains, then the diagonal block finishes the rows in order. Every
+    /// row still subtracts its terms in ascending `k`, so the result is
+    /// bit-identical to the row-by-row loop at any `R`.
+    fn forward_rows<const R: usize>(&self, b: &Vector, y: &mut [f64], i: usize) {
+        let rows: [&[f64]; R] = std::array::from_fn(|r| &self.l.row(i + r)[..i + R]);
+        let mut v: [f64; R] = std::array::from_fn(|r| b[i + r]);
+        for (k, &yk) in y[..i].iter().enumerate() {
+            for r in 0..R {
+                v[r] -= rows[r][k] * yk;
+            }
+        }
+        for r in 0..R {
+            for k in i..i + r {
+                v[r] -= rows[r][k] * y[k];
+            }
+            y[i + r] = v[r] / rows[r][i + r];
+        }
     }
 
     /// Solves `L^T x = b` (backward substitution).
+    ///
+    /// Unlike [`Cholesky::solve_lower`] this stays one row at a time: in
+    /// ascending `k` order, row `i` starts by subtracting the term of
+    /// `x[i + 1]`, the row solved just before it, so rows cannot overlap
+    /// without changing the result's bits.
     ///
     /// # Panics
     ///
@@ -341,12 +366,10 @@ impl Cholesky {
     /// Solves `L^T X = B` for all columns of `B` in one backward-substitution
     /// sweep; the multi-RHS counterpart of [`Cholesky::solve_lower_transpose`]
     /// with the same bit-identical-per-column guarantee as
-    /// [`Cholesky::solve_lower_multi`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.rows() != dim()`.
-    pub fn solve_lower_transpose_multi(&self, b: &Matrix) -> Matrix {
+    /// [`Cholesky::solve_lower_multi`]. Kept as the test reference for
+    /// [`Cholesky::inverse`].
+    #[cfg(test)]
+    fn solve_lower_transpose_multi(&self, b: &Matrix) -> Matrix {
         let n = self.dim();
         assert_eq!(
             b.rows(),
@@ -374,12 +397,10 @@ impl Cholesky {
         x
     }
 
-    /// Solves `A X = B` where `A = L L^T`, all columns at once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.rows() != dim()`.
-    pub fn solve_mat(&self, b: &Matrix) -> Matrix {
+    /// Solves `A X = B` where `A = L L^T`, all columns at once: the full
+    /// n³ solve whose lower triangle [`Cholesky::inverse`] reproduces.
+    #[cfg(test)]
+    fn solve_mat(&self, b: &Matrix) -> Matrix {
         assert_eq!(b.rows(), self.dim(), "solve_mat dimension mismatch");
         self.solve_lower_transpose_multi(&self.solve_lower_multi(b))
     }
@@ -389,10 +410,51 @@ impl Cholesky {
         (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
     }
 
-    /// Explicit inverse `A^{-1}`. O(n^3); used only for the log marginal
-    /// likelihood gradient where the full inverse is genuinely needed.
+    /// Explicit inverse `A^{-1}`, exactly symmetric; used for the log
+    /// marginal likelihood gradient and the leave-one-out diagonal.
+    ///
+    /// Only the lower triangle is computed — forward then backward
+    /// substitution on the identity, in place, skipping the known zeros
+    /// of `L^{-1}` — and then mirrored: about n³/3 multiply-subtracts
+    /// instead of n³. Each lower-triangle entry is bit-identical to the
+    /// full multi-RHS solve of the identity, because every skipped term
+    /// would only subtract an exact zero.
     pub fn inverse(&self) -> Matrix {
-        self.solve_mat(&Matrix::identity(self.dim()))
+        let n = self.dim();
+        let mut x = Matrix::identity(n);
+        let data = x.as_mut_slice();
+        // Forward: row k of L^{-1} is zero beyond column k, so row i takes
+        // the terms l_ik·y_k of ascending k only in columns ..=k.
+        for i in 0..n {
+            let li = self.l.row(i);
+            let (done, rest) = data.split_at_mut(i * n);
+            for (k, &lik) in li[..i].iter().enumerate() {
+                for (a, &v) in rest[..=k].iter_mut().zip(&done[k * n..]) {
+                    *a -= lik * v;
+                }
+            }
+            rest[..=i].iter_mut().for_each(|a| *a /= li[i]);
+        }
+        // Backward: the lower triangle of row i needs only the lower
+        // triangles of the rows below it.
+        for i in (0..n).rev() {
+            let (head, tail) = data.split_at_mut((i + 1) * n);
+            let xi = &mut head[i * n..=i * n + i];
+            for (k, xk) in (i + 1..n).zip(tail.chunks_exact(n)) {
+                let lki = self.l[(k, i)];
+                for (a, &v) in xi.iter_mut().zip(xk) {
+                    *a -= lki * v;
+                }
+            }
+            let lii = self.l[(i, i)];
+            xi.iter_mut().for_each(|a| *a /= lii);
+        }
+        for i in 0..n {
+            for j in 0..i {
+                data[j * n + i] = data[i * n + j];
+            }
+        }
+        x
     }
 
     /// Quadratic form `b^T A^{-1} b` without forming the inverse.
@@ -449,13 +511,9 @@ impl Cholesky {
         }
         let mut grown = Matrix::zeros(n + 1, n + 1);
         for i in 0..n {
-            for j in 0..=i {
-                grown[(i, j)] = self.l[(i, j)];
-            }
+            grown.row_mut(i)[..=i].copy_from_slice(&self.l.row(i)[..=i]);
         }
-        for j in 0..n {
-            grown[(n, j)] = w[j];
-        }
+        grown.row_mut(n)[..n].copy_from_slice(w.as_slice());
         grown[(n, n)] = s2.sqrt();
         self.l = grown;
         Ok(floored)
@@ -654,6 +712,56 @@ mod tests {
                 // floating-point operations in the same order per column.
                 assert_eq!(y[(i, j)], y_col[i], "forward ({i}, {j})");
                 assert_eq!(x[(i, j)], x_col[i], "backward ({i}, {j})");
+            }
+        }
+    }
+
+    /// The row-by-row forward substitution the blocked
+    /// [`Cholesky::solve_lower`] must reproduce bit for bit.
+    fn solve_lower_scalar(c: &Cholesky, b: &Vector) -> Vector {
+        let n = c.dim();
+        let mut y = Vector::zeros(n);
+        for i in 0..n {
+            let mut v = b[i];
+            for k in 0..i {
+                v -= c.l[(i, k)] * y[k];
+            }
+            y[i] = v / c.l[(i, i)];
+        }
+        y
+    }
+
+    #[test]
+    fn blocked_solve_lower_bitwise_matches_scalar() {
+        // Every remainder of the 4-row block, plus a paper-size factor.
+        for n in (0..=9).chain([260]) {
+            let c = Cholesky::new(&spd(n, n as u64 + 11)).unwrap();
+            for rhs in 0..3 {
+                let b = Vector::from_iter((0..n).map(|i| ((i * 7 + rhs * 13) as f64 * 0.31).sin()));
+                let blocked = c.solve_lower(&b);
+                let scalar = solve_lower_scalar(&c, &b);
+                for (x, y) in blocked.iter().zip(scalar.iter()) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "n={n} rhs={rhs}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn triangular_inverse_is_bitwise_full_solve_and_symmetric() {
+        for &n in &[0usize, 1, 2, 3, 4, 5, 9, 33, 97] {
+            let c = Cholesky::new(&spd(n, n as u64 + 5)).unwrap();
+            let inv = c.inverse();
+            let full = c.solve_mat(&Matrix::identity(n));
+            for i in 0..n {
+                for j in 0..=i {
+                    assert_eq!(
+                        inv[(i, j)].to_bits(),
+                        full[(i, j)].to_bits(),
+                        "n={n} ({i}, {j})"
+                    );
+                    assert_eq!(inv[(i, j)].to_bits(), inv[(j, i)].to_bits(), "n={n}");
+                }
             }
         }
     }
