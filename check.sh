@@ -5,8 +5,9 @@
 #
 #   ./check.sh
 #
-# Passes iff the release build, the full test suite, formatting, and
-# clippy (warnings denied) all pass. CI runs exactly this script.
+# Passes iff the release build, the full test suite, formatting,
+# clippy and rustdoc (warnings denied) all pass. CI runs exactly this
+# script.
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -43,6 +44,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc -D warnings (intra-doc links must resolve)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "==> cargo bench --no-run (incremental factorization bench must compile)"
 cargo bench -p easybo-bench --bench incremental --no-run

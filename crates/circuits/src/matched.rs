@@ -7,7 +7,7 @@
 //! netlist. Off the matched manifold the input offset grows with the
 //! relative geometry mismatch and the figure of merit is penalized; on the
 //! manifold the circuit is *exactly* the 10-variable
-//! [`TwoStageOpAmp`](crate::opamp::TwoStageOpAmp).
+//! [`TwoStageOpAmp`].
 //!
 //! This is the shape the scenario layer's expression links exploit: the
 //! optimizer searches the 10-dimensional reduced space, the full

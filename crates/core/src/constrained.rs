@@ -457,28 +457,18 @@ impl EasyBo {
         self.validate()?;
         let mut policy = self.build_constrained_policy(problem);
         let exec = VirtualExecutor::new(self.batch_size_value());
-        let result = if self.hooks_active() {
-            let mut hook =
-                self.session_hook_with(None, self.constrained_fingerprint(problem.n_constraints()));
-            exec.run_session_resilient(
-                bb,
-                &self.initial_design(),
-                self.max_evals_value(),
-                &mut policy,
-                self.retry(),
-                self.telemetry_handle(),
-                Some(&mut *hook),
-            )?
-        } else {
-            exec.run_async_resilient(
-                bb,
-                &self.initial_design(),
-                self.max_evals_value(),
-                &mut policy,
-                self.retry(),
-                self.telemetry_handle(),
-            )
-        };
+        let mut hook = self.hooks_active().then(|| {
+            self.session_hook_with(None, self.constrained_fingerprint(problem.n_constraints()))
+        });
+        let result = exec.run_session_resilient(
+            bb,
+            &self.initial_design(),
+            self.max_evals_value(),
+            &mut policy,
+            self.retry(),
+            self.telemetry_handle(),
+            hook.as_deref_mut(),
+        )?;
         self.finish_constrained(result, &mut policy)
     }
 
@@ -713,7 +703,6 @@ mod tests {
             x: vec![0.3],
             task: 9,
             worker: 1,
-            finish_time: 50.0,
         }];
         for _ in 0..3 {
             let a = policy.select_next(&data, &busy);

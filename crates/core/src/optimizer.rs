@@ -384,9 +384,8 @@ impl EasyBo {
         fp.finish()
     }
 
-    /// Whether the run needs the hooked session driver at all. When
-    /// neither checkpointing nor fault injection is configured, the
-    /// legacy entry point is used — bit-identical to earlier releases.
+    /// Whether the run needs a session hook at all: checkpointing or
+    /// fault injection is configured.
     pub(crate) fn hooks_active(&self) -> bool {
         self.checkpoint_path.is_some() || self.abort_after.is_some()
     }
@@ -591,27 +590,16 @@ impl EasyBo {
         self.validate()?;
         let mut policy = self.build_policy();
         let exec = VirtualExecutor::new(self.batch_size);
-        let result = if self.hooks_active() {
-            let mut hook = self.session_hook(None);
-            exec.run_session_resilient(
-                bb,
-                &self.initial_design(),
-                self.max_evals,
-                &mut policy,
-                &self.retry,
-                &self.telemetry,
-                Some(&mut *hook),
-            )?
-        } else {
-            exec.run_async_resilient(
-                bb,
-                &self.initial_design(),
-                self.max_evals,
-                &mut policy,
-                &self.retry,
-                &self.telemetry,
-            )
-        };
+        let mut hook = self.hooks_active().then(|| self.session_hook(None));
+        let result = exec.run_session_resilient(
+            bb,
+            &self.initial_design(),
+            self.max_evals,
+            &mut policy,
+            &self.retry,
+            &self.telemetry,
+            hook.as_deref_mut(),
+        )?;
         self.finish(result)
     }
 
@@ -681,27 +669,16 @@ impl EasyBo {
         self.validate()?;
         let mut policy = self.build_policy();
         let exec = ThreadedExecutor::new(self.batch_size, time_scale);
-        let result = if self.hooks_active() {
-            let mut hook = self.session_hook(None);
-            exec.run_session_resilient(
-                bb,
-                &self.initial_design(),
-                self.max_evals,
-                &mut policy,
-                &self.retry,
-                &self.telemetry,
-                Some(&mut *hook),
-            )?
-        } else {
-            exec.run_async_resilient(
-                bb,
-                &self.initial_design(),
-                self.max_evals,
-                &mut policy,
-                &self.retry,
-                &self.telemetry,
-            )?
-        };
+        let mut hook = self.hooks_active().then(|| self.session_hook(None));
+        let result = exec.run_session_resilient(
+            bb,
+            &self.initial_design(),
+            self.max_evals,
+            &mut policy,
+            &self.retry,
+            &self.telemetry,
+            hook.as_deref_mut(),
+        )?;
         self.finish(result)
     }
 

@@ -296,7 +296,6 @@ mod tests {
             x: vec![0.5],
             task: 0,
             worker: 0,
-            finish_time: 100.0,
         }];
         let mut with_busy = 0.0;
         let mut without = 0.0;
@@ -333,7 +332,6 @@ mod tests {
             x: vec![0.3],
             task: 9,
             worker: 1,
-            finish_time: 50.0,
         }];
         for _ in 0..3 {
             let a = policy.select_next(&data, &busy);

@@ -245,7 +245,6 @@ mod tests {
             x: vec![0.5],
             task: 0,
             worker: 0,
-            finish_time: 100.0,
         }];
         let mut a = StandardAsyncPolicy::new(bounds.clone(), 42);
         let mut b = StandardAsyncPolicy::new(bounds, 42);

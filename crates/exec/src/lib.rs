@@ -11,6 +11,8 @@
 //!   [`SimTimeModel`] (HSPICE runtimes vary with the design point); the
 //!   sync/sequential/async drivers reproduce exactly the scheduling
 //!   arithmetic of the paper's testbed in microseconds of real time.
+//!   The async drivers run the [`EventLoop`], the same loop the network
+//!   session manager drives with results that arrive later.
 //! * [`ThreadedExecutor`] — a real multi-threaded executor (crossbeam
 //!   channels + OS threads) for production use of the library, where the
 //!   black box is genuinely expensive.
@@ -29,6 +31,7 @@
 
 mod blackbox;
 mod dataset;
+mod event_loop;
 mod fanout;
 pub mod fault;
 mod retry;
@@ -41,6 +44,7 @@ mod virtual_exec;
 
 pub use blackbox::{AttemptContext, BlackBox, CostedFunction, EvalOutcome, Evaluation};
 pub use dataset::{BusyPoint, Dataset};
+pub use event_loop::{EventLoop, Outstanding, Resolver};
 pub use fanout::FanOutBlackBox;
 pub use fault::{FaultPlan, FaultyBlackBox};
 pub use retry::{FailureAction, RetryPolicy};

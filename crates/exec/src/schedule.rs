@@ -94,6 +94,15 @@ impl Schedule {
             .collect()
     }
 
+    /// Busy time of one worker, failed spans included.
+    pub fn worker_busy_time(&self, worker: usize) -> f64 {
+        self.spans
+            .iter()
+            .filter(|s| s.worker == worker)
+            .map(|s| s.end - s.start)
+            .sum()
+    }
+
     /// Completion time of the whole schedule.
     pub fn makespan(&self) -> f64 {
         self.spans.iter().map(|s| s.end).fold(0.0, f64::max)

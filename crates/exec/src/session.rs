@@ -1,18 +1,19 @@
-//! Explicit ask/tell session core shared by both executors.
+//! Explicit ask/tell session core shared by every executor.
 //!
 //! [`SessionState`] owns every piece of run bookkeeping that survives a
 //! coordinator death: the observed [`Dataset`], the best-so-far
 //! [`RunTrace`], the committed [`Schedule`] spans, the queue of pending
 //! initial-design points, the busy/pseudo set, the in-flight attempt
-//! table, and the retry backoff queue. Executors drive it through
+//! table, and the retry backoff queue. Drivers use it through
 //! [`SessionState::ask`] (propose the next task) and
-//! [`SessionState::tell`] (resolve a finished attempt); the event
-//! mechanics — the virtual executor's event heap, the threaded
-//! executor's channels — stay executor-local. This is the seam a
-//! future network ask/tell service plugs into, and the unit of durable
-//! persistence: [`SessionState::to_parts`] /
-//! [`SessionState::from_parts`] convert to/from the plain-data
-//! [`SessionParts`] that `easybo-persist` serializes.
+//! [`SessionState::tell`] (resolve a finished attempt). The event
+//! mechanics stay outside: the discrete-event heap lives in
+//! [`crate::EventLoop`], which the virtual executor and the network
+//! session manager both drive, and the threaded executor keeps its own
+//! channels. The session is also the unit of durable persistence:
+//! [`SessionState::to_parts`] / [`SessionState::from_parts`] convert
+//! to/from the plain-data [`SessionParts`] that `easybo-persist`
+//! serializes.
 
 use std::collections::VecDeque;
 
@@ -45,7 +46,7 @@ pub struct InFlightTask {
     /// The query point.
     pub x: Vec<f64>,
     /// `(worker, start_time)` once a worker picked the attempt up. The
-    /// virtual executor starts attempts eagerly so this is always
+    /// event loop starts attempts at dispatch so this is always
     /// `Some`; the threaded executor enqueues first and fills it in
     /// when the `Started` message arrives.
     pub started: Option<(usize, f64)>,
@@ -257,9 +258,8 @@ impl SessionState {
     }
 
     /// Registers an attempt as in flight: adds its busy/pseudo point
-    /// and its in-flight record. `started` is `Some((worker,
-    /// start_time))` when the attempt begins executing immediately;
-    /// `finish_time` may be `NaN` when unknown (threaded executor).
+    /// and its in-flight record. `started` is the start time when the
+    /// attempt begins executing immediately on `worker`.
     pub fn begin(
         &mut self,
         task: usize,
@@ -267,13 +267,11 @@ impl SessionState {
         x: Vec<f64>,
         worker: usize,
         started: Option<f64>,
-        finish_time: f64,
     ) {
         self.busy.push(BusyPoint {
             x: x.clone(),
             task,
             worker,
-            finish_time,
         });
         self.inflight.push(InFlightTask {
             task,
@@ -283,28 +281,11 @@ impl SessionState {
         });
     }
 
-    /// Records a committed worker-occupancy span. The virtual executor
-    /// adds spans at dispatch time (the cost is known eagerly); remote
-    /// drivers such as the network session manager only learn the cost
-    /// when the result arrives, so they add the span here — in dispatch
-    /// order, which keeps the schedule bit-identical to the in-process
-    /// run.
-    pub fn add_span(&mut self, worker: usize, task: usize, start: f64, end: f64, failed: bool) {
-        self.schedule.add_with(worker, task, start, end, failed);
-    }
-
-    /// Sets the run clock (the time of the last processed event).
-    /// Drivers call this exactly where the in-process executor assigns
-    /// `session.clock`, so captures taken by either agree.
-    pub fn set_clock(&mut self, t: f64) {
-        self.clock = t;
-    }
-
     /// Removes and returns every in-flight record in issue order,
     /// clearing their busy points — the first step of a resume or
     /// rehydration, which re-issues each attempt at its recorded
     /// worker/start.
-    pub fn drain_inflight(&mut self) -> Vec<InFlightTask> {
+    pub(crate) fn drain_inflight(&mut self) -> Vec<InFlightTask> {
         let drained = std::mem::take(&mut self.inflight);
         self.busy
             .retain(|bp| !drained.iter().any(|i| i.task == bp.task));
@@ -626,7 +607,7 @@ mod tests {
     #[test]
     fn begin_and_take_inflight_track_busy_points() {
         let mut s = SessionState::new(2, 4, &[]);
-        s.begin(0, 1, vec![0.3], 1, Some(2.0), 7.0);
+        s.begin(0, 1, vec![0.3], 1, Some(2.0));
         assert_eq!(s.busy().len(), 1);
         assert_eq!(s.inflight().len(), 1);
         assert_eq!(s.inflight()[0].started, Some((1, 2.0)));
@@ -726,7 +707,7 @@ mod tests {
         s.schedule.add_with(1, 1, 0.0, 6.0, false);
         // An active in-flight attempt whose span must be stripped.
         s.schedule.add_with(2, 2, 6.0, 14.0, false);
-        s.begin(2, 1, vec![0.7], 2, Some(6.0), 14.0);
+        s.begin(2, 1, vec![0.7], 2, Some(6.0));
         s.backoffs.push(PendingBackoff {
             due: 13.0,
             worker: 0,

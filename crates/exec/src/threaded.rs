@@ -137,8 +137,7 @@ impl ThreadedExecutor {
 
     /// Runs asynchronous optimization on real threads. Semantics match
     /// [`crate::VirtualExecutor::run_async`], except times in the returned
-    /// trace/schedule are *real elapsed seconds* and
-    /// [`BusyPoint::finish_time`] is `NaN` (unknown until completion).
+    /// trace/schedule are *real elapsed seconds*.
     ///
     /// # Errors
     ///
@@ -181,7 +180,7 @@ impl ThreadedExecutor {
     /// failed attempts (panics, failed/non-finite outcomes, timeouts,
     /// worker deaths) are requeued onto the pool after a real-seconds
     /// backoff, up to `retry.max_attempts`, then dropped/recorded/
-    /// penalized per [`FailureAction`]. A timed-out attempt is
+    /// penalized per [`crate::FailureAction`]. A timed-out attempt is
     /// abandoned: its busy point is removed immediately (so the policy
     /// stops penalizing around a dead point, §III-C), its span is
     /// flagged failed, and its worker is considered stuck until it
@@ -381,8 +380,7 @@ impl ThreadedExecutor {
                     let worker = task % self.workers;
                     telemetry.emit_at_with(now, || Event::QueryIssued { task, worker });
                     issued_at.insert(task, now);
-                    // `finish_time` is unknown until completion.
-                    session.begin(task, attempt, x.clone(), worker, None, f64::NAN);
+                    session.begin(task, attempt, x.clone(), worker, None);
                     // A failed send means every worker exited; the
                     // capacity check below turns that into an error.
                     let _ = job_tx.send(Job { task, attempt, x });

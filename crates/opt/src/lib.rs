@@ -12,8 +12,8 @@
 //!   sizing algorithms the paper's introduction surveys (PSO, SA) plus
 //!   CMA-ES as a modern representative.
 //! * [`nelder_mead`] — bounded Nelder–Mead simplex local refinement.
-//! * [`adam`] / [`lbfgs`] — first-order optimizers for smooth objectives
-//!   (used for GP hyperparameter training).
+//! * [`lbfgs`] — the first-order optimizer for smooth objectives (used
+//!   for GP hyperparameter training).
 //! * [`multistart`] — the random-restart acquisition maximizer.
 //!
 //! # Example
@@ -36,7 +36,6 @@
 //! # }
 //! ```
 
-pub mod adam;
 pub mod annealing;
 pub mod bounds;
 pub mod cmaes;
@@ -49,7 +48,6 @@ pub mod parallel;
 pub mod pso;
 pub mod sampling;
 
-pub use adam::{Adam, AdamConfig};
 pub use annealing::{SaConfig, SimulatedAnnealing};
 pub use bounds::Bounds;
 pub use cmaes::{CmaEs, CmaEsConfig};

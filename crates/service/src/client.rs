@@ -118,7 +118,7 @@ impl ServiceClient {
     ///
     /// # Errors
     ///
-    /// [`WireError::Protocol`] with context after [`MAX_ATTEMPTS`]
+    /// [`WireError::Protocol`] with context after `MAX_ATTEMPTS` (500)
     /// consecutive failures (server unreachable or permanently
     /// rejecting the handshake).
     pub fn rpc(&mut self, req: u64, request: &Message) -> Result<Message, WireError> {

@@ -17,8 +17,9 @@
 //!   reordering, stalling, and mid-frame-killing client frames, for
 //!   chaos-testing the transport.
 //! - [`manager`] — the [`SessionManager`]: many [`SessionState`]
-//!   machines pumped by a deferred-result discrete-event loop that is
-//!   *byte-identical* to the in-process virtual executor, with
+//!   machines, each driven by the in-process virtual executor's own
+//!   `EventLoop` with results that arrive later, so every session is
+//!   *byte-identical* to an in-process run, with
 //!   fair-share work leasing, at-most-once result folding, and LRU
 //!   eviction to `easybo-persist` snapshots so resident memory stays
 //!   bounded no matter how many sessions are open.

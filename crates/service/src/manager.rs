@@ -3,32 +3,17 @@
 //!
 //! # Determinism under remote evaluation
 //!
-//! The in-process virtual executor evaluates eagerly: at dispatch time
-//! it already knows an attempt's cost, so it inserts the worker span
-//! and the finish event immediately. A remote worker only reports the
-//! cost when the result comes back, so the manager runs the same
-//! discrete-event loop with *deferred* results:
-//!
-//! - **Dispatch** registers the attempt (busy point, in-flight record,
-//!   `QueryIssued`/`EvalStarted`) and reserves its event sequence
-//!   number, but inserts no span and no finish event — the finish time
-//!   is unknown.
-//! - **Stall** — while any outstanding dispatch lacks a result, no
-//!   event is popped: the missing finish time could precede (or tie
-//!   with) the current heap top, so popping would commit to an order
-//!   the in-process executor might not choose.
-//! - **Fold** — results are folded strictly in dispatch order (span
-//!   insertion order and reserved sequence numbers then match the
-//!   eager executor exactly), each producing the finish event the
-//!   eager executor would have pushed at dispatch time.
-//!
-//! Evaluation itself is pure — value, cost, and outcome are functions
-//! of the query point and attempt — so *when* a result arrives, over
-//! which connection, after how many retransmits, cannot change it.
-//! Together these rules make the trajectory of every session a pure
+//! Each resident session runs the same [`EventLoop`] as the in-process
+//! virtual executor. A remote worker only reports an attempt's cost
+//! when its result comes back, so the manager dispatches with a
+//! resolver that returns nothing and feeds results in through
+//! [`EventLoop::resolve`] as workers report. The loop's dispatch,
+//! stall and fold rules make the trajectory of every session a pure
 //! function of its spec, byte-identical to an in-process
 //! `run_session_resilient` over the same black box — which is exactly
 //! what the service chaos suite asserts through a real socket pair.
+//! The manager itself only tracks which connection leases which
+//! attempt.
 //!
 //! Within one session the pump is lockstep (one dispatch outstanding
 //! after the initial worker fill — the price of bit-exactness when
@@ -41,14 +26,14 @@
 //!
 //! Sessions are evicted least-recently-used to an `easybo-persist`
 //! snapshot whenever more than `resident_budget` are live, and
-//! rehydrated on demand — the kill/resume path PR 4 proved
-//! bit-identical, reused as a memory valve.
+//! rehydrated on demand — the kill/resume path, reused as a memory
+//! valve.
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::BTreeMap;
 
 use easybo_exec::{
-    AsyncPolicy, AttemptContext, BlackBox, EvalOutcome, RetryPolicy, RunResult, SessionState, Told,
+    AsyncPolicy, AttemptContext, BlackBox, EvalOutcome, EventLoop, Outstanding, RetryPolicy,
+    RunResult, SessionState,
 };
 use easybo_persist::{decode_snapshot, encode_snapshot, RunSnapshot};
 use easybo_telemetry::{Event, Telemetry};
@@ -133,82 +118,38 @@ pub struct ManagerStats {
     pub rehydrations: u64,
 }
 
-/// Heap entry mirroring the virtual executor's event ordering:
-/// earliest time first, ties broken by worker, then task, then the
-/// reserved sequence number.
-#[derive(Debug)]
-struct PumpEvent {
-    time: f64,
-    worker: usize,
-    task: usize,
-    seq: usize,
-    kind: PumpEventKind,
-}
-
-#[derive(Debug)]
-enum PumpEventKind {
-    Finish {
-        value: f64,
-        attempt: usize,
-        outcome: EvalOutcome,
-    },
-    Retry,
-}
-
-impl PartialEq for PumpEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for PumpEvent {}
-impl PartialOrd for PumpEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PumpEvent {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .total_cmp(&self.time)
-            .then(other.worker.cmp(&self.worker))
-            .then(other.task.cmp(&self.task))
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
-/// One dispatched attempt awaiting its remote result.
-#[derive(Debug)]
-struct Dispatch {
-    task: usize,
-    attempt: usize,
-    worker: usize,
-    /// Virtual start time (the event time of the pop that issued it).
-    start: f64,
-    x: Vec<f64>,
-    /// Sequence number reserved at dispatch, used by the finish event.
-    seq: usize,
-    /// Connection currently holding the lease.
-    lease: Option<u64>,
-    /// `(value, cost, outcome)` once a worker reported back.
-    result: Option<(f64, f64, EvalOutcome)>,
-}
-
-/// A live session: state machine, policy, event heap, and the queue of
-/// outstanding dispatches (dispatch order, folded from the front).
+/// A live session: its event loop, its policy, and the connection
+/// leasing each unresolved `(task, attempt)`.
 struct Resident {
-    session: SessionState,
+    lp: EventLoop,
     policy: Box<dyn AsyncPolicy + Send>,
-    heap: BinaryHeap<PumpEvent>,
-    seq: usize,
-    outstanding: VecDeque<Dispatch>,
+    leases: BTreeMap<(usize, usize), u64>,
     last_touch: u64,
 }
 
 impl Resident {
-    fn done(&self) -> bool {
-        self.heap.is_empty() && self.outstanding.is_empty()
+    fn new(lp: EventLoop, policy: Box<dyn AsyncPolicy + Send>) -> Self {
+        Resident {
+            lp,
+            policy,
+            leases: BTreeMap::new(),
+            last_touch: 0,
+        }
     }
+
+    /// The first unresolved attempt no connection holds, in dispatch
+    /// order.
+    fn leasable(&self) -> Option<&Outstanding> {
+        self.lp
+            .unresolved()
+            .find(|d| !self.leases.contains_key(&(d.task, d.attempt)))
+    }
+}
+
+/// The resolver for remote evaluation: results arrive later, through
+/// [`SessionManager::tell`].
+fn remote(_x: &[f64], _ctx: AttemptContext) -> Option<(f64, f64, EvalOutcome)> {
+    None
 }
 
 /// Drives many concurrent optimization sessions over a shared remote
@@ -264,65 +205,20 @@ impl SessionManager {
         let id = self.next_id;
         self.next_id += 1;
         let session = SessionState::new(spec.workers, spec.max_evals, &spec.init);
-        let policy = (spec.policy)();
-        let workers = spec.workers;
-        self.specs.insert(id, spec);
-        let mut r = Resident {
+        let mut policy = (spec.policy)();
+        let lp = EventLoop::fresh(
             session,
-            policy,
-            heap: BinaryHeap::new(),
-            seq: 0,
-            outstanding: VecDeque::new(),
-            last_touch: 0,
-        };
-        // Mirror the fresh-run branch of the in-process driver: fill
-        // every virtual worker at t = 0 while budget remains.
-        for w in 0..workers {
-            if r.session.issued() >= r.session.max_evals() {
-                break;
-            }
-            self.telemetry.set_now(0.0);
-            let Some(s) = r.session.ask_traced(r.policy.as_mut(), &self.telemetry) else {
-                break;
-            };
-            Self::dispatch(&self.telemetry, &mut r, w, 0.0, s.task, s.x, s.attempt);
-        }
-        self.resident.insert(id, r);
+            spec.retry.clone(),
+            policy.as_mut(),
+            &self.telemetry,
+            &mut remote,
+        );
+        self.specs.insert(id, spec);
+        self.resident.insert(id, Resident::new(lp, policy));
         self.touch_session(id);
         self.finalize_if_done(id);
         self.enforce_budget(Some(id));
         id
-    }
-
-    /// Registers an attempt and reserves its event sequence number;
-    /// the span and finish event wait for the result (see module docs).
-    fn dispatch(
-        telemetry: &Telemetry,
-        r: &mut Resident,
-        worker: usize,
-        now: f64,
-        task: usize,
-        x: Vec<f64>,
-        attempt: usize,
-    ) {
-        telemetry.set_now(now);
-        let _span = telemetry.span("dispatch");
-        telemetry.emit_at_with(now, || Event::QueryIssued { task, worker });
-        telemetry.emit_at_with(now, || Event::EvalStarted { task, worker });
-        r.session
-            .begin(task, attempt, x.clone(), worker, Some(now), f64::NAN);
-        let seq = r.seq;
-        r.seq += 1;
-        r.outstanding.push_back(Dispatch {
-            task,
-            attempt,
-            worker,
-            start: now,
-            x,
-            seq,
-            lease: None,
-            result: None,
-        });
     }
 
     /// Leases one work item to connection `conn`, fair-share across
@@ -334,32 +230,20 @@ impl SessionManager {
         let pick = self
             .resident
             .iter()
-            .filter(|(_, r)| {
-                r.outstanding
-                    .iter()
-                    .any(|d| d.lease.is_none() && d.result.is_none())
-            })
-            .min_by_key(|(id, r)| {
-                let leased = r.outstanding.iter().filter(|d| d.lease.is_some()).count();
-                (leased, **id)
-            })
+            .filter(|(_, r)| r.leasable().is_some())
+            .min_by_key(|(id, r)| (r.leases.len(), **id))
             .map(|(id, _)| *id)?;
-        let bench = self.specs[&pick].bench.clone();
         let r = self.resident.get_mut(&pick).expect("picked resident");
-        let d = r
-            .outstanding
-            .iter_mut()
-            .find(|d| d.lease.is_none() && d.result.is_none())
-            .expect("picked session has leasable work");
-        d.lease = Some(conn);
+        let d = r.leasable().expect("picked session has leasable work");
         let work = Work {
             session: pick,
             task: d.task,
             attempt: d.attempt,
             worker: d.worker,
             x: d.x.clone(),
-            bench,
+            bench: self.specs[&pick].bench.clone(),
         };
+        r.leases.insert((work.task, work.attempt), conn);
         self.stats.asks += 1;
         self.telemetry.incr("service_asks", 1);
         self.touch_session(pick);
@@ -385,29 +269,23 @@ impl SessionManager {
         cost: f64,
         outcome: EvalOutcome,
     ) -> bool {
-        let Some(r) = self.resident.get_mut(&session) else {
+        let accepted = self
+            .resident
+            .get_mut(&session)
+            .is_some_and(|r| r.lp.resolve(task, attempt, (value, cost, outcome)));
+        if !accepted {
             self.stats.stale_tells += 1;
             self.telemetry.incr("service_stale_tells", 1);
             return false;
-        };
-        let Some(d) = r
-            .outstanding
-            .iter_mut()
-            .find(|d| d.task == task && d.attempt == attempt && d.result.is_none())
-        else {
-            self.stats.stale_tells += 1;
-            self.telemetry.incr("service_stale_tells", 1);
-            return false;
-        };
-        if d.lease.take().is_some() {
+        }
+        let r = self.resident.get_mut(&session).expect("accepted above");
+        if r.leases.remove(&(task, attempt)).is_some() {
             self.stats.tells += 1;
         }
-        d.result = Some((value, cost, outcome));
         self.stats.accepted += 1;
         self.telemetry.incr("service_tells", 1);
         self.touch_session(session);
         self.pump(session);
-        self.finalize_if_done(session);
         true
     }
 
@@ -417,12 +295,9 @@ impl SessionManager {
     pub fn drop_connection(&mut self, conn: u64) {
         let mut reclaimed = 0u64;
         for r in self.resident.values_mut() {
-            for d in r.outstanding.iter_mut() {
-                if d.lease == Some(conn) && d.result.is_none() {
-                    d.lease = None;
-                    reclaimed += 1;
-                }
-            }
+            let before = r.leases.len();
+            r.leases.retain(|_, held| *held != conn);
+            reclaimed += (before - r.leases.len()) as u64;
         }
         self.stats.reclaimed += reclaimed;
         if reclaimed > 0 {
@@ -430,128 +305,20 @@ impl SessionManager {
         }
     }
 
-    /// Runs the deferred-result discrete-event loop for one session
-    /// until it stalls on an unresolved dispatch or drains.
+    /// Steps one session's event loop until it stalls on an unresolved
+    /// dispatch or drains, then finalizes it if drained.
     fn pump(&mut self, id: u64) {
-        let Some(r) = self.resident.get_mut(&id) else {
-            return;
-        };
-        let spec = &self.specs[&id];
-        loop {
-            // Fold resolved dispatches from the front — strictly in
-            // dispatch order, so span insertion matches the eager
-            // executor.
-            while let Some(front) = r.outstanding.front() {
-                let Some((value, mut cost, mut outcome)) = front.result.clone() else {
-                    break;
-                };
-                let d = r.outstanding.pop_front().expect("front exists");
-                if let Some(deadline) = spec.retry.timeout {
-                    if cost > deadline {
-                        cost = deadline;
-                        outcome = EvalOutcome::TimedOut;
-                    }
-                }
-                let finish = d.start + cost;
-                r.session
-                    .add_span(d.worker, d.task, d.start, finish, !outcome.is_ok());
-                r.heap.push(PumpEvent {
-                    time: finish,
-                    worker: d.worker,
-                    task: d.task,
-                    seq: d.seq,
-                    kind: PumpEventKind::Finish {
-                        value,
-                        attempt: d.attempt,
-                        outcome,
-                    },
-                });
-            }
-            // Stall: an unresolved dispatch could finish before (or
-            // tie with) the heap top, so popping now could diverge
-            // from the in-process event order.
-            if !r.outstanding.is_empty() {
-                return;
-            }
-            let Some(ev) = r.heap.pop() else {
-                return;
-            };
-            r.session.set_clock(ev.time);
-            match ev.kind {
-                PumpEventKind::Finish {
-                    value,
-                    attempt,
-                    outcome,
-                } => {
-                    let Some(inf) = r.session.take_inflight(ev.task) else {
-                        continue;
-                    };
-                    self.telemetry.set_now(ev.time);
-                    match r.session.tell(
-                        &spec.retry,
-                        &self.telemetry,
-                        ev.time,
-                        ev.worker,
-                        ev.task,
-                        inf.x,
-                        value,
-                        attempt,
-                        outcome,
-                    ) {
-                        Told::Committed | Told::Dropped => {
-                            self.telemetry.set_now(ev.time);
-                            if let Some(s) =
-                                r.session.ask_traced(r.policy.as_mut(), &self.telemetry)
-                            {
-                                Self::dispatch(
-                                    &self.telemetry,
-                                    r,
-                                    ev.worker,
-                                    ev.time,
-                                    s.task,
-                                    s.x,
-                                    s.attempt,
-                                );
-                            }
-                        }
-                        Told::Backoff { due } => {
-                            let seq = r.seq;
-                            r.seq += 1;
-                            r.heap.push(PumpEvent {
-                                time: due,
-                                worker: ev.worker,
-                                task: ev.task,
-                                seq,
-                                kind: PumpEventKind::Retry,
-                            });
-                        }
-                    }
-                }
-                PumpEventKind::Retry => {
-                    if let Some(b) = r.session.take_backoff(ev.task) {
-                        self.telemetry.set_now(ev.time);
-                        let _span = self.telemetry.span("retry_backoff");
-                        Self::dispatch(
-                            &self.telemetry,
-                            r,
-                            ev.worker,
-                            ev.time,
-                            ev.task,
-                            b.x,
-                            b.attempt,
-                        );
-                    }
-                }
-            }
+        if let Some(r) = self.resident.get_mut(&id) {
+            while r.lp.step(r.policy.as_mut(), &self.telemetry, &mut remote) {}
         }
+        self.finalize_if_done(id);
     }
 
     /// Moves a drained session from resident to finished.
     fn finalize_if_done(&mut self, id: u64) {
-        let done = self.resident.get(&id).is_some_and(Resident::done);
-        if done {
+        if self.resident.get(&id).is_some_and(|r| r.lp.done()) {
             let r = self.resident.remove(&id).expect("checked above");
-            self.finished.insert(id, r.session.into_result());
+            self.finished.insert(id, r.lp.into_session().into_result());
             self.telemetry.incr("service_sessions_finished", 1);
         }
     }
@@ -572,7 +339,7 @@ impl SessionManager {
         let spec = &self.specs[&id];
         let snap = RunSnapshot {
             config_fingerprint: spec.fingerprint,
-            session: r.session.to_parts(),
+            session: r.lp.session().to_parts(),
             policy: r.policy.snapshot_state(),
         };
         self.touch_session(id);
@@ -594,12 +361,7 @@ impl SessionManager {
         }
         let bytes = self.checkpoint(id)?;
         let r = self.resident.remove(&id).expect("checkpoint verified");
-        let reclaimed = r
-            .outstanding
-            .iter()
-            .filter(|d| d.lease.is_some() && d.result.is_none())
-            .count() as u64;
-        self.stats.reclaimed += reclaimed;
+        self.stats.reclaimed += r.leases.len() as u64;
         self.evicted.insert(id, bytes);
         self.stats.evictions += 1;
         self.telemetry.incr("service_evictions", 1);
@@ -611,10 +373,10 @@ impl SessionManager {
     }
 
     /// Rebuilds an evicted session from its snapshot: restores the
-    /// session and policy state, re-dispatches every interrupted
-    /// attempt at its recorded worker/start, and turns pending
-    /// backoffs into retry events — the same continuation the
-    /// checkpoint/resume path runs in process.
+    /// session and policy state and resumes its event loop, which
+    /// re-dispatches every interrupted attempt at its recorded
+    /// worker/start and turns pending backoffs into retry events — the
+    /// same continuation the checkpoint/resume path runs in process.
     ///
     /// # Errors
     ///
@@ -640,62 +402,19 @@ impl SessionManager {
             }
         }
         let session = SessionState::from_parts(snap.session);
-        let workers = session.workers();
-        let clock = session.clock();
-        let mut r = Resident {
-            session,
-            policy,
-            heap: BinaryHeap::new(),
-            seq: 0,
-            outstanding: VecDeque::new(),
-            last_touch: 0,
-        };
-        // Mirror the resume branch of the in-process driver: re-issue
-        // in-flight attempts first (they take the low sequence
-        // numbers), then re-arm backoffs as retry events.
-        let inflight = r.session.drain_inflight();
-        let inflight_count = inflight.len();
-        for inf in inflight {
-            let (worker, start) = inf.started.unwrap_or((inf.task % workers, clock));
-            Self::dispatch(
-                &self.telemetry,
-                &mut r,
-                worker,
-                start,
-                inf.task,
-                inf.x,
-                inf.attempt,
-            );
-        }
-        let waiting: Vec<(f64, usize, usize)> = r
-            .session
-            .backoffs()
-            .iter()
-            .map(|b| (b.due, b.worker, b.task))
-            .collect();
-        for (due, worker, task) in waiting {
-            let seq = r.seq;
-            r.seq += 1;
-            r.heap.push(PumpEvent {
-                time: due,
-                worker,
-                task,
-                seq,
-                kind: PumpEventKind::Retry,
-            });
-        }
-        self.resident.insert(id, r);
+        let inflight = session.inflight().len();
+        let lp = EventLoop::resume(session, spec.retry.clone(), &self.telemetry, &mut remote);
+        self.resident.insert(id, Resident::new(lp, policy));
         self.stats.rehydrations += 1;
         self.telemetry.incr("service_rehydrations", 1);
         self.telemetry.emit_with(|| Event::SessionRehydrated {
             session: id,
-            inflight: inflight_count,
+            inflight,
         });
         self.touch_session(id);
         // A snapshot taken after the final observation rehydrates into
         // an already-drained session.
         self.pump(id);
-        self.finalize_if_done(id);
         self.enforce_budget(Some(id));
         Ok(())
     }
@@ -750,11 +469,7 @@ impl SessionManager {
 
     /// Leases currently held by connections.
     pub fn active_leases(&self) -> usize {
-        self.resident
-            .values()
-            .flat_map(|r| r.outstanding.iter())
-            .filter(|d| d.lease.is_some() && d.result.is_none())
-            .count()
+        self.resident.values().map(|r| r.leases.len()).sum()
     }
 
     /// The configured residency budget.
