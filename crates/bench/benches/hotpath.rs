@@ -1,6 +1,6 @@
-//! Hot-path benchmark: batched GP posterior vs scalar prediction, and the
-//! parallel multi-start / parallel training fan-out vs the sequential
-//! legacy path.
+//! Hot-path benchmark: batched GP posterior vs scalar prediction, the
+//! blocked batch posterior vs one whole-batch `K*`, and the parallel
+//! multi-start / parallel training fan-out vs the sequential legacy path.
 //!
 //! Prints a table and writes `BENCH_hotpath.json` at the repository root
 //! with the measured times, speedups, the host thread count, and a
@@ -11,7 +11,7 @@
 use std::time::Instant;
 
 use easybo_bench::{bench_report, host_threads, write_bench_report, BenchRecord};
-use easybo_gp::{Gp, GpConfig, KernelFamily, TrainConfig};
+use easybo_gp::{Gp, GpConfig, IncrementalGp, KernelFamily, TrainConfig};
 use easybo_opt::{sampling, Bounds, MultiStartMaximizer, Parallelism};
 use rand::SeedableRng;
 
@@ -76,6 +76,77 @@ fn bench_predict_batch(rows: &mut Vec<BenchRecord>, reps: usize, label: &str, n:
         format!("predict_batch_vs_scalar_{label}_n{n}_d{d}_m256"),
         scalar_s,
         batch_s,
+        identical,
+    ));
+}
+
+/// The batch posterior as one whole-batch pass, rebuilt from the model's
+/// exported state: the full `n × m` `K*` plus a second `n × m` buffer
+/// forward-substituted row by row, each row streaming all `m` columns.
+/// The blocked [`Gp::predict_standardized_batch`] must match it bit for
+/// bit.
+fn unblocked_posterior(gp: &Gp, probes: &[Vec<f64>]) -> Vec<(f64, f64)> {
+    let s = gp.state();
+    let n = s.x.len();
+    let m = probes.len();
+    let kstar = gp.kernel().cross_covariance(gp.theta(), &s.x, probes);
+    let mut v = kstar.clone();
+    let data = v.as_mut_slice();
+    for i in 0..n {
+        let li = &s.chol_factor[i * n..(i + 1) * n];
+        let (done, rest) = data.split_at_mut(i * m);
+        let yi = &mut rest[..m];
+        for (k, &lik) in li[..i].iter().enumerate() {
+            for (a, &y) in yi.iter_mut().zip(&done[k * m..(k + 1) * m]) {
+                *a -= lik * y;
+            }
+        }
+        yi.iter_mut().for_each(|a| *a /= li[i]);
+    }
+    let mut means = vec![0.0; probes.len()];
+    let mut vss = vec![0.0; probes.len()];
+    for (i, &a) in s.alpha.iter().enumerate() {
+        for (mu, &k) in means.iter_mut().zip(kstar.row(i)) {
+            *mu += k * a;
+        }
+        for (ss, &vij) in vss.iter_mut().zip(v.row(i)) {
+            *ss += vij * vij;
+        }
+    }
+    let prior = gp.kernel().signal_variance(gp.theta());
+    means
+        .into_iter()
+        .zip(vss)
+        .map(|(mu, ss)| (mu, (prior - ss).max(0.0)))
+        .collect()
+}
+
+/// Blocked batch posterior vs the whole-batch pass at class-E size:
+/// n = 274 (260 points plus 14 live pseudo-points), m = 528 probes.
+fn bench_blocked_posterior(rows: &mut Vec<BenchRecord>, reps: usize) {
+    let d = 12;
+    let mut inc = IncrementalGp::new(fitted_gp(260, d));
+    let bounds = Bounds::unit_cube(d).expect("unit cube");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    for p in sampling::uniform(&bounds, 14, &mut rng) {
+        inc.push_pseudo_mean(p).expect("pseudo-point pushes");
+    }
+    let gp = inc.gp();
+    let probes = sampling::uniform(&bounds, 528, &mut rng);
+    let (unblocked_s, unblocked) = time_best(reps, || unblocked_posterior(gp, &probes));
+    let (blocked_s, blocked) = time_best(reps, || gp.predict_standardized_batch(&probes));
+    let identical = unblocked.len() == blocked.len()
+        && unblocked
+            .iter()
+            .zip(&blocked)
+            .all(|(a, b)| a.0.to_bits() == b.0.to_bits() && a.1.to_bits() == b.1.to_bits());
+    rows.push(BenchRecord::from_seconds(
+        format!(
+            "batch_posterior_blocked_vs_unblocked_n{}_d{d}_m528",
+            gp.n_train()
+        ),
+        unblocked_s,
+        blocked_s,
         identical,
     ));
 }
@@ -147,6 +218,7 @@ fn main() {
     // Table I / Table II problem sizes: 10-d op-amp, 12-d class-E PA.
     bench_predict_batch(&mut rows, reps, "opamp", 400, 10);
     bench_predict_batch(&mut rows, reps, "class_e", 400, 12);
+    bench_blocked_posterior(&mut rows, reps);
     bench_parallel_multistart(&mut rows, reps, 10);
     bench_parallel_train(&mut rows, reps, 200, 10);
 
@@ -168,8 +240,8 @@ fn main() {
     let json = bench_report(
         "hotpath",
         reps,
-        "baseline = scalar/sequential path, candidate = batched/parallel path; best-of-reps \
-         wall clock. Thread speedups require host_threads > 1; on a single-core host the \
+        "baseline = scalar/sequential/whole-batch path, candidate = batched/parallel/blocked \
+         path; best-of-reps wall clock. Thread speedups require host_threads > 1; on a single-core host the \
          parallel rows measure fan-out overhead only, while the predict_batch rows are \
          algorithmic and host-independent.",
         &rows,

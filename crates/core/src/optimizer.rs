@@ -504,7 +504,8 @@ impl EasyBo {
             }
             .into());
         }
-        Ok((SessionState::from_parts(snap.session), snap.policy))
+        let session = SessionState::from_parts(snap.session).map_err(PersistError::from)?;
+        Ok((session, snap.policy))
     }
 
     /// Rewinds the telemetry clock to the snapshot's and emits
@@ -615,8 +616,9 @@ impl EasyBo {
     /// # Errors
     ///
     /// * [`EasyBoError::Persist`] when the file is missing, corrupt,
-    ///   from another format version, or was captured under a different
-    ///   configuration fingerprint.
+    ///   from another format version, describes an impossible session
+    ///   (see [`SessionState::from_parts`]), or was captured under a
+    ///   different configuration fingerprint.
     /// * The same conditions as [`EasyBo::run`] otherwise.
     pub fn resume_from(
         &self,

@@ -50,8 +50,8 @@ pub use fault::{FaultPlan, FaultyBlackBox};
 pub use retry::{FailureAction, RetryPolicy};
 pub use schedule::{Schedule, TaskSpan};
 pub use session::{
-    CheckpointTrigger, HookAction, InFlightTask, PendingBackoff, SessionHook, SessionParts,
-    SessionState, Suggestion, Told,
+    CheckpointTrigger, HookAction, InFlightTask, InvalidSessionParts, PendingBackoff, SessionHook,
+    SessionParts, SessionState, Suggestion, Told,
 };
 pub use sim_time::SimTimeModel;
 pub use threaded::ThreadedExecutor;

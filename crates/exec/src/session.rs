@@ -185,6 +185,113 @@ pub struct SessionParts {
     pub backoffs: Vec<PendingBackoff>,
 }
 
+/// Why [`SessionState::from_parts`] rejected a capture: the named
+/// [`SessionParts`] field contradicts the rest of it. Captures made by
+/// [`SessionState::to_parts`] never do, but a snapshot whose checksums
+/// pass can still carry edited or hostile contents.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InvalidSessionParts {
+    /// The offending field, e.g. `spans[3].worker`.
+    pub field: String,
+    /// What is wrong with it.
+    pub detail: String,
+}
+
+impl std::fmt::Display for InvalidSessionParts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "session field `{}` {}", self.field, self.detail)
+    }
+}
+
+impl std::error::Error for InvalidSessionParts {}
+
+impl SessionParts {
+    /// Checks every invariant the session and the event loop rely on:
+    /// at least one worker, every worker index below `workers`, spans
+    /// that end no earlier than they start, finite nondecreasing trace
+    /// times, finite clocks, and `resolved ≤ issued ≤ max_evals`.
+    fn validate(&self) -> Result<(), InvalidSessionParts> {
+        let fail = |field: String, detail: String| Err(InvalidSessionParts { field, detail });
+        let workers = self.workers;
+        if workers == 0 {
+            return fail("workers".into(), "must be at least 1".into());
+        }
+        if self.issued > self.max_evals {
+            return fail(
+                "issued".into(),
+                format!(
+                    "must not exceed max_evals {}, got {}",
+                    self.max_evals, self.issued
+                ),
+            );
+        }
+        if self.resolved > self.issued {
+            return fail(
+                "resolved".into(),
+                format!(
+                    "must not exceed issued {}, got {}",
+                    self.issued, self.resolved
+                ),
+            );
+        }
+        if !self.clock.is_finite() {
+            return fail(
+                "clock".into(),
+                format!("must be finite, got {}", self.clock),
+            );
+        }
+        let mut last = f64::NEG_INFINITY;
+        for (i, &(time, _)) in self.trace.iter().enumerate() {
+            if !time.is_finite() || time < last {
+                return fail(
+                    format!("trace[{i}].time"),
+                    format!("must be finite and at least {last}, got {time}"),
+                );
+            }
+            last = time;
+        }
+        for (i, s) in self.spans.iter().enumerate() {
+            if s.worker >= workers {
+                return fail(
+                    format!("spans[{i}].worker"),
+                    format!("must be below workers {workers}, got {}", s.worker),
+                );
+            }
+            if !s.start.is_finite() || !s.end.is_finite() || s.end < s.start {
+                return fail(
+                    format!("spans[{i}].end"),
+                    format!(
+                        "must be finite and not precede start {}, got {}",
+                        s.start, s.end
+                    ),
+                );
+            }
+        }
+        for (i, t) in self.inflight.iter().enumerate() {
+            if let Some((worker, start)) = t.started {
+                if worker >= workers || !start.is_finite() {
+                    return fail(
+                        format!("inflight[{i}].started"),
+                        format!("needs a worker below {workers} and a finite start, got ({worker}, {start})"),
+                    );
+                }
+            }
+        }
+        for (i, b) in self.backoffs.iter().enumerate() {
+            if b.worker >= workers || !b.due.is_finite() {
+                return fail(
+                    format!("backoffs[{i}]"),
+                    format!(
+                        "needs a worker below {workers} and a finite due time, got worker {} due {}",
+                        b.worker, b.due
+                    ),
+                );
+            }
+        }
+        Ok(())
+    }
+}
+
 /// The mutable state of one asynchronous optimization session. See the
 /// module docs for the role split between this type and the executors.
 #[derive(Debug, Clone, PartialEq)]
@@ -536,12 +643,15 @@ impl SessionState {
     /// because the resuming executor re-issues every in-flight attempt,
     /// which re-creates busy points and spans.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the parts are internally inconsistent (non-monotone
-    /// trace times, span workers out of range) — captures produced by
-    /// [`SessionState::to_parts`] never are.
-    pub fn from_parts(parts: SessionParts) -> Self {
+    /// Returns [`InvalidSessionParts`] naming the first inconsistent
+    /// field (no workers, a worker index out of range, a span ending
+    /// before it starts, non-finite or decreasing trace times,
+    /// `resolved > issued` or `issued > max_evals`). Captures produced
+    /// by [`SessionState::to_parts`] always pass.
+    pub fn from_parts(parts: SessionParts) -> Result<Self, InvalidSessionParts> {
+        parts.validate()?;
         let mut data = Dataset::new();
         for (x, y) in parts.observations {
             data.push(x, y);
@@ -554,7 +664,7 @@ impl SessionState {
         for s in parts.spans {
             schedule.add_with(s.worker, s.task, s.start, s.end, s.failed);
         }
-        SessionState {
+        Ok(SessionState {
             data,
             trace,
             schedule,
@@ -567,7 +677,7 @@ impl SessionState {
             max_evals: parts.max_evals,
             workers: parts.workers,
             clock: parts.clock,
-        }
+        })
     }
 }
 
@@ -723,7 +833,7 @@ mod tests {
         assert_eq!(parts.backoffs.len(), 1);
         assert_eq!(parts.clock, 12.5);
 
-        let rebuilt = SessionState::from_parts(parts.clone());
+        let rebuilt = SessionState::from_parts(parts.clone()).unwrap();
         assert_eq!(rebuilt.data, s.data);
         assert_eq!(rebuilt.trace, s.trace);
         assert!(rebuilt.busy.is_empty(), "busy rebuilt by re-issue");
@@ -732,6 +842,48 @@ mod tests {
         assert_eq!(rebuilt.issued, 4);
         // A second capture of the rebuilt session is identical.
         assert_eq!(rebuilt.to_parts(), parts);
+    }
+
+    #[test]
+    fn from_parts_rejects_inconsistent_captures_by_field() {
+        let mut s = SessionState::new(2, 6, &[]);
+        let t = Telemetry::disabled();
+        s.commit(&t, 4.0, 0, 0, 1.0, vec![0.1]);
+        s.schedule.add_with(1, 0, 0.0, 4.0, false);
+        s.begin(1, 1, vec![0.7], 0, Some(4.0));
+        s.backoffs.push(PendingBackoff {
+            due: 9.0,
+            worker: 1,
+            task: 2,
+            attempt: 2,
+            x: vec![0.3],
+        });
+        s.issued = 3;
+        let good = s.to_parts();
+        assert!(SessionState::from_parts(good.clone()).is_ok());
+        type Edit = fn(&mut SessionParts);
+        let cases: [(&str, Edit); 11] = [
+            ("workers", |p| p.workers = 0),
+            ("spans[0].worker", |p| p.spans[0].worker = 2),
+            ("spans[0].end", |p| p.spans[0].end = -1.0),
+            ("spans[0].end", |p| p.spans[0].start = f64::NAN),
+            ("inflight[0].started", |p| {
+                p.inflight[0].started = Some((2, 4.0))
+            }),
+            ("backoffs[0]", |p| p.backoffs[0].worker = 7),
+            ("trace[1].time", |p| p.trace.push((1.0, 0.0))),
+            ("trace[0].time", |p| p.trace[0].0 = f64::INFINITY),
+            ("resolved", |p| p.resolved = 4),
+            ("issued", |p| p.issued = 7),
+            ("clock", |p| p.clock = f64::NAN),
+        ];
+        for (field, edit) in cases {
+            let mut parts = good.clone();
+            edit(&mut parts);
+            let err = SessionState::from_parts(parts).expect_err(field);
+            assert_eq!(err.field, field);
+            assert!(err.to_string().contains(field), "{err}");
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 use easybo_linalg::Vector;
 use easybo_telemetry::Telemetry;
 
-use crate::model::Gp;
+use crate::model::{mean_batch, Gp};
 use crate::GpError;
 
 /// A [`Gp`] wrapped with an incremental-update API and a pseudo-point
@@ -126,7 +126,7 @@ impl IncrementalGp {
         }
         let _span = self.telemetry.span("cholesky_update");
         let z = self.gp.scaler().transform(y);
-        let floored = self.gp.push_point_standardized(x, z)?;
+        let (floored, _) = self.gp.push_point_standardized(x, z)?;
         self.gp.mark_all_real();
         self.telemetry.incr("cholesky_update", 1);
         if floored {
@@ -139,15 +139,19 @@ impl IncrementalGp {
     /// predictive mean* (the paper's BUCB-style busy-point penalization):
     /// the posterior mean is unchanged while σ̂ collapses around the busy
     /// point. Exactly the per-point operation sequence of [`Gp::augment`],
-    /// but on a factor stack instead of a throwaway clone.
+    /// but on a factor stack instead of a throwaway clone, and with the
+    /// cross row and its forward solve shared between the mean and the
+    /// factor extension.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Gp::augment`]; on error the model is unchanged.
     pub fn push_pseudo_mean(&mut self, x: Vec<f64>) -> crate::Result<()> {
         validate_point(&x, self.gp.dim())?;
-        let (mean_z, _) = self.gp.predict_standardized(&x);
-        self.push_standardized(x, mean_z)
+        let _span = self.telemetry.span("cholesky_update");
+        let pushed = self.gp.push_point_at_mean(x)?;
+        self.record_push(pushed);
+        Ok(())
     }
 
     /// Pushes a hallucinated pseudo-point with a fixed raw-space "lie"
@@ -172,14 +176,18 @@ impl IncrementalGp {
 
     fn push_standardized(&mut self, x: Vec<f64>, z: f64) -> crate::Result<()> {
         let _span = self.telemetry.span("cholesky_update");
-        let alpha_before = self.gp.alpha_vec().clone();
-        let floored = self.gp.push_point_standardized(x, z)?;
+        let pushed = self.gp.push_point_standardized(x, z)?;
+        self.record_push(pushed);
+        Ok(())
+    }
+
+    /// Stacks the pre-push `α` of a successful push and counts it.
+    fn record_push(&mut self, (floored, alpha_before): (bool, Vector)) {
         self.saved_alpha.push(alpha_before);
         self.telemetry.incr("cholesky_update", 1);
         if floored {
             self.telemetry.incr("cholesky_jitter_bumps", 1);
         }
-        Ok(())
     }
 
     /// Pops the most recent pseudo-point, restoring the pre-push model
@@ -233,25 +241,11 @@ impl IncrementalGp {
     ///
     /// Panics if any point has the wrong dimension.
     pub fn predict_mean_base_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        if xs.is_empty() {
-            return Vec::new();
-        }
-        let n_base = self.n_base();
-        let base_alpha = self.base_alpha();
-        let kstar =
-            self.gp
-                .kernel()
-                .cross_covariance(self.gp.theta(), &self.gp.x_rows()[..n_base], xs);
-        let mut means = vec![0.0; xs.len()];
-        for i in 0..n_base {
-            let a = base_alpha[i];
-            for (mu, &k) in means.iter_mut().zip(kstar.row(i)) {
-                *mu += k * a;
-            }
-        }
-        means
+        let gp = &self.gp;
+        let base_rows = &gp.x_rows()[..self.n_base()];
+        mean_batch(gp.kernel(), gp.theta(), base_rows, self.base_alpha(), xs)
             .into_iter()
-            .map(|mu| self.gp.scaler().inverse(mu))
+            .map(|mu| gp.scaler().inverse(mu))
             .collect()
     }
 
@@ -294,6 +288,102 @@ mod tests {
             (1e-6f64).ln(),
         )
         .unwrap()
+    }
+
+    const FAMILIES: [KernelFamily; 4] = [
+        KernelFamily::SquaredExponential,
+        KernelFamily::Matern52,
+        KernelFamily::Matern32,
+        KernelFamily::RationalQuadratic,
+    ];
+
+    /// Deterministic points in the unit cube at class-E dimension.
+    fn cube_points(count: usize, salt: usize) -> Vec<Vec<f64>> {
+        (0..count)
+            .map(|i| {
+                (0..12)
+                    .map(|j| (((i * 12 + j) * 7919 + salt * 104_729) % 1000) as f64 / 1000.0)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A class-E-size GP under fixed hyperparameters.
+    fn class_e_gp(family: KernelFamily, n: usize) -> Gp {
+        let x = cube_points(n, 1);
+        let y = x
+            .iter()
+            .map(|p| {
+                p.iter()
+                    .enumerate()
+                    .map(|(j, v)| (v * (j + 1) as f64).sin())
+                    .sum()
+            })
+            .collect();
+        let mut theta = vec![(0.6f64).ln(); 13];
+        theta[12] = 0.3;
+        Gp::fit_with_params(x, y, family, theta, (1e-6f64).ln()).unwrap()
+    }
+
+    /// Bit patterns of every float in a model's state.
+    fn state_bits(gp: &Gp) -> Vec<u64> {
+        let s = gp.state();
+        let rows = s.x.iter().flatten();
+        rows.chain(&s.z)
+            .chain(&s.chol_factor)
+            .chain(&s.alpha)
+            .chain(&s.theta)
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn fused_push_pseudo_mean_is_bitwise_predict_then_push() {
+        for family in FAMILIES {
+            let gp = class_e_gp(family, 260);
+            let mut reference = gp.clone();
+            let mut inc = IncrementalGp::new(gp);
+            for p in cube_points(14, 2) {
+                let (mean_z, _) = reference.predict_standardized(&p);
+                reference
+                    .push_point_standardized(p.clone(), mean_z)
+                    .unwrap();
+                inc.push_pseudo_mean(p).unwrap();
+                assert_eq!(state_bits(inc.gp()), state_bits(&reference), "{family:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_batch_posterior_is_bitwise_scalar_at_block_boundaries() {
+        let queries = cube_points(528, 3);
+        for family in FAMILIES {
+            // n = 274 is 260 real points plus 14 live pseudo-points.
+            for (n_real, n_pseudo) in [(1, 0), (24, 0), (260, 14)] {
+                let mut inc = IncrementalGp::new(class_e_gp(family, n_real));
+                for p in cube_points(n_pseudo, 4) {
+                    inc.push_pseudo_mean(p).unwrap();
+                }
+                let gp = inc.gp();
+                assert_eq!(gp.n_train(), n_real + n_pseudo);
+                for m in [1, 31, 32, 33, 528] {
+                    let xs = &queries[..m];
+                    let post = gp.predict_standardized_batch(xs);
+                    let means = gp.predict_mean_batch(xs);
+                    let base = inc.predict_mean_base_batch(xs);
+                    assert_eq!((post.len(), means.len(), base.len()), (m, m, m));
+                    for (j, q) in xs.iter().enumerate() {
+                        let at = format!("{family:?} n={} m={m} j={j}", gp.n_train());
+                        let (mu, var) = gp.predict_standardized(q);
+                        assert_eq!(post[j].0.to_bits(), mu.to_bits(), "mean {at}");
+                        assert_eq!(post[j].1.to_bits(), var.to_bits(), "var {at}");
+                        assert_eq!(means[j].to_bits(), gp.predict_mean(q).to_bits(), "{at}");
+                        let scalar_base = inc.predict_mean_base(q).to_bits();
+                        assert_eq!(base[j].to_bits(), scalar_base, "base {at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -448,7 +448,7 @@ impl Gp {
     /// Panics if `x.len() != dim()`.
     pub fn predict_standardized(&self, x: &[f64]) -> (f64, f64) {
         assert_eq!(x.len(), self.dim(), "query dimension mismatch");
-        let kstar = Vector::from_iter(self.x.iter().map(|xi| self.kernel.eval(&self.theta, x, xi)));
+        let kstar = self.cross_row(x);
         let mean = kstar.dot(&self.alpha);
         let v = self.chol.solve_lower(&kstar);
         let prior = self.kernel.eval(&self.theta, x, x);
@@ -458,9 +458,10 @@ impl Gp {
 
     /// Posterior predictions for a whole batch of query points (raw units).
     ///
-    /// Assembles the `n × m` cross-covariance `K*` once and runs a single
-    /// multi-RHS forward substitution instead of `m` scalar solves; each
-    /// entry is bit-identical to [`Gp::predict`] on the same point.
+    /// Walks the queries in blocks of 32: each block's `n × 32`
+    /// cross-covariance `K*` is assembled once and forward-substituted in
+    /// place, instead of one scalar solve per query. Each entry is
+    /// bit-identical to [`Gp::predict`] on the same point.
     ///
     /// # Panics
     ///
@@ -477,40 +478,38 @@ impl Gp {
 
     /// Batched posterior `(mean, variance)` in standardized target space —
     /// the batch counterpart of [`Gp::predict_standardized`], bit-identical
-    /// per point.
+    /// per point. Scratch is one `n × 32` block, whatever the batch size.
     ///
     /// # Panics
     ///
     /// Panics if any point has the wrong dimension.
     pub fn predict_standardized_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
-        if xs.is_empty() {
-            return Vec::new();
-        }
-        let m = xs.len();
-        let kstar = self.kernel.cross_covariance(&self.theta, &self.x, xs);
-        let v = self.chol.solve_lower_multi(&kstar);
-        // Row-wise accumulation: column j sees the same i-ascending order
-        // as the scalar `kstar.dot(alpha)` / `v.dot(v)` reductions.
-        let mut means = vec![0.0; m];
-        let mut vss = vec![0.0; m];
-        for i in 0..self.n_train() {
-            let a = self.alpha[i];
-            for (mu, &k) in means.iter_mut().zip(kstar.row(i)) {
-                *mu += k * a;
-            }
-            for (s, &vij) in vss.iter_mut().zip(v.row(i)) {
-                *s += vij * vij;
-            }
-        }
         // k(x, x) reduces to σ_f² exactly for every stationary family here
         // (the radial factor is exactly 1.0 at r² = 0), matching the scalar
         // path's `kernel.eval(x, x)` prior bit for bit.
         let prior = self.kernel.signal_variance(&self.theta);
-        means
-            .into_iter()
-            .zip(vss)
-            .map(|(mu, s)| (mu, (prior - s).max(0.0)))
-            .collect()
+        let mut out = Vec::with_capacity(xs.len());
+        for block in xs.chunks(QUERY_BLOCK) {
+            let mut kstar = self.kernel.cross_covariance(&self.theta, &self.x, block);
+            let means = block_means(&kstar, &self.alpha);
+            self.chol.solve_lower_multi_in_place(&mut kstar);
+            // Row-wise accumulation: column j sees the same i-ascending
+            // order as the scalar `v.dot(v)` reduction.
+            let mut vss = [0.0; QUERY_BLOCK];
+            for i in 0..kstar.rows() {
+                for (s, &vij) in vss.iter_mut().zip(kstar.row(i)) {
+                    *s += vij * vij;
+                }
+            }
+            out.extend(
+                means
+                    .into_iter()
+                    .zip(vss)
+                    .take(block.len())
+                    .map(|(mu, s)| (mu, (prior - s).max(0.0))),
+            );
+        }
+        out
     }
 
     /// Batched posterior means only (raw units) — the batch counterpart of
@@ -520,18 +519,7 @@ impl Gp {
     ///
     /// Panics if any point has the wrong dimension.
     pub fn predict_mean_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        if xs.is_empty() {
-            return Vec::new();
-        }
-        let kstar = self.kernel.cross_covariance(&self.theta, &self.x, xs);
-        let mut means = vec![0.0; xs.len()];
-        for i in 0..self.n_train() {
-            let a = self.alpha[i];
-            for (mu, &k) in means.iter_mut().zip(kstar.row(i)) {
-                *mu += k * a;
-            }
-        }
-        means
+        mean_batch(&self.kernel, &self.theta, &self.x, &self.alpha, xs)
             .into_iter()
             .map(|mu| self.scaler.inverse(mu))
             .collect()
@@ -548,8 +536,7 @@ impl Gp {
     /// Panics if `x.len() != dim()`.
     pub fn posterior_cross_weights(&self, x: &[f64]) -> Vector {
         assert_eq!(x.len(), self.dim(), "query dimension mismatch");
-        let kstar = Vector::from_iter(self.x.iter().map(|xi| self.kernel.eval(&self.theta, x, xi)));
-        self.chol.solve_lower(&kstar)
+        self.chol.solve_lower(&self.cross_row(x))
     }
 
     /// Posterior mean only (skips the triangular solve), raw units.
@@ -630,8 +617,7 @@ impl Gp {
                     context: format!("pseudo-point {i}"),
                 });
             }
-            let (mean_z, _) = out.predict_standardized(p);
-            out.push_point_standardized(p.clone(), mean_z)?;
+            out.push_point_at_mean(p.clone())?;
         }
         Ok(out)
     }
@@ -665,25 +651,52 @@ impl Gp {
     }
 
     /// Appends `(x, z)` (z already standardized), extending the Cholesky
-    /// factor incrementally and recomputing `α`. Returns `true` when the
+    /// factor incrementally and recomputing `α`. Returns whether the
     /// duplicate-point pivot floor fired inside the factor extension —
-    /// [`crate::IncrementalGp`] surfaces that as a telemetry counter.
+    /// [`crate::IncrementalGp`] surfaces that as a telemetry counter — and
+    /// the replaced `α`.
     ///
     /// On error the model is left untouched.
-    pub(crate) fn push_point_standardized(&mut self, x: Vec<f64>, z: f64) -> crate::Result<bool> {
-        let cross = Vector::from_iter(
-            self.x
-                .iter()
-                .map(|xi| self.kernel.eval(&self.theta, &x, xi)),
-        );
+    pub(crate) fn push_point_standardized(
+        &mut self,
+        x: Vec<f64>,
+        z: f64,
+    ) -> crate::Result<(bool, Vector)> {
+        let cross = self.cross_row(&x);
         let diag = self.kernel.eval(&self.theta, &x, &x) + self.log_noise.exp();
         let floored = self.chol.extend(&cross, diag)?;
+        Ok((floored, self.append_target(x, z)))
+    }
+
+    /// Appends a hallucinated point whose target is the current posterior
+    /// mean: the fused form of [`Gp::predict_standardized`] followed by
+    /// [`Gp::push_point_standardized`]. The cross row `k*` and its forward
+    /// solve `L⁻¹ k*` are built once and serve both the mean and the
+    /// factor extension, so the result is bit-identical to the two-step
+    /// path. Returns the same pair as [`Gp::push_point_standardized`].
+    ///
+    /// On error the model is left untouched.
+    pub(crate) fn push_point_at_mean(&mut self, x: Vec<f64>) -> crate::Result<(bool, Vector)> {
+        let kstar = self.cross_row(&x);
+        let mean_z = kstar.dot(&self.alpha);
+        let w = self.chol.solve_lower(&kstar);
+        let diag = self.kernel.eval(&self.theta, &x, &x) + self.log_noise.exp();
+        let floored = self.chol.extend_solved(&w, diag)?;
+        Ok((floored, self.append_target(x, mean_z)))
+    }
+
+    /// `k(x, xᵢ)` against every training point, in training order.
+    fn cross_row(&self, x: &[f64]) -> Vector {
+        Vector::from_iter(self.x.iter().map(|xi| self.kernel.eval(&self.theta, x, xi)))
+    }
+
+    /// Records `(x, z)` after the factor has grown and re-solves `α`,
+    /// returning the replaced one.
+    fn append_target(&mut self, x: Vec<f64>, z: f64) -> Vector {
         self.x.push(x);
-        let mut z_new = self.z.clone();
-        z_new.extend([z]);
-        self.z = z_new;
-        self.alpha = self.chol.solve_vec(&self.z);
-        Ok(floored)
+        self.z.extend([z]);
+        let alpha = self.chol.solve_vec(&self.z);
+        std::mem::replace(&mut self.alpha, alpha)
     }
 
     /// Shrinks the model back to its leading `k` training points, restoring
@@ -708,7 +721,7 @@ impl Gp {
         assert_eq!(alpha.len(), k, "truncate_to: alpha length mismatch");
         self.chol.truncate(k);
         self.x.truncate(k);
-        let mut z = self.z.as_slice().to_vec();
+        let mut z = std::mem::take(&mut self.z).into_inner();
         z.truncate(k);
         self.z = Vector::from(z);
         self.alpha = alpha;
@@ -729,6 +742,44 @@ impl Gp {
     pub(crate) fn mark_all_real(&mut self) {
         self.n_real = self.x.len();
     }
+}
+
+/// Query columns per block of the batched posterior. A block of `K*` is
+/// `n × 32` (about 70 KiB at class-E's n = 274): small enough to stay in
+/// L2 and below the allocator's mmap threshold, wide enough for the
+/// in-place solve's 16-column groups. Widths from 16 to 128 time alike
+/// in the `hotpath` bench.
+pub(crate) const QUERY_BLOCK: usize = 32;
+
+/// Per-column `Σᵢ K*[i][j]·αᵢ` of one query block (at most
+/// [`QUERY_BLOCK`] columns). Row-wise accumulation: column j sees the
+/// same i-ascending order as the scalar `k*·α` dot product.
+fn block_means(kstar: &Matrix, alpha: &Vector) -> [f64; QUERY_BLOCK] {
+    let mut means = [0.0; QUERY_BLOCK];
+    for (i, &a) in alpha.iter().enumerate() {
+        for (mu, &k) in means.iter_mut().zip(kstar.row(i)) {
+            *mu += k * a;
+        }
+    }
+    means
+}
+
+/// Standardized posterior means `K*ᵀ α` of a query batch against the
+/// training rows `x`, walked in [`QUERY_BLOCK`]-column blocks.
+/// Bit-identical per point to the scalar mean.
+pub(crate) fn mean_batch(
+    kernel: &ArdKernel,
+    theta: &[f64],
+    x: &[Vec<f64>],
+    alpha: &Vector,
+    xs: &[Vec<f64>],
+) -> Vec<f64> {
+    let mut out = Vec::with_capacity(xs.len());
+    for block in xs.chunks(QUERY_BLOCK) {
+        let kstar = kernel.cross_covariance(theta, x, block);
+        out.extend_from_slice(&block_means(&kstar, alpha)[..block.len()]);
+    }
+    out
 }
 
 /// Builds `K = K_f + σ_n² I` for the given inputs via the batched symmetric

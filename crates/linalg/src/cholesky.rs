@@ -330,43 +330,53 @@ impl Cholesky {
     }
 
     /// Solves `L Y = B` for all columns of `B` in one forward-substitution
-    /// sweep. Each column gets exactly the operations of
-    /// [`Cholesky::solve_lower`] in the same order, so the result is
-    /// bit-identical to solving column by column — but the inner loop streams
-    /// contiguous rows instead of strided columns, which is what makes the
-    /// batched GP posterior fast.
+    /// sweep: a copy of `B` put through
+    /// [`Cholesky::solve_lower_multi_in_place`].
+    #[cfg(test)]
+    fn solve_lower_multi(&self, b: &Matrix) -> Matrix {
+        let mut y = b.clone();
+        self.solve_lower_multi_in_place(&mut y);
+        y
+    }
+
+    /// Overwrites `B` with the solution `Y` of `L Y = B`. Each column gets
+    /// exactly the operations of [`Cholesky::solve_lower`] in the same
+    /// order, so the result is bit-identical to solving column by column.
+    /// Row `i` is finished in groups of 16 columns whose running sums stay
+    /// in registers across the whole `k` sweep, and no second `n × m`
+    /// buffer is needed. This is what the blocked GP posterior runs on
+    /// each query block of `K*`.
     ///
     /// # Panics
     ///
     /// Panics if `b.rows() != dim()`.
-    pub fn solve_lower_multi(&self, b: &Matrix) -> Matrix {
+    pub fn solve_lower_multi_in_place(&self, b: &mut Matrix) {
         let n = self.dim();
         assert_eq!(b.rows(), n, "solve_lower_multi dimension mismatch");
         let m = b.cols();
-        let mut y = b.clone();
-        let data = y.as_mut_slice();
+        let data = b.as_mut_slice();
+        let wide = m - m % 16;
+        let narrow = m - m % 4;
         for i in 0..n {
-            let li = self.l.row(i);
+            let li = &self.l.row(i)[..=i];
             let (done, rest) = data.split_at_mut(i * m);
             let yi = &mut rest[..m];
-            for (k, &lik) in li[..i].iter().enumerate() {
-                let yk = &done[k * m..(k + 1) * m];
-                for (a, &v) in yi.iter_mut().zip(yk) {
-                    *a -= lik * v;
-                }
+            for c in (0..wide).step_by(16) {
+                forward_cols::<16>(li, done, yi, c);
             }
-            let lii = li[i];
-            for a in yi.iter_mut() {
-                *a /= lii;
+            for c in (wide..narrow).step_by(4) {
+                forward_cols::<4>(li, done, yi, c);
+            }
+            for c in narrow..m {
+                forward_cols::<1>(li, done, yi, c);
             }
         }
-        y
     }
 
     /// Solves `L^T X = B` for all columns of `B` in one backward-substitution
     /// sweep; the multi-RHS counterpart of [`Cholesky::solve_lower_transpose`]
     /// with the same bit-identical-per-column guarantee as
-    /// [`Cholesky::solve_lower_multi`]. Kept as the test reference for
+    /// [`Cholesky::solve_lower_multi_in_place`]. Kept as the test reference for
     /// [`Cholesky::inverse`].
     #[cfg(test)]
     fn solve_lower_transpose_multi(&self, b: &Matrix) -> Matrix {
@@ -473,7 +483,7 @@ impl Cholesky {
     /// If `A' = [[A, c], [c^T, d]]` then `L' = [[L, 0], [w^T, s]]` with
     /// `w = L^{-1} c` and `s = sqrt(d - w^T w)`. This powers the EasyBO
     /// penalization scheme, which appends hallucinated pseudo-points to the
-    /// GP one at a time. The existing factor block is copied verbatim, so
+    /// GP one at a time. The existing factor block is kept verbatim, so
     /// [`Cholesky::truncate`] can later restore it bit for bit.
     ///
     /// Returns `true` when the pragmatic duplicate-point floor was applied
@@ -490,10 +500,38 @@ impl Cholesky {
     ///
     /// Panics if `cross.len() != dim()`.
     pub fn extend(&mut self, cross: &Vector, diag: f64) -> crate::Result<bool> {
+        assert_eq!(
+            cross.len(),
+            self.dim(),
+            "extend: cross-covariance length mismatch"
+        );
+        self.extend_solved(&self.solve_lower(cross), diag)
+    }
+
+    /// [`Cholesky::extend`] for a caller that already holds the forward
+    /// solve `w = L⁻¹ c` of the cross-covariance column — the GP's
+    /// pseudo-point push computes it once for both the hallucinated mean
+    /// and the factor. Bit-identical to `extend(c, diag)`.
+    ///
+    /// The factor grows in place: its buffer is reserved to exactly
+    /// `(n+1)²` entries when it is too small and otherwise reused, so a
+    /// push after a [`Cholesky::truncate`] allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Cholesky::extend`]; on error the factor is unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w.len() != dim()`.
+    pub fn extend_solved(&mut self, w: &Vector, diag: f64) -> crate::Result<bool> {
         let n = self.dim();
-        assert_eq!(cross.len(), n, "extend: cross-covariance length mismatch");
-        let w = self.solve_lower(cross);
-        let mut s2 = diag + self.jitter - w.dot(&w);
+        assert_eq!(
+            w.len(),
+            n,
+            "extend: solved cross-covariance length mismatch"
+        );
+        let mut s2 = diag + self.jitter - w.dot(w);
         let mut floored = false;
         if s2 <= 0.0 || !s2.is_finite() {
             // One more chance with a pragmatic floor: the pseudo-point is
@@ -509,13 +547,9 @@ impl Cholesky {
                 });
             }
         }
-        let mut grown = Matrix::zeros(n + 1, n + 1);
-        for i in 0..n {
-            grown.row_mut(i)[..=i].copy_from_slice(&self.l.row(i)[..=i]);
-        }
-        grown.row_mut(n)[..n].copy_from_slice(w.as_slice());
-        grown[(n, n)] = s2.sqrt();
-        self.l = grown;
+        self.l.grow_lower_square(n + 1);
+        self.l.row_mut(n)[..n].copy_from_slice(w.as_slice());
+        self.l[(n, n)] = s2.sqrt();
         Ok(floored)
     }
 
@@ -526,7 +560,8 @@ impl Cholesky {
     /// `truncate` back to a previous dimension restores that factor
     /// **bit for bit**: this is the `pop_pseudo` half of the penalization
     /// inner loop, which pushes hallucinated points and must return to the
-    /// exact pre-push state.
+    /// exact pre-push state. The buffer keeps its allocation for the next
+    /// push.
     ///
     /// # Panics
     ///
@@ -596,6 +631,27 @@ impl Cholesky {
     /// Reconstructs `L L^T` (for tests and diagnostics).
     pub fn reconstruct(&self) -> Matrix {
         self.l.matmul(&self.l.transpose())
+    }
+}
+
+/// Finishes columns `c..c + G` of row `i = li.len() - 1` of a
+/// multi-RHS forward substitution whose rows `..i` are solved in `done`
+/// (row stride `yi.len()`): each column subtracts `l_ik·y_kc` in
+/// ascending `k`, then divides by `l_ii`, exactly like
+/// [`Cholesky::solve_lower`].
+#[inline(always)]
+fn forward_cols<const G: usize>(li: &[f64], done: &[f64], yi: &mut [f64], c: usize) {
+    let m = yi.len();
+    let (lii, lk) = li.split_last().expect("row has a diagonal");
+    let mut acc: [f64; G] = std::array::from_fn(|g| yi[c + g]);
+    for (&lik, yk) in lk.iter().zip(done.chunks_exact(m)) {
+        let yk = &yk[c..c + G];
+        for g in 0..G {
+            acc[g] -= lik * yk[g];
+        }
+    }
+    for g in 0..G {
+        yi[c + g] = acc[g] / lii;
     }
 }
 
@@ -700,18 +756,29 @@ mod tests {
     fn solve_lower_multi_bitwise_matches_scalar() {
         let a = spd(8, 23);
         let c = Cholesky::new(&a).unwrap();
-        let b = Matrix::from_fn(8, 5, |i, j| ((i * 3 + j * 7) as f64 * 0.37).sin());
-        let y = c.solve_lower_multi(&b);
-        let x = c.solve_lower_transpose_multi(&b);
-        for j in 0..5 {
-            let col = b.col(j);
-            let y_col = c.solve_lower(&col);
-            let x_col = c.solve_lower_transpose(&col);
-            for i in 0..8 {
-                // Exact equality: the multi-RHS sweep performs the same
-                // floating-point operations in the same order per column.
-                assert_eq!(y[(i, j)], y_col[i], "forward ({i}, {j})");
-                assert_eq!(x[(i, j)], x_col[i], "backward ({i}, {j})");
+        // Every mix of 16-, 4- and 1-column groups.
+        for m in [1, 3, 4, 5, 16, 17, 21, 32, 37] {
+            let b = Matrix::from_fn(8, m, |i, j| ((i * 3 + j * 7) as f64 * 0.37).sin());
+            let y = c.solve_lower_multi(&b);
+            let x = c.solve_lower_transpose_multi(&b);
+            for j in 0..m {
+                let col = b.col(j);
+                let y_col = c.solve_lower(&col);
+                let x_col = c.solve_lower_transpose(&col);
+                for i in 0..8 {
+                    // Exact bits: the multi-RHS sweep performs the same
+                    // floating-point operations in the same order per column.
+                    assert_eq!(
+                        y[(i, j)].to_bits(),
+                        y_col[i].to_bits(),
+                        "forward m={m} ({i}, {j})"
+                    );
+                    assert_eq!(
+                        x[(i, j)].to_bits(),
+                        x_col[i].to_bits(),
+                        "backward m={m} ({i}, {j})"
+                    );
+                }
             }
         }
     }
@@ -912,6 +979,112 @@ mod tests {
         for (x, y) in c.factor().as_slice().iter().zip(c0.factor().as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
+    }
+
+    /// The reallocating extension the in-place [`Cholesky::extend`] must
+    /// reproduce bit for bit: a fresh zeroed `(n+1)²` factor with the old
+    /// lower triangle copied in, then the new row.
+    fn extend_reallocating(c: &mut Cholesky, cross: &Vector, diag: f64) -> bool {
+        let n = c.dim();
+        let w = c.solve_lower(cross);
+        let mut s2 = diag + c.jitter - w.dot(&w);
+        let mut floored = false;
+        if s2 <= 0.0 || !s2.is_finite() {
+            let floor = 1e-10 * diag.abs().max(1.0);
+            assert!(s2 > -floor, "reference extend lost positive definiteness");
+            s2 = floor;
+            floored = true;
+        }
+        let mut grown = Matrix::zeros(n + 1, n + 1);
+        for i in 0..n {
+            grown.row_mut(i)[..=i].copy_from_slice(&c.l.row(i)[..=i]);
+        }
+        grown.row_mut(n)[..n].copy_from_slice(w.as_slice());
+        grown[(n, n)] = s2.sqrt();
+        c.l = grown;
+        floored
+    }
+
+    fn assert_same_bits(a: &Cholesky, b: &Cholesky, what: &str) {
+        assert_eq!(a.factor().shape(), b.factor().shape(), "{what}");
+        assert_eq!(a.jitter().to_bits(), b.jitter().to_bits(), "{what}");
+        for (x, y) in a.factor().as_slice().iter().zip(b.factor().as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}");
+        }
+    }
+
+    #[test]
+    fn in_place_extend_and_truncate_match_reallocating_factor() {
+        // A paper-size base factor with 14 pseudo-points pushed, popped,
+        // and pushed again (in a different order), plus a partial pop.
+        let (base, live) = (260, 14);
+        let a = spd(base + live, 41);
+        let lead = Matrix::from_fn(base, base, |i, j| a[(i, j)]);
+        let mut fast = Cholesky::new(&lead).unwrap();
+        let mut reference = fast.clone();
+        // `active[i]` is the row of `a` behind factor row `i`.
+        let mut active: Vec<usize> = (0..base).collect();
+        let mut push = |fast: &mut Cholesky, reference: &mut Cholesky, row: usize| {
+            active.truncate(fast.dim());
+            let cross = Vector::from_iter(active.iter().map(|&i| a[(i, row)]));
+            let diag = a[(row, row)];
+            let floored = fast.extend(&cross, diag).unwrap();
+            assert_eq!(floored, extend_reallocating(reference, &cross, diag));
+            active.push(row);
+            assert_same_bits(fast, reference, &format!("push to {}", active.len()));
+        };
+        let pushes: Vec<usize> = (base..base + live).collect();
+        for &row in &pushes {
+            push(&mut fast, &mut reference, row);
+        }
+        for k in (base..base + live).rev() {
+            fast.truncate(k);
+            reference.truncate(k);
+            assert_same_bits(&fast, &reference, &format!("pop to {k}"));
+        }
+        assert_same_bits(&fast, &Cholesky::new(&lead).unwrap(), "popped to base");
+        for &row in pushes.iter().rev() {
+            push(&mut fast, &mut reference, row);
+        }
+        fast.truncate(base + 5);
+        reference.truncate(base + 5);
+        for &row in &pushes[..3] {
+            push(&mut fast, &mut reference, row);
+        }
+    }
+
+    #[test]
+    fn in_place_extend_clears_a_stale_upper_triangle() {
+        // A factor rebuilt from parts may carry junk above the diagonal;
+        // the reallocating extend dropped it, so the in-place one must too.
+        let a = spd(4, 3);
+        let c = Cholesky::new(&a).unwrap();
+        let mut l = c.factor().clone();
+        l[(0, 3)] = 7.0;
+        l[(1, 2)] = -2.0;
+        let mut fast = Cholesky::from_parts(l, c.jitter()).unwrap();
+        let mut reference = fast.clone();
+        let cross = Vector::from_iter((0..4).map(|i| a[(i, 0)] * 0.3));
+        fast.extend(&cross, a[(0, 0)] + 1.0).unwrap();
+        extend_reallocating(&mut reference, &cross, a[(0, 0)] + 1.0);
+        assert_same_bits(&fast, &reference, "stale upper triangle");
+    }
+
+    #[test]
+    fn extend_solved_is_extend_with_the_solve_hoisted() {
+        let a = spd(9, 13);
+        let lead = Matrix::from_fn(8, 8, |i, j| a[(i, j)]);
+        let mut c1 = Cholesky::new(&lead).unwrap();
+        let mut c2 = c1.clone();
+        let cross = Vector::from_iter((0..8).map(|i| a[(i, 8)]));
+        c1.extend(&cross, a[(8, 8)]).unwrap();
+        c2.extend_solved(&c2.solve_lower(&cross), a[(8, 8)])
+            .unwrap();
+        assert_same_bits(&c1, &c2, "extend_solved");
+        // A failed extension leaves the factor untouched.
+        let before = c2.clone();
+        assert!(c2.extend_solved(&Vector::filled(9, 1e3), 1.0).is_err());
+        assert_same_bits(&c2, &before, "failed extend");
     }
 
     #[test]

@@ -333,6 +333,31 @@ impl Matrix {
         self.cols = k;
     }
 
+    /// Grows a square lower-triangular matrix to `k`×`k` in place: row
+    /// `i` keeps its entries `..=i` bit for bit, and every other entry —
+    /// the strict upper triangle and the new rows — is zero. The buffer is
+    /// reserved to exactly `k²` entries when it is too small, so growing
+    /// back after [`Matrix::truncate_square`] reuses the allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix is not square or `k < rows`.
+    pub(crate) fn grow_lower_square(&mut self, k: usize) {
+        assert!(self.is_square(), "grow_lower_square: matrix is not square");
+        assert!(k >= self.rows, "grow_lower_square: {k} < {}", self.rows);
+        let old = self.cols;
+        self.data.reserve_exact(k * k - self.data.len());
+        self.data.resize(k * k, 0.0);
+        // Bottom row first: row i moves from i·old to i·k >= i·old, so it
+        // never lands on a row above it that has not moved yet.
+        for i in (0..old).rev() {
+            self.data.copy_within(i * old..i * old + i + 1, i * k);
+            self.data[i * k + i + 1..(i + 1) * k].fill(0.0);
+        }
+        self.rows = k;
+        self.cols = k;
+    }
+
     /// Cheap necessary-condition check for symmetric positive definiteness:
     /// square, finite, strictly positive diagonal, symmetric, and every
     /// off-diagonal entry within the Cauchy–Schwarz bound
@@ -597,6 +622,32 @@ mod tests {
         let mut full = m.clone();
         full.truncate_square(5);
         assert_eq!(full, m);
+    }
+
+    #[test]
+    fn grow_lower_square_keeps_lower_triangle_and_reuses_its_buffer() {
+        let mut m = Matrix::from_fn(4, 4, |i, j| (i * 4 + j + 1) as f64);
+        m.grow_lower_square(6);
+        assert_eq!(m.data.capacity(), 36, "exact reservation");
+        for i in 0..6 {
+            for j in 0..6 {
+                let expect = if i < 4 && j <= i {
+                    (i * 4 + j + 1) as f64
+                } else {
+                    0.0
+                };
+                assert_eq!(m[(i, j)].to_bits(), expect.to_bits(), "({i}, {j})");
+            }
+        }
+        m.truncate_square(2);
+        m.grow_lower_square(6);
+        assert_eq!(m.data.capacity(), 36, "regrowth reuses the allocation");
+        assert_eq!(m[(1, 0)], 5.0);
+        assert_eq!(m[(1, 1)], 6.0);
+        assert!(m.as_slice()[8..].iter().all(|&v| v == 0.0));
+        let mut e = Matrix::zeros(0, 0);
+        e.grow_lower_square(2);
+        assert_eq!(e, Matrix::zeros(2, 2));
     }
 
     #[test]

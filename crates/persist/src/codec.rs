@@ -19,6 +19,14 @@ impl ByteWriter {
         ByteWriter::default()
     }
 
+    /// An empty writer with room for `capacity` bytes, so a caller that
+    /// knows its output size writes it without regrowth.
+    pub fn with_capacity(capacity: usize) -> Self {
+        ByteWriter {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Consumes the writer, returning the bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -54,10 +62,15 @@ impl ByteWriter {
         self.put_u8(u8::from(v));
     }
 
+    /// Appends bytes as they are, with no length prefix.
+    pub fn put_raw(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
+
     /// Appends a length-prefixed byte string.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_usize(v.len());
-        self.buf.extend_from_slice(v);
+        self.put_raw(v);
     }
 
     /// Appends a length-prefixed UTF-8 string.
@@ -67,6 +80,7 @@ impl ByteWriter {
 
     /// Appends a length-prefixed `f64` vector.
     pub fn put_f64s(&mut self, v: &[f64]) {
+        self.buf.reserve(8 + 8 * v.len());
         self.put_usize(v.len());
         for &x in v {
             self.put_f64(x);
@@ -225,6 +239,29 @@ mod tests {
         assert_eq!(v.len(), 2);
         assert!(v[0].is_infinite());
         r.finish("test").unwrap();
+    }
+
+    #[test]
+    fn put_f64s_writes_each_bit_pattern() {
+        let v = [0.5, -0.0, f64::NAN, 1e-300];
+        let mut w = ByteWriter::new();
+        w.put_f64s(&v);
+        let mut reference = ByteWriter::new();
+        reference.put_usize(v.len());
+        for x in v {
+            reference.put_f64(x);
+        }
+        assert_eq!(w.into_bytes(), reference.into_bytes());
+    }
+
+    #[test]
+    fn put_raw_has_no_length_prefix() {
+        let mut w = ByteWriter::with_capacity(14);
+        w.put_raw(b"abc");
+        w.put_bytes(b"abc");
+        let bytes = w.into_bytes();
+        assert_eq!(bytes, b"abc\x03\0\0\0\0\0\0\0abc");
+        assert_eq!(bytes.capacity(), 14, "no regrowth");
     }
 
     #[test]

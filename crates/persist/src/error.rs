@@ -126,6 +126,15 @@ impl PersistError {
     }
 }
 
+/// A session section that decoded but describes an impossible session
+/// (see [`easybo_exec::SessionState::from_parts`]) is a decode failure
+/// that names the field.
+impl From<easybo_exec::InvalidSessionParts> for PersistError {
+    fn from(e: easybo_exec::InvalidSessionParts) -> Self {
+        PersistError::decode(e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

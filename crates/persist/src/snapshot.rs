@@ -201,16 +201,58 @@ pub fn decode_session(bytes: &[u8]) -> Result<SessionParts, PersistError> {
     })
 }
 
-/// Serializes a snapshot to its container bytes.
-pub fn encode_snapshot(snap: &RunSnapshot) -> Vec<u8> {
+/// The "meta" section payload: fingerprint, clock, completed and issued
+/// counts.
+fn encode_meta(snap: &RunSnapshot) -> Vec<u8> {
     let mut meta = ByteWriter::new();
     meta.put_u64(snap.config_fingerprint);
     meta.put_f64(snap.session.clock);
     meta.put_usize(snap.session.observations.len());
     meta.put_usize(snap.session.issued);
+    meta.into_bytes()
+}
 
+/// Serializes a snapshot to its container bytes.
+///
+/// The container is sized up front and each section payload is copied
+/// in once, so encoding holds the session payload and the output next
+/// to the caller's policy blob — no clone of the blob and no regrowth
+/// of the output.
+pub fn encode_snapshot(snap: &RunSnapshot) -> Vec<u8> {
+    let meta = encode_meta(snap);
+    let session = encode_session(&snap.session);
+
+    let mut sections: Vec<(&str, &[u8])> = vec![("meta", &meta), ("session", &session)];
+    if let Some(policy) = &snap.policy {
+        sections.push(("policy", policy));
+    }
+    // Per section: the length-prefixed name, the payload length, the CRC.
+    let len = MAGIC.len()
+        + 4
+        + 4
+        + sections
+            .iter()
+            .map(|(name, payload)| 8 + name.len() + 8 + 4 + payload.len())
+            .sum::<usize>();
+    let mut w = ByteWriter::with_capacity(len);
+    w.put_raw(MAGIC);
+    w.put_u32(FORMAT_VERSION);
+    w.put_u32(sections.len() as u32);
+    for (name, payload) in &sections {
+        w.put_str(name);
+        w.put_u64(payload.len() as u64);
+        w.put_u32(crc32(payload));
+        w.put_raw(payload);
+    }
+    w.into_bytes()
+}
+
+/// The container encoder as it stood before [`encode_snapshot`] was
+/// sized up front: the byte oracle the identity tests hold it to.
+#[cfg(test)]
+fn encode_snapshot_reference(snap: &RunSnapshot) -> Vec<u8> {
     let mut sections: Vec<(&str, Vec<u8>)> = vec![
-        ("meta", meta.into_bytes()),
+        ("meta", encode_meta(snap)),
         ("session", encode_session(&snap.session)),
     ];
     if let Some(policy) = &snap.policy {
@@ -425,6 +467,131 @@ mod tests {
         assert_eq!(bits(&back.session), bits(&snap.session));
         // And re-encoding is the byte identity.
         assert_eq!(encode_snapshot(&back), bytes);
+    }
+
+    /// The on-disk golden fixture's snapshot (see the integration
+    /// suite's `golden_v1_snapshot_still_decodes`).
+    fn golden_snapshot() -> RunSnapshot {
+        let span = |worker, task, end, failed| TaskSpan {
+            worker,
+            task,
+            start: 0.0,
+            end,
+            failed,
+        };
+        RunSnapshot {
+            config_fingerprint: 0x00c0_ffee_1234_abcd,
+            session: SessionParts {
+                workers: 3,
+                max_evals: 12,
+                issued: 7,
+                resolved: 5,
+                clock: 41.25,
+                pending: vec![vec![0.1, 0.9]],
+                observations: vec![
+                    (vec![0.25, 0.75], -0.5),
+                    (vec![0.5, 0.5], 0.125),
+                    (vec![0.125, 0.625], 0.75),
+                    (vec![0.3, 0.2], -1.5),
+                    (vec![0.9, 0.1], 0.0625),
+                ],
+                trace: vec![(10.0, -0.5), (20.5, 0.125), (30.75, 0.75)],
+                spans: vec![
+                    span(0, 0, 10.0, false),
+                    span(1, 1, 20.5, false),
+                    span(2, 2, 15.0, true),
+                ],
+                inflight: vec![
+                    InFlightTask {
+                        task: 5,
+                        attempt: 1,
+                        x: vec![0.4, 0.6],
+                        started: Some((2, 30.75)),
+                    },
+                    InFlightTask {
+                        task: 6,
+                        attempt: 2,
+                        x: vec![0.7, 0.3],
+                        started: None,
+                    },
+                ],
+                backoffs: vec![PendingBackoff {
+                    due: 55.5,
+                    worker: 1,
+                    task: 4,
+                    attempt: 3,
+                    x: vec![0.2, 0.8],
+                }],
+            },
+            policy: Some(vec![1, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef]),
+        }
+    }
+
+    /// A snapshot the size of a class-E checkpoint past the GP cap: 274
+    /// observations at d = 12 and a policy blob carrying a 274² factor.
+    fn class_e_size_snapshot() -> RunSnapshot {
+        let point = |i: usize| -> Vec<f64> {
+            (0..12)
+                .map(|j| ((i * 12 + j) as f64 * 0.618).fract())
+                .collect()
+        };
+        let n = 274;
+        let mut blob = ByteWriter::new();
+        blob.put_f64s(&(0..n * n).map(|i| (i as f64).sqrt()).collect::<Vec<_>>());
+        RunSnapshot {
+            config_fingerprint: 0xc1a5_5e00_0000_0112,
+            session: SessionParts {
+                workers: 15,
+                max_evals: 280,
+                issued: n + 6,
+                resolved: n,
+                clock: 9_876.5,
+                pending: Vec::new(),
+                observations: (0..n)
+                    .map(|i| (point(i), (i as f64 * 0.37).sin()))
+                    .collect(),
+                trace: (0..n).map(|i| (i as f64 * 3.5, i as f64 * 0.01)).collect(),
+                spans: (0..n)
+                    .map(|i| TaskSpan {
+                        worker: i % 15,
+                        task: i,
+                        start: i as f64,
+                        end: i as f64 + 30.0,
+                        failed: i % 41 == 0,
+                    })
+                    .collect(),
+                inflight: (n..n + 6)
+                    .map(|task| InFlightTask {
+                        task,
+                        attempt: 1,
+                        x: point(task),
+                        started: Some((task % 15, task as f64)),
+                    })
+                    .collect(),
+                backoffs: Vec::new(),
+            },
+            policy: Some(blob.into_bytes()),
+        }
+    }
+
+    #[test]
+    fn sized_encoder_writes_the_reference_bytes() {
+        let golden = golden_snapshot();
+        let committed = include_bytes!("../../../tests/data/golden_v1.snap");
+        assert_eq!(encode_snapshot_reference(&golden), committed.as_slice());
+        for snap in [
+            golden,
+            RunSnapshot {
+                policy: None,
+                ..golden_snapshot()
+            },
+            sample_snapshot(),
+            class_e_size_snapshot(),
+        ] {
+            let bytes = encode_snapshot(&snap);
+            assert_eq!(bytes, encode_snapshot_reference(&snap));
+            assert_eq!(bytes.capacity(), bytes.len(), "sized exactly");
+        }
     }
 
     #[test]

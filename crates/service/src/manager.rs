@@ -381,7 +381,8 @@ impl SessionManager {
     /// # Errors
     ///
     /// Describes the failure for sessions that are not evicted or
-    /// whose snapshot no longer decodes.
+    /// whose snapshot no longer decodes or describes an impossible
+    /// session; the evicted snapshot is kept either way.
     pub fn rehydrate(&mut self, id: u64) -> Result<(), String> {
         let Some(bytes) = self.evicted.remove(&id) else {
             return Err(format!("session {id} is not evicted"));
@@ -401,7 +402,13 @@ impl SessionManager {
                 return Err(format!("policy restore for session {id} failed: {e}"));
             }
         }
-        let session = SessionState::from_parts(snap.session);
+        let session = match SessionState::from_parts(snap.session) {
+            Ok(session) => session,
+            Err(e) => {
+                self.evicted.insert(id, bytes);
+                return Err(format!("snapshot for session {id} is inconsistent: {e}"));
+            }
+        };
         let inflight = session.inflight().len();
         let lp = EventLoop::resume(session, spec.retry.clone(), &self.telemetry, &mut remote);
         self.resident.insert(id, Resident::new(lp, policy));
@@ -491,5 +498,45 @@ impl SessionManager {
     /// Removes and returns a finished session's result.
     pub fn take_result(&mut self, id: u64) -> Option<RunResult> {
         self.finished.remove(&id)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use easybo_exec::{BusyPoint, Dataset};
+
+    struct Center;
+    impl AsyncPolicy for Center {
+        fn select_next(&mut self, _: &Dataset, _: &[BusyPoint]) -> Vec<f64> {
+            vec![0.5]
+        }
+    }
+
+    #[test]
+    fn rehydrate_rejects_an_inconsistent_snapshot_and_keeps_its_bytes() {
+        let mut manager = SessionManager::new(1);
+        let id = manager.open_session(SessionSpec {
+            bench: "toy".into(),
+            workers: 2,
+            max_evals: 6,
+            init: vec![vec![0.1], vec![0.9]],
+            retry: RetryPolicy::default(),
+            fingerprint: 7,
+            policy: Box::new(|| Box::new(Center)),
+        });
+        manager.evict(id).unwrap();
+        let mut snap = decode_snapshot(&manager.checkpoint(id).unwrap()).unwrap();
+        snap.session.workers = 0;
+        let hostile = encode_snapshot(&snap);
+        manager.evicted.insert(id, hostile.clone());
+        let err = manager.rehydrate(id).unwrap_err();
+        assert!(err.contains("`workers`"), "{err}");
+        assert_eq!(manager.evicted_ids(), vec![id]);
+        assert_eq!(
+            manager.checkpoint(id).unwrap(),
+            hostile,
+            "evicted bytes kept"
+        );
     }
 }

@@ -77,6 +77,48 @@ fn killed_and_resumed_runs_reproduce_uninterrupted_traces() {
     }
 }
 
+/// A real checkpoint whose checksums pass but whose session contents
+/// were edited must make resume fail with an error that names the
+/// field — never panic. Each edit is re-saved, so every CRC is valid.
+#[test]
+fn resume_rejects_edited_checkpoints_with_valid_crcs() {
+    let path = tmp("hostile");
+    let mut killed = optimizer(3, 4);
+    killed
+        .checkpoint_to(&path)
+        .checkpoint_every(1)
+        .abort_after_evals(12);
+    killed.run(objective).unwrap_err();
+    let clean = load_snapshot(&path).unwrap();
+    assert!(!clean.session.inflight.is_empty() && !clean.session.spans.is_empty());
+    type Edit = fn(&mut SessionParts);
+    let edits: [(&str, Edit); 8] = [
+        ("workers", |p| p.workers = 0),
+        ("spans[0].worker", |p| p.spans[0].worker = p.workers),
+        ("spans[1].end", |p| p.spans[1].end = p.spans[1].start - 1.0),
+        ("inflight[0].started", |p| {
+            p.inflight[0].started = Some((p.workers + 3, 1.0))
+        }),
+        ("trace[1].time", |p| p.trace[1].0 = -5.0),
+        ("trace[0].time", |p| p.trace[0].0 = f64::NAN),
+        ("resolved", |p| p.resolved = p.issued + 1),
+        ("issued", |p| p.issued = p.max_evals + 1),
+    ];
+    for (field, edit) in edits {
+        let mut snap = clean.clone();
+        edit(&mut snap.session);
+        save_snapshot(&path, &snap).unwrap();
+        let err = optimizer(3, 4)
+            .resume(&path, objective)
+            .expect_err("an inconsistent snapshot must not resume");
+        assert!(
+            matches!(err, EasyBoError::Persist(_)) && err.to_string().contains(field),
+            "{field}: {err}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 /// Checkpointing disabled (the default) uses the legacy entry point;
 /// enabling it must not perturb the trajectory either — the hook is a
 /// pure observer. Both must match bit for bit.
@@ -286,7 +328,7 @@ fn portfolio_policies_kill_and_resume_bit_identical() {
         let mut p2 = build(algo, 77);
         let blob = snap.policy.as_ref().expect("portfolio policies snapshot");
         p2.restore_state(blob).expect("blob restores");
-        let session = SessionState::from_parts(snap.session);
+        let session = SessionState::from_parts(snap.session).expect("capture is consistent");
         let resumed = VirtualExecutor::new(batch)
             .resume_session_resilient(&bb, session, p2.as_mut(), &retry, &tel, None)
             .expect("resumed run completes");
