@@ -18,8 +18,8 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> exact-bits suites of the GP hot path under release arithmetic"
-cargo test --release -q -p easybo-linalg -p easybo-gp -p easybo-persist
+echo "==> exact-bits suites of the GP and acquisition hot path under release arithmetic"
+cargo test --release -q -p easybo-linalg -p easybo-gp -p easybo-persist -p easybo
 
 echo "==> fault-injection chaos suite (PROPTEST_CASES=64)"
 PROPTEST_CASES=64 cargo test -q -p easybo-integration --test fault_injection

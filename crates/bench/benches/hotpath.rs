@@ -1,6 +1,7 @@
 //! Hot-path benchmark: batched GP posterior vs scalar prediction, the
-//! blocked batch posterior vs one whole-batch `K*`, and the parallel
-//! multi-start / parallel training fan-out vs the sequential legacy path.
+//! blocked batch posterior vs one whole-batch `K*`, the fused penalized
+//! posterior vs its two-call form, and the parallel multi-start /
+//! parallel training fan-out vs the sequential legacy path.
 //!
 //! Prints a table and writes `BENCH_hotpath.json` at the repository root
 //! with the measured times, speedups, the host thread count, and a
@@ -121,9 +122,9 @@ fn unblocked_posterior(gp: &Gp, probes: &[Vec<f64>]) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Blocked batch posterior vs the whole-batch pass at class-E size:
-/// n = 274 (260 points plus 14 live pseudo-points), m = 528 probes.
-fn bench_blocked_posterior(rows: &mut Vec<BenchRecord>, reps: usize) {
+/// A class-E-size penalization stack: a d = 12 GP on 260 points with 14
+/// live pseudo-points (n = 274), plus `m` probes.
+fn class_e_stack(m: usize) -> (IncrementalGp, Vec<Vec<f64>>) {
     let d = 12;
     let mut inc = IncrementalGp::new(fitted_gp(260, d));
     let bounds = Bounds::unit_cube(d).expect("unit cube");
@@ -131,8 +132,16 @@ fn bench_blocked_posterior(rows: &mut Vec<BenchRecord>, reps: usize) {
     for p in sampling::uniform(&bounds, 14, &mut rng) {
         inc.push_pseudo_mean(p).expect("pseudo-point pushes");
     }
+    let probes = sampling::uniform(&bounds, m, &mut rng);
+    (inc, probes)
+}
+
+/// Blocked batch posterior vs the whole-batch pass at class-E size:
+/// n = 274 (260 points plus 14 live pseudo-points), m = 528 probes.
+fn bench_blocked_posterior(rows: &mut Vec<BenchRecord>, reps: usize) {
+    let (inc, probes) = class_e_stack(528);
     let gp = inc.gp();
-    let probes = sampling::uniform(&bounds, 528, &mut rng);
+    let d = gp.dim();
     let (unblocked_s, unblocked) = time_best(reps, || unblocked_posterior(gp, &probes));
     let (blocked_s, blocked) = time_best(reps, || gp.predict_standardized_batch(&probes));
     let identical = unblocked.len() == blocked.len()
@@ -148,6 +157,65 @@ fn bench_blocked_posterior(rows: &mut Vec<BenchRecord>, reps: usize) {
         unblocked_s,
         blocked_s,
         identical,
+    ));
+}
+
+/// The penalized posterior of Eq. 9 at class-E size (n = 274 with 14
+/// pseudo-points, d = 12): the two-call evaluation — base mean from the
+/// un-augmented model, `σ̂²` from the augmented one, two kernel rows per
+/// query — against the fused [`IncrementalGp::predict_penalized`] pair,
+/// which builds one row (or one `K*` block) and one forward solve.
+/// One row for 2,000 scalar queries, one for an m = 528 batch.
+fn bench_fused_penalized(rows: &mut Vec<BenchRecord>, reps: usize) {
+    let (inc, probes) = class_e_stack(2000);
+    let base = inc.clone().into_gp();
+    let gp = inc.gp();
+    let bits = |v: &[(f64, f64)]| -> Vec<(u64, u64)> {
+        v.iter().map(|p| (p.0.to_bits(), p.1.to_bits())).collect()
+    };
+    let two_call = |mean: f64, var: (f64, f64)| (base.scaler().transform(mean), var.1);
+    let (scalar_two_s, scalar_two) = time_best(reps, || {
+        let post = probes
+            .iter()
+            .map(|p| two_call(base.predict_mean(p), gp.predict_standardized(p)));
+        post.collect::<Vec<_>>()
+    });
+    let (scalar_fused_s, scalar_fused) = time_best(reps, || {
+        probes
+            .iter()
+            .map(|p| inc.predict_penalized(p))
+            .collect::<Vec<_>>()
+    });
+    rows.push(BenchRecord::from_seconds(
+        format!(
+            "penalized_fused_vs_two_call_n{}_d{}_q2000",
+            gp.n_train(),
+            gp.dim()
+        ),
+        scalar_two_s,
+        scalar_fused_s,
+        bits(&scalar_two) == bits(&scalar_fused),
+    ));
+    let batch = &probes[..528];
+    let (batch_two_s, batch_two) = time_best(reps, || {
+        let means = base.predict_mean_batch(batch);
+        let post = gp.predict_standardized_batch(batch);
+        means
+            .into_iter()
+            .zip(post)
+            .map(|(mean, var)| two_call(mean, var))
+            .collect::<Vec<_>>()
+    });
+    let (batch_fused_s, batch_fused) = time_best(reps, || inc.predict_penalized_batch(batch));
+    rows.push(BenchRecord::from_seconds(
+        format!(
+            "penalized_batch_fused_vs_two_call_n{}_d{}_m528",
+            gp.n_train(),
+            gp.dim()
+        ),
+        batch_two_s,
+        batch_fused_s,
+        bits(&batch_two) == bits(&batch_fused),
     ));
 }
 
@@ -219,16 +287,17 @@ fn main() {
     bench_predict_batch(&mut rows, reps, "opamp", 400, 10);
     bench_predict_batch(&mut rows, reps, "class_e", 400, 12);
     bench_blocked_posterior(&mut rows, reps);
+    bench_fused_penalized(&mut rows, reps);
     bench_parallel_multistart(&mut rows, reps, 10);
     bench_parallel_train(&mut rows, reps, 200, 10);
 
     println!(
-        "{:<48} {:>12} {:>12} {:>9} {:>10}",
+        "{:<50} {:>12} {:>12} {:>9} {:>10}",
         "benchmark", "baseline_s", "candidate_s", "speedup", "identical"
     );
     for r in &rows {
         println!(
-            "{:<48} {:>12.6} {:>12.6} {:>8.2}x {:>10}",
+            "{:<50} {:>12.6} {:>12.6} {:>8.2}x {:>10}",
             r.name,
             r.baseline_ns / 1e9,
             r.candidate_ns / 1e9,
@@ -240,8 +309,8 @@ fn main() {
     let json = bench_report(
         "hotpath",
         reps,
-        "baseline = scalar/sequential/whole-batch path, candidate = batched/parallel/blocked \
-         path; best-of-reps wall clock. Thread speedups require host_threads > 1; on a single-core host the \
+        "baseline = scalar/sequential/whole-batch/two-call path, candidate = \
+         batched/parallel/blocked/fused path; best-of-reps wall clock. Thread speedups require host_threads > 1; on a single-core host the \
          parallel rows measure fan-out overhead only, while the predict_batch rows are \
          algorithmic and host-independent.",
         &rows,

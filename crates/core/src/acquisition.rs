@@ -82,6 +82,11 @@ pub fn ucb(gp: &Gp, x: &[f64], kappa: f64) -> f64 {
 /// `α(x, w) = (1-w)·μ(x) + w·σ(x)` in standardized space.
 pub fn weighted(gp: &Gp, x: &[f64], w: f64) -> f64 {
     let (mu_z, var_z) = gp.predict_standardized(x);
+    blend(mu_z, var_z, w)
+}
+
+/// `(1-w)·μ + w·σ` from a standardized mean and variance.
+fn blend(mu_z: f64, var_z: f64, w: f64) -> f64 {
     (1.0 - w) * mu_z + w * var_z.max(0.0).sqrt()
 }
 
@@ -93,7 +98,7 @@ pub fn weighted(gp: &Gp, x: &[f64], w: f64) -> f64 {
 pub fn weighted_penalized(base: &Gp, augmented: &Gp, x: &[f64], w: f64) -> f64 {
     let mu_z = base.scaler().transform(base.predict_mean(x));
     let (_, var_hat) = augmented.predict_standardized(x);
-    (1.0 - w) * mu_z + w * var_hat.max(0.0).sqrt()
+    blend(mu_z, var_hat, w)
 }
 
 /// Batched [`weighted`] over a whole candidate set: one `K*` assembly and
@@ -102,7 +107,7 @@ pub fn weighted_penalized(base: &Gp, augmented: &Gp, x: &[f64], w: f64) -> f64 {
 pub fn weighted_batch(gp: &Gp, xs: &[Vec<f64>], w: f64) -> Vec<f64> {
     gp.predict_standardized_batch(xs)
         .into_iter()
-        .map(|(mu_z, var_z)| (1.0 - w) * mu_z + w * var_z.max(0.0).sqrt())
+        .map(|(mu_z, var_z)| blend(mu_z, var_z, w))
         .collect()
 }
 
@@ -115,10 +120,7 @@ pub fn weighted_penalized_batch(base: &Gp, augmented: &Gp, xs: &[Vec<f64>], w: f
         .predict_standardized_batch(xs)
         .into_iter()
         .zip(means)
-        .map(|((_, var_hat), mean)| {
-            let mu_z = base.scaler().transform(mean);
-            (1.0 - w) * mu_z + w * var_hat.max(0.0).sqrt()
-        })
+        .map(|((_, var_hat), mean)| blend(base.scaler().transform(mean), var_hat, w))
         .collect()
 }
 
@@ -164,9 +166,10 @@ impl BatchObjective for PenalizedAcq<'_> {
 
 /// [`weighted_penalized`] over an [`IncrementalGp`] whose pseudo-point
 /// stack currently holds the hallucinated busy points: the *base* mean
-/// comes from the cached base-alpha prefix ([`IncrementalGp::predict_mean_base`])
-/// and `σ̂` from the augmented model — no cloned GP anywhere. Bit-identical
-/// to [`PenalizedAcq`] over `(base, base.augment(busy))`.
+/// (from the saved base `α`) and `σ̂` (from the augmented model) come out
+/// of one kernel row and one forward solve per query
+/// ([`IncrementalGp::predict_penalized`]) — no cloned GP anywhere.
+/// Bit-identical to [`PenalizedAcq`] over `(base, base.augment(busy))`.
 pub struct PenalizedAcqInc<'a> {
     /// Surrogate with the busy points pushed as pseudo-points.
     pub inc: &'a IncrementalGp,
@@ -176,22 +179,15 @@ pub struct PenalizedAcqInc<'a> {
 
 impl BatchObjective for PenalizedAcqInc<'_> {
     fn eval(&self, x: &[f64]) -> f64 {
-        let gp = self.inc.gp();
-        let mu_z = gp.scaler().transform(self.inc.predict_mean_base(x));
-        let (_, var_hat) = gp.predict_standardized(x);
-        (1.0 - self.w) * mu_z + self.w * var_hat.max(0.0).sqrt()
+        let (mu_z, var_hat) = self.inc.predict_penalized(x);
+        blend(mu_z, var_hat, self.w)
     }
 
     fn eval_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        let gp = self.inc.gp();
-        let means = self.inc.predict_mean_base_batch(xs);
-        gp.predict_standardized_batch(xs)
+        self.inc
+            .predict_penalized_batch(xs)
             .into_iter()
-            .zip(means)
-            .map(|((_, var_hat), mean)| {
-                let mu_z = gp.scaler().transform(mean);
-                (1.0 - self.w) * mu_z + self.w * var_hat.max(0.0).sqrt()
-            })
+            .map(|(mu_z, var_hat)| blend(mu_z, var_hat, self.w))
             .collect()
     }
 }

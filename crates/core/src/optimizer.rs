@@ -3,8 +3,9 @@
 use std::path::{Path, PathBuf};
 
 use easybo_exec::{
-    AsyncPolicy, BlackBox, CheckpointTrigger, CostedFunction, Dataset, HookAction, RetryPolicy,
-    RunTrace, Schedule, SessionState, SimTimeModel, ThreadedExecutor, VirtualExecutor,
+    AsyncPolicy, BlackBox, CheckpointTrigger, CostedFunction, Dataset, HookAction,
+    InvalidSessionParts, RetryPolicy, RunTrace, Schedule, SessionState, SimTimeModel,
+    ThreadedExecutor, VirtualExecutor,
 };
 use easybo_opt::{sampling, Bounds, Parallelism};
 use easybo_persist::{load_snapshot, PersistError, RunSnapshot};
@@ -489,8 +490,9 @@ impl EasyBo {
     }
 
     /// Loads a snapshot, checks its configuration fingerprint against
-    /// `fingerprint`, and rebuilds the session; the raw policy blob (if
-    /// any) is returned for the caller to restore into its own policy.
+    /// `fingerprint` and every point's dimension against the bounds, and
+    /// rebuilds the session; the raw policy blob (if any) is returned for
+    /// the caller to restore into its own policy.
     pub(crate) fn load_session_parts(
         &self,
         path: &Path,
@@ -504,6 +506,12 @@ impl EasyBo {
             }
             .into());
         }
+        let (s, dim) = (&snap.session, self.bounds.dim());
+        check_dims("pending", s.pending.iter(), dim)
+            .and_then(|()| check_dims("observations", s.observations.iter().map(|o| &o.0), dim))
+            .and_then(|()| check_dims("inflight", s.inflight.iter().map(|t| &t.x), dim))
+            .and_then(|()| check_dims("backoffs", s.backoffs.iter().map(|b| &b.x), dim))
+            .map_err(PersistError::from)?;
         let session = SessionState::from_parts(snap.session).map_err(PersistError::from)?;
         Ok((session, snap.policy))
     }
@@ -714,6 +722,25 @@ impl EasyBo {
         )?;
         self.finish(result)
     }
+}
+
+/// Rejects the first point of a snapshot list `field` whose length is
+/// not the bounds' dimension `dim`: such a point would panic in
+/// [`Bounds::clamp`] or the GP instead of failing the resume.
+fn check_dims<'a>(
+    field: &str,
+    points: impl Iterator<Item = &'a Vec<f64>>,
+    dim: usize,
+) -> Result<(), InvalidSessionParts> {
+    for (i, x) in points.enumerate() {
+        if x.len() != dim {
+            return Err(InvalidSessionParts {
+                field: format!("{field}[{i}]"),
+                detail: format!("needs the bounds' {dim} coordinates, got {}", x.len()),
+            });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

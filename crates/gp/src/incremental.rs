@@ -26,7 +26,7 @@
 use easybo_linalg::Vector;
 use easybo_telemetry::Telemetry;
 
-use crate::model::{mean_batch, Gp};
+use crate::model::{validate_point, Gp};
 use crate::GpError;
 
 /// A [`Gp`] wrapped with an incremental-update API and a pseudo-point
@@ -118,7 +118,7 @@ impl IncrementalGp {
             "append_observation with {} pseudo-points live",
             self.saved_alpha.len()
         );
-        validate_point(&x, self.gp.dim())?;
+        validate_point(&x, self.gp.dim(), "point")?;
         if !y.is_finite() {
             return Err(GpError::NonFiniteData {
                 context: "append_observation target".into(),
@@ -147,7 +147,7 @@ impl IncrementalGp {
     ///
     /// Same conditions as [`Gp::augment`]; on error the model is unchanged.
     pub fn push_pseudo_mean(&mut self, x: Vec<f64>) -> crate::Result<()> {
-        validate_point(&x, self.gp.dim())?;
+        validate_point(&x, self.gp.dim(), "point")?;
         let _span = self.telemetry.span("cholesky_update");
         let pushed = self.gp.push_point_at_mean(x)?;
         self.record_push(pushed);
@@ -164,7 +164,7 @@ impl IncrementalGp {
     ///
     /// Same conditions as [`Gp::augment`]; on error the model is unchanged.
     pub fn push_pseudo_lie(&mut self, x: Vec<f64>, y: f64) -> crate::Result<()> {
-        validate_point(&x, self.gp.dim())?;
+        validate_point(&x, self.gp.dim(), "point")?;
         if !y.is_finite() {
             return Err(GpError::NonFiniteData {
                 context: "pseudo-point lie target".into(),
@@ -213,40 +213,37 @@ impl IncrementalGp {
         }
     }
 
-    /// Posterior mean of the **base** model (ignoring live pseudo-points),
-    /// raw units — bit-identical to `base.predict_mean(x)` on the model as
-    /// it stood before the pushes. Used by the penalized acquisition,
-    /// which mixes the base mean with the augmented uncertainty.
+    /// The penalized posterior of the paper's Eq. 9 in standardized space:
+    /// the **base** model's mean (live pseudo-points ignored) and the
+    /// augmented model's variance `σ̂²`, both from one cross row and one
+    /// forward solve. The mean is bit-identical to
+    /// `scaler.transform(base.predict_mean(x))` on the model as it stood
+    /// before the pushes, and the variance to
+    /// `gp().predict_standardized(x).1`.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != dim()`.
-    pub fn predict_mean_base(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.gp.dim(), "query dimension mismatch");
-        let base_alpha = self.base_alpha();
-        let kernel = self.gp.kernel();
-        let theta = self.gp.theta();
-        let mean_z: f64 = self.gp.x_rows()[..self.n_base()]
-            .iter()
-            .zip(base_alpha.iter())
-            .map(|(xi, &a)| kernel.eval(theta, x, xi) * a)
-            .sum();
-        self.gp.scaler().inverse(mean_z)
+    pub fn predict_penalized(&self, x: &[f64]) -> (f64, f64) {
+        self.round_base_mean(self.gp.posterior(x, self.base_alpha()))
     }
 
-    /// Batched [`IncrementalGp::predict_mean_base`], bit-identical per
-    /// point to `base.predict_mean_batch(xs)`.
+    /// Batched [`IncrementalGp::predict_penalized`], bit-identical per
+    /// point, in the blocks of [`Gp::predict_standardized_batch`].
     ///
     /// # Panics
     ///
     /// Panics if any point has the wrong dimension.
-    pub fn predict_mean_base_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        let gp = &self.gp;
-        let base_rows = &gp.x_rows()[..self.n_base()];
-        mean_batch(gp.kernel(), gp.theta(), base_rows, self.base_alpha(), xs)
-            .into_iter()
-            .map(|mu| gp.scaler().inverse(mu))
-            .collect()
+    pub fn predict_penalized_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
+        let post = self.gp.posterior_batch(xs, self.base_alpha());
+        post.into_iter().map(|p| self.round_base_mean(p)).collect()
+    }
+
+    /// Sends the mean to raw units and back: the rounding of the two-call
+    /// form's mean-only path followed by `scaler.transform`.
+    fn round_base_mean(&self, (mean_z, var): (f64, f64)) -> (f64, f64) {
+        let scaler = self.gp.scaler();
+        (scaler.transform(scaler.inverse(mean_z)), var)
     }
 
     /// The weight vector of the base model: the bottom of the saved-α
@@ -258,23 +255,10 @@ impl IncrementalGp {
     }
 }
 
-fn validate_point(x: &[f64], dim: usize) -> crate::Result<()> {
-    if x.len() != dim {
-        return Err(GpError::InconsistentData {
-            detail: format!("point has {} dims, expected {dim}", x.len()),
-        });
-    }
-    if x.iter().any(|v| !v.is_finite()) {
-        return Err(GpError::NonFiniteData {
-            context: "incremental point".into(),
-        });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::mean_batch;
     use crate::KernelFamily;
 
     fn fitted() -> Gp {
@@ -325,6 +309,30 @@ mod tests {
         Gp::fit_with_params(x, y, family, theta, (1e-6f64).ln()).unwrap()
     }
 
+    /// The two-call reference for the base half of
+    /// [`IncrementalGp::predict_penalized`]: the mean-only path over the
+    /// base rows against the base `α`, raw units.
+    fn predict_mean_base(inc: &IncrementalGp, x: &[f64]) -> f64 {
+        let gp = inc.gp();
+        let mean_z: f64 = gp.x_rows()[..inc.n_base()]
+            .iter()
+            .zip(inc.base_alpha().iter())
+            .map(|(xi, &a)| gp.kernel().eval(gp.theta(), x, xi) * a)
+            .sum();
+        gp.scaler().inverse(mean_z)
+    }
+
+    /// Batched [`predict_mean_base`], the reference for
+    /// [`IncrementalGp::predict_penalized_batch`]'s means.
+    fn predict_mean_base_batch(inc: &IncrementalGp, xs: &[Vec<f64>]) -> Vec<f64> {
+        let gp = inc.gp();
+        let base_rows = &gp.x_rows()[..inc.n_base()];
+        mean_batch(gp.kernel(), gp.theta(), base_rows, inc.base_alpha(), xs)
+            .into_iter()
+            .map(|mu| gp.scaler().inverse(mu))
+            .collect()
+    }
+
     /// Bit patterns of every float in a model's state.
     fn state_bits(gp: &Gp) -> Vec<u64> {
         let s = gp.state();
@@ -370,16 +378,28 @@ mod tests {
                     let xs = &queries[..m];
                     let post = gp.predict_standardized_batch(xs);
                     let means = gp.predict_mean_batch(xs);
-                    let base = inc.predict_mean_base_batch(xs);
-                    assert_eq!((post.len(), means.len(), base.len()), (m, m, m));
+                    let base = predict_mean_base_batch(&inc, xs);
+                    let pen = inc.predict_penalized_batch(xs);
+                    assert_eq!(
+                        (post.len(), means.len(), base.len(), pen.len()),
+                        (m, m, m, m)
+                    );
                     for (j, q) in xs.iter().enumerate() {
                         let at = format!("{family:?} n={} m={m} j={j}", gp.n_train());
                         let (mu, var) = gp.predict_standardized(q);
                         assert_eq!(post[j].0.to_bits(), mu.to_bits(), "mean {at}");
                         assert_eq!(post[j].1.to_bits(), var.to_bits(), "var {at}");
                         assert_eq!(means[j].to_bits(), gp.predict_mean(q).to_bits(), "{at}");
-                        let scalar_base = inc.predict_mean_base(q).to_bits();
-                        assert_eq!(base[j].to_bits(), scalar_base, "base {at}");
+                        let scalar_base = predict_mean_base(&inc, q);
+                        assert_eq!(base[j].to_bits(), scalar_base.to_bits(), "base {at}");
+                        // The fused penalized posterior against the two-call
+                        // reference: base mean, then the augmented variance.
+                        let base_z = gp.scaler().transform(scalar_base);
+                        let (pen_mu, pen_var) = inc.predict_penalized(q);
+                        assert_eq!(pen_mu.to_bits(), base_z.to_bits(), "penalized mean {at}");
+                        assert_eq!(pen_var.to_bits(), var.to_bits(), "penalized var {at}");
+                        assert_eq!(pen[j].0.to_bits(), base_z.to_bits(), "batch mean {at}");
+                        assert_eq!(pen[j].1.to_bits(), var.to_bits(), "batch var {at}");
                     }
                 }
             }
@@ -442,20 +462,29 @@ mod tests {
         inc.push_pseudo_mean(vec![0.33]).unwrap();
         inc.push_pseudo_lie(vec![0.66], 9.0).unwrap(); // a lie that WOULD move the mean
         let probes: Vec<Vec<f64>> = (0..7).map(|i| vec![i as f64 / 6.0]).collect();
-        let batch = inc.predict_mean_base_batch(&probes);
+        let batch = predict_mean_base_batch(&inc, &probes);
         let legacy = base.predict_mean_batch(&probes);
+        let pen = inc.predict_penalized_batch(&probes);
         for (i, p) in probes.iter().enumerate() {
+            let base_mean = base.predict_mean(p);
             assert_eq!(
-                inc.predict_mean_base(p).to_bits(),
-                base.predict_mean(p).to_bits(),
+                predict_mean_base(&inc, p).to_bits(),
+                base_mean.to_bits(),
                 "scalar at {i}"
             );
             assert_eq!(batch[i].to_bits(), legacy[i].to_bits(), "batch at {i}");
+            // The fused posterior keeps the base mean, not the lie-moved one.
+            let base_z = base.scaler().transform(base_mean);
+            let (_, var_hat) = inc.gp().predict_standardized(p);
+            for (mu, var) in [inc.predict_penalized(p), pen[i]] {
+                assert_eq!(mu.to_bits(), base_z.to_bits(), "penalized mean at {i}");
+                assert_eq!(var.to_bits(), var_hat.to_bits(), "penalized var at {i}");
+            }
         }
         // With no pseudo-points the base mean is just the live mean.
         inc.pop_all_pseudo();
         assert_eq!(
-            inc.predict_mean_base(&probes[3]).to_bits(),
+            predict_mean_base(&inc, &probes[3]).to_bits(),
             base.predict_mean(&probes[3]).to_bits()
         );
     }

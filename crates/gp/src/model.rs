@@ -434,7 +434,11 @@ impl Gp {
     ///
     /// Panics if `x.len() != dim()`.
     pub fn predict(&self, x: &[f64]) -> Prediction {
-        let (mean_z, var_z) = self.predict_standardized(x);
+        self.to_raw(self.predict_standardized(x))
+    }
+
+    /// A standardized `(mean, variance)` in raw target units.
+    fn to_raw(&self, (mean_z, var_z): (f64, f64)) -> Prediction {
         Prediction {
             mean: self.scaler.inverse(mean_z),
             variance: self.scaler.inverse_variance(var_z),
@@ -447,9 +451,21 @@ impl Gp {
     ///
     /// Panics if `x.len() != dim()`.
     pub fn predict_standardized(&self, x: &[f64]) -> (f64, f64) {
+        self.posterior(x, &self.alpha)
+    }
+
+    /// [`Gp::predict_standardized`] with the mean taken against `mean_alpha`
+    /// over the leading `mean_alpha.len()` training points (the base `α`
+    /// below a pseudo-point stack), from the same cross row.
+    pub(crate) fn posterior(&self, x: &[f64], mean_alpha: &Vector) -> (f64, f64) {
         assert_eq!(x.len(), self.dim(), "query dimension mismatch");
         let kstar = self.cross_row(x);
-        let mean = kstar.dot(&self.alpha);
+        // The same `Σ k·a` reduction, in the same order, as `Vector::dot`.
+        let mean = kstar
+            .iter()
+            .zip(mean_alpha.iter())
+            .map(|(k, a)| k * a)
+            .sum();
         let v = self.chol.solve_lower(&kstar);
         let prior = self.kernel.eval(&self.theta, x, x);
         let var = (prior - v.dot(&v)).max(0.0);
@@ -467,13 +483,8 @@ impl Gp {
     ///
     /// Panics if any point has the wrong dimension.
     pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<Prediction> {
-        self.predict_standardized_batch(xs)
-            .into_iter()
-            .map(|(mean_z, var_z)| Prediction {
-                mean: self.scaler.inverse(mean_z),
-                variance: self.scaler.inverse_variance(var_z),
-            })
-            .collect()
+        let post = self.predict_standardized_batch(xs);
+        post.into_iter().map(|p| self.to_raw(p)).collect()
     }
 
     /// Batched posterior `(mean, variance)` in standardized target space —
@@ -484,6 +495,11 @@ impl Gp {
     ///
     /// Panics if any point has the wrong dimension.
     pub fn predict_standardized_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
+        self.posterior_batch(xs, &self.alpha)
+    }
+
+    /// Batched [`Gp::posterior`], bit-identical per point.
+    pub(crate) fn posterior_batch(&self, xs: &[Vec<f64>], mean_alpha: &Vector) -> Vec<(f64, f64)> {
         // k(x, x) reduces to σ_f² exactly for every stationary family here
         // (the radial factor is exactly 1.0 at r² = 0), matching the scalar
         // path's `kernel.eval(x, x)` prior bit for bit.
@@ -491,7 +507,7 @@ impl Gp {
         let mut out = Vec::with_capacity(xs.len());
         for block in xs.chunks(QUERY_BLOCK) {
             let mut kstar = self.kernel.cross_covariance(&self.theta, &self.x, block);
-            let means = block_means(&kstar, &self.alpha);
+            let means = block_means(&kstar, mean_alpha);
             self.chol.solve_lower_multi_in_place(&mut kstar);
             // Row-wise accumulation: column j sees the same i-ascending
             // order as the scalar `v.dot(v)` reduction.
@@ -546,13 +562,7 @@ impl Gp {
     /// Panics if `x.len() != dim()`.
     pub fn predict_mean(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.dim(), "query dimension mismatch");
-        let mean_z: f64 = self
-            .x
-            .iter()
-            .zip(self.alpha.iter())
-            .map(|(xi, &a)| self.kernel.eval(&self.theta, x, xi) * a)
-            .sum();
-        self.scaler.inverse(mean_z)
+        self.scaler.inverse(self.cross_row(x).dot(&self.alpha))
     }
 
     /// Leave-one-out cross-validation residuals in **raw target units**,
@@ -603,20 +613,7 @@ impl Gp {
     pub fn augment(&self, points: &[Vec<f64>]) -> crate::Result<Self> {
         let mut out = self.clone();
         for (i, p) in points.iter().enumerate() {
-            if p.len() != self.dim() {
-                return Err(GpError::InconsistentData {
-                    detail: format!(
-                        "pseudo-point {i} has {} dims, expected {}",
-                        p.len(),
-                        self.dim()
-                    ),
-                });
-            }
-            if p.iter().any(|v| !v.is_finite()) {
-                return Err(GpError::NonFiniteData {
-                    context: format!("pseudo-point {i}"),
-                });
-            }
+            validate_point(p, self.dim(), &format!("pseudo-point {i}"))?;
             out.push_point_at_mean(p.clone())?;
         }
         Ok(out)
@@ -633,12 +630,8 @@ impl Gp {
     ///
     /// Same conditions as [`Gp::augment`].
     pub fn extend_observed(&self, x: Vec<f64>, y: f64) -> crate::Result<Self> {
-        if x.len() != self.dim() {
-            return Err(GpError::InconsistentData {
-                detail: format!("new point has {} dims, expected {}", x.len(), self.dim()),
-            });
-        }
-        if x.iter().any(|v| !v.is_finite()) || !y.is_finite() {
+        validate_point(&x, self.dim(), "new point")?;
+        if !y.is_finite() {
             return Err(GpError::NonFiniteData {
                 context: "extend_observed".into(),
             });
@@ -733,6 +726,7 @@ impl Gp {
     }
 
     /// Training inputs, including any hallucinated tail.
+    #[cfg(test)]
     pub(crate) fn x_rows(&self) -> &[Vec<f64>] {
         &self.x
     }
@@ -744,6 +738,22 @@ impl Gp {
     }
 }
 
+/// Rejects a point of the wrong dimension or with a non-finite
+/// coordinate; `what` names the point in the error.
+pub(crate) fn validate_point(x: &[f64], dim: usize, what: &str) -> crate::Result<()> {
+    if x.len() != dim {
+        return Err(GpError::InconsistentData {
+            detail: format!("{what} has {} dims, expected {dim}", x.len()),
+        });
+    }
+    if x.iter().any(|v| !v.is_finite()) {
+        return Err(GpError::NonFiniteData {
+            context: what.into(),
+        });
+    }
+    Ok(())
+}
+
 /// Query columns per block of the batched posterior. A block of `K*` is
 /// `n × 32` (about 70 KiB at class-E's n = 274): small enough to stay in
 /// L2 and below the allocator's mmap threshold, wide enough for the
@@ -751,9 +761,9 @@ impl Gp {
 /// in the `hotpath` bench.
 pub(crate) const QUERY_BLOCK: usize = 32;
 
-/// Per-column `Σᵢ K*[i][j]·αᵢ` of one query block (at most
-/// [`QUERY_BLOCK`] columns). Row-wise accumulation: column j sees the
-/// same i-ascending order as the scalar `k*·α` dot product.
+/// Per-column `Σᵢ K*[i][j]·αᵢ` of one query block over its leading
+/// `alpha.len()` rows. Row-wise accumulation: column j sees the same
+/// i-ascending order as the scalar `k*·α` dot product.
 fn block_means(kstar: &Matrix, alpha: &Vector) -> [f64; QUERY_BLOCK] {
     let mut means = [0.0; QUERY_BLOCK];
     for (i, &a) in alpha.iter().enumerate() {

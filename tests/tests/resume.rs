@@ -92,7 +92,7 @@ fn resume_rejects_edited_checkpoints_with_valid_crcs() {
     let clean = load_snapshot(&path).unwrap();
     assert!(!clean.session.inflight.is_empty() && !clean.session.spans.is_empty());
     type Edit = fn(&mut SessionParts);
-    let edits: [(&str, Edit); 8] = [
+    let edits: [(&str, Edit); 10] = [
         ("workers", |p| p.workers = 0),
         ("spans[0].worker", |p| p.spans[0].worker = p.workers),
         ("spans[1].end", |p| p.spans[1].end = p.spans[1].start - 1.0),
@@ -103,6 +103,8 @@ fn resume_rejects_edited_checkpoints_with_valid_crcs() {
         ("trace[0].time", |p| p.trace[0].0 = f64::NAN),
         ("resolved", |p| p.resolved = p.issued + 1),
         ("issued", |p| p.issued = p.max_evals + 1),
+        ("observations[2]", |p| p.observations[2].0.push(0.5)),
+        ("inflight[0]", |p| p.inflight[0].x.clear()),
     ];
     for (field, edit) in edits {
         let mut snap = clean.clone();
