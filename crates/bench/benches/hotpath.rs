@@ -1,6 +1,7 @@
 //! Hot-path benchmark: batched GP posterior vs scalar prediction, the
 //! blocked batch posterior vs one whole-batch `K*`, the fused penalized
-//! posterior vs its two-call form, and the parallel multi-start /
+//! posterior vs its two-call form, the hoisted scalar cross row vs
+//! per-pair kernel calls, and the parallel multi-start /
 //! parallel training fan-out vs the sequential legacy path.
 //!
 //! Prints a table and writes `BENCH_hotpath.json` at the repository root
@@ -13,6 +14,7 @@ use std::time::Instant;
 
 use easybo_bench::{bench_report, host_threads, write_bench_report, BenchRecord};
 use easybo_gp::{Gp, GpConfig, IncrementalGp, KernelFamily, TrainConfig};
+use easybo_linalg::{Cholesky, Matrix, Vector};
 use easybo_opt::{sampling, Bounds, MultiStartMaximizer, Parallelism};
 use rand::SeedableRng;
 
@@ -219,6 +221,49 @@ fn bench_fused_penalized(rows: &mut Vec<BenchRecord>, reps: usize) {
     ));
 }
 
+/// The scalar penalized posterior at class-E size (n = 274 with 14
+/// pseudo-points, d = 12) over 2,000 queries: the per-pair path, rebuilt
+/// from [`Gp::state`] — one `ArdKernel::eval` per training row, each
+/// recomputing `d + 2` exponentials — plus the same forward solve,
+/// against [`IncrementalGp::predict_penalized`], whose hoisted
+/// `ArdKernel::cross_row` pays one exponential per row.
+fn bench_hoisted_row(rows: &mut Vec<BenchRecord>, reps: usize) {
+    let (inc, probes) = class_e_stack(2000);
+    let gp = inc.gp();
+    let s = gp.state();
+    let n = s.x.len();
+    let factor = Matrix::from_vec(n, n, s.chol_factor).expect("square factor");
+    let chol = Cholesky::from_parts(factor, s.chol_jitter).expect("valid factor");
+    let base_alpha = inc.clone().into_gp().state().alpha;
+    let (kernel, theta, scaler) = (gp.kernel(), gp.theta(), gp.scaler());
+    let per_pair = |x: &[f64]| {
+        let kstar = Vector::from_iter(s.x.iter().map(|xi| kernel.eval(theta, x, xi)));
+        let mean_z: f64 = kstar.iter().zip(&base_alpha).map(|(k, a)| k * a).sum();
+        let v = chol.solve_lower(&kstar);
+        let var = (kernel.eval(theta, x, x) - v.dot(&v)).max(0.0);
+        (scaler.transform(scaler.inverse(mean_z)), var)
+    };
+    let (per_pair_s, baseline) = time_best(reps, || {
+        probes.iter().map(|p| per_pair(p)).collect::<Vec<_>>()
+    });
+    let (hoisted_s, hoisted) = time_best(reps, || {
+        probes
+            .iter()
+            .map(|p| inc.predict_penalized(p))
+            .collect::<Vec<_>>()
+    });
+    let identical = baseline
+        .iter()
+        .zip(&hoisted)
+        .all(|(a, b)| a.0.to_bits() == b.0.to_bits() && a.1.to_bits() == b.1.to_bits());
+    rows.push(BenchRecord::from_seconds(
+        format!("posterior_hoisted_vs_per_pair_n{n}_d{}_q2000", gp.dim()),
+        per_pair_s,
+        hoisted_s,
+        identical && baseline.len() == hoisted.len(),
+    ));
+}
+
 /// Multi-start acquisition maximization at k=8 vs the sequential path.
 fn bench_parallel_multistart(rows: &mut Vec<BenchRecord>, reps: usize, d: usize) {
     let gp = fitted_gp(200, d);
@@ -288,6 +333,7 @@ fn main() {
     bench_predict_batch(&mut rows, reps, "class_e", 400, 12);
     bench_blocked_posterior(&mut rows, reps);
     bench_fused_penalized(&mut rows, reps);
+    bench_hoisted_row(&mut rows, reps);
     bench_parallel_multistart(&mut rows, reps, 10);
     bench_parallel_train(&mut rows, reps, 200, 10);
 
@@ -309,8 +355,8 @@ fn main() {
     let json = bench_report(
         "hotpath",
         reps,
-        "baseline = scalar/sequential/whole-batch/two-call path, candidate = \
-         batched/parallel/blocked/fused path; best-of-reps wall clock. Thread speedups require host_threads > 1; on a single-core host the \
+        "baseline = scalar/sequential/whole-batch/two-call/per-pair path, candidate = \
+         batched/parallel/blocked/fused/hoisted path; best-of-reps wall clock. Thread speedups require host_threads > 1; on a single-core host the \
          parallel rows measure fan-out overhead only, while the predict_batch rows are \
          algorithmic and host-independent.",
         &rows,

@@ -209,7 +209,8 @@ impl SessionParts {
     /// Checks every invariant the session and the event loop rely on:
     /// at least one worker, every worker index below `workers`, spans
     /// that end no earlier than they start, finite nondecreasing trace
-    /// times, finite clocks, and `resolved ≤ issued ≤ max_evals`.
+    /// times, finite clocks, `resolved ≤ issued ≤ max_evals`, and task
+    /// ids that appear at most once across `inflight` and `backoffs`.
     fn validate(&self) -> Result<(), InvalidSessionParts> {
         let fail = |field: String, detail: String| Err(InvalidSessionParts { field, detail });
         let workers = self.workers;
@@ -285,6 +286,19 @@ impl SessionParts {
                         "needs a worker below {workers} and a finite due time, got worker {} due {}",
                         b.worker, b.due
                     ),
+                );
+            }
+        }
+        let mut live = std::collections::HashSet::new();
+        let inflight = self.inflight.iter().map(|t| t.task).enumerate();
+        let inflight = inflight.map(|(i, task)| ("inflight", i, task));
+        let backoffs = self.backoffs.iter().map(|b| b.task).enumerate();
+        let backoffs = backoffs.map(|(i, task)| ("backoffs", i, task));
+        for (list, i, task) in inflight.chain(backoffs) {
+            if !live.insert(task) {
+                return fail(
+                    format!("{list}[{i}].task"),
+                    format!("repeats task id {task}, already in flight or backing off"),
                 );
             }
         }
@@ -862,7 +876,7 @@ mod tests {
         let good = s.to_parts();
         assert!(SessionState::from_parts(good.clone()).is_ok());
         type Edit = fn(&mut SessionParts);
-        let cases: [(&str, Edit); 11] = [
+        let cases: [(&str, Edit); 13] = [
             ("workers", |p| p.workers = 0),
             ("spans[0].worker", |p| p.spans[0].worker = 2),
             ("spans[0].end", |p| p.spans[0].end = -1.0),
@@ -876,6 +890,12 @@ mod tests {
             ("resolved", |p| p.resolved = 4),
             ("issued", |p| p.issued = 7),
             ("clock", |p| p.clock = f64::NAN),
+            ("inflight[1].task", |p| {
+                p.inflight.push(p.inflight[0].clone())
+            }),
+            ("backoffs[0].task", |p| {
+                p.backoffs[0].task = p.inflight[0].task
+            }),
         ];
         for (field, edit) in cases {
             let mut parts = good.clone();

@@ -259,6 +259,7 @@ impl IncrementalGp {
 mod tests {
     use super::*;
     use crate::model::mean_batch;
+    use crate::model::tests::posterior_per_pair;
     use crate::KernelFamily;
 
     fn fitted() -> Gp {
@@ -292,7 +293,9 @@ mod tests {
             .collect()
     }
 
-    /// A class-E-size GP under fixed hyperparameters.
+    /// A class-E-size GP under fixed ARD hyperparameters (length-scales
+    /// e^-0.7 … e^-0.15; for six of them `1 / e^θ` and `e^{-θ}` round
+    /// apart, so a mis-hoisted inverse shows).
     fn class_e_gp(family: KernelFamily, n: usize) -> Gp {
         let x = cube_points(n, 1);
         let y = x
@@ -304,8 +307,8 @@ mod tests {
                     .sum()
             })
             .collect();
-        let mut theta = vec![(0.6f64).ln(); 13];
-        theta[12] = 0.3;
+        let mut theta: Vec<f64> = (0..12).map(|j| -0.7 + 0.05 * j as f64).collect();
+        theta.push(0.3);
         Gp::fit_with_params(x, y, family, theta, (1e-6f64).ln()).unwrap()
     }
 
@@ -362,9 +365,51 @@ mod tests {
         }
     }
 
+    /// Bit patterns of a scalar posterior, its raw mean and its weights.
+    fn post_bits((mu, var): (f64, f64), mean: f64, v: &Vector) -> Vec<u64> {
+        let head = [mu, var, mean].into_iter();
+        head.chain(v.iter().copied()).map(f64::to_bits).collect()
+    }
+
+    /// Every scalar entry point that builds one hoisted cross row
+    /// (`predict_standardized`, `predict_penalized`, `predict_mean`,
+    /// `posterior_cross_weights`) against [`posterior_per_pair`]'s
+    /// per-pair row plus the same solve, bit for bit.
+    fn assert_scalar_matches_per_pair(inc: &IncrementalGp, q: &[f64], at: &str) {
+        let gp = inc.gp();
+        let (mu, var, v) = posterior_per_pair(gp, q, gp.alpha_vec());
+        let mean = gp.scaler().inverse(mu);
+        let got = (gp.predict_standardized(q), gp.predict_mean(q));
+        let weights = gp.posterior_cross_weights(q);
+        assert_eq!(
+            post_bits(got.0, got.1, &weights),
+            post_bits((mu, var), mean, &v),
+            "hoisted vs per-pair {at}"
+        );
+        let (base_mu, base_var, _) = posterior_per_pair(gp, q, inc.base_alpha());
+        let expect = inc.round_base_mean((base_mu, base_var));
+        let pen = inc.predict_penalized(q);
+        assert_eq!(
+            (pen.0.to_bits(), pen.1.to_bits()),
+            (expect.0.to_bits(), expect.1.to_bits()),
+            "penalized vs per-pair {at}"
+        );
+    }
+
     #[test]
     fn blocked_batch_posterior_is_bitwise_scalar_at_block_boundaries() {
         let queries = cube_points(528, 3);
+        // A NaN or an infinite coordinate must keep the per-pair path's
+        // bits too (an infinite one zeroes the variance through the NaN
+        // `k(x, x)` prior).
+        let mut odd = Vec::new();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for j in [0, 11] {
+                let mut q = queries[7].clone();
+                q[j] = bad;
+                odd.push(q);
+            }
+        }
         for family in FAMILIES {
             // n = 274 is 260 real points plus 14 live pseudo-points.
             for (n_real, n_pseudo) in [(1, 0), (24, 0), (260, 14)] {
@@ -374,6 +419,10 @@ mod tests {
                 }
                 let gp = inc.gp();
                 assert_eq!(gp.n_train(), n_real + n_pseudo);
+                for (j, q) in queries.iter().chain(&odd).enumerate() {
+                    let at = format!("{family:?} n={} q={j}", gp.n_train());
+                    assert_scalar_matches_per_pair(&inc, q, &at);
+                }
                 for m in [1, 31, 32, 33, 528] {
                     let xs = &queries[..m];
                     let post = gp.predict_standardized_batch(xs);

@@ -6,7 +6,7 @@
 //! dimension followed by the log signal variance. The observation noise
 //! lives in the GP model, not the kernel.
 
-use easybo_linalg::Matrix;
+use easybo_linalg::{Matrix, Vector};
 use serde::{Deserialize, Serialize};
 
 /// Fixed shape parameter of the rational-quadratic kernel.
@@ -160,10 +160,33 @@ impl ArdKernel {
         (k, radial)
     }
 
-    /// Inverse length-scales `ℓᵢ⁻¹ = e^{-θᵢ}`, hoisted out of batched builds
-    /// so the O(n·m·d) inner loop pays no transcendental calls.
+    /// Inverse length-scales `ℓᵢ⁻¹ = e^{-θᵢ}`, hoisted out of the batched
+    /// builds and the scalar cross row so no inner loop pays an `exp` per dimension.
     pub(crate) fn inv_lengthscales(&self, theta: &[f64]) -> Vec<f64> {
         theta[..self.dim].iter().map(|t| (-t).exp()).collect()
+    }
+
+    /// `out[j] = k(a, bⱼ)` under hoisted `inv_l` and `sf2`: the one per-row
+    /// loop of [`Self::cross_row`] and [`Self::cross_covariance`].
+    fn fill_row<'b, B>(&self, sf2: f64, inv_l: &[f64], a: &[f64], bs: B, out: &mut [f64])
+    where
+        B: Iterator<Item = &'b [f64]>,
+    {
+        for (o, b) in out.iter_mut().zip(bs) {
+            *o = self.eval_r2(sf2, scaled_r2(a, b, inv_l));
+        }
+    }
+
+    /// Cross row `k(x, rowsᵢ)` with `ℓ⁻¹` and σ_f² computed once per query,
+    /// bit-identical to per-pair [`ArdKernel::eval`]. Panics on a wrong length.
+    pub(crate) fn cross_row(&self, theta: &[f64], x: &[f64], rows: &[Vec<f64>]) -> Vector {
+        let sf2 = self.signal_variance(theta);
+        assert_eq!(x.len(), self.dim, "input a dimension mismatch");
+        let rows_ok = rows.iter().all(|r| r.len() == self.dim);
+        assert!(rows_ok, "input b dimension mismatch");
+        let (inv_l, mut out) = (self.inv_lengthscales(theta), vec![0.0; rows.len()]);
+        self.fill_row(sf2, &inv_l, x, rows.iter().map(Vec::as_slice), &mut out);
+        Vector::from(out)
     }
 
     /// Evaluates `k(a, b)` under hyperparameters `theta`.
@@ -229,10 +252,7 @@ impl ArdKernel {
         }
         let mut k = Matrix::zeros(rows.len(), cols.len());
         for (i, a) in rows.iter().enumerate() {
-            let out = k.row_mut(i);
-            for (o, q) in out.iter_mut().zip(packed.chunks_exact(d)) {
-                *o = self.eval_r2(sf2, scaled_r2(a, &q[..self.dim], &inv_l));
-            }
+            self.fill_row(sf2, &inv_l, a, packed.chunks_exact(d), k.row_mut(i));
         }
         k
     }
@@ -504,28 +524,46 @@ mod tests {
                     .collect()
             })
             .collect();
-        let theta = [0.3, -0.5, 0.1, 0.4];
-        for fam in FAMILIES {
-            let k = ArdKernel::new(fam, 3);
-            let cov = k.covariance(&theta, &pts);
-            for i in 0..pts.len() {
-                for j in 0..pts.len() {
-                    assert_eq!(
-                        cov[(i, j)],
-                        k.eval(&theta, &pts[i], &pts[j]),
-                        "{fam:?} covariance ({i}, {j})"
-                    );
-                }
+        // Two generic θ (in the second, `1 / e^θ` and `e^{-θ}` round
+        // apart), then the extreme grid: log ℓ ∈ {−8, 0, 6} (one value per
+        // dimension, and all three mixed) × log σ_f² ∈ {−20, 0, 20}.
+        let mut thetas = vec![vec![0.3, -0.5, 0.1, 0.4], vec![0.7, 0.45, 1.1, 0.4]];
+        for log_sf2 in [-20.0, 0.0, 20.0] {
+            for log_l in [[-8.0; 3], [0.0; 3], [6.0; 3], [-8.0, 0.0, 6.0]] {
+                thetas.push(log_l.iter().copied().chain([log_sf2]).collect());
             }
-            let cross = k.cross_covariance(&theta, &pts, &queries);
-            assert_eq!(cross.shape(), (7, 4));
-            for i in 0..pts.len() {
-                for j in 0..queries.len() {
-                    assert_eq!(
-                        cross[(i, j)],
-                        k.eval(&theta, &pts[i], &queries[j]),
-                        "{fam:?} cross ({i}, {j})"
-                    );
+        }
+        for theta in &thetas {
+            for fam in FAMILIES {
+                let k = ArdKernel::new(fam, 3);
+                let at = format!("{fam:?} θ={theta:?}");
+                let cov = k.covariance(theta, &pts);
+                for i in 0..pts.len() {
+                    for j in 0..pts.len() {
+                        let expect = k.eval(theta, &pts[i], &pts[j]);
+                        assert_eq!(cov[(i, j)].to_bits(), expect.to_bits(), "cov {at}");
+                    }
+                    let diag = k.eval(theta, &pts[i], &pts[i]);
+                    let sf2 = k.signal_variance(theta);
+                    assert_eq!(sf2.to_bits(), diag.to_bits(), "σ_f² {at}");
+                }
+                let cross = k.cross_covariance(theta, &pts, &queries);
+                assert_eq!(cross.shape(), (7, 4));
+                for i in 0..pts.len() {
+                    for j in 0..queries.len() {
+                        let expect = k.eval(theta, &pts[i], &queries[j]);
+                        assert_eq!(cross[(i, j)].to_bits(), expect.to_bits(), "cross {at}");
+                    }
+                }
+                // The scalar cross row, against queries and against the
+                // training points themselves (r² = 0 on the diagonal).
+                for x in queries.iter().chain(&pts) {
+                    let row = k.cross_row(theta, x, &pts);
+                    assert_eq!(row.len(), pts.len());
+                    for (r, p) in row.iter().zip(&pts) {
+                        let expect = k.eval(theta, x, p);
+                        assert_eq!(r.to_bits(), expect.to_bits(), "row {at}");
+                    }
                 }
             }
         }
@@ -539,6 +577,18 @@ mod tests {
         let pts = vec![vec![0.1, 0.2]];
         assert_eq!(k.cross_covariance(&theta, &pts, &[]).shape(), (1, 0));
         assert_eq!(k.cross_covariance(&theta, &[], &pts).shape(), (0, 1));
+        assert!(k.cross_row(&theta, &[0.3, 0.4], &[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "input b dimension mismatch")]
+    fn cross_row_rejects_a_short_row() {
+        let k = ArdKernel::new(KernelFamily::SquaredExponential, 2);
+        k.cross_row(
+            &k.default_theta(),
+            &[0.1, 0.2],
+            &[vec![0.1, 0.2], vec![0.3]],
+        );
     }
 
     proptest! {

@@ -459,7 +459,7 @@ impl Gp {
     /// below a pseudo-point stack), from the same cross row.
     pub(crate) fn posterior(&self, x: &[f64], mean_alpha: &Vector) -> (f64, f64) {
         assert_eq!(x.len(), self.dim(), "query dimension mismatch");
-        let kstar = self.cross_row(x);
+        let kstar = self.kernel.cross_row(&self.theta, x, &self.x);
         // The same `Σ k·a` reduction, in the same order, as `Vector::dot`.
         let mean = kstar
             .iter()
@@ -467,6 +467,7 @@ impl Gp {
             .map(|(k, a)| k * a)
             .sum();
         let v = self.chol.solve_lower(&kstar);
+        // Not `signal_variance`: an infinite coordinate makes this NaN (so 0 below).
         let prior = self.kernel.eval(&self.theta, x, x);
         let var = (prior - v.dot(&v)).max(0.0);
         (mean, var)
@@ -502,7 +503,7 @@ impl Gp {
     pub(crate) fn posterior_batch(&self, xs: &[Vec<f64>], mean_alpha: &Vector) -> Vec<(f64, f64)> {
         // k(x, x) reduces to σ_f² exactly for every stationary family here
         // (the radial factor is exactly 1.0 at r² = 0), matching the scalar
-        // path's `kernel.eval(x, x)` prior bit for bit.
+        // path's `kernel.eval(x, x)` prior bit for bit on finite queries.
         let prior = self.kernel.signal_variance(&self.theta);
         let mut out = Vec::with_capacity(xs.len());
         for block in xs.chunks(QUERY_BLOCK) {
@@ -552,7 +553,8 @@ impl Gp {
     /// Panics if `x.len() != dim()`.
     pub fn posterior_cross_weights(&self, x: &[f64]) -> Vector {
         assert_eq!(x.len(), self.dim(), "query dimension mismatch");
-        self.chol.solve_lower(&self.cross_row(x))
+        let kstar = self.kernel.cross_row(&self.theta, x, &self.x);
+        self.chol.solve_lower(&kstar)
     }
 
     /// Posterior mean only (skips the triangular solve), raw units.
@@ -562,7 +564,8 @@ impl Gp {
     /// Panics if `x.len() != dim()`.
     pub fn predict_mean(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.dim(), "query dimension mismatch");
-        self.scaler.inverse(self.cross_row(x).dot(&self.alpha))
+        let kstar = self.kernel.cross_row(&self.theta, x, &self.x);
+        self.scaler.inverse(kstar.dot(&self.alpha))
     }
 
     /// Leave-one-out cross-validation residuals in **raw target units**,
@@ -655,8 +658,8 @@ impl Gp {
         x: Vec<f64>,
         z: f64,
     ) -> crate::Result<(bool, Vector)> {
-        let cross = self.cross_row(&x);
-        let diag = self.kernel.eval(&self.theta, &x, &x) + self.log_noise.exp();
+        let cross = self.kernel.cross_row(&self.theta, &x, &self.x);
+        let diag = self.kernel.signal_variance(&self.theta) + self.log_noise.exp();
         let floored = self.chol.extend(&cross, diag)?;
         Ok((floored, self.append_target(x, z)))
     }
@@ -670,17 +673,12 @@ impl Gp {
     ///
     /// On error the model is left untouched.
     pub(crate) fn push_point_at_mean(&mut self, x: Vec<f64>) -> crate::Result<(bool, Vector)> {
-        let kstar = self.cross_row(&x);
+        let kstar = self.kernel.cross_row(&self.theta, &x, &self.x);
         let mean_z = kstar.dot(&self.alpha);
         let w = self.chol.solve_lower(&kstar);
-        let diag = self.kernel.eval(&self.theta, &x, &x) + self.log_noise.exp();
+        let diag = self.kernel.signal_variance(&self.theta) + self.log_noise.exp();
         let floored = self.chol.extend_solved(&w, diag)?;
         Ok((floored, self.append_target(x, mean_z)))
-    }
-
-    /// `k(x, xᵢ)` against every training point, in training order.
-    fn cross_row(&self, x: &[f64]) -> Vector {
-        Vector::from_iter(self.x.iter().map(|xi| self.kernel.eval(&self.theta, x, xi)))
     }
 
     /// Records `(x, z)` after the factor has grown and re-solves `α`,
@@ -807,8 +805,35 @@ pub(crate) fn covariance_matrix(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The per-pair cross row `k(x, xᵢ)`: one [`ArdKernel::eval`] per
+    /// training point, every `exp` recomputed. The hoisted
+    /// [`ArdKernel::cross_row`] must match it bit for bit.
+    pub(crate) fn cross_row_per_pair(gp: &Gp, x: &[f64]) -> Vector {
+        Vector::from_iter(gp.x.iter().map(|xi| gp.kernel.eval(&gp.theta, x, xi)))
+    }
+
+    /// [`Gp::posterior`] rebuilt on [`cross_row_per_pair`] with the same
+    /// solve and reductions, plus its weights `L⁻¹ k*`: the oracle for the
+    /// scalar `(mean against mean_alpha, variance)` and
+    /// [`Gp::posterior_cross_weights`].
+    pub(crate) fn posterior_per_pair(
+        gp: &Gp,
+        x: &[f64],
+        mean_alpha: &Vector,
+    ) -> (f64, f64, Vector) {
+        let kstar = cross_row_per_pair(gp, x);
+        let mean = kstar
+            .iter()
+            .zip(mean_alpha.iter())
+            .map(|(k, a)| k * a)
+            .sum();
+        let v = gp.chol.solve_lower(&kstar);
+        let var = (gp.kernel.eval(&gp.theta, x, x) - v.dot(&v)).max(0.0);
+        (mean, var, v)
+    }
 
     fn toy_1d() -> (Vec<Vec<f64>>, Vec<f64>) {
         let x: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64 / 9.0]).collect();

@@ -90,9 +90,9 @@ fn resume_rejects_edited_checkpoints_with_valid_crcs() {
         .abort_after_evals(12);
     killed.run(objective).unwrap_err();
     let clean = load_snapshot(&path).unwrap();
-    assert!(!clean.session.inflight.is_empty() && !clean.session.spans.is_empty());
+    assert!(clean.session.inflight.len() >= 3 && !clean.session.spans.is_empty());
     type Edit = fn(&mut SessionParts);
-    let edits: [(&str, Edit); 10] = [
+    let edits: [(&str, Edit); 12] = [
         ("workers", |p| p.workers = 0),
         ("spans[0].worker", |p| p.spans[0].worker = p.workers),
         ("spans[1].end", |p| p.spans[1].end = p.spans[1].start - 1.0),
@@ -105,6 +105,21 @@ fn resume_rejects_edited_checkpoints_with_valid_crcs() {
         ("issued", |p| p.issued = p.max_evals + 1),
         ("observations[2]", |p| p.observations[2].0.push(0.5)),
         ("inflight[0]", |p| p.inflight[0].x.clear()),
+        ("inflight[1].task", |p| {
+            p.inflight[1].task = p.inflight[0].task
+        }),
+        ("backoffs[0].task", |p| {
+            // The last in-flight attempt turned into a backoff that
+            // reuses the first one's task id.
+            let t = p.inflight.pop().unwrap();
+            p.backoffs.push(PendingBackoff {
+                due: p.clock + 1.0,
+                worker: t.started.unwrap().0,
+                task: p.inflight[0].task,
+                attempt: 2,
+                x: t.x,
+            });
+        }),
     ];
     for (field, edit) in edits {
         let mut snap = clean.clone();
