@@ -151,3 +151,132 @@ fn incremental_toggle_is_bit_identical_on_the_opamp() {
         assert_eq!(a.best_so_far.to_bits(), b.best_so_far.to_bits());
     }
 }
+
+/// FNV-1a 64 over the little-endian bits of every coordinate and then the
+/// observation, point by point in dataset order.
+fn trajectory_digest(data: &easybo_exec::Dataset) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |v: f64| {
+        for b in v.to_bits().to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for (x, &y) in data.xs().iter().zip(data.ys()) {
+        x.iter().for_each(|&v| eat(v));
+        eat(y);
+    }
+    h
+}
+
+/// Seeded constrained run on the unit square:
+/// maximize `exp(−(x₀−0.3)²−(x₁−0.6)²)` subject to `x₀+x₁−0.5 ≥ 0`.
+fn constrained_run(telemetry: Option<Telemetry>) -> easybo::OptimizationResult {
+    let objective = |x: &[f64]| (-(x[0] - 0.3).powi(2) - (x[1] - 0.6).powi(2)).exp();
+    let constraint = |x: &[f64]| x[0] + x[1] - 0.5;
+    let problem = easybo::ConstrainedProblem::new(&objective).subject_to(&constraint);
+    let mut opt = EasyBo::new(easybo_opt::Bounds::unit_cube(2).unwrap());
+    opt.batch_size(4).initial_points(6).max_evals(22).seed(3);
+    if let Some(t) = telemetry {
+        opt.telemetry(t);
+    }
+    opt.run_constrained(&problem)
+        .expect("constrained run completes")
+}
+
+/// Absolute trajectory pin: every registry algorithm, every penalization
+/// mode of the async policy, and a constrained run reproduce the recorded
+/// FNV-1a digest of their full dataset. Any change to the floating-point
+/// work of the surrogate, the penalization stack or the acquisition
+/// maximizer that alters a single bit of a query or an observation fails
+/// here.
+#[test]
+fn every_policy_trajectory_matches_its_pinned_digest() {
+    use easybo::policies::{AcqOptConfig, EasyBoAsyncPolicy, PenalizationMode};
+    use easybo::{Algorithm, SurrogateConfig};
+    use easybo_exec::VirtualExecutor;
+    use rand::{rngs::StdRng, SeedableRng};
+
+    let pinned: [(&str, u64); 25] = [
+        ("lcb", 0xd979685e382951a5),
+        ("ei", 0xa9daca34bacdf73c),
+        ("easybo-seq", 0x04d14fad9adad927),
+        ("pbo", 0x41c96e53e56c2d3c),
+        ("phcbo", 0x4198b01ee06b1079),
+        ("easybo-s", 0xd2eb067a2e6e1118),
+        ("easybo-a", 0x80c0a3c9f59adc46),
+        ("easybo-sp", 0x2ad7c955803c38a4),
+        ("easybo", 0xdd93cc003d27a0c6),
+        ("bucb", 0xa93327f705e3baae),
+        ("lp", 0xc42f3a780e8b4704),
+        ("ts", 0x56348564333f5daf),
+        ("portfolio", 0x324801247ff7a625),
+        ("mace", 0x83506678e1a9aeda),
+        ("eps-greedy", 0xc065b72e42941cee),
+        ("pessimistic", 0x601bd2915979bf2d),
+        ("standard", 0xf33aac8902b44cfc),
+        ("de", 0x5c6129b75f35b5a0),
+        ("pso", 0xefb70c49656c8934),
+        ("sa", 0x377dc01335bdec04),
+        ("cma-es", 0x58daf73dbe5ee07d),
+        ("mean", 0xd3299bb910796c60),
+        ("liar-min", 0xa196de45517d1583),
+        ("liar-max", 0x261f769fce6e3ff8),
+        ("constrained", 0x385af7a735d79ace),
+    ];
+
+    let bb = opamp_blackbox();
+    let mut got: BTreeMap<&str, u64> = BTreeMap::new();
+    for algo in Algorithm::all() {
+        let run = algo.run(&bb, 4, 24, 8, 24, 5);
+        got.insert(algo.key(), trajectory_digest(&run.data));
+    }
+    for (name, mode) in [
+        ("mean", PenalizationMode::HallucinateMean),
+        ("liar-min", PenalizationMode::ConstantLiarMin),
+        ("liar-max", PenalizationMode::ConstantLiarMax),
+    ] {
+        let bounds = bb.bounds().clone();
+        let init = easybo_opt::sampling::latin_hypercube(&bounds, 8, &mut StdRng::seed_from_u64(7));
+        let mut policy = EasyBoAsyncPolicy::with_configs(
+            bounds,
+            true,
+            6.0,
+            7,
+            SurrogateConfig::default(),
+            AcqOptConfig::for_dim(10),
+        );
+        policy.penalization_mode(mode);
+        let run = VirtualExecutor::new(4).run_async(&bb, &init, 24, &mut policy);
+        got.insert(name, trajectory_digest(&run.data));
+    }
+    got.insert(
+        "constrained",
+        trajectory_digest(&constrained_run(None).data),
+    );
+
+    let mismatched: Vec<String> = pinned
+        .iter()
+        .filter(|(name, want)| got.get(name) != Some(want))
+        .map(|(name, want)| format!("{name}: want {want:016x}, got {:016x?}", got.get(name)))
+        .collect();
+    assert_eq!(got.len(), pinned.len(), "every pinned run was executed");
+    assert!(
+        mismatched.is_empty(),
+        "trajectories diverged:\n{}",
+        mismatched.join("\n")
+    );
+}
+
+/// Attaching a recording telemetry handle to the constrained run changes
+/// nothing in its trajectory.
+#[test]
+fn constrained_trajectory_is_identical_with_telemetry() {
+    let (telemetry, _recorder) = Telemetry::recording();
+    let traced = constrained_run(Some(telemetry.clone()));
+    telemetry.flush();
+    assert_eq!(
+        trajectory_digest(&traced.data),
+        trajectory_digest(&constrained_run(None).data)
+    );
+}
