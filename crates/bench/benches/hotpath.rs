@@ -166,8 +166,10 @@ fn bench_blocked_posterior(rows: &mut Vec<BenchRecord>, reps: usize) {
 /// pseudo-points, d = 12): the two-call evaluation — base mean from the
 /// un-augmented model, `σ̂²` from the augmented one, two kernel rows per
 /// query — against the fused [`IncrementalGp::predict_penalized`] pair,
-/// which builds one row (or one `K*` block) and one forward solve.
-/// One row for 2,000 scalar queries, one for an m = 528 batch.
+/// which builds one row (or one `K*` block) and one forward solve. The
+/// fused side sends its mean to raw units and back, as `PenalizedAcqInc`
+/// does, so both sides round alike. One row for 2,000 scalar queries,
+/// one for an m = 528 batch.
 fn bench_fused_penalized(rows: &mut Vec<BenchRecord>, reps: usize) {
     let (inc, probes) = class_e_stack(2000);
     let base = inc.clone().into_gp();
@@ -176,6 +178,7 @@ fn bench_fused_penalized(rows: &mut Vec<BenchRecord>, reps: usize) {
         v.iter().map(|p| (p.0.to_bits(), p.1.to_bits())).collect()
     };
     let two_call = |mean: f64, var: (f64, f64)| (base.scaler().transform(mean), var.1);
+    let round_trip = raw_round_trip(gp);
     let (scalar_two_s, scalar_two) = time_best(reps, || {
         let post = probes
             .iter()
@@ -185,7 +188,7 @@ fn bench_fused_penalized(rows: &mut Vec<BenchRecord>, reps: usize) {
     let (scalar_fused_s, scalar_fused) = time_best(reps, || {
         probes
             .iter()
-            .map(|p| inc.predict_penalized(p))
+            .map(|p| round_trip(inc.predict_penalized(p)))
             .collect::<Vec<_>>()
     });
     rows.push(BenchRecord::from_seconds(
@@ -208,7 +211,10 @@ fn bench_fused_penalized(rows: &mut Vec<BenchRecord>, reps: usize) {
             .map(|(mean, var)| two_call(mean, var))
             .collect::<Vec<_>>()
     });
-    let (batch_fused_s, batch_fused) = time_best(reps, || inc.predict_penalized_batch(batch));
+    let (batch_fused_s, batch_fused) = time_best(reps, || {
+        let post = inc.predict_penalized_batch(batch);
+        post.into_iter().map(&round_trip).collect::<Vec<_>>()
+    });
     rows.push(BenchRecord::from_seconds(
         format!(
             "penalized_batch_fused_vs_two_call_n{}_d{}_m528",
@@ -226,7 +232,8 @@ fn bench_fused_penalized(rows: &mut Vec<BenchRecord>, reps: usize) {
 /// from [`Gp::state`] — one `ArdKernel::eval` per training row, each
 /// recomputing `d + 2` exponentials — plus the same forward solve,
 /// against [`IncrementalGp::predict_penalized`], whose hoisted
-/// `ArdKernel::cross_row` pays one exponential per row.
+/// `ArdKernel::cross_row` pays one exponential per row. Both sides send
+/// the mean to raw units and back, as `PenalizedAcqInc` does.
 fn bench_hoisted_row(rows: &mut Vec<BenchRecord>, reps: usize) {
     let (inc, probes) = class_e_stack(2000);
     let gp = inc.gp();
@@ -246,10 +253,11 @@ fn bench_hoisted_row(rows: &mut Vec<BenchRecord>, reps: usize) {
     let (per_pair_s, baseline) = time_best(reps, || {
         probes.iter().map(|p| per_pair(p)).collect::<Vec<_>>()
     });
+    let round_trip = raw_round_trip(gp);
     let (hoisted_s, hoisted) = time_best(reps, || {
         probes
             .iter()
-            .map(|p| inc.predict_penalized(p))
+            .map(|p| round_trip(inc.predict_penalized(p)))
             .collect::<Vec<_>>()
     });
     let identical = baseline
@@ -262,6 +270,13 @@ fn bench_hoisted_row(rows: &mut Vec<BenchRecord>, reps: usize) {
         hoisted_s,
         identical && baseline.len() == hoisted.len(),
     ));
+}
+
+/// Sends a standardized `(μ, σ²)` pair's mean to raw units and back: the
+/// rounding Eq. 9's acquisition applies to the base mean.
+fn raw_round_trip(gp: &Gp) -> impl Fn((f64, f64)) -> (f64, f64) + '_ {
+    let scaler = gp.scaler();
+    move |(mean_z, var)| (scaler.transform(scaler.inverse(mean_z)), var)
 }
 
 /// Multi-start acquisition maximization at k=8 vs the sequential path.

@@ -11,9 +11,10 @@
 //!   cache avoids entirely).
 //! * `pseudo_stack_vs_clone_augment_n*_b*` — one busy-point penalization
 //!   inner loop: baseline clones the GP and hallucinates `b` busy points
-//!   (`Gp::augment`), the candidate pushes them onto the cached factor
-//!   stack and pops them back off (`IncrementalGp::push_pseudo_mean` /
-//!   `pop_all_pseudo`).
+//!   (`Gp::augment`, the reference the stack is tested against; no policy
+//!   runs it), the candidate pushes them onto the cached factor stack and
+//!   pops them back off (`IncrementalGp::push_pseudo_mean` /
+//!   `pop_all_pseudo`), the path every policy runs.
 //!
 //! Prints a table and writes `BENCH_incremental.json` at the repository
 //! root. Repetition count comes from `EASYBO_REPS` (default 5); each cell
@@ -98,7 +99,7 @@ fn bench_tell(rows: &mut Vec<BenchRecord>, reps: usize, n: usize, d: usize) {
 }
 
 /// One penalization inner loop at size `n` with `b` busy points: factor
-/// stack push/pop vs legacy clone-and-augment.
+/// stack push/pop vs the clone-and-augment reference.
 fn bench_pseudo_loop(rows: &mut Vec<BenchRecord>, reps: usize, n: usize, d: usize, b: usize) {
     let xs = unit_points(n, d, 31);
     let ys: Vec<f64> = xs
@@ -121,7 +122,7 @@ fn bench_pseudo_loop(rows: &mut Vec<BenchRecord>, reps: usize, n: usize, d: usiz
     let busy = unit_points(b, d, 57);
     let probe = vec![0.37; d];
 
-    let (legacy_s, legacy) = time_best(reps, || gp.augment(&busy).expect("augments"));
+    let (clone_s, cloned) = time_best(reps, || gp.augment(&busy).expect("augments"));
     let mut inc = IncrementalGp::new(gp.clone());
     let (stack_s, _) = time_best(reps, || {
         for p in &busy {
@@ -136,14 +137,14 @@ fn bench_pseudo_loop(rows: &mut Vec<BenchRecord>, reps: usize, n: usize, d: usiz
         inc.push_pseudo_mean(p.clone()).expect("pushes");
     }
     let identical = {
-        let a = legacy.predict(&probe);
+        let a = cloned.predict(&probe);
         let c = inc.gp().predict(&probe);
         a.mean.to_bits() == c.mean.to_bits() && a.variance.to_bits() == c.variance.to_bits()
     };
     inc.pop_all_pseudo();
     rows.push(BenchRecord::from_seconds(
         format!("pseudo_stack_vs_clone_augment_n{n}_d{d}_b{b}"),
-        legacy_s,
+        clone_s,
         stack_s,
         identical,
     ));

@@ -90,17 +90,6 @@ fn blend(mu_z: f64, var_z: f64, w: f64) -> f64 {
     (1.0 - w) * mu_z + w * var_z.max(0.0).sqrt()
 }
 
-/// The penalized EasyBO acquisition (Eq. 9): mean from the *base* GP,
-/// uncertainty `σ̂` from the *augmented* GP (busy points hallucinated).
-///
-/// The base mean uses the O(n·d) mean-only path (no triangular solve);
-/// only the augmented model pays for a variance query.
-pub fn weighted_penalized(base: &Gp, augmented: &Gp, x: &[f64], w: f64) -> f64 {
-    let mu_z = base.scaler().transform(base.predict_mean(x));
-    let (_, var_hat) = augmented.predict_standardized(x);
-    blend(mu_z, var_hat, w)
-}
-
 /// Batched [`weighted`] over a whole candidate set: one `K*` assembly and
 /// one multi-RHS triangular solve for the entire batch. Each value is
 /// bit-identical to the scalar call on the same point.
@@ -108,19 +97,6 @@ pub fn weighted_batch(gp: &Gp, xs: &[Vec<f64>], w: f64) -> Vec<f64> {
     gp.predict_standardized_batch(xs)
         .into_iter()
         .map(|(mu_z, var_z)| blend(mu_z, var_z, w))
-        .collect()
-}
-
-/// Batched [`weighted_penalized`]: base means via the mean-only batch path,
-/// `σ̂` via the augmented GP's batched posterior. Bit-identical per point to
-/// the scalar call.
-pub fn weighted_penalized_batch(base: &Gp, augmented: &Gp, xs: &[Vec<f64>], w: f64) -> Vec<f64> {
-    let means = base.predict_mean_batch(xs);
-    augmented
-        .predict_standardized_batch(xs)
-        .into_iter()
-        .zip(means)
-        .map(|((_, var_hat), mean)| blend(base.scaler().transform(mean), var_hat, w))
         .collect()
 }
 
@@ -144,32 +120,11 @@ impl BatchObjective for WeightedAcq<'_> {
     }
 }
 
-/// [`weighted_penalized`] packaged as a [`BatchObjective`].
-pub struct PenalizedAcq<'a> {
-    /// The un-augmented surrogate supplying the predictive mean.
-    pub base: &'a Gp,
-    /// The pseudo-point-augmented surrogate supplying `σ̂`.
-    pub augmented: &'a Gp,
-    /// Exploration weight `w ∈ [0, 1]`.
-    pub w: f64,
-}
-
-impl BatchObjective for PenalizedAcq<'_> {
-    fn eval(&self, x: &[f64]) -> f64 {
-        weighted_penalized(self.base, self.augmented, x, self.w)
-    }
-
-    fn eval_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        weighted_penalized_batch(self.base, self.augmented, xs, self.w)
-    }
-}
-
-/// [`weighted_penalized`] over an [`IncrementalGp`] whose pseudo-point
-/// stack currently holds the hallucinated busy points: the *base* mean
-/// (from the saved base `α`) and `σ̂` (from the augmented model) come out
-/// of one kernel row and one forward solve per query
+/// The penalized EasyBO acquisition (Eq. 9) over an [`IncrementalGp`]
+/// whose pseudo-point stack currently holds the hallucinated busy points:
+/// the *base* mean (from the saved base `α`) and `σ̂` (from the augmented
+/// model) come out of one kernel row and one forward solve per query
 /// ([`IncrementalGp::predict_penalized`]) — no cloned GP anywhere.
-/// Bit-identical to [`PenalizedAcq`] over `(base, base.augment(busy))`.
 pub struct PenalizedAcqInc<'a> {
     /// Surrogate with the busy points pushed as pseudo-points.
     pub inc: &'a IncrementalGp,
@@ -177,17 +132,28 @@ pub struct PenalizedAcqInc<'a> {
     pub w: f64,
 }
 
+impl PenalizedAcqInc<'_> {
+    /// `(1-w)·μ + w·σ̂` with the base mean sent to raw units and back.
+    /// Eq. 9 reads μ through the raw-unit mean-only path
+    /// (`scaler.transform(base.predict_mean(x))`, the reference in this
+    /// module's tests). That round trip rounds, so it is repeated here to
+    /// keep every trajectory on the same bits.
+    fn score(&self, (mu_z, var_hat): (f64, f64)) -> f64 {
+        let scaler = self.inc.gp().scaler();
+        blend(scaler.transform(scaler.inverse(mu_z)), var_hat, self.w)
+    }
+}
+
 impl BatchObjective for PenalizedAcqInc<'_> {
     fn eval(&self, x: &[f64]) -> f64 {
-        let (mu_z, var_hat) = self.inc.predict_penalized(x);
-        blend(mu_z, var_hat, self.w)
+        self.score(self.inc.predict_penalized(x))
     }
 
     fn eval_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
         self.inc
             .predict_penalized_batch(xs)
             .into_iter()
-            .map(|(mu_z, var_hat)| blend(mu_z, var_hat, self.w))
+            .map(|p| self.score(p))
             .collect()
     }
 }
@@ -196,6 +162,44 @@ impl BatchObjective for PenalizedAcqInc<'_> {
 mod tests {
     use super::*;
     use easybo_gp::{GpConfig, KernelFamily};
+
+    /// Reference Eq. 9 over two models: mean from the *base* GP through
+    /// the O(n·d) mean-only path, `σ̂` from the *augmented* GP (busy
+    /// points hallucinated by [`Gp::augment`]).
+    fn weighted_penalized(base: &Gp, augmented: &Gp, x: &[f64], w: f64) -> f64 {
+        let mu_z = base.scaler().transform(base.predict_mean(x));
+        let (_, var_hat) = augmented.predict_standardized(x);
+        blend(mu_z, var_hat, w)
+    }
+
+    /// Batched [`weighted_penalized`], bit-identical per point.
+    fn weighted_penalized_batch(base: &Gp, augmented: &Gp, xs: &[Vec<f64>], w: f64) -> Vec<f64> {
+        let means = base.predict_mean_batch(xs);
+        augmented
+            .predict_standardized_batch(xs)
+            .into_iter()
+            .zip(means)
+            .map(|((_, var_hat), mean)| blend(base.scaler().transform(mean), var_hat, w))
+            .collect()
+    }
+
+    /// [`weighted_penalized`] as a [`BatchObjective`]: the
+    /// clone-and-augment reference for [`PenalizedAcqInc`].
+    struct PenalizedAcq<'a> {
+        base: &'a Gp,
+        augmented: &'a Gp,
+        w: f64,
+    }
+
+    impl BatchObjective for PenalizedAcq<'_> {
+        fn eval(&self, x: &[f64]) -> f64 {
+            weighted_penalized(self.base, self.augmented, x, self.w)
+        }
+
+        fn eval_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
+            weighted_penalized_batch(self.base, self.augmented, xs, self.w)
+        }
+    }
 
     fn toy_gp() -> Gp {
         let x = vec![vec![0.0], vec![0.25], vec![0.5], vec![0.75], vec![1.0]];
@@ -352,22 +356,22 @@ mod tests {
         }
         let queries: Vec<Vec<f64>> = (0..11).map(|i| vec![i as f64 * 0.17 - 0.3]).collect();
         for w in [0.0, 0.35, 1.0] {
-            let legacy = PenalizedAcq {
+            let cloned = PenalizedAcq {
                 base: &gp,
                 augmented: &aug,
                 w,
             };
             let fast = PenalizedAcqInc { inc: &inc, w };
-            let legacy_batch = legacy.eval_batch(&queries);
+            let cloned_batch = cloned.eval_batch(&queries);
             let fast_batch = fast.eval_batch(&queries);
             for (i, q) in queries.iter().enumerate() {
                 assert_eq!(
-                    legacy.eval(q).to_bits(),
+                    cloned.eval(q).to_bits(),
                     fast.eval(q).to_bits(),
                     "scalar at {i}, w = {w}"
                 );
                 assert_eq!(
-                    legacy_batch[i].to_bits(),
+                    cloned_batch[i].to_bits(),
                     fast_batch[i].to_bits(),
                     "batch at {i}, w = {w}"
                 );

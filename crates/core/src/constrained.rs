@@ -23,15 +23,15 @@ use std::path::Path;
 
 use easybo_exec::{AsyncPolicy, BlackBox, BusyPoint, Dataset};
 use easybo_gp::Gp;
-use easybo_opt::Bounds;
+use easybo_opt::{BatchObjective, Bounds};
 use easybo_persist::PersistError;
 use easybo_telemetry::{Event, Telemetry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::acquisition;
+use crate::acquisition::{self, PenalizedAcqInc};
 use crate::persistence::Fingerprint;
-use crate::policies::{AcqMaximizer, AcqOptConfig};
+use crate::policies::{AcqMaximizer, AcqOptConfig, PenalizationMode};
 use crate::surrogate::{SurrogateConfig, SurrogateManager};
 use crate::weight::{sample_kappa_weight, DEFAULT_LAMBDA};
 use crate::{EasyBo, EasyBoError, OptimizationResult};
@@ -248,21 +248,26 @@ impl<'a> ConstrainedPolicy<'a> {
             }
         }
     }
+}
 
-    /// Fits the constraint GPs on the current data.
-    fn constraint_gps(&mut self, data: &Dataset) -> Vec<Gp> {
-        let mut gps = Vec::with_capacity(self.constraint_surrogates.len());
-        for (j, sm) in self.constraint_surrogates.iter_mut().enumerate() {
+/// Fits the constraint GPs on the current data; a constraint whose fit
+/// fails is left out of the feasibility product.
+fn constraint_gps<'s>(
+    surrogates: &'s mut [SurrogateManager],
+    slacks: &[Vec<f64>],
+    data: &Dataset,
+) -> Vec<&'s Gp> {
+    surrogates
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(j, sm)| {
             let mut cdata = Dataset::new();
-            for (x, s) in data.xs().iter().zip(self.slacks.iter()) {
+            for (x, s) in data.xs().iter().zip(slacks) {
                 cdata.push(x.clone(), s[j]);
             }
-            if let Ok(gp) = sm.surrogate(&cdata) {
-                gps.push(gp.clone());
-            }
-        }
-        gps
-    }
+            sm.surrogate(&cdata).ok()
+        })
+        .collect()
 }
 
 /// Probability that the constraint GP predicts `c(x) ≥ 0`.
@@ -284,8 +289,12 @@ impl AsyncPolicy for ConstrainedPolicy<'_> {
                 .sample_uniform(&mut self.rng);
         }
         self.sync_slacks(data);
-        let gp = match self.objective_surrogate.surrogate(data) {
-            Ok(gp) => gp.clone(),
+        let busy_units: Vec<Vec<f64>> = busy
+            .iter()
+            .map(|bp| self.objective_surrogate.to_unit(&bp.x))
+            .collect();
+        let inc = match self.objective_surrogate.incremental(data) {
+            Ok(inc) => inc,
             Err(_) => {
                 self.fallbacks += 1;
                 return self
@@ -294,24 +303,20 @@ impl AsyncPolicy for ConstrainedPolicy<'_> {
                     .sample_uniform(&mut self.rng);
             }
         };
-        let cgps = self.constraint_gps(data);
+        let cgps = constraint_gps(&mut self.constraint_surrogates, &self.slacks, data);
         let w = sample_kappa_weight(self.lambda, &mut self.rng);
-        let busy_units: Vec<Vec<f64>> = busy
-            .iter()
-            .map(|bp| self.objective_surrogate.to_unit(&bp.x))
-            .collect();
-        let augmented = if busy_units.is_empty() {
-            None
-        } else {
-            gp.augment(&busy_units).ok()
-        };
-        let gp_ref = &gp;
-        let aug_ref = augmented.as_ref();
+        // Eq. 9 on the factor stack (the mean mode reads no lie values).
+        let pushed = !busy_units.is_empty()
+            && PenalizationMode::HallucinateMean
+                .push_traced(inc, &busy_units, f64::NAN, f64::NAN, &self.telemetry)
+                .is_ok();
+        let penalized = PenalizedAcqInc { inc: &*inc, w };
         let cg = &cgps;
         let u = self.maximizer.maximize(&mut self.rng, move |p| {
-            let base = match aug_ref {
-                Some(aug) => acquisition::weighted_penalized(gp_ref, aug, p, w),
-                None => acquisition::weighted(gp_ref, p, w),
+            let base = if pushed {
+                penalized.eval(p)
+            } else {
+                acquisition::weighted(penalized.inc.gp(), p, w)
             };
             // Multiply by the probability of joint feasibility (log-space
             // accumulation for numerical hygiene). The weighted acquisition
@@ -323,6 +328,7 @@ impl AsyncPolicy for ConstrainedPolicy<'_> {
             }
             base + log_pof
         });
+        inc.pop_all_pseudo();
         self.objective_surrogate.from_unit(&u)
     }
 

@@ -189,18 +189,6 @@ impl EasyBo {
         self
     }
 
-    /// Toggles the incremental GP factor path (default: on). When on,
-    /// per-observation surrogate updates are rank-1 Cholesky extensions of
-    /// the cached factor and the busy-point penalization inner loop
-    /// pushes/pops pseudo-points on a factor stack — `O(n²)` per tell
-    /// instead of `O(n³)`. When off, the legacy clone-and-refactorize
-    /// paths run instead. Results are bit-identical either way — only
-    /// wall-clock time changes.
-    pub fn incremental_gp(&mut self, on: bool) -> &mut Self {
-        self.surrogate.incremental = on;
-        self
-    }
-
     /// Enables durable checkpointing: versioned, checksummed snapshots of
     /// the complete run state (dataset, best-so-far trace, committed
     /// schedule, in-flight attempts, retry backoffs, run clock, RNG
@@ -336,10 +324,9 @@ impl EasyBo {
     /// trajectory. Stamped into each snapshot and checked on resume, so
     /// a checkpoint cannot silently continue under different bounds,
     /// seeds, budgets, or policy settings. Thread-count knobs
-    /// ([`EasyBo::parallelism`]) and the incremental-factor toggle
-    /// ([`EasyBo::incremental_gp`]) are deliberately excluded: results
-    /// are bit-identical at any setting, so resuming on different
-    /// hardware or across the legacy/incremental paths is allowed.
+    /// ([`EasyBo::parallelism`]) are deliberately excluded: results are
+    /// bit-identical at any setting, so resuming on different hardware is
+    /// allowed.
     pub(crate) fn fingerprint(&self) -> u64 {
         use easybo_exec::FailureAction;
         let mut fp = Fingerprint::new();

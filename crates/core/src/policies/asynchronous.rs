@@ -22,7 +22,7 @@ use easybo_telemetry::{Event, Telemetry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::acquisition::{PenalizedAcq, PenalizedAcqInc, WeightedAcq};
+use crate::acquisition::{PenalizedAcqInc, WeightedAcq};
 use crate::policies::penalization::PenalizationMode;
 use crate::policies::{AcqMaximizer, AcqOptConfig};
 use crate::surrogate::{SurrogateConfig, SurrogateManager};
@@ -137,16 +137,6 @@ impl AsyncPolicy for EasyBoAsyncPolicy {
             // More workers than initial points: nothing observed yet.
             return self.surrogate.bounds().sample_uniform(&mut self.rng);
         }
-        // Fit (or incrementally extend) the surrogate first. The fit comes
-        // before the `w` draw in both branches so the RNG stream — and with
-        // it every downstream decision — is bit-identical with the
-        // incremental path on or off.
-        if self.surrogate.surrogate(data).is_err() {
-            self.fallbacks += 1;
-            return self.surrogate.bounds().sample_uniform(&mut self.rng);
-        }
-        // Busy-point preprocessing happens before the incremental branch
-        // takes its long-lived mutable borrow of the surrogate.
         let penalizing = self.penalize && !busy.is_empty();
         let busy_units: Vec<Vec<f64>> = if penalizing {
             // Hallucinate the busy points (Algorithm 1, lines 5-6).
@@ -162,123 +152,48 @@ impl AsyncPolicy for EasyBoAsyncPolicy {
             .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &y| {
                 (lo.min(y), hi.max(y))
             });
-        let u = if self.surrogate.incremental_enabled() {
-            let inc = self
-                .surrogate
-                .incremental(data)
-                .expect("surrogate fitted above");
-            let w = sample_kappa_weight(self.lambda, &mut self.rng);
-            if penalizing {
-                match self
-                    .mode
-                    .push_traced(inc, &busy_units, y_lo, y_hi, &self.telemetry)
-                {
-                    Ok(()) => {
-                        // Eq. 9 (hallucinated mean): μ from the base-alpha
-                        // prefix, σ̂ from the augmented factor. Constant-liar
-                        // modes *deliberately* bias the mean near busy
-                        // points, so they read both moments from the
-                        // augmented model.
-                        let u = if self.mode != PenalizationMode::HallucinateMean {
-                            maximize_traced(
-                                &self.maximizer,
-                                &mut self.rng,
-                                &self.telemetry,
-                                self.acq_restarts,
-                                &WeightedAcq { gp: inc.gp(), w },
-                            )
-                        } else {
-                            maximize_traced(
-                                &self.maximizer,
-                                &mut self.rng,
-                                &self.telemetry,
-                                self.acq_restarts,
-                                &PenalizedAcqInc { inc: &*inc, w },
-                            )
-                        };
-                        // Rank-1 downdates restore the base factor exactly;
-                        // the next selection starts from a clean stack.
-                        inc.pop_all_pseudo();
-                        u
-                    }
-                    Err(_) => {
-                        // Numerically degenerate augmentation (duplicated
-                        // busy points): fall back to the unpenalized
-                        // acquisition. `push_traced` already rolled back.
-                        maximize_traced(
-                            &self.maximizer,
-                            &mut self.rng,
-                            &self.telemetry,
-                            self.acq_restarts,
-                            &WeightedAcq { gp: inc.gp(), w },
-                        )
-                    }
-                }
-            } else {
-                maximize_traced(
-                    &self.maximizer,
-                    &mut self.rng,
-                    &self.telemetry,
-                    self.acq_restarts,
-                    &WeightedAcq { gp: inc.gp(), w },
-                )
-            }
-        } else {
-            // Legacy clone-and-refactorize path (SurrogateConfig
-            // `incremental: false`). Bit-identical decisions, O(n³) per
-            // penalized selection instead of O(n²).
-            let gp = self
-                .surrogate
-                .surrogate(data)
-                .expect("surrogate fitted above")
-                .clone();
-            let w = sample_kappa_weight(self.lambda, &mut self.rng);
-            if penalizing {
-                match self
-                    .mode
-                    .augment_traced(&gp, &busy_units, y_lo, y_hi, &self.telemetry)
-                {
-                    Ok(aug) => {
-                        if self.mode != PenalizationMode::HallucinateMean {
-                            maximize_traced(
-                                &self.maximizer,
-                                &mut self.rng,
-                                &self.telemetry,
-                                self.acq_restarts,
-                                &WeightedAcq { gp: &aug, w },
-                            )
-                        } else {
-                            maximize_traced(
-                                &self.maximizer,
-                                &mut self.rng,
-                                &self.telemetry,
-                                self.acq_restarts,
-                                &PenalizedAcq {
-                                    base: &gp,
-                                    augmented: &aug,
-                                    w,
-                                },
-                            )
-                        }
-                    }
-                    Err(_) => maximize_traced(
-                        &self.maximizer,
-                        &mut self.rng,
-                        &self.telemetry,
-                        self.acq_restarts,
-                        &WeightedAcq { gp: &gp, w },
-                    ),
-                }
-            } else {
-                maximize_traced(
-                    &self.maximizer,
-                    &mut self.rng,
-                    &self.telemetry,
-                    self.acq_restarts,
-                    &WeightedAcq { gp: &gp, w },
-                )
+        // Fit (or incrementally extend) the surrogate before the `w` draw:
+        // a failed fit consumes the RNG for the uniform fallback instead.
+        let inc = match self.surrogate.incremental(data) {
+            Ok(inc) => inc,
+            Err(_) => {
+                self.fallbacks += 1;
+                return self.surrogate.bounds().sample_uniform(&mut self.rng);
             }
         };
+        let w = sample_kappa_weight(self.lambda, &mut self.rng);
+        // A numerically degenerate push (duplicated busy points) falls back
+        // to the unpenalized acquisition; `push_traced` already rolled back.
+        let pushed = penalizing
+            && self
+                .mode
+                .push_traced(inc, &busy_units, y_lo, y_hi, &self.telemetry)
+                .is_ok();
+        let u = if pushed && self.mode == PenalizationMode::HallucinateMean {
+            // Eq. 9: μ from the base-alpha prefix, σ̂ from the augmented
+            // factor.
+            maximize_traced(
+                &self.maximizer,
+                &mut self.rng,
+                &self.telemetry,
+                self.acq_restarts,
+                &PenalizedAcqInc { inc: &*inc, w },
+            )
+        } else {
+            // Both moments from the live model: the unaugmented one when
+            // nothing was pushed, the augmented one under a constant-liar
+            // mode (which *deliberately* biases the mean near busy points).
+            maximize_traced(
+                &self.maximizer,
+                &mut self.rng,
+                &self.telemetry,
+                self.acq_restarts,
+                &WeightedAcq { gp: inc.gp(), w },
+            )
+        };
+        // Rank-1 downdates restore the base factor exactly; the next
+        // selection starts from a clean stack.
+        inc.pop_all_pseudo();
         self.surrogate.from_unit(&u)
     }
 

@@ -14,10 +14,9 @@
 //! the occasional random interleave breaks the mean-maximizer pile-up
 //! that makes plain greedy policies degenerate under parallelism.
 //!
-//! The coin is flipped *after* the surrogate fit, so the RNG stream (and
-//! with it every downstream decision) is bit-identical with the
-//! incremental GP path on or off — the same discipline as
-//! [`EasyBoAsyncPolicy`](crate::policies::EasyBoAsyncPolicy).
+//! The coin is flipped *after* the surrogate fit, so a failed fit spends
+//! the RNG on its uniform fallback rather than the coin — the same
+//! discipline as [`EasyBoAsyncPolicy`](crate::policies::EasyBoAsyncPolicy).
 
 use easybo_exec::{AsyncPolicy, BusyPoint, Dataset};
 use easybo_opt::Bounds;
@@ -140,47 +139,28 @@ impl AsyncPolicy for EpsGreedyPolicy {
             // More workers than initial points: nothing observed yet.
             return self.surrogate.bounds().sample_uniform(&mut self.rng);
         }
-        // Fit before any RNG draw (bit-identity across the incremental
-        // toggle, see the module docs).
-        if self.surrogate.surrogate(data).is_err() {
-            self.fallbacks += 1;
-            return self.surrogate.bounds().sample_uniform(&mut self.rng);
-        }
+        // Fit before any RNG draw: a failed fit consumes the RNG for the
+        // uniform fallback instead of the coin.
+        let gp = match self.surrogate.surrogate(data) {
+            Ok(gp) => gp,
+            Err(_) => {
+                self.fallbacks += 1;
+                return self.surrogate.bounds().sample_uniform(&mut self.rng);
+            }
+        };
         let coin: f64 = self.rng.gen_range(0.0..1.0);
         if coin < self.epsilon {
             self.explores += 1;
             return self.surrogate.bounds().sample_uniform(&mut self.rng);
         }
         self.exploits += 1;
-        let u = if self.surrogate.incremental_enabled() {
-            let inc = self
-                .surrogate
-                .incremental(data)
-                .expect("surrogate fitted above");
-            maximize_traced(
-                &self.maximizer,
-                &mut self.rng,
-                &self.telemetry,
-                self.acq_restarts,
-                &WeightedAcq {
-                    gp: inc.gp(),
-                    w: 0.0,
-                },
-            )
-        } else {
-            let gp = self
-                .surrogate
-                .surrogate(data)
-                .expect("surrogate fitted above")
-                .clone();
-            maximize_traced(
-                &self.maximizer,
-                &mut self.rng,
-                &self.telemetry,
-                self.acq_restarts,
-                &WeightedAcq { gp: &gp, w: 0.0 },
-            )
-        };
+        let u = maximize_traced(
+            &self.maximizer,
+            &mut self.rng,
+            &self.telemetry,
+            self.acq_restarts,
+            &WeightedAcq { gp, w: 0.0 },
+        );
         self.surrogate.from_unit(&u)
     }
 

@@ -70,8 +70,8 @@ impl SyncBatchPolicy for BucbPolicy {
                 .map(|_| self.surrogate.bounds().sample_uniform(&mut self.rng))
                 .collect();
         }
-        let gp = match self.surrogate.surrogate(data) {
-            Ok(gp) => gp.clone(),
+        let inc = match self.surrogate.incremental(data) {
+            Ok(inc) => inc,
             Err(_) => {
                 self.fallbacks += 1;
                 return (0..batch_size)
@@ -79,22 +79,26 @@ impl SyncBatchPolicy for BucbPolicy {
                     .collect();
             }
         };
-        let mut batch = Vec::with_capacity(batch_size);
-        let mut augmented = gp.clone();
+        let kappa = self.kappa;
+        let mut units = Vec::with_capacity(batch_size);
         for _ in 0..batch_size {
-            let kappa = self.kappa;
-            let (base, aug) = (&gp, &augmented);
+            let stack = &*inc;
             let u = self.maximizer.maximize(&mut self.rng, |p| {
-                let (mu, _) = base.predict_standardized(p);
-                let (_, var_hat) = aug.predict_standardized(p);
+                // μ from the base model, σ̂ from the one augmented with the
+                // members selected so far.
+                let (mu, var_hat) = stack.predict_penalized(p);
                 mu + kappa * var_hat.max(0.0).sqrt()
             });
-            if let Ok(next) = augmented.augment(std::slice::from_ref(&u)) {
-                augmented = next;
-            }
-            batch.push(self.surrogate.from_unit(&u));
+            // Hallucinate the new member; a degenerate (duplicated) push is
+            // skipped.
+            let _ = inc.push_pseudo_mean(u.clone());
+            units.push(u);
         }
-        batch
+        inc.pop_all_pseudo();
+        units
+            .into_iter()
+            .map(|u| self.surrogate.from_unit(&u))
+            .collect()
     }
 }
 

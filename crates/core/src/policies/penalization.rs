@@ -6,7 +6,7 @@
 //! optimistic value. DESIGN.md calls this design choice out for ablation;
 //! this module implements all three so the benches can compare them.
 
-use easybo_gp::{Gp, IncrementalGp};
+use easybo_gp::IncrementalGp;
 use easybo_telemetry::{Event, Telemetry};
 use serde::{Deserialize, Serialize};
 
@@ -28,54 +28,10 @@ pub enum PenalizationMode {
 }
 
 impl PenalizationMode {
-    /// Augments `gp` with `busy_units` (unit-cube coordinates) according to
-    /// the mode. `y_lo`/`y_hi` are the worst/best raw observations so far
-    /// (used by the constant-liar modes).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`easybo_gp::GpError`] from the underlying augmentation
-    /// (degenerate duplicated points).
-    pub fn augment(
-        &self,
-        gp: &Gp,
-        busy_units: &[Vec<f64>],
-        y_lo: f64,
-        y_hi: f64,
-    ) -> Result<Gp, easybo_gp::GpError> {
-        match self {
-            PenalizationMode::HallucinateMean => gp.augment(busy_units),
-            PenalizationMode::ConstantLiarMin => lie(gp, busy_units, y_lo),
-            PenalizationMode::ConstantLiarMax => lie(gp, busy_units, y_hi),
-        }
-    }
-
-    /// [`PenalizationMode::augment`] with a telemetry handle: emits one
-    /// `PseudoPointAdded` event (with the number of hallucinated points)
-    /// per successful augmentation.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PenalizationMode::augment`].
-    pub fn augment_traced(
-        &self,
-        gp: &Gp,
-        busy_units: &[Vec<f64>],
-        y_lo: f64,
-        y_hi: f64,
-        telemetry: &Telemetry,
-    ) -> Result<Gp, easybo_gp::GpError> {
-        let aug = self.augment(gp, busy_units, y_lo, y_hi)?;
-        telemetry.emit_with(|| Event::PseudoPointAdded {
-            count: busy_units.len(),
-        });
-        telemetry.incr("pseudo_points_added", busy_units.len() as u64);
-        Ok(aug)
-    }
-
-    /// Incremental counterpart of [`PenalizationMode::augment_traced`]:
-    /// pushes the busy points onto `inc`'s pseudo-point factor stack via
-    /// rank-1 Cholesky updates instead of cloning and refactorizing.
+    /// Hallucinates `busy_units` (unit-cube coordinates) according to the
+    /// mode by pushing them onto `inc`'s pseudo-point factor stack via
+    /// rank-1 Cholesky updates. `y_lo`/`y_hi` are the worst/best raw
+    /// observations so far (read by the constant-liar modes only).
     ///
     /// On success the stack holds exactly `busy_units.len()` new
     /// pseudo-points and one `PseudoPointAdded` event is emitted. On error
@@ -84,7 +40,8 @@ impl PenalizationMode {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`PenalizationMode::augment`].
+    /// Propagates [`easybo_gp::GpError`] from a push (wrong-dimension,
+    /// non-finite or numerically degenerate points).
     pub fn push_traced(
         &self,
         inc: &mut IncrementalGp,
@@ -136,22 +93,40 @@ impl PenalizationMode {
     }
 }
 
-/// Augments with a fixed lie value for every busy point.
-fn lie(gp: &Gp, busy_units: &[Vec<f64>], y: f64) -> Result<Gp, easybo_gp::GpError> {
-    let mut out = gp.clone();
-    for b in busy_units {
-        out = out.extend_observed(b.clone(), y)?;
-        // `extend_observed` counts the point as real; for penalization
-        // semantics that distinction only matters for bookkeeping, which
-        // the caller discards (the augmented GP lives for one selection).
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use easybo_gp::KernelFamily;
+    use easybo_gp::{Gp, KernelFamily};
+
+    impl PenalizationMode {
+        /// Clone-and-refactorize reference for
+        /// [`PenalizationMode::push_traced`]: augments a copy of `gp` with
+        /// `busy_units` according to the mode.
+        fn augment(
+            &self,
+            gp: &Gp,
+            busy_units: &[Vec<f64>],
+            y_lo: f64,
+            y_hi: f64,
+        ) -> Result<Gp, easybo_gp::GpError> {
+            match self {
+                PenalizationMode::HallucinateMean => gp.augment(busy_units),
+                PenalizationMode::ConstantLiarMin => lie(gp, busy_units, y_lo),
+                PenalizationMode::ConstantLiarMax => lie(gp, busy_units, y_hi),
+            }
+        }
+    }
+
+    /// Augments a copy of `gp` with a fixed lie value for every busy point.
+    /// `extend_observed` counts the points as real, which only changes
+    /// `n_real`: the predictions the tests compare are the same.
+    fn lie(gp: &Gp, busy_units: &[Vec<f64>], y: f64) -> Result<Gp, easybo_gp::GpError> {
+        let mut out = gp.clone();
+        for b in busy_units {
+            out = out.extend_observed(b.clone(), y)?;
+        }
+        Ok(out)
+    }
 
     fn toy_gp() -> Gp {
         let x: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64 / 7.0]).collect();

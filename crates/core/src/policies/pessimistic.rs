@@ -135,10 +135,6 @@ impl AsyncPolicy for PessimisticAsyncPolicy {
             // More workers than initial points: nothing observed yet.
             return self.surrogate.bounds().sample_uniform(&mut self.rng);
         }
-        if self.surrogate.surrogate(data).is_err() {
-            self.fallbacks += 1;
-            return self.surrogate.bounds().sample_uniform(&mut self.rng);
-        }
         let busy_units: Vec<Vec<f64>> = busy
             .iter()
             .map(|bp| self.surrogate.to_unit(&bp.x))
@@ -149,83 +145,33 @@ impl AsyncPolicy for PessimisticAsyncPolicy {
             .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &y| {
                 (lo.min(y), hi.max(y))
             });
-        let w = self.w;
-        let mode = PenalizationMode::ConstantLiarMin;
-        let u = if self.surrogate.incremental_enabled() {
-            let inc = self
-                .surrogate
-                .incremental(data)
-                .expect("surrogate fitted above");
-            if busy_units.is_empty() {
-                maximize_traced(
-                    &self.maximizer,
-                    &mut self.rng,
-                    &self.telemetry,
-                    self.acq_restarts,
-                    &WeightedAcq { gp: inc.gp(), w },
-                )
-            } else {
-                match mode.push_traced(inc, &busy_units, y_lo, y_hi, &self.telemetry) {
-                    Ok(()) => {
-                        self.lies += busy_units.len() as u64;
-                        // The pessimistic lie deliberately biases the mean
-                        // near busy points, so both moments come from the
-                        // augmented model.
-                        let u = maximize_traced(
-                            &self.maximizer,
-                            &mut self.rng,
-                            &self.telemetry,
-                            self.acq_restarts,
-                            &WeightedAcq { gp: inc.gp(), w },
-                        );
-                        inc.pop_all_pseudo();
-                        u
-                    }
-                    Err(_) => maximize_traced(
-                        &self.maximizer,
-                        &mut self.rng,
-                        &self.telemetry,
-                        self.acq_restarts,
-                        &WeightedAcq { gp: inc.gp(), w },
-                    ),
-                }
-            }
-        } else {
-            let gp = self
-                .surrogate
-                .surrogate(data)
-                .expect("surrogate fitted above")
-                .clone();
-            if busy_units.is_empty() {
-                maximize_traced(
-                    &self.maximizer,
-                    &mut self.rng,
-                    &self.telemetry,
-                    self.acq_restarts,
-                    &WeightedAcq { gp: &gp, w },
-                )
-            } else {
-                match mode.augment_traced(&gp, &busy_units, y_lo, y_hi, &self.telemetry) {
-                    Ok(aug) => {
-                        self.lies += busy_units.len() as u64;
-                        maximize_traced(
-                            &self.maximizer,
-                            &mut self.rng,
-                            &self.telemetry,
-                            self.acq_restarts,
-                            &WeightedAcq { gp: &aug, w },
-                        )
-                    }
-                    Err(_) => maximize_traced(
-                        &self.maximizer,
-                        &mut self.rng,
-                        &self.telemetry,
-                        self.acq_restarts,
-                        &WeightedAcq { gp: &gp, w },
-                    ),
-                }
+        let inc = match self.surrogate.incremental(data) {
+            Ok(inc) => inc,
+            Err(_) => {
+                self.fallbacks += 1;
+                return self.surrogate.bounds().sample_uniform(&mut self.rng);
             }
         };
+        let pushed = !busy_units.is_empty()
+            && PenalizationMode::ConstantLiarMin
+                .push_traced(inc, &busy_units, y_lo, y_hi, &self.telemetry)
+                .is_ok();
+        if pushed {
+            self.lies += busy_units.len() as u64;
+        }
+        // The pessimistic lie deliberately biases the mean near busy
+        // points, so both moments come from the augmented model.
+        let u = maximize_traced(
+            &self.maximizer,
+            &mut self.rng,
+            &self.telemetry,
+            self.acq_restarts,
+            &WeightedAcq {
+                gp: inc.gp(),
+                w: self.w,
+            },
+        );
+        inc.pop_all_pseudo();
         self.surrogate.from_unit(&u)
     }
 

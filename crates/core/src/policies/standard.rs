@@ -146,39 +146,23 @@ impl AsyncPolicy for StandardAsyncPolicy {
             // More workers than initial points: nothing observed yet.
             return self.surrogate.bounds().sample_uniform(&mut self.rng);
         }
-        if self.surrogate.surrogate(data).is_err() {
-            self.fallbacks += 1;
-            return self.surrogate.bounds().sample_uniform(&mut self.rng);
-        }
+        let gp = match self.surrogate.surrogate(data) {
+            Ok(gp) => gp,
+            Err(_) => {
+                self.fallbacks += 1;
+                return self.surrogate.bounds().sample_uniform(&mut self.rng);
+            }
+        };
         // Incumbent in raw units; the EI transforms it through the GP's
         // target scaler internally.
         let best = data.best_value();
-        let u = if self.surrogate.incremental_enabled() {
-            let inc = self
-                .surrogate
-                .incremental(data)
-                .expect("surrogate fitted above");
-            maximize_traced(
-                &self.maximizer,
-                &mut self.rng,
-                &self.telemetry,
-                self.acq_restarts,
-                &EiAcq { gp: inc.gp(), best },
-            )
-        } else {
-            let gp = self
-                .surrogate
-                .surrogate(data)
-                .expect("surrogate fitted above")
-                .clone();
-            maximize_traced(
-                &self.maximizer,
-                &mut self.rng,
-                &self.telemetry,
-                self.acq_restarts,
-                &EiAcq { gp: &gp, best },
-            )
-        };
+        let u = maximize_traced(
+            &self.maximizer,
+            &mut self.rng,
+            &self.telemetry,
+            self.acq_restarts,
+            &EiAcq { gp, best },
+        );
         self.surrogate.from_unit(&u)
     }
 

@@ -8,7 +8,7 @@ use easybo_opt::Bounds;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::acquisition::{self, PenalizedAcq, PenalizedAcqInc, WeightedAcq};
+use crate::acquisition::{self, PenalizedAcqInc, WeightedAcq};
 use crate::policies::{AcqMaximizer, AcqOptConfig};
 use crate::surrogate::{SurrogateConfig, SurrogateManager};
 use crate::weight::WeightSchedule;
@@ -228,74 +228,35 @@ impl SyncBatchPolicy for EasyBoSyncPolicy {
                 .map(|_| self.surrogate.bounds().sample_uniform(&mut self.rng))
                 .collect();
         }
-        if self.surrogate.surrogate(data).is_err() {
-            self.fallbacks += 1;
-            return (0..batch_size)
-                .map(|_| self.surrogate.bounds().sample_uniform(&mut self.rng))
-                .collect();
-        }
-        let units: Vec<Vec<f64>> = if self.surrogate.incremental_enabled() {
-            // Hot path: sequential hallucination runs on the cached factor
-            // stack — one rank-1 push per batch member, all popped at the
-            // end. Bit-identical decisions to the legacy clone-and-augment
-            // loop below.
-            let inc = self
-                .surrogate
-                .incremental(data)
-                .expect("surrogate fitted above");
-            let mut units = Vec::with_capacity(batch_size);
-            for _ in 0..batch_size {
-                let w = crate::weight::sample_kappa_weight(self.lambda, &mut self.rng);
-                let u = if self.penalize {
-                    self.maximizer
-                        .maximize_batch(&mut self.rng, &PenalizedAcqInc { inc: &*inc, w })
-                } else {
-                    self.maximizer
-                        .maximize_batch(&mut self.rng, &WeightedAcq { gp: inc.gp(), w })
-                };
-                if self.penalize {
-                    // Hallucinate the new member so later members avoid it;
-                    // a degenerate (duplicated) push is skipped, matching
-                    // the legacy loop's `if let Ok` behavior.
-                    let _ = inc.push_pseudo_mean(u.clone());
-                }
-                units.push(u);
+        let inc = match self.surrogate.incremental(data) {
+            Ok(inc) => inc,
+            Err(_) => {
+                self.fallbacks += 1;
+                return (0..batch_size)
+                    .map(|_| self.surrogate.bounds().sample_uniform(&mut self.rng))
+                    .collect();
             }
-            inc.pop_all_pseudo();
-            units
-        } else {
-            let gp = self
-                .surrogate
-                .surrogate(data)
-                .expect("surrogate fitted above")
-                .clone();
-            let mut units = Vec::with_capacity(batch_size);
-            let mut augmented = gp.clone();
-            for _ in 0..batch_size {
-                let w = crate::weight::sample_kappa_weight(self.lambda, &mut self.rng);
-                let u = if self.penalize {
-                    self.maximizer.maximize_batch(
-                        &mut self.rng,
-                        &PenalizedAcq {
-                            base: &gp,
-                            augmented: &augmented,
-                            w,
-                        },
-                    )
-                } else {
-                    self.maximizer
-                        .maximize_batch(&mut self.rng, &WeightedAcq { gp: &gp, w })
-                };
-                if self.penalize {
-                    // Hallucinate the new member so later members avoid it.
-                    if let Ok(next) = augmented.augment(std::slice::from_ref(&u)) {
-                        augmented = next;
-                    }
-                }
-                units.push(u);
-            }
-            units
         };
+        // Sequential hallucination on the cached factor stack: one rank-1
+        // push per batch member, all popped at the end.
+        let mut units = Vec::with_capacity(batch_size);
+        for _ in 0..batch_size {
+            let w = crate::weight::sample_kappa_weight(self.lambda, &mut self.rng);
+            let u = if self.penalize {
+                self.maximizer
+                    .maximize_batch(&mut self.rng, &PenalizedAcqInc { inc: &*inc, w })
+            } else {
+                self.maximizer
+                    .maximize_batch(&mut self.rng, &WeightedAcq { gp: inc.gp(), w })
+            };
+            if self.penalize {
+                // Hallucinate the new member so later members avoid it; a
+                // degenerate (duplicated) push is skipped.
+                let _ = inc.push_pseudo_mean(u.clone());
+            }
+            units.push(u);
+        }
+        inc.pop_all_pseudo();
         units
             .into_iter()
             .map(|u| self.surrogate.from_unit(&u))

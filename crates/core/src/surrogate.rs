@@ -38,13 +38,6 @@ pub struct SurrogateConfig {
     /// Worker threads for the L-BFGS training restarts (default: available
     /// cores; 1 = legacy sequential). Bit-identical results at any setting.
     pub parallelism: Parallelism,
-    /// Use the incremental factor path (default true): per-tell appends
-    /// mutate the cached Cholesky factor in place, and the penalization
-    /// inner loop pushes/pops pseudo-points on a factor stack instead of
-    /// cloning the GP. `false` selects the legacy clone-and-extend paths.
-    /// Bit-identical results either way — the incremental path performs
-    /// the same floating-point operations in the same order.
-    pub incremental: bool,
 }
 
 impl Default for SurrogateConfig {
@@ -58,7 +51,6 @@ impl Default for SurrogateConfig {
             max_gp_points: 260,
             seed: 0,
             parallelism: Parallelism::default(),
-            incremental: true,
         }
     }
 }
@@ -126,12 +118,6 @@ impl SurrogateManager {
             inc.set_telemetry(telemetry.clone());
         }
         self.telemetry = telemetry;
-    }
-
-    /// Whether the incremental factor path is enabled (see
-    /// [`SurrogateConfig::incremental`]).
-    pub fn incremental_enabled(&self) -> bool {
-        self.config.incremental
     }
 
     /// The design space.
@@ -207,23 +193,13 @@ impl SurrogateManager {
             self.gp = Some(IncrementalGp::with_telemetry(gp, self.telemetry.clone()));
         } else if n > self.fitted_n {
             // Incrementally absorb the new observations with fixed
-            // hyperparameters (O(n²) per point).
+            // hyperparameters, extending the cached factor in place (O(n²)
+            // per point). The GP is taken out first so that an append
+            // error drops it and the next call refits from scratch.
             let mut inc = self.gp.take().expect("cached GP exists");
-            if self.config.incremental {
-                // Hot path: extend the cached factor in place — no clone.
-                for i in self.fitted_n..n {
-                    let u = self.to_unit(&data.xs()[i]);
-                    inc.append_observation(u, data.ys()[i].max(self.fence))?;
-                }
-            } else {
-                // Legacy path: clone-and-extend per point. Bit-identical
-                // to the in-place path (same ops, same order).
-                let mut gp = inc.into_gp();
-                for i in self.fitted_n..n {
-                    let u = self.to_unit(&data.xs()[i]);
-                    gp = gp.extend_observed(u, data.ys()[i].max(self.fence))?;
-                }
-                inc = IncrementalGp::with_telemetry(gp, self.telemetry.clone());
+            for i in self.fitted_n..n {
+                let u = self.to_unit(&data.xs()[i]);
+                inc.append_observation(u, data.ys()[i].max(self.fence))?;
             }
             self.fitted_n = n;
             self.gp = Some(inc);
@@ -290,9 +266,21 @@ impl SurrogateManager {
     ///
     /// # Errors
     ///
-    /// Propagates [`easybo_gp::GpError`] when the captured GP state is
-    /// internally inconsistent (wrong dimensions).
+    /// Returns [`easybo_gp::GpError::InconsistentData`] when the captured
+    /// GP's input dimension differs from this manager's bounds, and
+    /// propagates [`easybo_gp::GpError`] when the captured GP state is
+    /// internally inconsistent. On error the manager is unchanged.
     pub fn restore(&mut self, state: SurrogateState) -> crate::Result<()> {
+        if let Some(s) = state.gp.as_ref().filter(|s| s.dim != self.bounds.dim()) {
+            return Err(easybo_gp::GpError::InconsistentData {
+                detail: format!(
+                    "restored GP has input dimension {}, the bounds have {}",
+                    s.dim,
+                    self.bounds.dim()
+                ),
+            }
+            .into());
+        }
         self.gp = match state.gp {
             Some(s) => Some(IncrementalGp::with_telemetry(
                 Gp::from_state(s)?,
@@ -507,6 +495,31 @@ mod tests {
         let mut restored = manager();
         restored.restore(state).unwrap();
         assert_eq!(restored.fitted_n(), 0);
+    }
+
+    #[test]
+    fn restore_rejects_a_gp_of_another_dimension() {
+        let mut sm3 =
+            SurrogateManager::new(Bounds::unit_cube(3).unwrap(), SurrogateConfig::default());
+        let mut d = Dataset::new();
+        for i in 0..10 {
+            let t = i as f64 / 9.0;
+            d.push(vec![t, 1.0 - t, (3.0 * t).fract()], (4.0 * t).sin());
+        }
+        sm3.surrogate(&d).unwrap();
+
+        let mut sm = manager();
+        let before = sm.state();
+        let err = sm.restore(sm3.state()).unwrap_err().to_string();
+        assert!(
+            err.contains("dimension 3") && err.contains("have 1"),
+            "{err}"
+        );
+        assert_eq!(
+            sm.state(),
+            before,
+            "a rejected restore leaves the manager as it was"
+        );
     }
 
     #[test]

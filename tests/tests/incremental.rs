@@ -6,9 +6,11 @@
 //!   full refactorization — `cholesky` spans appear only on hyperparameter
 //!   retrains, while per-tell appends and pseudo-point pushes/pops show up
 //!   as `cholesky_update` / `cholesky_downdate` work;
-//! * the incremental path is a pure performance change: a run with
-//!   `incremental_gp(false)` (legacy clone-and-refactorize) reproduces the
-//!   incremental run's entire trajectory bit for bit.
+//! * every policy penalizes busy points on that one factor stack, and
+//!   every registry algorithm, penalization mode and the constrained
+//!   policy reproduces a pinned digest of its whole trajectory, so a
+//!   change to the stack that moves a single bit of a query or an
+//!   observation fails here.
 
 use std::collections::BTreeMap;
 
@@ -107,49 +109,6 @@ fn opamp_run_factorizes_only_on_retrains() {
         share > 0.5,
         "most factor work should be rank-1 updates, share = {share}"
     );
-}
-
-/// Runs the seeded op-amp problem with the incremental path on or off.
-fn opamp_trajectory(incremental: bool) -> easybo::OptimizationResult {
-    let bb = opamp_blackbox();
-    let mut opt = EasyBo::new(bb.bounds().clone());
-    opt.batch_size(4)
-        .initial_points(6)
-        .max_evals(18)
-        .seed(11)
-        .incremental_gp(incremental);
-    opt.run_blackbox(&bb).expect("op-amp run completes")
-}
-
-/// Acceptance: the incremental factor path changes wall-clock only — the
-/// legacy clone-and-refactorize run reproduces every query, observation,
-/// and trace point bit for bit. (Exact equality, no tolerance: both paths
-/// perform identical floating-point operations in identical order.)
-#[test]
-fn incremental_toggle_is_bit_identical_on_the_opamp() {
-    let fast = opamp_trajectory(true);
-    let legacy = opamp_trajectory(false);
-
-    assert_eq!(fast.data.len(), legacy.data.len());
-    for (i, (a, b)) in fast.data.xs().iter().zip(legacy.data.xs()).enumerate() {
-        assert_eq!(a.len(), b.len());
-        for (va, vb) in a.iter().zip(b) {
-            assert_eq!(va.to_bits(), vb.to_bits(), "query {i} diverged");
-        }
-    }
-    for (i, (a, b)) in fast.data.ys().iter().zip(legacy.data.ys()).enumerate() {
-        assert_eq!(a.to_bits(), b.to_bits(), "observation {i} diverged");
-    }
-    assert_eq!(fast.best_value.to_bits(), legacy.best_value.to_bits());
-    assert_eq!(fast.best_x.len(), legacy.best_x.len());
-    for (va, vb) in fast.best_x.iter().zip(&legacy.best_x) {
-        assert_eq!(va.to_bits(), vb.to_bits());
-    }
-    assert_eq!(fast.trace.points().len(), legacy.trace.points().len());
-    for (a, b) in fast.trace.points().iter().zip(legacy.trace.points()) {
-        assert_eq!(a.time.to_bits(), b.time.to_bits());
-        assert_eq!(a.best_so_far.to_bits(), b.best_so_far.to_bits());
-    }
 }
 
 /// FNV-1a 64 over the little-endian bits of every coordinate and then the
@@ -269,7 +228,8 @@ fn every_policy_trajectory_matches_its_pinned_digest() {
 }
 
 /// Attaching a recording telemetry handle to the constrained run changes
-/// nothing in its trajectory.
+/// nothing in its trajectory, and the run reports the busy points it
+/// hallucinated on the factor stack.
 #[test]
 fn constrained_trajectory_is_identical_with_telemetry() {
     let (telemetry, _recorder) = Telemetry::recording();
@@ -279,4 +239,15 @@ fn constrained_trajectory_is_identical_with_telemetry() {
         trajectory_digest(&traced.data),
         trajectory_digest(&constrained_run(None).data)
     );
+    let summary = traced.report.summary.as_ref().expect("telemetry summary");
+    assert!(
+        summary.pseudo_points > 0,
+        "constrained runs push busy points"
+    );
+    let metrics = telemetry.metrics_snapshot().expect("metrics enabled");
+    assert_eq!(
+        metrics.counter("pseudo_points_added"),
+        summary.pseudo_points as u64
+    );
+    assert!(metrics.counter("cholesky_downdate") >= summary.pseudo_points as u64);
 }
