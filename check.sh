@@ -5,9 +5,9 @@
 #
 #   ./check.sh
 #
-# Passes iff the release build, the full test suite, formatting,
-# clippy and rustdoc (warnings denied) all pass. CI runs exactly this
-# script.
+# Passes iff the release build, the full test suite, every example,
+# formatting, clippy and rustdoc (warnings denied) all pass. CI runs
+# exactly this script.
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -42,6 +42,11 @@ PROPTEST_CASES=64 cargo test -q -p easybo-integration --test service
 
 echo "==> scenario zoo acceptance suite (PROPTEST_CASES=64)"
 PROPTEST_CASES=64 cargo test -q -p easybo-integration --test scenario
+
+echo "==> every example once in release (their assertions are part of the gate)"
+for example in examples/*.rs; do
+    cargo run --release -q -p easybo-integration --example "$(basename "$example" .rs)" >/dev/null
+done
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check

@@ -7,14 +7,13 @@
 //!
 //! Every `match` over [`Algorithm`] in this module — [`Algorithm::index`],
 //! [`Algorithm::key`], [`Algorithm::mode`], [`Algorithm::label`],
-//! [`Algorithm::async_policy`], [`Algorithm::sync_policy`] and the
-//! metaheuristic dispatcher — is written **without a `_` arm** on
-//! purpose. Adding a variant without wiring its index, key, label, mode
-//! and policy constructor is a compile error, not a silently missing
-//! bench row; the registry tests then force `COUNT`, `all()` and
-//! `from_key` to agree. Keep it that way: a new algorithm that compiles
-//! is a new algorithm the bench tables and acceptance matrix actually
-//! cover.
+//! [`Algorithm::async_policy`] and [`Algorithm::sync_policy`] — is
+//! written **without a `_` arm** on purpose. Adding a variant without
+//! wiring its index, key, label, mode and policy constructor is a compile
+//! error, not a silently missing bench row; the registry tests then force
+//! `COUNT`, `all()`, the pinned ids and `from_key` to agree. Keep it that
+//! way: a new algorithm that compiles is a new algorithm the bench tables
+//! and acceptance matrix actually cover.
 
 use easybo_exec::{
     AsyncPolicy, BlackBox, Dataset, RetryPolicy, RunResult, RunTrace, Schedule, SyncBatchPolicy,
@@ -28,15 +27,15 @@ use serde::{Deserialize, Serialize};
 
 use crate::policies::{
     AcqOptConfig, BucbPolicy, EasyBoAsyncPolicy, EasyBoSyncPolicy, EpsGreedyPolicy,
-    LocalPenalizationPolicy, MacePolicy, PboPolicy, PessimisticAsyncPolicy, PortfolioPolicy,
-    SequentialAcquisition, SequentialBoPolicy, StandardAsyncPolicy, ThompsonSamplingPolicy,
+    LocalPenalizationPolicy, PboPolicy, PessimisticAsyncPolicy, SequentialAcquisition,
+    SequentialBoPolicy, StandardAsyncPolicy,
 };
 use crate::surrogate::SurrogateConfig;
 
 /// Scheduling mode of an [`Algorithm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AlgorithmMode {
-    /// Population-based metaheuristic, evaluated one point at a time.
+    /// Differential evolution, evaluated one point at a time.
     Evolutionary,
     /// Model-based, one query per completed evaluation, single worker.
     Sequential,
@@ -73,18 +72,6 @@ pub enum Algorithm {
     Bucb,
     /// Local Penalization extension (González et al., ref. \[33\]).
     Lp,
-    /// Thompson sampling extension (sequential; paper ref. \[30\]).
-    Ts,
-    /// GP-Hedge acquisition portfolio extension (sequential; ref. \[31\]).
-    Portfolio,
-    /// Particle swarm optimization baseline (paper refs. \[14\]-\[17\]).
-    Pso,
-    /// Simulated annealing baseline (paper refs. \[10\]-\[12\]).
-    Sa,
-    /// CMA-ES baseline (modern evolutionary representative).
-    CmaEs,
-    /// MACE: multi-objective acquisition ensemble batch BO (§II-C, ref. \[22\]).
-    Mace,
     /// Asynchronous ε-greedy (De Ath et al. 2020, arXiv:2010.07615).
     EpsGreedy,
     /// Pessimistic asynchronous sampling (Volk et al. 2024, arXiv:2406.15291).
@@ -106,7 +93,8 @@ pub struct RunSetup {
     pub max_evals: usize,
     /// Initial Latin-hypercube design size.
     pub n_init: usize,
-    /// Evaluation budget for the metaheuristic baselines.
+    /// Evaluation budget for [`Algorithm::De`] (the BO budget
+    /// `max_evals` does not apply to it).
     pub de_evals: usize,
     /// Controls the initial design, all stochastic selection, and the
     /// surrogate training restarts.
@@ -115,11 +103,11 @@ pub struct RunSetup {
     /// Results are bit-identical at any setting.
     pub parallelism: Parallelism,
     /// Task retry policy for the resilient async driver. Ignored by
-    /// sync-batch and evolutionary algorithms (their drivers have no
-    /// retry machinery).
+    /// sync-batch algorithms and DE (their drivers have no retry
+    /// machinery).
     pub retry: RetryPolicy,
-    /// Telemetry handle threaded through the executor. Evolutionary
-    /// baselines emit no executor events.
+    /// Telemetry handle threaded through the executor. DE emits no
+    /// executor events.
     pub telemetry: Telemetry,
 }
 
@@ -142,9 +130,9 @@ impl RunSetup {
 
 impl Algorithm {
     /// Number of registered algorithms; [`Algorithm::all`] has exactly
-    /// this many entries and [`Algorithm::index`] is a bijection onto
-    /// `0..COUNT` (checked by the registry tests).
-    pub const COUNT: usize = 21;
+    /// this many entries, each with a distinct [`Algorithm::index`]
+    /// (checked by the registry tests).
+    pub const COUNT: usize = 15;
 
     /// The algorithms appearing in the paper's tables, in table order.
     pub fn paper_set() -> [Algorithm; 10] {
@@ -163,7 +151,7 @@ impl Algorithm {
     }
 
     /// All implemented algorithms (paper set + extensions + the async
-    /// portfolio), ordered by [`Algorithm::index`].
+    /// portfolio), sorted by [`Algorithm::index`].
     pub fn all() -> [Algorithm; Self::COUNT] {
         [
             Algorithm::De,
@@ -178,20 +166,16 @@ impl Algorithm {
             Algorithm::EasyBo,
             Algorithm::Bucb,
             Algorithm::Lp,
-            Algorithm::Ts,
-            Algorithm::Portfolio,
-            Algorithm::Pso,
-            Algorithm::Sa,
-            Algorithm::CmaEs,
-            Algorithm::Mace,
             Algorithm::EpsGreedy,
             Algorithm::PessimisticBo,
             Algorithm::StandardBo,
         ]
     }
 
-    /// Stable position in [`Algorithm::all`]. Exhaustive on purpose — see
-    /// the module docs.
+    /// Stable numeric id, ascending along [`Algorithm::all`]. Seeds and
+    /// fingerprints are derived from it, so an algorithm keeps its id for
+    /// good: ids 12–17 belonged to retired algorithms and are never
+    /// reused. Exhaustive on purpose — see the module docs.
     pub const fn index(self) -> usize {
         match self {
             Algorithm::De => 0,
@@ -206,12 +190,6 @@ impl Algorithm {
             Algorithm::EasyBo => 9,
             Algorithm::Bucb => 10,
             Algorithm::Lp => 11,
-            Algorithm::Ts => 12,
-            Algorithm::Portfolio => 13,
-            Algorithm::Pso => 14,
-            Algorithm::Sa => 15,
-            Algorithm::CmaEs => 16,
-            Algorithm::Mace => 17,
             Algorithm::EpsGreedy => 18,
             Algorithm::PessimisticBo => 19,
             Algorithm::StandardBo => 20,
@@ -234,12 +212,6 @@ impl Algorithm {
             Algorithm::EasyBo => "easybo",
             Algorithm::Bucb => "bucb",
             Algorithm::Lp => "lp",
-            Algorithm::Ts => "ts",
-            Algorithm::Portfolio => "portfolio",
-            Algorithm::Pso => "pso",
-            Algorithm::Sa => "sa",
-            Algorithm::CmaEs => "cma-es",
-            Algorithm::Mace => "mace",
             Algorithm::EpsGreedy => "eps-greedy",
             Algorithm::PessimisticBo => "pessimistic",
             Algorithm::StandardBo => "standard",
@@ -254,21 +226,14 @@ impl Algorithm {
     /// Scheduling mode.
     pub fn mode(&self) -> AlgorithmMode {
         match self {
-            Algorithm::De | Algorithm::Pso | Algorithm::Sa | Algorithm::CmaEs => {
-                AlgorithmMode::Evolutionary
-            }
-            Algorithm::Ei
-            | Algorithm::Lcb
-            | Algorithm::EasyBoSeq
-            | Algorithm::Ts
-            | Algorithm::Portfolio => AlgorithmMode::Sequential,
+            Algorithm::De => AlgorithmMode::Evolutionary,
+            Algorithm::Ei | Algorithm::Lcb | Algorithm::EasyBoSeq => AlgorithmMode::Sequential,
             Algorithm::Pbo
             | Algorithm::Phcbo
             | Algorithm::EasyBoS
             | Algorithm::EasyBoSp
             | Algorithm::Bucb
-            | Algorithm::Lp
-            | Algorithm::Mace => AlgorithmMode::SyncBatch,
+            | Algorithm::Lp => AlgorithmMode::SyncBatch,
             Algorithm::EasyBoA
             | Algorithm::EasyBo
             | Algorithm::EpsGreedy
@@ -301,12 +266,6 @@ impl Algorithm {
             Algorithm::EasyBo => "EasyBO",
             Algorithm::Bucb => "BUCB",
             Algorithm::Lp => "LP",
-            Algorithm::Ts => "TS",
-            Algorithm::Portfolio => "Portfolio",
-            Algorithm::Pso => "PSO",
-            Algorithm::Sa => "SA",
-            Algorithm::CmaEs => "CMA-ES",
-            Algorithm::Mace => "MACE",
             Algorithm::EpsGreedy => "EpsGreedy",
             Algorithm::PessimisticBo => "PessBO",
             Algorithm::StandardBo => "StdBO",
@@ -365,12 +324,6 @@ impl Algorithm {
                 scfg,
                 acfg,
             ))),
-            Algorithm::Ts => Some(Box::new(ThompsonSamplingPolicy::with_configs(
-                bounds, 192, seed, scfg,
-            ))),
-            Algorithm::Portfolio => Some(Box::new(PortfolioPolicy::with_configs(
-                bounds, 1.0, seed, scfg, acfg,
-            ))),
             Algorithm::EasyBoA => Some(Box::new(EasyBoAsyncPolicy::with_configs(
                 bounds,
                 false,
@@ -405,16 +358,12 @@ impl Algorithm {
                 bounds, seed, scfg, acfg,
             ))),
             Algorithm::De
-            | Algorithm::Pso
-            | Algorithm::Sa
-            | Algorithm::CmaEs
             | Algorithm::Pbo
             | Algorithm::Phcbo
             | Algorithm::EasyBoS
             | Algorithm::EasyBoSp
             | Algorithm::Bucb
-            | Algorithm::Lp
-            | Algorithm::Mace => None,
+            | Algorithm::Lp => None,
         }
     }
 
@@ -465,16 +414,10 @@ impl Algorithm {
             Algorithm::Lp => Some(Box::new(LocalPenalizationPolicy::with_configs(
                 bounds, seed, scfg, acfg,
             ))),
-            Algorithm::Mace => Some(Box::new(MacePolicy::with_configs(bounds, seed, scfg, acfg))),
             Algorithm::De
-            | Algorithm::Pso
-            | Algorithm::Sa
-            | Algorithm::CmaEs
             | Algorithm::Ei
             | Algorithm::Lcb
             | Algorithm::EasyBoSeq
-            | Algorithm::Ts
-            | Algorithm::Portfolio
             | Algorithm::EasyBoA
             | Algorithm::EasyBo
             | Algorithm::EpsGreedy
@@ -514,9 +457,9 @@ impl Algorithm {
         let init = sampling::latin_hypercube(&bounds, setup.n_init, &mut rng);
 
         match self.mode() {
-            // Metaheuristics drive their own loop: retry, parallelism and
-            // executor telemetry do not apply.
-            AlgorithmMode::Evolutionary => run_metaheuristic(*self, bb, setup.de_evals, setup.seed),
+            // DE drives its own loop: retry, parallelism and executor
+            // telemetry do not apply.
+            AlgorithmMode::Evolutionary => run_de(bb, setup.de_evals, setup.seed),
             AlgorithmMode::Sequential => {
                 let mut p = self
                     .async_policy(bounds, setup.seed, setup.parallelism)
@@ -561,80 +504,29 @@ impl Algorithm {
     }
 }
 
-/// Runs a metaheuristic baseline (DE/PSO/SA/CMA-ES) sequentially,
-/// accounting virtual time per evaluation exactly as a single simulator
-/// worker would.
-fn run_metaheuristic(algo: Algorithm, bb: &dyn BlackBox, budget: usize, seed: u64) -> RunResult {
-    use easybo_opt::{CmaEs, CmaEsConfig, ParticleSwarm, PsoConfig, SaConfig, SimulatedAnnealing};
+/// Runs the differential-evolution baseline sequentially, accounting
+/// virtual time per evaluation exactly as a single simulator worker
+/// would. The budget is raised to at least one population.
+fn run_de(bb: &dyn BlackBox, budget: usize, seed: u64) -> RunResult {
     let bounds = bb.bounds().clone();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xdede_dede);
     let mut data = Dataset::new();
     let mut trace = RunTrace::new();
     let mut schedule = Schedule::new(1);
     let mut t = 0.0f64;
-    let mut task = 0usize;
-    {
-        let mut objective = |x: &[f64]| {
-            let e = bb.evaluate(x);
-            schedule.add(0, task, t, t + e.cost);
-            t += e.cost;
-            task += 1;
-            data.push(x.to_vec(), e.value);
-            trace.record(t, e.value);
-            e.value
-        };
-        match algo {
-            Algorithm::De => {
-                let de = DifferentialEvolution::new(DeConfig {
-                    max_evals: budget.max(DeConfig::default().population),
-                    ..Default::default()
-                })
-                .expect("static DE config is valid");
-                let _ = de.maximize(&bounds, &mut rng, &mut objective);
-            }
-            Algorithm::Pso => {
-                let pso = ParticleSwarm::new(PsoConfig {
-                    max_evals: budget.max(PsoConfig::default().particles),
-                    ..Default::default()
-                })
-                .expect("static PSO config is valid");
-                let _ = pso.maximize(&bounds, &mut rng, &mut objective);
-            }
-            Algorithm::Sa => {
-                let sa = SimulatedAnnealing::new(SaConfig {
-                    max_evals: budget.max(2),
-                    ..Default::default()
-                })
-                .expect("static SA config is valid");
-                let _ = sa.maximize(&bounds, &mut rng, &mut objective);
-            }
-            Algorithm::CmaEs => {
-                let cma = CmaEs::new(CmaEsConfig {
-                    max_evals: budget.max(4),
-                    ..Default::default()
-                })
-                .expect("static CMA-ES config is valid");
-                let _ = cma.maximize(&bounds, &mut rng, &mut objective);
-            }
-            Algorithm::Ei
-            | Algorithm::Lcb
-            | Algorithm::EasyBoSeq
-            | Algorithm::Pbo
-            | Algorithm::Phcbo
-            | Algorithm::EasyBoS
-            | Algorithm::EasyBoA
-            | Algorithm::EasyBoSp
-            | Algorithm::EasyBo
-            | Algorithm::Bucb
-            | Algorithm::Lp
-            | Algorithm::Ts
-            | Algorithm::Portfolio
-            | Algorithm::Mace
-            | Algorithm::EpsGreedy
-            | Algorithm::PessimisticBo
-            | Algorithm::StandardBo => unreachable!("not a metaheuristic"),
-        }
-    }
+    let de = DifferentialEvolution::new(DeConfig {
+        max_evals: budget.max(DeConfig::default().population),
+        ..Default::default()
+    })
+    .expect("static DE config is valid");
+    let _ = de.maximize(&bounds, &mut rng, |x: &[f64]| {
+        let e = bb.evaluate(x);
+        schedule.add(0, data.len(), t, t + e.cost);
+        t += e.cost;
+        data.push(x.to_vec(), e.value);
+        trace.record(t, e.value);
+        e.value
+    });
     RunResult {
         data,
         trace,
@@ -683,12 +575,34 @@ mod tests {
     }
 
     #[test]
-    fn index_is_a_bijection_onto_all() {
+    fn ids_are_pinned_sorted_and_unique() {
+        // Chaos-plan seeds and service fingerprints derive from these ids;
+        // 12–17 are retired and must stay unused.
+        let pinned = [
+            ("de", 0),
+            ("lcb", 1),
+            ("ei", 2),
+            ("easybo-seq", 3),
+            ("pbo", 4),
+            ("phcbo", 5),
+            ("easybo-s", 6),
+            ("easybo-a", 7),
+            ("easybo-sp", 8),
+            ("easybo", 9),
+            ("bucb", 10),
+            ("lp", 11),
+            ("eps-greedy", 18),
+            ("pessimistic", 19),
+            ("standard", 20),
+        ];
         let all = Algorithm::all();
         assert_eq!(all.len(), Algorithm::COUNT);
-        for (i, a) in all.iter().enumerate() {
-            assert_eq!(a.index(), i, "{a:?} out of place in all()");
-        }
+        let got: Vec<(&str, usize)> = all.iter().map(|a| (a.key(), a.index())).collect();
+        assert_eq!(got, pinned);
+        assert!(
+            all.windows(2).all(|w| w[0].index() < w[1].index()),
+            "all() must be sorted by strictly increasing id"
+        );
     }
 
     #[test]
@@ -701,6 +615,9 @@ mod tests {
         keys.dedup();
         assert_eq!(keys.len(), Algorithm::COUNT, "duplicate wire key");
         assert_eq!(Algorithm::from_key("no-such-algo"), None);
+        for retired in ["ts", "portfolio", "pso", "sa", "cma-es", "mace"] {
+            assert_eq!(Algorithm::from_key(retired), None, "{retired}");
+        }
     }
 
     #[test]

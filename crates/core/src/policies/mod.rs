@@ -15,7 +15,6 @@
 //! | **EasyBO** | [`EasyBoAsyncPolicy`] (`penalize = true`) | async | hallucinated σ̂ |
 //! | BUCB (extension) | [`BucbPolicy`] | sync | hallucinated σ̂ |
 //! | Local Penalization (extension) | [`LocalPenalizationPolicy`] | sync | Lipschitz cones |
-//! | MACE (§II-C baseline) | [`MacePolicy`] | sync | Pareto-front diversity |
 //! | ε-greedy (De Ath 2020) | [`EpsGreedyPolicy`] | async | ε-random interleaving |
 //! | Pessimistic (Volk 2024) | [`PessimisticAsyncPolicy`] | async | constant-liar-min |
 //! | Standard EI (Riegler) | [`StandardAsyncPolicy`] | async | none (busy invisible) |
@@ -23,10 +22,8 @@
 mod asynchronous;
 mod eps_greedy;
 mod extensions;
-mod mace;
 mod penalization;
 mod pessimistic;
-mod portfolio;
 mod sequential;
 mod standard;
 mod sync;
@@ -34,10 +31,8 @@ mod sync;
 pub use asynchronous::EasyBoAsyncPolicy;
 pub use eps_greedy::{EpsGreedyPolicy, DEFAULT_EPSILON};
 pub use extensions::{BucbPolicy, LocalPenalizationPolicy};
-pub use mace::MacePolicy;
 pub use penalization::PenalizationMode;
 pub use pessimistic::{PessimisticAsyncPolicy, DEFAULT_PESSIMISTIC_KAPPA};
-pub use portfolio::{PortfolioPolicy, ThompsonSamplingPolicy};
 pub use sequential::{SequentialAcquisition, SequentialBoPolicy};
 pub use standard::StandardAsyncPolicy;
 pub use sync::{EasyBoSyncPolicy, PboPolicy};

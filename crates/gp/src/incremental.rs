@@ -358,28 +358,26 @@ mod tests {
         }
     }
 
-    /// Bit patterns of a scalar posterior, its raw mean and its weights.
-    fn post_bits((mu, var): (f64, f64), mean: f64, v: &Vector) -> Vec<u64> {
-        let head = [mu, var, mean].into_iter();
-        head.chain(v.iter().copied()).map(f64::to_bits).collect()
+    /// Bit patterns of a scalar posterior and its raw mean.
+    fn post_bits((mu, var): (f64, f64), mean: f64) -> [u64; 3] {
+        [mu, var, mean].map(f64::to_bits)
     }
 
     /// Every scalar entry point that builds one hoisted cross row
-    /// (`predict_standardized`, `predict_penalized`, `predict_mean`,
-    /// `posterior_cross_weights`) against [`posterior_per_pair`]'s
-    /// per-pair row plus the same solve, bit for bit.
+    /// (`predict_standardized`, `predict_penalized`, `predict_mean`)
+    /// against [`posterior_per_pair`]'s per-pair row plus the same solve,
+    /// bit for bit.
     fn assert_scalar_matches_per_pair(inc: &IncrementalGp, q: &[f64], at: &str) {
         let gp = inc.gp();
-        let (mu, var, v) = posterior_per_pair(gp, q, gp.alpha_vec());
+        let (mu, var) = posterior_per_pair(gp, q, gp.alpha_vec());
         let mean = gp.scaler().inverse(mu);
         let got = (gp.predict_standardized(q), gp.predict_mean(q));
-        let weights = gp.posterior_cross_weights(q);
         assert_eq!(
-            post_bits(got.0, got.1, &weights),
-            post_bits((mu, var), mean, &v),
+            post_bits(got.0, got.1),
+            post_bits((mu, var), mean),
             "hoisted vs per-pair {at}"
         );
-        let (base_mu, base_var, _) = posterior_per_pair(gp, q, inc.base_alpha());
+        let (base_mu, base_var) = posterior_per_pair(gp, q, inc.base_alpha());
         let pen = inc.predict_penalized(q);
         assert_eq!(
             (pen.0.to_bits(), pen.1.to_bits()),

@@ -542,21 +542,6 @@ impl Gp {
             .collect()
     }
 
-    /// Cross-covariance weights `v = L⁻¹ k*(x)` of a query point.
-    ///
-    /// Joint posterior covariances follow as
-    /// `cov(x, x') = k(x, x') − v(x)·v(x')` (standardized target space) —
-    /// the building block for exact finite-dimensional Thompson sampling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != dim()`.
-    pub fn posterior_cross_weights(&self, x: &[f64]) -> Vector {
-        assert_eq!(x.len(), self.dim(), "query dimension mismatch");
-        let kstar = self.kernel.cross_row(&self.theta, x, &self.x);
-        self.chol.solve_lower(&kstar)
-    }
-
     /// Posterior mean only (skips the triangular solve), raw units.
     ///
     /// # Panics
@@ -816,14 +801,9 @@ pub(crate) mod tests {
     }
 
     /// [`Gp::posterior`] rebuilt on [`cross_row_per_pair`] with the same
-    /// solve and reductions, plus its weights `L⁻¹ k*`: the oracle for the
-    /// scalar `(mean against mean_alpha, variance)` and
-    /// [`Gp::posterior_cross_weights`].
-    pub(crate) fn posterior_per_pair(
-        gp: &Gp,
-        x: &[f64],
-        mean_alpha: &Vector,
-    ) -> (f64, f64, Vector) {
+    /// solve and reductions: the oracle for the scalar
+    /// `(mean against mean_alpha, variance)`.
+    pub(crate) fn posterior_per_pair(gp: &Gp, x: &[f64], mean_alpha: &Vector) -> (f64, f64) {
         let kstar = cross_row_per_pair(gp, x);
         let mean = kstar
             .iter()
@@ -832,7 +812,7 @@ pub(crate) mod tests {
             .sum();
         let v = gp.chol.solve_lower(&kstar);
         let var = (gp.kernel.eval(&gp.theta, x, x) - v.dot(&v)).max(0.0);
-        (mean, var, v)
+        (mean, var)
     }
 
     fn toy_1d() -> (Vec<Vec<f64>>, Vec<f64>) {

@@ -8,13 +8,12 @@
 //! * [`Bounds`] — a box-constrained design space with unit-cube scaling.
 //! * [`sampling`] — Latin hypercube, Sobol and uniform random designs.
 //! * [`de`] — differential evolution (DE/rand/1/bin), the paper's DE baseline.
-//! * [`pso`] / [`annealing`] / [`cmaes`] — the other classic simulation-based
-//!   sizing algorithms the paper's introduction surveys (PSO, SA) plus
-//!   CMA-ES as a modern representative.
 //! * [`nelder_mead`] — bounded Nelder–Mead simplex local refinement.
 //! * [`lbfgs`] — the first-order optimizer for smooth objectives (used
 //!   for GP hyperparameter training).
 //! * [`multistart`] — the random-restart acquisition maximizer.
+//! * [`parallel`] — the deterministic worker-thread fan-out behind both
+//!   maximizers and GP training restarts.
 //!
 //! # Example
 //!
@@ -36,28 +35,22 @@
 //! # }
 //! ```
 
-pub mod annealing;
 pub mod bounds;
-pub mod cmaes;
 pub mod de;
 pub mod error;
 pub mod lbfgs;
 pub mod multistart;
 pub mod nelder_mead;
 pub mod parallel;
-pub mod pso;
 pub mod sampling;
 
-pub use annealing::{SaConfig, SimulatedAnnealing};
 pub use bounds::Bounds;
-pub use cmaes::{CmaEs, CmaEsConfig};
 pub use de::{DeConfig, DeReport, DifferentialEvolution};
 pub use error::OptError;
 pub use lbfgs::{Lbfgs, LbfgsConfig};
 pub use multistart::{BatchObjective, MultiStartMaximizer, Optimum};
 pub use nelder_mead::{NelderMead, NelderMeadConfig};
 pub use parallel::{parallel_map, split_seeds, Parallelism};
-pub use pso::{ParticleSwarm, PsoConfig};
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, OptError>;

@@ -3,7 +3,10 @@
 //! where each simulation really runs on its own OS thread.
 //!
 //! Optimizes `FOM = 3·PAE + Pout` (Eq. 11) over the 12 design variables and
-//! reports the winning operating point.
+//! reports the winning operating point. Threaded completion order follows
+//! the wall clock, so the threaded FOM varies from run to run; the design
+//! bar is checked on the deterministic virtual-clock run of the same
+//! configuration.
 //!
 //! ```sh
 //! cargo run --release -p easybo-integration --example class_e_design
@@ -29,12 +32,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
 
     println!("designing the class-E PA: 12 variables, 200 simulations, 8 worker threads\n");
-    let result = EasyBo::new(bounds)
-        .batch_size(8)
-        .initial_points(20)
-        .max_evals(200)
-        .seed(11)
-        .run_threaded(&bb, 2e-5)?;
+    let mut opt = EasyBo::new(bounds);
+    opt.batch_size(8).initial_points(20).max_evals(200).seed(11);
+    let result = opt.run_threaded(&bb, 2e-5)?;
 
     let analysis = pa.analyze(&result.best_x);
     println!("EasyBO best FOM: {:.3}", result.best_value);
@@ -53,6 +53,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         100.0 * result.schedule.utilization()
     );
 
-    assert!(result.best_value > 2.0, "a working class-E design exists");
+    assert_eq!(result.data.len(), 200, "every simulation is observed");
+    assert!(
+        result.data.ys().iter().all(|y| y.is_finite()),
+        "every observation is finite"
+    );
+
+    let virtual_run = opt.run_blackbox(&bb)?;
+    println!(
+        "virtual-clock EasyBO best FOM (same seed, reproducible): {:.3}",
+        virtual_run.best_value
+    );
+    assert!(
+        virtual_run.best_value > 2.0,
+        "a working class-E design exists"
+    );
     Ok(())
 }

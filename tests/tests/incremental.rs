@@ -156,7 +156,7 @@ fn every_policy_trajectory_matches_its_pinned_digest() {
     use easybo_exec::VirtualExecutor;
     use rand::{rngs::StdRng, SeedableRng};
 
-    let pinned: [(&str, u64); 25] = [
+    let pinned: [(&str, u64); 19] = [
         ("lcb", 0xd979685e382951a5),
         ("ei", 0xa9daca34bacdf73c),
         ("easybo-seq", 0x04d14fad9adad927),
@@ -168,16 +168,10 @@ fn every_policy_trajectory_matches_its_pinned_digest() {
         ("easybo", 0xdd93cc003d27a0c6),
         ("bucb", 0xa93327f705e3baae),
         ("lp", 0xc42f3a780e8b4704),
-        ("ts", 0x56348564333f5daf),
-        ("portfolio", 0x324801247ff7a625),
-        ("mace", 0x83506678e1a9aeda),
         ("eps-greedy", 0xc065b72e42941cee),
         ("pessimistic", 0x601bd2915979bf2d),
         ("standard", 0xf33aac8902b44cfc),
         ("de", 0x5c6129b75f35b5a0),
-        ("pso", 0xefb70c49656c8934),
-        ("sa", 0x377dc01335bdec04),
-        ("cma-es", 0x58daf73dbe5ee07d),
         ("mean", 0xd3299bb910796c60),
         ("liar-min", 0xa196de45517d1583),
         ("liar-max", 0x261f769fce6e3ff8),

@@ -212,7 +212,7 @@ fn full_stack_determinism() {
     let bb = CostedFunction::new("det", bounds, time, |x: &[f64]| {
         -(x[0] - 0.3f64).powi(2) - (x[1] - 0.7f64).powi(2) - x[2]
     });
-    for algo in [Algorithm::EasyBo, Algorithm::Phcbo, Algorithm::Ts] {
+    for algo in [Algorithm::EasyBo, Algorithm::Phcbo, Algorithm::Ei] {
         let a = algo.run(&bb, 3, 20, 8, 0, 123);
         let b = algo.run(&bb, 3, 20, 8, 0, 123);
         assert_eq!(a.data, b.data, "{algo:?} not deterministic");

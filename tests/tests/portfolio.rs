@@ -137,8 +137,8 @@ proptest! {
     /// Registry-wide conservation law: for every algorithm under a
     /// random fault regime, the executor drains — #QueryIssued ==
     /// #EvalFinished + #EvalFailed — and the surrogate only ever sees
-    /// finite observations. Metaheuristics drive their own loop and
-    /// emit no executor events, so they satisfy the law as 0 == 0.
+    /// finite observations. DE drives its own loop and emits no
+    /// executor events, so it satisfies the law as 0 == 0.
     #[test]
     fn whole_registry_conserves_attempts_under_chaos(
         seed in 0u64..500,

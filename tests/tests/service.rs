@@ -590,10 +590,13 @@ fn heterogeneous_algorithms_share_one_pool_via_open_session() {
     let addr = server.local_addr();
     let mut admin = ServiceClient::connect(addr, Role::Admin);
 
-    // Unknown keys are rejected with a wire error, not a hang or panic.
-    match admin.open_session("two-stage-opamp", "no-such-algo", 1, 2, 4, 2) {
-        Err(WireError::Protocol(msg)) => assert!(msg.contains("no-such-algo"), "got: {msg}"),
-        other => panic!("expected protocol error, got {other:?}"),
+    // Unknown keys, retired ones included, are rejected with a wire
+    // error, not a hang or panic.
+    for key in ["no-such-algo", "ts"] {
+        match admin.open_session("two-stage-opamp", key, 1, 2, 4, 2) {
+            Err(WireError::Protocol(msg)) => assert!(msg.contains(key), "got: {msg}"),
+            other => panic!("expected protocol error for {key}, got {other:?}"),
+        }
     }
     // Sync-only algorithms have no async policy and are refused up front.
     match admin.open_session("two-stage-opamp", "pbo", 1, 2, 4, 2) {
