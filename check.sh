@@ -22,6 +22,9 @@ echo "==> exact-bits suites of the GP and acquisition hot path under release ari
 cargo test --release -q -p easybo-linalg -p easybo-gp -p easybo-persist -p easybo
 cargo test --release -q -p easybo-integration --test incremental
 
+echo "==> threaded run replays through the virtual executor under release timing"
+cargo test --release -q -p easybo-integration --test fault_injection threaded_run_replays
+
 echo "==> fault-injection chaos suite (PROPTEST_CASES=64)"
 PROPTEST_CASES=64 cargo test -q -p easybo-integration --test fault_injection
 

@@ -1,14 +1,8 @@
 //! Checkpoint overhead benchmark.
 //!
-//! Measures what the persistence layer costs along two axes:
-//!
-//! 1. the ask/tell session driver with no hook attached vs the legacy
-//!    resilient loop — both must be bit-identical and within noise of
-//!    each other, since `checkpoint_every = None` routes through the
-//!    legacy entry point in production;
-//! 2. a full `EasyBo` run with snapshots written every completed
-//!    evaluation vs the same run with checkpointing disabled — the
-//!    worst-case (k = 1) write amplification.
+//! Measures what the persistence layer costs: a full `EasyBo` run with
+//! snapshots written every completed evaluation vs the same run with
+//! checkpointing disabled — the worst-case (k = 1) write amplification.
 //!
 //! Prints a table and writes `BENCH_checkpoint.json` at the repository
 //! root with the measured times, relative overheads, snapshot size, and
@@ -18,13 +12,9 @@
 
 use std::time::Instant;
 
-use easybo::policies::EasyBoAsyncPolicy;
 use easybo::EasyBo;
 use easybo_bench::{bench_report, write_bench_report, BenchRecord};
-use easybo_exec::{CostedFunction, RetryPolicy, SimTimeModel, VirtualExecutor};
-use easybo_opt::{sampling, Bounds};
-use easybo_telemetry::Telemetry;
-use rand::SeedableRng;
+use easybo_opt::Bounds;
 
 fn objective(x: &[f64]) -> f64 {
     (-((x[0] - 0.35).powi(2) + (x[1] - 0.65).powi(2))).exp()
@@ -41,35 +31,6 @@ fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
         out = Some(v);
     }
     (best, out.expect("reps >= 1"))
-}
-
-/// Session driver with no hook vs the legacy resilient loop, full
-/// EasyBO policy (GP refits included).
-fn bench_session_driver(rows: &mut Vec<BenchRecord>, reps: usize) {
-    let bounds = Bounds::unit_cube(2).expect("unit cube");
-    let time = SimTimeModel::new(&bounds, 20.0, 0.3, 5);
-    let bb = CostedFunction::new("toy", bounds.clone(), time, objective);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-    let init = sampling::latin_hypercube(&bounds, 6, &mut rng);
-    let retry = RetryPolicy::default();
-    let telemetry = Telemetry::disabled();
-
-    let (legacy_s, legacy) = time_best(reps, || {
-        let mut policy = EasyBoAsyncPolicy::new(bounds.clone(), true, 7);
-        VirtualExecutor::new(4).run_async_resilient(&bb, &init, 24, &mut policy, &retry, &telemetry)
-    });
-    let (session_s, session) = time_best(reps, || {
-        let mut policy = EasyBoAsyncPolicy::new(bounds.clone(), true, 7);
-        VirtualExecutor::new(4)
-            .run_session_resilient(&bb, &init, 24, &mut policy, &retry, &telemetry, None)
-            .expect("no hook, no abort")
-    });
-    rows.push(BenchRecord::from_seconds(
-        "session_driver_nohook_vs_legacy_loop",
-        legacy_s,
-        session_s,
-        legacy.trace.to_csv() == session.trace.to_csv() && legacy.data == session.data,
-    ));
 }
 
 /// Full optimizer run, snapshot every completed evaluation (k = 1, the
@@ -107,7 +68,6 @@ fn main() {
     println!("Checkpoint overhead benchmark: {reps} repetitions");
 
     let mut rows = Vec::new();
-    bench_session_driver(&mut rows, reps);
     let snapshot_bytes = bench_checkpoint_writes(&mut rows, reps);
 
     println!(
@@ -130,10 +90,9 @@ fn main() {
         "checkpoint",
         reps,
         &format!(
-            "baseline = checkpointing disabled (legacy path), candidate = session driver / \
-             snapshot-per-eval; best-of-reps wall clock. Identical rows compare the full \
-             best-so-far trace and dataset bit for bit. snapshot_bytes at max_evals=24, \
-             d=2: {snapshot_bytes}."
+            "baseline = checkpointing disabled, candidate = snapshot-per-eval; best-of-reps \
+             wall clock. Identical rows compare the full best-so-far trace and dataset bit \
+             for bit. snapshot_bytes at max_evals=24, d=2: {snapshot_bytes}."
         ),
         &rows,
     );

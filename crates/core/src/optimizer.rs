@@ -680,11 +680,14 @@ impl EasyBo {
     }
 
     /// Resumes a checkpointed [`EasyBo::run_threaded`] run on a fresh
-    /// thread pool. Interrupted in-flight attempts are re-enqueued and
-    /// pending retry backoffs rebased onto the new run's epoch. Unlike
-    /// the virtual path, real-time scheduling is not bit-reproducible —
-    /// the guarantee here is *no lost work*: every committed observation
-    /// survives and the budget completes exactly once.
+    /// thread pool, continuing the captured clock: real time resumes at
+    /// the capture clock, interrupted in-flight attempts are
+    /// re-dispatched at their recorded slot and start, and pending retry
+    /// backoffs fire at their captured due times. Unlike the virtual
+    /// path, real-time scheduling is not bit-reproducible; every
+    /// committed observation survives, every task issued after the
+    /// capture starts at or after the capture clock, and the budget
+    /// completes exactly once.
     ///
     /// # Errors
     ///

@@ -3,8 +3,9 @@
 //! flight stay in the session's busy set for penalization.
 //!
 //! [`EventLoop`] is the one implementation of that loop. The in-process
-//! [`crate::VirtualExecutor`] and the network session manager both
-//! drive it; they differ only in the [`Resolver`] they pass.
+//! [`crate::VirtualExecutor`], the network session manager and the
+//! real-clock [`crate::ThreadedExecutor`] all drive it; they differ only
+//! in the [`Resolver`] they pass and in whether they declare a horizon.
 //!
 //! # Determinism under deferred results
 //!
@@ -19,13 +20,25 @@
 //!   `dispatch` span. It inserts no span and no finish event: the
 //!   finish time is unknown until the cost is.
 //! - **Stall**: while any outstanding dispatch lacks a result, no event
-//!   is popped. The missing finish time could precede (or tie with) the
-//!   current heap top, so popping would commit to an order an eager run
-//!   might not choose.
-//! - **Fold**: results are folded strictly in dispatch order, so span
-//!   insertion order and the reserved sequence numbers match an eager
-//!   run exactly. Each fold applies the per-attempt timeout and pushes
-//!   the attempt's finish event.
+//!   later than the horizon is popped. The missing finish time could
+//!   precede (or tie with) the current heap top, so popping would commit
+//!   to an order an eager run might not choose.
+//! - **Fold**: results are folded in dispatch order, so span insertion
+//!   order and the reserved sequence numbers match an eager run exactly;
+//!   a resolved dispatch whose finish is at or before the horizon folds
+//!   at once. Each fold applies the per-attempt timeout and pushes the
+//!   attempt's finish event.
+//!
+//! # The horizon
+//!
+//! A driver on a real clock declares a *horizon* through
+//! [`EventLoop::set_horizon`]: a clock reading that every unresolved
+//! dispatch finishes after. Nothing unresolved can then precede an event
+//! at or before it, so such events pop without stalling, and an
+//! unresolved dispatch whose deadline is at or before it has timed out.
+//! The virtual executor and the session manager never set it; at its
+//! initial −∞ the stall and fold rules above are exactly dispatch-order
+//! folding and stalling on any unresolved dispatch.
 //!
 //! Evaluation itself is pure (value, cost and outcome are functions of
 //! the query point and attempt), so *when* a result arrives cannot
@@ -110,8 +123,8 @@ pub struct Outstanding {
     pub worker: usize,
     /// Query point.
     pub x: Vec<f64>,
-    /// Virtual start time.
-    start: f64,
+    /// Start time on the run clock.
+    pub start: f64,
     /// Sequence number reserved at dispatch, used by the finish event.
     seq: usize,
     /// `(value, cost, outcome)` once known.
@@ -127,6 +140,7 @@ pub struct EventLoop {
     heap: BinaryHeap<SimEvent>,
     seq: usize,
     outstanding: VecDeque<Outstanding>,
+    horizon: f64,
 }
 
 impl EventLoop {
@@ -137,6 +151,7 @@ impl EventLoop {
             heap: BinaryHeap::new(),
             seq: 0,
             outstanding: VecDeque::new(),
+            horizon: f64::NEG_INFINITY,
         }
     }
 
@@ -201,9 +216,10 @@ impl EventLoop {
     }
 
     /// Runs one event: folds resolved dispatches, stalls if any is
-    /// still unresolved, otherwise pops the next event, tells the
-    /// session, and dispatches a new task or schedules a retry. Returns
-    /// whether an event was processed (`false` = stalled or drained).
+    /// still unresolved and the next event lies beyond the horizon,
+    /// otherwise pops the next event, tells the session, and dispatches
+    /// a new task or schedules a retry. Returns whether an event was
+    /// processed (`false` = stalled or drained).
     pub fn step(
         &mut self,
         policy: &mut dyn AsyncPolicy,
@@ -211,12 +227,11 @@ impl EventLoop {
         resolver: &mut Resolver<'_>,
     ) -> bool {
         self.fold();
-        if !self.outstanding.is_empty() {
+        let ready = |ev: &SimEvent| self.outstanding.is_empty() || ev.time <= self.horizon;
+        if !self.heap.peek().is_some_and(ready) {
             return false;
         }
-        let Some(ev) = self.heap.pop() else {
-            return false;
-        };
+        let ev = self.heap.pop().expect("peeked");
         self.session.clock = ev.time;
         match ev.kind {
             SimEventKind::Finish {
@@ -278,6 +293,22 @@ impl EventLoop {
         };
         d.result = Some(result);
         true
+    }
+
+    /// Declares that every unresolved dispatch finishes after `now`,
+    /// and folds what that settles (see the module docs).
+    pub fn set_horizon(&mut self, now: f64) {
+        self.horizon = now;
+        self.fold();
+    }
+
+    /// The earliest run-clock time at which the loop has work: the next
+    /// event, a resolved finish not yet folded, or an unresolved
+    /// attempt's deadline. `None` when there is none of these.
+    pub fn next_time(&self) -> Option<f64> {
+        let pending = self.outstanding.iter().map(|d| self.due(d));
+        let next = self.heap.peek().map(|ev| ev.time);
+        pending.chain([next]).flatten().reduce(f64::min)
     }
 
     /// Dispatched attempts still awaiting their result, in dispatch
@@ -356,19 +387,45 @@ impl EventLoop {
         });
     }
 
-    /// Folds resolved dispatches from the front of the queue, strictly
-    /// in dispatch order.
+    /// The per-attempt deadline when `cost` exceeds it: the job system
+    /// abandons the attempt then, so the worker is occupied only until
+    /// then.
+    fn clamp(&self, cost: f64) -> Option<f64> {
+        self.retry.timeout.filter(|&deadline| cost > deadline)
+    }
+
+    /// When a dispatch frees its worker: its finish once resolved, the
+    /// cost cut to the deadline; until then its deadline, if any.
+    fn due(&self, d: &Outstanding) -> Option<f64> {
+        let Some((_, cost, _)) = &d.result else {
+            return self.retry.timeout.map(|t| d.start + t);
+        };
+        Some(d.start + self.clamp(*cost).unwrap_or(*cost))
+    }
+
+    /// Times out unresolved dispatches whose deadline is at or before
+    /// the horizon, then folds resolved dispatches from the front of the
+    /// queue in dispatch order, and any other whose finish is at or
+    /// before the horizon.
     fn fold(&mut self) {
-        while self.outstanding.front().is_some_and(|d| d.result.is_some()) {
-            let d = self.outstanding.pop_front().expect("front exists");
-            let (value, mut cost, mut outcome) = d.result.expect("front is resolved");
-            if let Some(deadline) = self.retry.timeout {
-                if cost > deadline {
-                    // The job system abandons the attempt at the
-                    // deadline; the worker is occupied only until then.
-                    cost = deadline;
-                    outcome = EvalOutcome::TimedOut;
-                }
+        if let Some(t) = self.retry.timeout {
+            let expired = self.outstanding.iter_mut();
+            for d in expired.filter(|d| d.result.is_none() && d.start + t <= self.horizon) {
+                d.result = Some((f64::NAN, t, EvalOutcome::TimedOut));
+            }
+        }
+        let mut i = 0;
+        while let Some(d) = self.outstanding.get(i) {
+            let foldable = |finish: f64| i == 0 || finish <= self.horizon;
+            if d.result.is_none() || !self.due(d).is_some_and(foldable) {
+                i += 1;
+                continue;
+            }
+            let d = self.outstanding.remove(i).expect("index in range");
+            let (value, mut cost, mut outcome) = d.result.expect("checked resolved");
+            if let Some(deadline) = self.clamp(cost) {
+                cost = deadline;
+                outcome = EvalOutcome::TimedOut;
             }
             let finish = d.start + cost;
             self.session
@@ -483,6 +540,53 @@ mod tests {
             "the plan must exercise failures"
         );
         assert_eq!(deferred, eager);
+    }
+
+    #[test]
+    fn horizon_folds_a_later_resolved_dispatch_past_an_unresolved_one() {
+        let tel = Telemetry::disabled();
+        let mut policy = Spread;
+        let session = SessionState::new(2, 3, &[vec![0.1], vec![0.9]]);
+        let mut lp = EventLoop::fresh(session, RetryPolicy::none(), &mut policy, &tel, &mut remote);
+        assert!(lp.resolve(1, 1, (2.0, 1.5, EvalOutcome::Ok)));
+        assert!(
+            !lp.step(&mut policy, &tel, &mut remote),
+            "without a horizon task 0 stalls the loop"
+        );
+        assert_eq!(lp.next_time(), Some(1.5));
+        lp.set_horizon(1.0);
+        assert!(
+            !lp.step(&mut policy, &tel, &mut remote),
+            "task 1 finishes beyond the horizon"
+        );
+        lp.set_horizon(1.5);
+        assert!(lp.step(&mut policy, &tel, &mut remote));
+        assert_eq!(lp.session().data().ys(), &[2.0]);
+        assert_eq!(lp.session().clock(), 1.5);
+        let out: Vec<_> = lp
+            .unresolved()
+            .map(|d| (d.task, d.worker, d.start))
+            .collect();
+        assert_eq!(
+            out,
+            vec![(0, 0, 0.0), (2, 1, 1.5)],
+            "worker 1 refilled at 1.5"
+        );
+        assert!(!lp.step(&mut policy, &tel, &mut remote));
+
+        // An unresolved dispatch whose deadline the horizon passes has
+        // timed out: it folds as a failed span and frees its worker.
+        let retry = RetryPolicy::none().timeout(1.0);
+        let session = SessionState::new(1, 1, &[vec![0.5]]);
+        let mut lp = EventLoop::fresh(session, retry, &mut policy, &tel, &mut remote);
+        assert_eq!(lp.next_time(), Some(1.0));
+        lp.set_horizon(1.0);
+        assert_eq!(lp.unresolved().count(), 0);
+        assert!(lp.step(&mut policy, &tel, &mut remote));
+        assert!(lp.done());
+        let r = lp.into_session().into_result();
+        assert_eq!(r.schedule.spans()[0].end, 1.0);
+        assert!(r.schedule.spans()[0].failed);
     }
 
     #[test]

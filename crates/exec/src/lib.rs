@@ -15,7 +15,8 @@
 //!   session manager drives with results that arrive later.
 //! * [`ThreadedExecutor`] — a real multi-threaded executor (crossbeam
 //!   channels + OS threads) for production use of the library, where the
-//!   black box is genuinely expensive.
+//!   black box is genuinely expensive. It drives the same [`EventLoop`]
+//!   on a real clock, declaring each clock reading the loop's horizon.
 //!
 //! Selection logic stays out of this crate: drivers call back into
 //! [`SyncBatchPolicy`] / [`AsyncPolicy`] implementations (provided by the

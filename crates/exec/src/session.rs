@@ -8,9 +8,8 @@
 //! [`SessionState::ask`] (propose the next task) and
 //! [`SessionState::tell`] (resolve a finished attempt). The event
 //! mechanics stay outside: the discrete-event heap lives in
-//! [`crate::EventLoop`], which the virtual executor and the network
-//! session manager both drive, and the threaded executor keeps its own
-//! channels. The session is also the unit of durable persistence:
+//! [`crate::EventLoop`], which the virtual executor, the threaded
+//! executor and the network session manager all drive. The session is also the unit of durable persistence:
 //! [`SessionState::to_parts`] / [`SessionState::from_parts`] convert
 //! to/from the plain-data [`SessionParts`] that `easybo-persist`
 //! serializes.
@@ -45,10 +44,10 @@ pub struct InFlightTask {
     pub attempt: usize,
     /// The query point.
     pub x: Vec<f64>,
-    /// `(worker, start_time)` once a worker picked the attempt up. The
-    /// event loop starts attempts at dispatch so this is always
-    /// `Some`; the threaded executor enqueues first and fills it in
-    /// when the `Started` message arrives.
+    /// `(worker, start_time)` once a worker slot took the attempt. The
+    /// event loop starts attempts at dispatch so this is always `Some`
+    /// in its captures; older threaded-executor captures hold `None`
+    /// for attempts no thread had picked up yet.
     pub started: Option<(usize, f64)>,
 }
 
@@ -57,8 +56,8 @@ pub struct InFlightTask {
 pub struct PendingBackoff {
     /// Run-clock time at which the next attempt may start.
     pub due: f64,
-    /// Worker the retry is bound to (the virtual executor retries on
-    /// the same worker; the threaded executor treats this as a hint).
+    /// Worker slot the retry is bound to: the retry runs on the same
+    /// slot once the delay elapses.
     pub worker: usize,
     /// Task id.
     pub task: usize,
@@ -353,9 +352,9 @@ impl SessionState {
 
     /// [`SessionState::ask`] wrapped in a `session_step` span, so the
     /// proposal phase (and the GP/acquisition spans the policy opens
-    /// beneath it) lands on the run timeline. Both executors call this
-    /// from their coordinator thread only, which keeps span ids
-    /// deterministic.
+    /// beneath it) lands on the run timeline. Every driver calls this
+    /// from the thread that drives its event loop only, which keeps
+    /// span ids deterministic.
     pub fn ask_traced(
         &mut self,
         policy: &mut dyn AsyncPolicy,
@@ -425,22 +424,6 @@ impl SessionState {
     pub fn take_backoff(&mut self, task: usize) -> Option<PendingBackoff> {
         let idx = self.backoffs.iter().position(|b| b.task == task)?;
         Some(self.backoffs.remove(idx))
-    }
-
-    /// Removes and returns every backoff due at or before `now`,
-    /// ordered by task id for determinism.
-    pub fn take_due_backoffs(&mut self, now: f64) -> Vec<PendingBackoff> {
-        let mut due: Vec<PendingBackoff> = Vec::new();
-        let mut i = 0;
-        while i < self.backoffs.len() {
-            if self.backoffs[i].due <= now {
-                due.push(self.backoffs.remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        due.sort_unstable_by_key(|r| r.task);
-        due
     }
 
     /// Resolves one finished attempt of `task` (whose in-flight record
@@ -515,9 +498,8 @@ impl SessionState {
     }
 
     /// Commits an observation: `EvalFinished`, dataset, trace. The
-    /// commit time is clamped to keep the trace monotone (a no-op on
-    /// the virtual clock, load-bearing for the threaded executor's
-    /// real clock after a resume).
+    /// commit time is clamped to keep the trace monotone, so a caller
+    /// committing out of time order cannot rewind it.
     pub fn commit(
         &mut self,
         telemetry: &Telemetry,
@@ -800,24 +782,6 @@ mod tests {
         s.commit(&t, 10.0, 0, 0, 1.0, vec![0.1]);
         s.commit(&t, 7.0, 0, 1, 2.0, vec![0.2]);
         assert_eq!(s.trace().points()[1].time, 10.0);
-    }
-
-    #[test]
-    fn take_due_backoffs_orders_by_task() {
-        let mut s = SessionState::new(2, 8, &[]);
-        for (task, due) in [(3usize, 1.0), (1, 2.0), (2, 0.5), (4, 9.0)] {
-            s.backoffs.push(PendingBackoff {
-                due,
-                worker: 0,
-                task,
-                attempt: 2,
-                x: vec![0.0],
-            });
-        }
-        let due = s.take_due_backoffs(2.0);
-        let tasks: Vec<usize> = due.iter().map(|b| b.task).collect();
-        assert_eq!(tasks, vec![1, 2, 3]);
-        assert_eq!(s.backoffs().len(), 1);
     }
 
     #[test]

@@ -3,8 +3,18 @@
 //! The [`crate::VirtualExecutor`] reproduces the paper's wall-clock
 //! arithmetic in microseconds; this executor is the production path, where
 //! the black box is genuinely expensive (an actual simulator invocation).
-//! Worker threads pull jobs from a crossbeam channel; the coordinator runs
-//! the policy and keeps at most one job in flight per worker.
+//! It drives the same [`EventLoop`] on a real clock. The loop's resolver
+//! sends each dispatch to a crossbeam job channel that worker threads
+//! pull from, and each worker report resolves its attempt with cost =
+//! arrival time − dispatch start. Once per pass the driver reads the
+//! clock, resolves the reports it drained, declares that reading the
+//! loop's horizon ([`EventLoop::set_horizon`]: every attempt still out
+//! finishes later, and one whose deadline has passed timed out), and
+//! runs every event at or before it.
+//!
+//! A span and its deadline start at dispatch, the moment its worker slot
+//! freed up, so the policy's think time is charged to the slot as on the
+//! virtual clock. A resumed run continues the captured clock.
 //!
 //! Failure handling: worker threads wrap every evaluation in
 //! [`std::panic::catch_unwind`], so a panicking black box costs one
@@ -12,10 +22,10 @@
 //! [`crate::fault::WorkerDeath`] simulates a worker host dying: the
 //! thread reports `WorkerCrashed` and exits for good. Attempts that
 //! fail (or exceed [`RetryPolicy::timeout`]) are requeued with backoff;
-//! when every worker is dead or stuck the run ends with a structured
-//! [`OptError::ExecutorFailure`] instead of deadlocking.
+//! when every thread is dead or stuck on an abandoned attempt the run
+//! ends with a structured [`OptError::ExecutorFailure`] instead of
+//! deadlocking.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -25,10 +35,11 @@ use easybo_opt::OptError;
 use easybo_telemetry::{Event, Telemetry};
 
 use crate::blackbox::{AttemptContext, EvalOutcome, Evaluation};
+use crate::event_loop::{EventLoop, Resolver};
 use crate::fault::WorkerDeath;
 use crate::retry::RetryPolicy;
-use crate::session::{HookAction, SessionHook, SessionState, Told};
-use crate::virtual_exec::{finish_run_metrics, AsyncPolicy};
+use crate::session::{SessionHook, SessionState};
+use crate::virtual_exec::{finish_run, step_hooked, AsyncPolicy};
 use crate::{BlackBox, RunResult};
 
 /// Sleep-slice length for emulated evaluation time, so workers notice
@@ -79,36 +90,24 @@ struct Job {
     x: Vec<f64>,
 }
 
-/// Result returned by a worker thread.
-struct Done {
-    worker: usize,
+/// A worker thread's report on one job. The driver stamps it with the
+/// clock reading of the pass that receives it.
+struct WorkerMsg {
+    thread: usize,
     task: usize,
     attempt: usize,
-    eval: Evaluation,
-    started_at: Duration,
-    finished_at: Duration,
+    kind: Report,
 }
 
-/// Message from a worker thread to the coordinator. `Started` always
-/// precedes the matching `Done` on the (FIFO) channel, letting the
-/// coordinator attribute each in-flight point to the worker that
-/// actually picked it up rather than a slot guess.
-enum WorkerMsg {
-    Started {
-        worker: usize,
-        task: usize,
-        attempt: usize,
-        at: Duration,
-    },
-    Done(Done),
-    /// The worker died mid-evaluation (a [`WorkerDeath`] panic) and has
+/// `Started` always precedes the matching `Done` on the (FIFO) channel.
+enum Report {
+    /// The thread picked the job up.
+    Started,
+    /// The evaluation returned (a contained panic is a failed attempt).
+    Done(Evaluation),
+    /// The thread died mid-evaluation (a [`WorkerDeath`] panic) and has
     /// left the pool.
-    Crashed {
-        worker: usize,
-        task: usize,
-        attempt: usize,
-        at: Duration,
-    },
+    Crashed,
 }
 
 impl ThreadedExecutor {
@@ -154,12 +153,15 @@ impl ThreadedExecutor {
     }
 
     /// [`ThreadedExecutor::run_async`] with a telemetry handle: the run
-    /// clock is real seconds since the run began. `QueryIssued` fires
-    /// when the coordinator enqueues a job (its `worker` is a slot hint
-    /// — the job has not been claimed yet), `EvalStarted`/`EvalFinished`
-    /// carry the id of the thread that actually ran it, `WorkerIdle`
-    /// reports each gap between a worker's consecutive jobs, and the
-    /// `queue_wait_s` histogram records enqueue-to-start latency.
+    /// clock is real seconds since the run began. Events are timed as on
+    /// the virtual executor, on the real clock: `QueryIssued` and
+    /// `EvalStarted` fire at dispatch (the moment a worker slot freed up)
+    /// and carry that logical slot, `EvalFinished` carries the slot and
+    /// the completion time `RunTrace` records, and one `WorkerIdle` per
+    /// slot reports its idle seconds at the end of the run. Only
+    /// `WorkerCrashed` names the OS thread that died. The `queue_wait_s`
+    /// histogram records the wait from dispatch to the moment a thread
+    /// picks the job up.
     ///
     /// # Errors
     ///
@@ -181,14 +183,16 @@ impl ThreadedExecutor {
     /// worker deaths) are requeued onto the pool after a real-seconds
     /// backoff, up to `retry.max_attempts`, then dropped/recorded/
     /// penalized per [`crate::FailureAction`]. A timed-out attempt is
-    /// abandoned: its busy point is removed immediately (so the policy
+    /// abandoned at its deadline, measured from dispatch: its finish
+    /// event frees the slot and removes its busy point (so the policy
     /// stops penalizing around a dead point, §III-C), its span is
-    /// flagged failed, and its worker is considered stuck until it
-    /// reports back. `max_evals` counts tasks, not attempts.
+    /// flagged failed, and the thread still evaluating it is considered
+    /// stuck until it reports back. `max_evals` counts tasks, not
+    /// attempts.
     ///
     /// # Errors
     ///
-    /// Returns [`OptError::ExecutorFailure`] when every worker is dead
+    /// Returns [`OptError::ExecutorFailure`] when every thread is dead
     /// or stuck, or the message channel is severed, instead of
     /// deadlocking on a reply that can never come.
     pub fn run_async_resilient(
@@ -212,7 +216,8 @@ impl ThreadedExecutor {
     /// # Errors
     ///
     /// Returns [`OptError::ExecutorFailure`] when the pool dies, the
-    /// channel is severed, or the hook aborts via [`HookAction::Stop`].
+    /// channel is severed, or the hook aborts via
+    /// [`HookAction::Stop`](crate::HookAction::Stop).
     #[allow(clippy::too_many_arguments)]
     pub fn run_session_resilient(
         &self,
@@ -228,36 +233,33 @@ impl ThreadedExecutor {
         self.drive(bb, session, policy, retry, telemetry, hook, false)
     }
 
-    /// Continues a previously captured session: interrupted in-flight
-    /// attempts are re-enqueued onto the fresh pool, and pending retry
-    /// backoffs are rebased onto this run's epoch (the remaining delay
-    /// is preserved, measured from the capture clock). Real-time
-    /// timestamps restart at zero, but the trace's monotone clamp keeps
-    /// best-so-far times nondecreasing across the splice.
+    /// Continues a previously captured session on a fresh thread pool,
+    /// continuing its clock: real time resumes at the capture clock, so
+    /// every attempt issued after the capture starts at or after it.
+    /// Interrupted in-flight attempts are re-dispatched at their
+    /// recorded slot and start, and pending backoffs fire at their
+    /// captured due times.
     ///
     /// # Errors
     ///
     /// Returns [`OptError::ExecutorFailure`] when the session was
     /// captured under a different worker count, the pool dies, or the
-    /// hook aborts via [`HookAction::Stop`].
+    /// hook aborts via [`HookAction::Stop`](crate::HookAction::Stop).
     pub fn resume_session_resilient(
         &self,
         bb: &(dyn BlackBox + Sync),
-        mut session: SessionState,
+        session: SessionState,
         policy: &mut dyn AsyncPolicy,
         retry: &RetryPolicy,
         telemetry: &Telemetry,
         hook: Option<&mut SessionHook<'_>>,
     ) -> Result<RunResult, OptError> {
-        let clock = session.clock();
-        for b in &mut session.backoffs {
-            b.due = (b.due - clock).max(0.0);
-        }
         self.drive(bb, session, policy, retry, telemetry, hook, true)
     }
 
-    /// The coordinator loop shared by fresh and resumed runs.
-    #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+    /// Runs the worker threads and drives the [`EventLoop`] on the real
+    /// clock, for fresh and resumed runs alike.
+    #[allow(clippy::too_many_arguments)]
     fn drive(
         &self,
         bb: &(dyn BlackBox + Sync),
@@ -268,402 +270,231 @@ impl ThreadedExecutor {
         mut hook: Option<&mut SessionHook<'_>>,
         resume: bool,
     ) -> Result<RunResult, OptError> {
-        if session.workers() != self.workers {
+        let n = self.workers;
+        if session.workers() != n {
             return Err(OptError::ExecutorFailure {
                 reason: format!(
-                    "session captured with {} workers cannot run on {}",
-                    session.workers(),
-                    self.workers
+                    "session captured with {} workers cannot run on {n}",
+                    session.workers()
                 ),
             });
         }
-        let epoch = Instant::now();
-        let mut session = session;
-        // Enqueue time per task, for the queue-wait histogram.
-        let mut issued_at: HashMap<usize, f64> = HashMap::new();
-        // Per-worker last-finish time, for idle-gap events.
-        let mut last_done: Vec<f64> = vec![0.0; self.workers];
-        let mut dead = vec![false; self.workers];
-        let mut stuck = vec![false; self.workers];
+        // A fresh session's clock is 0; a resumed one continues its own.
+        let (offset, epoch) = (session.clock(), Instant::now());
+        let clock = || offset + epoch.elapsed().as_secs_f64();
         let shutdown = AtomicBool::new(false);
-
         let (job_tx, job_rx) = channel::unbounded::<Job>();
         let (msg_tx, msg_rx) = channel::unbounded::<WorkerMsg>();
 
-        let run: Result<(), OptError> = crossbeam::scope(|scope| {
-            for w in 0..self.workers {
-                let job_rx = job_rx.clone();
-                let msg_tx = msg_tx.clone();
+        let run = crossbeam::scope(|scope| {
+            for thread in 0..n {
+                let (jobs, msgs, shutdown) = (job_rx.clone(), msg_tx.clone(), &shutdown);
                 let scale = self.time_scale;
-                let shutdown = &shutdown;
-                scope.spawn(move |_| {
-                    'jobs: while let Ok(job) = job_rx.recv() {
-                        let started_at = epoch.elapsed();
-                        if msg_tx
-                            .send(WorkerMsg::Started {
-                                worker: w,
-                                task: job.task,
-                                attempt: job.attempt,
-                                at: started_at,
-                            })
-                            .is_err()
-                        {
-                            break;
-                        }
-                        let ctx = AttemptContext {
-                            task: job.task,
-                            attempt: job.attempt,
-                            worker: w,
-                            panics_caught: true,
-                        };
-                        let eval = match catch_unwind(AssertUnwindSafe(|| {
-                            bb.evaluate_attempt(&job.x, ctx)
-                        })) {
-                            Ok(e) => e,
-                            Err(payload) => {
-                                if payload.is::<WorkerDeath>() {
-                                    let _ = msg_tx.send(WorkerMsg::Crashed {
-                                        worker: w,
-                                        task: job.task,
-                                        attempt: job.attempt,
-                                        at: epoch.elapsed(),
-                                    });
-                                    break; // this worker is gone for good
-                                }
-                                Evaluation::failed("panicked during evaluation", 0.0)
-                            }
-                        };
-                        if scale > 0.0 {
-                            // Sleep in slices so a "hung" job (huge cost)
-                            // cannot outlive the run once shutdown is set.
-                            let mut remaining = eval.cost * scale;
-                            while remaining > 0.0 {
-                                if shutdown.load(Ordering::Relaxed) {
-                                    break 'jobs;
-                                }
-                                let chunk = remaining.min(SLEEP_SLICE_S);
-                                std::thread::sleep(Duration::from_secs_f64(chunk));
-                                remaining -= chunk;
-                            }
-                        }
-                        if msg_tx
-                            .send(WorkerMsg::Done(Done {
-                                worker: w,
-                                task: job.task,
-                                attempt: job.attempt,
-                                eval,
-                                started_at,
-                                finished_at: epoch.elapsed(),
-                            }))
-                            .is_err()
-                        {
-                            break;
-                        }
-                    }
-                });
+                scope.spawn(move |_| work(thread, bb, scale, &jobs, &msgs, shutdown));
             }
             drop(msg_tx); // workers hold the remaining clones
             drop(job_rx); // so sends fail once every worker has exited
 
-            let out = (|| -> Result<(), OptError> {
-                // Enqueues one attempt of a task onto the worker pool.
-                let enqueue = |task: usize,
-                               attempt: usize,
-                               x: Vec<f64>,
-                               session: &mut SessionState,
-                               issued_at: &mut HashMap<usize, f64>| {
-                    let now = epoch.elapsed().as_secs_f64();
-                    telemetry.set_now(now);
-                    let _span = telemetry.span("dispatch");
-                    // Slot hint only: the real worker id arrives with the
-                    // `Started` message and overwrites this field.
-                    let worker = task % self.workers;
-                    telemetry.emit_at_with(now, || Event::QueryIssued { task, worker });
-                    issued_at.insert(task, now);
-                    session.begin(task, attempt, x.clone(), worker, None);
-                    // A failed send means every worker exited; the
-                    // capacity check below turns that into an error.
-                    let _ = job_tx.send(Job { task, attempt, x });
-                };
-                // Proposes and enqueues a brand-new task (no-op once the
-                // budget is exhausted).
-                let issue_new = |session: &mut SessionState,
-                                 issued_at: &mut HashMap<usize, f64>,
-                                 policy: &mut dyn AsyncPolicy| {
-                    telemetry.set_now(epoch.elapsed().as_secs_f64());
-                    if let Some(s) = session.ask_traced(policy, telemetry) {
-                        enqueue(s.task, s.attempt, s.x, session, issued_at);
-                    }
-                };
-
-                if resume {
-                    // Re-enqueue every interrupted attempt, then top the
-                    // pipeline back up to one job per worker.
-                    let inflight = std::mem::take(&mut session.inflight);
-                    for inf in inflight {
-                        enqueue(inf.task, inf.attempt, inf.x, &mut session, &mut issued_at);
-                    }
-                    let spare = self.workers.saturating_sub(session.inflight().len());
-                    for _ in 0..spare {
-                        issue_new(&mut session, &mut issued_at, policy);
-                    }
-                } else {
-                    // Prime the pipeline: one in-flight job per worker.
-                    for _ in 0..self.workers.min(session.max_evals()) {
-                        issue_new(&mut session, &mut issued_at, policy);
-                    }
-                }
-
-                let mut last_completed = session.completed();
-                while session.resolved() < session.issued() {
-                    // Fire retries whose backoff has elapsed.
-                    let now = epoch.elapsed().as_secs_f64();
-                    session.clock = now;
-                    for r in session.take_due_backoffs(now) {
-                        enqueue(r.task, r.attempt, r.x, &mut session, &mut issued_at);
-                    }
-
-                    let live = (0..self.workers).filter(|&w| !dead[w] && !stuck[w]).count();
-                    if live == 0 {
-                        return Err(OptError::ExecutorFailure {
-                            reason: format!(
-                                "no live workers remain ({} of {} dead, {} stuck, {} tasks unresolved)",
-                                dead.iter().filter(|&&d| d).count(),
-                                self.workers,
-                                stuck.iter().filter(|&&s| s).count(),
-                                session.issued() - session.resolved()
-                            ),
-                        });
-                    }
-
-                    // Sleep until the next deadline/backoff expiry, or
-                    // indefinitely when neither is pending.
-                    let mut wake: Option<f64> = session
-                        .backoffs()
-                        .iter()
-                        .map(|r| r.due)
-                        .fold(None, |a, d| Some(a.map_or(d, |v: f64| v.min(d))));
-                    if let Some(tmo) = retry.timeout {
-                        for inf in session.inflight() {
-                            if let Some((_, start)) = inf.started {
-                                let d = start + tmo;
-                                wake = Some(wake.map_or(d, |v: f64| v.min(d)));
-                            }
-                        }
-                    }
-                    let severed = || OptError::ExecutorFailure {
-                        reason: "worker message channel severed".to_string(),
-                    };
-                    let msg = match wake {
-                        None => Some(msg_rx.recv().map_err(|_| severed())?),
-                        Some(at) => {
-                            let now = epoch.elapsed().as_secs_f64();
-                            let dur = Duration::from_secs_f64((at - now).max(0.0));
-                            match msg_rx.recv_timeout(dur) {
-                                Ok(m) => Some(m),
-                                Err(channel::RecvTimeoutError::Timeout) => None,
-                                Err(channel::RecvTimeoutError::Disconnected) => {
-                                    return Err(severed())
-                                }
-                            }
-                        }
-                    };
-
-                    match msg {
-                        None => {}
-                        Some(WorkerMsg::Started {
-                            worker,
-                            task,
-                            attempt,
-                            at,
-                        }) => {
-                            // Any sign of life un-sticks a worker.
-                            stuck[worker] = false;
-                            let at_s = at.as_secs_f64();
-                            let current = session
-                                .inflight()
-                                .iter()
-                                .any(|inf| inf.task == task && inf.attempt == attempt);
-                            if current {
-                                telemetry.set_now(at_s);
-                                if let Some(inf) =
-                                    session.inflight.iter_mut().find(|inf| inf.task == task)
-                                {
-                                    inf.started = Some((worker, at_s));
-                                }
-                                if let Some(bp) =
-                                    session.busy.iter_mut().find(|bp| bp.task == task)
-                                {
-                                    bp.worker = worker;
-                                }
-                                if let Some(&t0) = issued_at.get(&task) {
-                                    telemetry.observe("queue_wait_s", (at_s - t0).max(0.0));
-                                }
-                                let gap = at_s - last_done[worker];
-                                if gap > 0.0 {
-                                    telemetry
-                                        .emit_at_with(at_s, || Event::WorkerIdle { worker, gap });
-                                }
-                                telemetry.emit_at_with(at_s, || Event::EvalStarted { task, worker });
-                            }
-                        }
-                        Some(WorkerMsg::Done(done)) => {
-                            stuck[done.worker] = false;
-                            let finished = done.finished_at.as_secs_f64();
-                            last_done[done.worker] = finished;
-                            let current = session
-                                .inflight()
-                                .iter()
-                                .any(|inf| inf.task == done.task && inf.attempt == done.attempt);
-                            if !current {
-                                // A superseded attempt (timed out and already
-                                // resolved): the worker is free again, nothing
-                                // else to record.
-                                continue;
-                            }
-                            // `take_inflight` removes exactly the completed
-                            // task's busy point: in-flight points are keyed
-                            // by task id, so duplicate `x` vectors on other
-                            // workers stay in the busy set.
-                            let inf = session.take_inflight(done.task).expect("checked above");
-                            issued_at.remove(&done.task);
-                            let outcome = done.eval.resolved_outcome();
-                            session.schedule.add_with(
-                                done.worker,
-                                done.task,
-                                done.started_at.as_secs_f64(),
-                                finished,
-                                !outcome.is_ok(),
-                            );
-                            telemetry.set_now(finished);
-                            match session.tell(
-                                retry,
-                                telemetry,
-                                finished,
-                                done.worker,
-                                done.task,
-                                inf.x,
-                                done.eval.value,
-                                done.attempt,
-                                outcome,
-                            ) {
-                                Told::Backoff { .. } => {}
-                                Told::Committed | Told::Dropped => {
-                                    issue_new(&mut session, &mut issued_at, policy);
-                                }
-                            }
-                        }
-                        Some(WorkerMsg::Crashed {
-                            worker,
-                            task,
-                            attempt,
-                            at,
-                        }) => {
-                            dead[worker] = true;
-                            stuck[worker] = false;
-                            let at_s = at.as_secs_f64();
-                            telemetry.set_now(at_s);
-                            telemetry.emit_at_with(at_s, || Event::WorkerCrashed { worker, task });
-                            telemetry.incr("worker_crashes", 1);
-                            let current = session
-                                .inflight()
-                                .iter()
-                                .any(|inf| inf.task == task && inf.attempt == attempt);
-                            if current {
-                                let inf = session.take_inflight(task).expect("checked above");
-                                issued_at.remove(&task);
-                                if let Some((w, start)) = inf.started {
-                                    session.schedule.add_with(w, task, start, at_s.max(start), true);
-                                }
-                                let outcome = EvalOutcome::Failed {
-                                    reason: "worker crashed".to_string(),
-                                };
-                                // Nothing came back from the dead worker, so
-                                // a `Record` exhaustion commits an honest NaN.
-                                match session.tell(
-                                    retry,
-                                    telemetry,
-                                    at_s,
-                                    worker,
-                                    task,
-                                    inf.x,
-                                    f64::NAN,
-                                    attempt,
-                                    outcome,
-                                ) {
-                                    Told::Backoff { .. } => {}
-                                    Told::Committed | Told::Dropped => {
-                                        issue_new(&mut session, &mut issued_at, policy);
-                                    }
-                                }
-                            }
-                        }
-                    }
-
-                    // Abandon attempts that blew their deadline.
-                    if let Some(tmo) = retry.timeout {
-                        let now = epoch.elapsed().as_secs_f64();
-                        let mut expired: Vec<usize> = session
-                            .inflight()
-                            .iter()
-                            .filter(|inf| {
-                                inf.started.is_some_and(|(_, start)| now >= start + tmo)
-                            })
-                            .map(|inf| inf.task)
-                            .collect();
-                        expired.sort_unstable();
-                        for task in expired {
-                            let inf = session.take_inflight(task).expect("collected above");
-                            let (worker, start) = inf.started.expect("filtered on started");
-                            issued_at.remove(&task);
-                            // The abandoned worker is occupied (and useless)
-                            // until it reports back.
-                            stuck[worker] = true;
-                            session.schedule.add_with(worker, task, start, start + tmo, true);
-                            let deadline = start + tmo;
-                            telemetry.set_now(deadline);
-                            match session.tell(
-                                retry,
-                                telemetry,
-                                deadline,
-                                worker,
-                                task,
-                                inf.x,
-                                f64::NAN,
-                                inf.attempt,
-                                EvalOutcome::TimedOut,
-                            ) {
-                                Told::Backoff { .. } => {}
-                                Told::Committed | Told::Dropped => {
-                                    issue_new(&mut session, &mut issued_at, policy);
-                                }
-                            }
-                        }
-                    }
-
-                    if session.completed() > last_completed {
-                        last_completed = session.completed();
-                        session.clock = epoch.elapsed().as_secs_f64();
-                        if let Some(h) = hook.as_mut() {
-                            if let HookAction::Stop { reason } =
-                                (**h)(&session, &*policy, session.clock)
-                            {
-                                return Err(OptError::ExecutorFailure { reason });
-                            }
-                        }
-                    }
-                }
-                Ok(())
-            })();
+            // A failed send means every thread exited; the liveness
+            // check turns that into an error.
+            let mut send = |x: &[f64], ctx: AttemptContext| {
+                let (task, attempt, x) = (ctx.task, ctx.attempt, x.to_vec());
+                let _ = job_tx.send(Job { task, attempt, x });
+                None
+            };
+            let retry = retry.clone();
+            let mut lp = if resume {
+                EventLoop::resume(session, retry, telemetry, &mut send)
+            } else {
+                EventLoop::fresh(session, retry, policy, telemetry, &mut send)
+            };
+            let out = pump(
+                &mut lp, &msg_rx, clock, policy, telemetry, &mut send, &mut hook,
+            );
             shutdown.store(true, Ordering::Relaxed);
             drop(job_tx); // signal workers to exit
-            out
+            out.map(|()| lp)
         })
         .expect("executor scope panicked");
-        run?;
+        Ok(finish_run(telemetry, run?))
+    }
+}
 
-        finish_run_metrics(telemetry, session.schedule());
-        Ok(session.into_result())
+/// Runs driver passes until the loop drains. Each pass reads the clock
+/// once, applies the worker reports received since the last pass,
+/// declares the reading the loop's horizon and runs every event at or
+/// before it, then waits for the next event, deadline or report.
+fn pump(
+    lp: &mut EventLoop,
+    msgs: &channel::Receiver<WorkerMsg>,
+    clock: impl Fn() -> f64,
+    policy: &mut dyn AsyncPolicy,
+    telemetry: &Telemetry,
+    send: &mut Resolver<'_>,
+    hook: &mut Option<&mut SessionHook<'_>>,
+) -> Result<(), OptError> {
+    let n = lp.session().workers();
+    let mut pool = Pool {
+        running: vec![None; n],
+        dead: vec![false; n],
+    };
+    let severed = || OptError::ExecutorFailure {
+        reason: "worker message channel severed".to_string(),
+    };
+    let mut inbox = None;
+    loop {
+        let now = clock();
+        let drained = std::iter::from_fn(|| msgs.try_recv().ok());
+        for msg in inbox.take().into_iter().chain(drained) {
+            pool.apply(lp, msg, now, telemetry);
+        }
+        lp.set_horizon(now);
+        while lp.next_time().is_some_and(|t| t <= now)
+            && step_hooked(lp, policy, telemetry, send, hook)?
+        {}
+        if lp.done() {
+            return Ok(());
+        }
+        pool.check_live(lp)?;
+        inbox = match lp.next_time() {
+            None => Some(msgs.recv().map_err(|_| severed())?),
+            Some(t) => match msgs.recv_timeout(Duration::from_secs_f64((t - clock()).max(0.0))) {
+                Ok(msg) => Some(msg),
+                Err(channel::RecvTimeoutError::Timeout) => None,
+                Err(channel::RecvTimeoutError::Disconnected) => return Err(severed()),
+            },
+        };
+    }
+}
+
+/// What the driver knows of its worker threads.
+struct Pool {
+    /// The `(task, attempt)` each thread is evaluating.
+    running: Vec<Option<(usize, usize)>>,
+    /// Which threads died.
+    dead: Vec<bool>,
+}
+
+impl Pool {
+    /// Applies one worker report stamped `now`, resolving a returned or
+    /// crashed attempt that the loop still awaits.
+    fn apply(&mut self, lp: &mut EventLoop, msg: WorkerMsg, now: f64, telemetry: &Telemetry) {
+        let WorkerMsg {
+            thread,
+            task,
+            attempt,
+            kind,
+        } = msg;
+        self.running[thread] = None;
+        let start = start_of(lp, task, attempt);
+        let (value, outcome) = match kind {
+            Report::Started => {
+                self.running[thread] = Some((task, attempt));
+                if let Some(start) = start {
+                    telemetry.observe("queue_wait_s", (now - start).max(0.0));
+                }
+                return;
+            }
+            Report::Done(eval) => (eval.value, eval.resolved_outcome()),
+            Report::Crashed => {
+                self.dead[thread] = true;
+                telemetry.emit_at_with(now, || Event::WorkerCrashed {
+                    worker: thread,
+                    task,
+                });
+                telemetry.incr("worker_crashes", 1);
+                // Nothing came back from the dead thread, so a `Record`
+                // exhaustion commits an honest NaN.
+                let reason = "worker crashed".to_string();
+                (f64::NAN, EvalOutcome::Failed { reason })
+            }
+        };
+        if let Some(start) = start {
+            lp.resolve(task, attempt, (value, now - start, outcome));
+        }
+    }
+
+    /// Fails the run when every thread is dead or stuck: still
+    /// evaluating an attempt the loop already timed out, and so busy
+    /// until it reports back.
+    fn check_live(&self, lp: &EventLoop) -> Result<(), OptError> {
+        let n = self.dead.len();
+        let dead = self.dead.iter().filter(|&&d| d).count();
+        let timed_out = |&&(task, attempt): &&(usize, usize)| start_of(lp, task, attempt).is_none();
+        let stuck = self.running.iter().flatten().filter(timed_out).count();
+        if dead + stuck < n {
+            return Ok(());
+        }
+        let unresolved = lp.session().issued() - lp.session().resolved();
+        Err(OptError::ExecutorFailure {
+            reason: format!(
+                "no live workers remain ({dead} of {n} dead, {stuck} stuck, \
+                 {unresolved} tasks unresolved)"
+            ),
+        })
+    }
+}
+
+/// The dispatch start of `(task, attempt)` while it awaits its result.
+fn start_of(lp: &EventLoop, task: usize, attempt: usize) -> Option<f64> {
+    let mut unresolved = lp.unresolved();
+    unresolved
+        .find(|d| d.task == task && d.attempt == attempt)
+        .map(|d| d.start)
+}
+
+/// One worker thread: evaluates jobs until the channel closes, the run
+/// shuts down, or the thread dies.
+fn work(
+    thread: usize,
+    bb: &(dyn BlackBox + Sync),
+    scale: f64,
+    jobs: &channel::Receiver<Job>,
+    msgs: &channel::Sender<WorkerMsg>,
+    shutdown: &AtomicBool,
+) {
+    let report = |job: &Job, kind| {
+        let (task, attempt) = (job.task, job.attempt);
+        msgs.send(WorkerMsg {
+            thread,
+            task,
+            attempt,
+            kind,
+        })
+        .is_ok()
+    };
+    'jobs: while let Ok(job) = jobs.recv() {
+        if !report(&job, Report::Started) {
+            break;
+        }
+        let ctx = AttemptContext {
+            task: job.task,
+            attempt: job.attempt,
+            worker: thread,
+            panics_caught: true,
+        };
+        let eval = match catch_unwind(AssertUnwindSafe(|| bb.evaluate_attempt(&job.x, ctx))) {
+            Ok(e) => e,
+            Err(payload) if payload.is::<WorkerDeath>() => {
+                report(&job, Report::Crashed);
+                break; // this thread is gone for good
+            }
+            Err(_) => Evaluation::failed("panicked during evaluation", 0.0),
+        };
+        // Sleep in slices so a "hung" job (huge cost) cannot outlive the
+        // run once shutdown is set.
+        let mut remaining = eval.cost * scale;
+        while remaining > 0.0 {
+            if shutdown.load(Ordering::Relaxed) {
+                break 'jobs;
+            }
+            let chunk = remaining.min(SLEEP_SLICE_S);
+            std::thread::sleep(Duration::from_secs_f64(chunk));
+            remaining -= chunk;
+        }
+        if !report(&job, Report::Done(eval)) {
+            break;
+        }
     }
 }
 

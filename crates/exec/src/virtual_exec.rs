@@ -6,7 +6,7 @@ use easybo_opt::OptError;
 use easybo_telemetry::{Event, Telemetry};
 
 use crate::blackbox::AttemptContext;
-use crate::event_loop::EventLoop;
+use crate::event_loop::{EventLoop, Resolver};
 use crate::retry::RetryPolicy;
 use crate::session::{HookAction, SessionHook, SessionState};
 use crate::{BlackBox, BusyPoint, Dataset, RunTrace, Schedule};
@@ -358,30 +358,8 @@ impl VirtualExecutor {
         } else {
             EventLoop::fresh(session, retry, policy, telemetry, &mut evaluate)
         };
-        let mut last_completed = lp.session().completed();
-        while lp.step(policy, telemetry, &mut evaluate) {
-            let session = lp.session();
-            if session.completed() > last_completed {
-                last_completed = session.completed();
-                if let Some(h) = hook.as_mut() {
-                    if let HookAction::Stop { reason } = (**h)(session, &*policy, session.clock()) {
-                        return Err(OptError::ExecutorFailure { reason });
-                    }
-                }
-            }
-        }
-        let session = lp.into_session();
-        if telemetry.enabled() {
-            let makespan = session.schedule().makespan();
-            for w in 0..b {
-                let gap = makespan - session.schedule().worker_busy_time(w);
-                if gap > 0.0 {
-                    telemetry.emit_at(makespan, Event::WorkerIdle { worker: w, gap });
-                }
-            }
-        }
-        finish_run_metrics(telemetry, session.schedule());
-        Ok(session.into_result())
+        while step_hooked(&mut lp, policy, telemetry, &mut evaluate, &mut hook)? {}
+        Ok(finish_run(telemetry, lp))
     }
 
     /// Runs **sequential** optimization (one worker, one point at a time):
@@ -394,6 +372,53 @@ impl VirtualExecutor {
     ) -> RunResult {
         VirtualExecutor::new(1).run_async(bb, init, max_evals, policy)
     }
+}
+
+/// Runs one [`EventLoop::step`], then calls the hook if the step
+/// committed an observation. Returns whether an event was processed.
+///
+/// # Errors
+///
+/// Returns [`OptError::ExecutorFailure`] when the hook aborts the run
+/// via [`HookAction::Stop`].
+pub(crate) fn step_hooked(
+    lp: &mut EventLoop,
+    policy: &mut dyn AsyncPolicy,
+    telemetry: &Telemetry,
+    resolver: &mut Resolver<'_>,
+    hook: &mut Option<&mut SessionHook<'_>>,
+) -> Result<bool, OptError> {
+    let before = lp.session().completed();
+    if !lp.step(policy, telemetry, resolver) {
+        return Ok(false);
+    }
+    let session = lp.session();
+    if session.completed() > before {
+        if let Some(h) = hook.as_mut() {
+            if let HookAction::Stop { reason } = (**h)(session, &*policy, session.clock()) {
+                return Err(OptError::ExecutorFailure { reason });
+            }
+        }
+    }
+    Ok(true)
+}
+
+/// Ends an [`EventLoop`] run: one `WorkerIdle` per worker slot with
+/// its idle seconds over the makespan, then the scheduling gauges.
+pub(crate) fn finish_run(telemetry: &Telemetry, lp: EventLoop) -> RunResult {
+    let session = lp.into_session();
+    let schedule = session.schedule();
+    if telemetry.enabled() {
+        let makespan = schedule.makespan();
+        for w in 0..schedule.workers() {
+            let gap = makespan - schedule.worker_busy_time(w);
+            if gap > 0.0 {
+                telemetry.emit_at(makespan, Event::WorkerIdle { worker: w, gap });
+            }
+        }
+    }
+    finish_run_metrics(telemetry, schedule);
+    session.into_result()
 }
 
 /// Records end-of-run scheduling gauges shared by every executor.

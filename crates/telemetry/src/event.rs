@@ -11,10 +11,9 @@ use std::borrow::Cow;
 /// structure (`SpanStart`/`SpanEnd`, see [`crate::SpanGuard`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
-    /// The policy proposed a query; `worker` is the worker it was
-    /// issued toward (for the threaded executor this is refined by the
-    /// matching [`Event::EvalStarted`], which reports the worker that
-    /// actually picked the job up).
+    /// The policy proposed a query; `worker` is the worker slot it was
+    /// issued to, the same slot the matching [`Event::EvalStarted`]
+    /// reports.
     QueryIssued {
         /// Monotone task id of the query.
         task: usize,
@@ -61,8 +60,10 @@ pub enum Event {
         /// Number of pseudo-points added for this selection.
         count: usize,
     },
-    /// A worker sat idle between finishing one task and starting the
-    /// next (run-clock seconds).
+    /// A worker sat idle (run-clock seconds): the async executors emit
+    /// one per worker slot at the end of the run with its total idle
+    /// time, the sync driver one per round member with its wait for the
+    /// barrier.
     WorkerIdle {
         /// The idle worker.
         worker: usize,
@@ -94,7 +95,8 @@ pub enum Event {
     },
     /// A worker died mid-evaluation and left the pool for good.
     WorkerCrashed {
-        /// The dead worker.
+        /// The dead worker (on the threaded executor, the OS thread's
+        /// index rather than a worker slot).
         worker: usize,
         /// Task it was evaluating when it died.
         task: usize,

@@ -5,13 +5,18 @@
 //! never sees non-finite observations, one retry event per requeue, and
 //! bit-identical traces for identical seeds.
 
+use std::collections::{HashMap, HashSet};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
+
 use easybo::EasyBo;
 use easybo_exec::{
-    AsyncPolicy, BlackBox, BusyPoint, CostedFunction, Dataset, FailureAction, FaultPlan,
-    FaultyBlackBox, RetryPolicy, SimTimeModel, ThreadedExecutor, VirtualExecutor,
+    fault::InjectedFault, AsyncPolicy, AttemptContext, BlackBox, BusyPoint, CostedFunction,
+    Dataset, EvalOutcome, Evaluation, FailureAction, FaultPlan, FaultyBlackBox, RetryPolicy,
+    SimTimeModel, ThreadedExecutor, VirtualExecutor,
 };
 use easybo_opt::Bounds;
-use easybo_telemetry::Telemetry;
+use easybo_telemetry::{Event, Telemetry};
 use proptest::prelude::*;
 
 /// Deterministic policy that walks the unit interval; keeps the chaos
@@ -314,6 +319,179 @@ fn fixed_seed_chaos_is_bit_identical() {
     assert_eq!(data_a, data_p);
     assert_eq!(x_a, x_p);
     assert_eq!(v_a, v_p);
+}
+
+/// Proposes points from both the data and the busy set, so a replay
+/// that diverged in either shows up in the trajectory.
+struct Spread;
+
+impl AsyncPolicy for Spread {
+    fn select_next(&mut self, d: &Dataset, busy: &[BusyPoint]) -> Vec<f64> {
+        let seen: f64 = d.ys().iter().filter(|y| y.is_finite()).sum();
+        let k = d.len() * 7 + busy.iter().map(|b| b.task).sum::<usize>();
+        vec![(k as f64 * 0.137 + seen * 0.01).rem_euclid(1.0)]
+    }
+}
+
+/// Logs every attempt's raw evaluation as the threaded executor sees it,
+/// a contained panic as the failed evaluation it substitutes.
+struct Recorder<B> {
+    inner: B,
+    log: Mutex<HashMap<(usize, usize), Evaluation>>,
+}
+
+impl<B: BlackBox> BlackBox for Recorder<B> {
+    fn bounds(&self) -> &Bounds {
+        self.inner.bounds()
+    }
+
+    fn evaluate(&self, x: &[f64]) -> Evaluation {
+        self.inner.evaluate(x)
+    }
+
+    fn evaluate_attempt(&self, x: &[f64], ctx: AttemptContext) -> Evaluation {
+        let e = catch_unwind(AssertUnwindSafe(|| self.inner.evaluate_attempt(x, ctx)));
+        let seen = match &e {
+            Ok(e) => e.clone(),
+            Err(_) => Evaluation::failed("panicked during evaluation", 0.0),
+        };
+        self.log
+            .lock()
+            .unwrap()
+            .insert((ctx.task, ctx.attempt), seen);
+        e.unwrap_or_else(|payload| resume_unwind(payload))
+    }
+}
+
+/// Replays logged attempts: the logged value and outcome at the cost
+/// the threaded run measured.
+struct Replay {
+    bounds: Bounds,
+    attempts: HashMap<(usize, usize), Evaluation>,
+}
+
+impl BlackBox for Replay {
+    fn bounds(&self) -> &Bounds {
+        &self.bounds
+    }
+
+    fn evaluate(&self, _x: &[f64]) -> Evaluation {
+        unreachable!("the executors call evaluate_attempt")
+    }
+
+    fn evaluate_attempt(&self, _x: &[f64], ctx: AttemptContext) -> Evaluation {
+        self.attempts[&(ctx.task, ctx.attempt)].clone()
+    }
+}
+
+/// A threaded run replays through the virtual executor bit for bit:
+/// failures, non-finite values, panics, stragglers and hangs abandoned at
+/// a real-seconds timeout. Each attempt's cost is its span's end − start;
+/// a timed-out attempt replays at cost +∞, which the timeout clamps.
+///
+/// A hang sleeps twice the timeout, so the run keeps issuing tasks while
+/// a hung thread is stuck past its deadline; with a 20 ms backoff before
+/// the retry, a timeout folded late would change the busy sets those
+/// asks see. The plan is sized so hangs
+/// cannot hold every thread at once (fewer hang draws than threads over
+/// every attempt the run can reach): with all four threads stuck the run
+/// ends in the all-threads-stuck `ExecutorFailure` instead, which is the
+/// executor's contract.
+#[test]
+fn threaded_run_replays_through_the_virtual_executor() {
+    const WORKERS: usize = 4;
+    const TASKS: usize = 30;
+    const ATTEMPTS: usize = 4;
+    // Reporting an injected panic (a backtrace under RUST_BACKTRACE) can
+    // stall its thread past the timeout; every other panic is reported.
+    let report = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if info.payload().downcast_ref::<&str>() != Some(&"injected evaluation panic") {
+            report(info);
+        }
+    }));
+    let retry = RetryPolicy::default()
+        .max_attempts(ATTEMPTS)
+        .backoff(0.02, 2.0)
+        .timeout(0.05)
+        .on_exhausted(FailureAction::Penalty(-5.0));
+    let mut timeouts_seen = 0;
+    for seed in 0..16u64 {
+        let plan = FaultPlan {
+            seed,
+            fail_rate: 0.1,
+            nonfinite_rate: 0.1,
+            hang_rate: 0.0075,
+            hang_cost: 1000.0,
+            panic_rate: 0.1,
+            straggler_rate: 0.15,
+            ..FaultPlan::default()
+        };
+        let hangs = (0..TASKS)
+            .flat_map(|t| (1..=ATTEMPTS).map(move |a| (t, a)))
+            .filter(|&(t, a)| plan.decide(t, a) == InjectedFault::Hang)
+            .count();
+        assert!(hangs < WORKERS, "seed {seed}: {hangs} hang draws");
+        let bb = Recorder {
+            inner: FaultyBlackBox::new(toy_blackbox(seed), plan),
+            log: Mutex::new(HashMap::new()),
+        };
+        let (telemetry, events) = Telemetry::recording();
+        let threaded = ThreadedExecutor::new(WORKERS, 1e-4)
+            .run_async_resilient(&bb, &init_points(4), TASKS, &mut Spread, &retry, &telemetry)
+            .expect("hangs never hold every thread");
+
+        let timed_out: HashSet<(usize, usize)> = (events.events().into_iter())
+            .filter_map(|e| match e.event {
+                Event::EvalFailed {
+                    task,
+                    attempt,
+                    reason,
+                    ..
+                } if reason == EvalOutcome::TimedOut.describe() => Some((task, attempt)),
+                _ => None,
+            })
+            .collect();
+        timeouts_seen += timed_out.len();
+        let log = bb.log.into_inner().unwrap();
+        let mut attempts = HashMap::new();
+        let mut tries: HashMap<usize, usize> = HashMap::new();
+        for span in threaded.schedule.spans() {
+            let attempt = tries.entry(span.task).or_default();
+            *attempt += 1;
+            let key = (span.task, *attempt);
+            let e = if timed_out.contains(&key) {
+                Evaluation::failed("timeout", f64::INFINITY)
+            } else {
+                Evaluation {
+                    cost: span.end - span.start,
+                    ..log[&key].clone()
+                }
+            };
+            attempts.insert(key, e);
+        }
+        let replay = Replay {
+            bounds: Bounds::unit_cube(1).unwrap(),
+            attempts,
+        };
+        let replayed = VirtualExecutor::new(WORKERS).run_async_resilient(
+            &replay,
+            &init_points(4),
+            TASKS,
+            &mut Spread,
+            &retry,
+            &Telemetry::disabled(),
+        );
+        assert_eq!(replayed.data.xs(), threaded.data.xs(), "seed {seed}");
+        let bits = |d: &Dataset| d.ys().iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&replayed.data), bits(&threaded.data), "seed {seed}");
+        assert_eq!(
+            replayed.trace.to_csv(),
+            threaded.trace.to_csv(),
+            "seed {seed}"
+        );
+    }
+    assert!(timeouts_seen > 0, "the plans must exercise the timeout");
 }
 
 proptest! {

@@ -231,6 +231,44 @@ fn threaded_kill_and_resume_loses_no_work() {
     }
 }
 
+/// A resumed threaded run continues the captured clock: every task
+/// issued after the capture starts at or after the capture clock, so
+/// the restored spans and the new ones share one timeline.
+#[test]
+fn threaded_resume_continues_the_captured_clock() {
+    let bounds = Bounds::unit_cube(2).unwrap();
+    let time = SimTimeModel::new(&bounds, 5.0, 0.2, 0);
+    let bb = CostedFunction::new("toy", bounds.clone(), time, objective);
+    let mut opt = EasyBo::new(bounds);
+    opt.batch_size(3).initial_points(6).max_evals(16).seed(3);
+
+    let path = tmp("threaded-clock");
+    let mut killed = opt.clone();
+    killed
+        .checkpoint_to(&path)
+        .checkpoint_every(1)
+        .abort_after_evals(8);
+    killed.run_threaded(&bb, 0.0).unwrap_err();
+    let capture = load_snapshot(&path).unwrap().session;
+
+    let r = opt.resume_threaded(&path, &bb, 0.0).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(r.data.len(), 16);
+    let late: Vec<_> = (r.schedule.spans().iter())
+        .filter(|s| s.task >= capture.issued)
+        .collect();
+    assert!(!late.is_empty(), "the resume must issue new tasks");
+    for s in late {
+        assert!(
+            s.start >= capture.clock,
+            "task {} starts at {} before the capture clock {}",
+            s.task,
+            s.start,
+            capture.clock
+        );
+    }
+}
+
 /// Telemetry contract: checkpoints emit `CheckpointWritten` + counter,
 /// resume emits exactly one `RunResumed` + counter.
 #[test]
