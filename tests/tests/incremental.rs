@@ -10,7 +10,10 @@
 //!   every registry algorithm, penalization mode and the constrained
 //!   policy reproduces a pinned digest of its whole trajectory, so a
 //!   change to the stack that moves a single bit of a query or an
-//!   observation fails here.
+//!   observation fails here;
+//! * when a non-finite observation makes the surrogate fit fail, every
+//!   policy falls back to uniform draws, and a pinned digest of those
+//!   draws fixes the fallback branch the trajectory digests never reach.
 
 use std::collections::BTreeMap;
 
@@ -244,4 +247,102 @@ fn constrained_trajectory_is_identical_with_telemetry() {
         summary.pseudo_points as u64
     );
     assert!(metrics.counter("cholesky_downdate") >= summary.pseudo_points as u64);
+}
+
+/// Fallback pin: on a dataset whose last observation is +∞, NaN or −∞ the
+/// surrogate fit fails (seven points are too few for the winsorization
+/// fence to clamp the low side), so every policy takes its uniform-draw
+/// fallback. Each registry policy and the constrained policy make two
+/// consecutive selections per non-finite value; the FNV-1a digest of all
+/// their draws is pinned, so a change to the fallback's RNG use or to
+/// when a fit counts as failed fails here.
+#[test]
+fn every_policy_fallback_draw_matches_its_pinned_digest() {
+    use easybo::{Algorithm, ConstrainedPolicy, ConstrainedProblem, Parallelism};
+    use easybo_exec::{AsyncPolicy, Dataset};
+    use rand::{rngs::StdRng, SeedableRng};
+
+    let pinned: [(&str, u64); 15] = [
+        ("lcb", 0x388eba147a02bb06),
+        ("ei", 0x388eba147a02bb06),
+        ("easybo-seq", 0x388eba147a02bb06),
+        ("pbo", 0x6f15d925a3807e20),
+        ("phcbo", 0x6f15d925a3807e20),
+        ("easybo-s", 0xbf8735dbf0a51ee5),
+        ("easybo-a", 0x1b4bd172d133ee77),
+        ("easybo-sp", 0xbf8735dbf0a51ee5),
+        ("easybo", 0x1b4bd172d133ee77),
+        ("bucb", 0xb361a79abe464db6),
+        ("lp", 0x6f59dab203b9486b),
+        ("eps-greedy", 0xe80bbdf757c95a2f),
+        ("pessimistic", 0x7354d9148198a831),
+        ("standard", 0xfc096f6e6c86978f),
+        ("constrained", 0x4cfc8bc68c79ddcf),
+    ];
+
+    let bb = opamp_blackbox();
+    let bounds = bb.bounds().clone();
+    let xs = easybo_opt::sampling::latin_hypercube(&bounds, 7, &mut StdRng::seed_from_u64(13));
+    let datasets: Vec<Dataset> = [f64::INFINITY, f64::NAN, f64::NEG_INFINITY]
+        .into_iter()
+        .map(|bad| {
+            let mut data = Dataset::new();
+            for x in &xs[..6] {
+                data.push(x.clone(), bb.evaluate(x).value);
+            }
+            data.push(xs[6].clone(), bad);
+            data
+        })
+        .collect();
+    let digest = |draws: &[Vec<f64>]| {
+        let mut flat = Dataset::new();
+        for x in draws {
+            flat.push(x.clone(), 0.0);
+        }
+        trajectory_digest(&flat)
+    };
+
+    let mut got: BTreeMap<&str, u64> = BTreeMap::new();
+    for algo in Algorithm::all() {
+        let mut draws = Vec::new();
+        for data in &datasets {
+            let par = Parallelism::new(1);
+            if let Some(mut p) = algo.async_policy(bounds.clone(), 5, par) {
+                for _ in 0..2 {
+                    draws.push(p.select_next(data, &[]));
+                }
+            } else if let Some(mut p) = algo.sync_policy(bounds.clone(), 5, par) {
+                for _ in 0..2 {
+                    draws.extend(p.select_batch(data, 3));
+                }
+            }
+        }
+        if !draws.is_empty() {
+            assert!(draws.iter().all(|x| bounds.contains(x)), "{}", algo.key());
+            got.insert(algo.key(), digest(&draws));
+        }
+    }
+    let objective = |x: &[f64]| x[0];
+    let constraint = |x: &[f64]| x[1] - x[2];
+    let problem = ConstrainedProblem::new(&objective).subject_to(&constraint);
+    let mut draws = Vec::new();
+    for data in &datasets {
+        let mut p = ConstrainedPolicy::new(&problem, bounds.clone(), 5);
+        for _ in 0..2 {
+            draws.push(p.select_next(data, &[]));
+        }
+    }
+    got.insert("constrained", digest(&draws));
+
+    let mismatched: Vec<String> = pinned
+        .iter()
+        .filter(|(name, want)| got.get(name) != Some(want))
+        .map(|(name, want)| format!("{name}: want {want:016x}, got {:016x?}", got.get(name)))
+        .collect();
+    assert_eq!(got.len(), pinned.len(), "every pinned policy was run");
+    assert!(
+        mismatched.is_empty(),
+        "fallback draws diverged:\n{}",
+        mismatched.join("\n")
+    );
 }
