@@ -18,7 +18,7 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> exact-bits suites of the GP and acquisition hot path under release arithmetic"
+echo "==> exact-bits suites of the GP and acquisition hot path, the trajectory-digest pin and the fallback-draw pin under release arithmetic"
 cargo test --release -q -p easybo-linalg -p easybo-gp -p easybo-persist -p easybo
 cargo test --release -q -p easybo-integration --test incremental
 

@@ -1,20 +1,12 @@
 //! Incremental-factorization benchmark: rank-1 Cholesky maintenance vs
 //! full refactorization.
 //!
-//! Two families of rows:
-//!
-//! * `tell_rank1_vs_full_n*` — the per-tell cost of absorbing one new
-//!   observation into the surrogate's kernel factor: baseline rebuilds the
-//!   `(n+1)×(n+1)` factor from scratch (blocked `Cholesky::new`, `O(n³)`),
-//!   the candidate extends the cached `n×n` factor by one row
-//!   (`Cholesky::extend`, `O(n²)`, including the factor copy a persistent
-//!   cache avoids entirely).
-//! * `pseudo_stack_vs_clone_augment_n*_b*` — one busy-point penalization
-//!   inner loop: baseline clones the GP and hallucinates `b` busy points
-//!   (`Gp::augment`, the reference the stack is tested against; no policy
-//!   runs it), the candidate pushes them onto the cached factor stack and
-//!   pops them back off (`IncrementalGp::push_pseudo_mean` /
-//!   `pop_all_pseudo`), the path every policy runs.
+//! Rows `tell_rank1_vs_full_n*` — the per-tell cost of absorbing one new
+//! observation into the surrogate's kernel factor: baseline rebuilds the
+//! `(n+1)×(n+1)` factor from scratch (blocked `Cholesky::new`, `O(n³)`),
+//! the candidate extends the cached `n×n` factor by one row
+//! (`Cholesky::extend`, `O(n²)`, including the factor copy a persistent
+//! cache avoids entirely).
 //!
 //! Prints a table and writes `BENCH_incremental.json` at the repository
 //! root. Repetition count comes from `EASYBO_REPS` (default 5); each cell
@@ -23,7 +15,7 @@
 use std::time::Instant;
 
 use easybo_bench::{bench_report, host_threads, write_bench_report, BenchRecord};
-use easybo_gp::{ArdKernel, Gp, IncrementalGp, KernelFamily};
+use easybo_gp::{ArdKernel, KernelFamily};
 use easybo_linalg::{Cholesky, Matrix, Vector};
 use easybo_opt::{sampling, Bounds};
 use rand::SeedableRng;
@@ -98,58 +90,6 @@ fn bench_tell(rows: &mut Vec<BenchRecord>, reps: usize, n: usize, d: usize) {
     ));
 }
 
-/// One penalization inner loop at size `n` with `b` busy points: factor
-/// stack push/pop vs the clone-and-augment reference.
-fn bench_pseudo_loop(rows: &mut Vec<BenchRecord>, reps: usize, n: usize, d: usize, b: usize) {
-    let xs = unit_points(n, d, 31);
-    let ys: Vec<f64> = xs
-        .iter()
-        .map(|p| {
-            p.iter()
-                .enumerate()
-                .map(|(i, v)| (v * (i + 1) as f64).sin())
-                .sum()
-        })
-        .collect();
-    let gp = Gp::fit_with_params(
-        xs,
-        ys,
-        KernelFamily::SquaredExponential,
-        vec![0.0; d + 1],
-        (1e-4f64).ln(),
-    )
-    .expect("fits");
-    let busy = unit_points(b, d, 57);
-    let probe = vec![0.37; d];
-
-    let (clone_s, cloned) = time_best(reps, || gp.augment(&busy).expect("augments"));
-    let mut inc = IncrementalGp::new(gp.clone());
-    let (stack_s, _) = time_best(reps, || {
-        for p in &busy {
-            inc.push_pseudo_mean(p.clone()).expect("pushes");
-        }
-        inc.pop_all_pseudo();
-        inc.n_base()
-    });
-    // Bit-identity verdict outside the timed region: the pushed stack
-    // must reproduce the cloned augmentation exactly.
-    for p in &busy {
-        inc.push_pseudo_mean(p.clone()).expect("pushes");
-    }
-    let identical = {
-        let a = cloned.predict(&probe);
-        let c = inc.gp().predict(&probe);
-        a.mean.to_bits() == c.mean.to_bits() && a.variance.to_bits() == c.variance.to_bits()
-    };
-    inc.pop_all_pseudo();
-    rows.push(BenchRecord::from_seconds(
-        format!("pseudo_stack_vs_clone_augment_n{n}_d{d}_b{b}"),
-        clone_s,
-        stack_s,
-        identical,
-    ));
-}
-
 fn main() {
     let reps: usize = std::env::var("EASYBO_REPS")
         .ok()
@@ -164,8 +104,6 @@ fn main() {
     for n in [100, 200, 400, 800] {
         bench_tell(&mut rows, reps, n, 10);
     }
-    bench_pseudo_loop(&mut rows, reps, 200, 10, 8);
-    bench_pseudo_loop(&mut rows, reps, 400, 10, 8);
 
     println!(
         "{:<44} {:>12} {:>12} {:>9} {:>10}",
@@ -185,11 +123,10 @@ fn main() {
     let json = bench_report(
         "incremental",
         reps,
-        "baseline = full O(n^3) refactorize (tell rows) or clone-and-augment (pseudo rows); \
-         candidate = rank-1 factor extend / factor-stack push+pop. Best-of-reps wall clock. \
-         'identical' means bitwise-equal predictions for the pseudo rows and relative \
-         log-det agreement <= 1e-10 for the tell rows (two factorizations of the same \
-         matrix differ in operation order, so bitwise equality is not expected there).",
+        "baseline = full O(n^3) refactorize; candidate = rank-1 factor extend. Best-of-reps \
+         wall clock. 'identical' means relative log-det agreement <= 1e-10 (two \
+         factorizations of the same matrix differ in operation order, so bitwise equality \
+         is not expected).",
         &rows,
     );
     let path = write_bench_report("BENCH_incremental.json", &json);

@@ -1,7 +1,6 @@
 //! Criterion micro-benchmarks of the numerical kernels underpinning the
 //! reproduction: Cholesky factorization, GP fitting and prediction,
-//! pseudo-point augmentation, acquisition maximization and the circuit
-//! models themselves.
+//! acquisition maximization and the circuit models themselves.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use easybo_circuits::{class_e::ClassEPa, opamp::TwoStageOpAmp, Circuit};
@@ -70,10 +69,6 @@ fn bench_gp(c: &mut Criterion) {
     let q = vec![0.5; 10];
     c.bench_function("gp_predict_100x10", |b| {
         b.iter(|| gp.predict(std::hint::black_box(&q)))
-    });
-    let busy: Vec<Vec<f64>> = (0..4).map(|i| vec![0.1 * (i + 1) as f64; 10]).collect();
-    c.bench_function("gp_augment_4_busy_points", |b| {
-        b.iter(|| gp.augment(std::hint::black_box(&busy)).expect("augments"))
     });
 }
 

@@ -28,9 +28,10 @@ use serde::{Deserialize, Serialize};
 use crate::policies::{
     AcqOptConfig, BucbPolicy, EasyBoAsyncPolicy, EasyBoSyncPolicy, EpsGreedyPolicy,
     LocalPenalizationPolicy, PboPolicy, PessimisticAsyncPolicy, SequentialAcquisition,
-    SequentialBoPolicy, StandardAsyncPolicy,
+    SequentialBoPolicy, StandardAsyncPolicy, DEFAULT_EPSILON, DEFAULT_PESSIMISTIC_KAPPA,
 };
 use crate::surrogate::SurrogateConfig;
+use crate::weight::DEFAULT_LAMBDA;
 
 /// Scheduling mode of an [`Algorithm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -291,15 +292,7 @@ impl Algorithm {
         seed: u64,
         parallelism: Parallelism,
     ) -> Option<Box<dyn AsyncPolicy + Send>> {
-        let dim = bounds.dim();
-        let scfg = SurrogateConfig {
-            parallelism,
-            ..SurrogateConfig::default()
-        };
-        let acfg = AcqOptConfig {
-            parallelism,
-            ..AcqOptConfig::for_dim(dim)
-        };
+        let (scfg, acfg) = policy_configs(bounds.dim(), parallelism);
         match self {
             Algorithm::Ei => Some(Box::new(SequentialBoPolicy::with_configs(
                 bounds,
@@ -318,7 +311,7 @@ impl Algorithm {
             Algorithm::EasyBoSeq => Some(Box::new(SequentialBoPolicy::with_configs(
                 bounds,
                 SequentialAcquisition::EasyBo {
-                    lambda: crate::weight::DEFAULT_LAMBDA,
+                    lambda: DEFAULT_LAMBDA,
                 },
                 seed,
                 scfg,
@@ -327,7 +320,7 @@ impl Algorithm {
             Algorithm::EasyBoA => Some(Box::new(EasyBoAsyncPolicy::with_configs(
                 bounds,
                 false,
-                crate::weight::DEFAULT_LAMBDA,
+                DEFAULT_LAMBDA,
                 seed,
                 scfg,
                 acfg,
@@ -335,21 +328,21 @@ impl Algorithm {
             Algorithm::EasyBo => Some(Box::new(EasyBoAsyncPolicy::with_configs(
                 bounds,
                 true,
-                crate::weight::DEFAULT_LAMBDA,
+                DEFAULT_LAMBDA,
                 seed,
                 scfg,
                 acfg,
             ))),
             Algorithm::EpsGreedy => Some(Box::new(EpsGreedyPolicy::with_configs(
                 bounds,
-                crate::policies::DEFAULT_EPSILON,
+                DEFAULT_EPSILON,
                 seed,
                 scfg,
                 acfg,
             ))),
             Algorithm::PessimisticBo => Some(Box::new(PessimisticAsyncPolicy::with_configs(
                 bounds,
-                crate::policies::DEFAULT_PESSIMISTIC_KAPPA,
+                DEFAULT_PESSIMISTIC_KAPPA,
                 seed,
                 scfg,
                 acfg,
@@ -376,15 +369,7 @@ impl Algorithm {
         seed: u64,
         parallelism: Parallelism,
     ) -> Option<Box<dyn SyncBatchPolicy + Send>> {
-        let dim = bounds.dim();
-        let scfg = SurrogateConfig {
-            parallelism,
-            ..SurrogateConfig::default()
-        };
-        let acfg = AcqOptConfig {
-            parallelism,
-            ..AcqOptConfig::for_dim(dim)
-        };
+        let (scfg, acfg) = policy_configs(bounds.dim(), parallelism);
         match self {
             Algorithm::Pbo => Some(Box::new(PboPolicy::with_configs(
                 bounds, false, seed, scfg, acfg,
@@ -395,7 +380,7 @@ impl Algorithm {
             Algorithm::EasyBoS => Some(Box::new(EasyBoSyncPolicy::with_configs(
                 bounds,
                 false,
-                crate::weight::DEFAULT_LAMBDA,
+                DEFAULT_LAMBDA,
                 seed,
                 scfg,
                 acfg,
@@ -403,7 +388,7 @@ impl Algorithm {
             Algorithm::EasyBoSp => Some(Box::new(EasyBoSyncPolicy::with_configs(
                 bounds,
                 true,
-                crate::weight::DEFAULT_LAMBDA,
+                DEFAULT_LAMBDA,
                 seed,
                 scfg,
                 acfg,
@@ -502,6 +487,20 @@ impl Algorithm {
             }
         }
     }
+}
+
+/// The surrogate and acquisition-optimizer settings every registry policy
+/// is built with: the defaults for `dim`, on `parallelism` threads.
+fn policy_configs(dim: usize, parallelism: Parallelism) -> (SurrogateConfig, AcqOptConfig) {
+    let surrogate = SurrogateConfig {
+        parallelism,
+        ..SurrogateConfig::default()
+    };
+    let acq_opt = AcqOptConfig {
+        parallelism,
+        ..AcqOptConfig::for_dim(dim)
+    };
+    (surrogate, acq_opt)
 }
 
 /// Runs the differential-evolution baseline sequentially, accounting

@@ -26,12 +26,10 @@ use easybo_gp::Gp;
 use easybo_opt::{BatchObjective, Bounds};
 use easybo_persist::PersistError;
 use easybo_telemetry::{Event, Telemetry};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::acquisition::{self, PenalizedAcqInc};
 use crate::persistence::Fingerprint;
-use crate::policies::{AcqMaximizer, AcqOptConfig, PenalizationMode};
+use crate::policies::{AcqOptConfig, PenalizationMode, PolicyCore};
 use crate::surrogate::{SurrogateConfig, SurrogateManager};
 use crate::weight::{sample_kappa_weight, DEFAULT_LAMBDA};
 use crate::{EasyBo, EasyBoError, OptimizationResult};
@@ -115,14 +113,12 @@ impl<'a> ConstrainedProblem<'a> {
 /// policy the internal entry points use.
 pub struct ConstrainedPolicy<'a> {
     problem: &'a ConstrainedProblem<'a>,
-    objective_surrogate: SurrogateManager,
+    /// Objective surrogate, maximizer, RNG, fallbacks and telemetry.
+    core: PolicyCore,
     constraint_surrogates: Vec<SurrogateManager>,
     /// Raw constraint observations, parallel to the dataset.
     slacks: Vec<Vec<f64>>,
-    maximizer: AcqMaximizer,
-    rng: StdRng,
     lambda: f64,
-    fallbacks: usize,
     /// Dataset prefix length already announced to telemetry — persisted
     /// so a resumed run does not re-emit spec events for old points.
     announced: u64,
@@ -130,7 +126,6 @@ pub struct ConstrainedPolicy<'a> {
     feasible: u64,
     /// Best feasible objective announced so far.
     best_feasible: Option<f64>,
-    telemetry: Telemetry,
 }
 
 impl<'a> ConstrainedPolicy<'a> {
@@ -158,44 +153,38 @@ impl<'a> ConstrainedPolicy<'a> {
         surrogate: SurrogateConfig,
         acq_opt: AcqOptConfig,
     ) -> Self {
-        let dim = bounds.dim();
-        let make = |k: u64| {
-            SurrogateManager::new(
-                bounds.clone(),
-                SurrogateConfig {
-                    seed: seed ^ k,
+        // Constraint j's surrogate trains with `seed ^ (j + 1)`.
+        let constraint_surrogates = (0..problem.n_constraints())
+            .map(|j| {
+                let config = SurrogateConfig {
+                    seed: seed ^ (j as u64 + 1),
                     ..surrogate.clone()
-                },
-            )
-        };
+                };
+                SurrogateManager::new(bounds.clone(), config)
+            })
+            .collect();
         ConstrainedPolicy {
             problem,
-            objective_surrogate: make(0),
-            constraint_surrogates: (0..problem.n_constraints())
-                .map(|j| make(j as u64 + 1))
-                .collect(),
+            core: PolicyCore::new(bounds, seed, 0xc025_0003, surrogate, acq_opt),
+            constraint_surrogates,
             slacks: Vec::new(),
-            maximizer: AcqMaximizer::new(dim, acq_opt),
-            rng: StdRng::seed_from_u64(seed ^ 0xc025_0003),
             lambda,
-            fallbacks: 0,
             announced: 0,
             feasible: 0,
             best_feasible: None,
-            telemetry: Telemetry::disabled(),
         }
     }
 
     /// Attaches a telemetry handle: completed observations emit
     /// `SpecViolated` / `FeasibleIncumbent` events and bump the
     /// `feasible_points` / `infeasible_points` counters; GP retrainings
-    /// emit `GpRefit` for the objective and every constraint surrogate.
+    /// emit `GpRefit` for the objective and every constraint surrogate;
+    /// each selection emits `AcqOptimized` like the other policies.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) -> &mut Self {
-        self.objective_surrogate.set_telemetry(telemetry.clone());
         for sm in &mut self.constraint_surrogates {
             sm.set_telemetry(telemetry.clone());
         }
-        self.telemetry = telemetry;
+        self.core.set_telemetry(telemetry);
         self
     }
 
@@ -225,21 +214,22 @@ impl<'a> ConstrainedPolicy<'a> {
 
     /// Telemetry for one newly completed observation.
     fn announce(&mut self, idx: usize, y: f64, slack: &[f64]) {
+        let telemetry = self.core.telemetry();
         if ConstrainedProblem::feasible(slack) {
             self.feasible += 1;
-            self.telemetry.incr("feasible_points", 1);
+            telemetry.incr("feasible_points", 1);
             if self.best_feasible.is_none_or(|b| y > b) {
                 self.best_feasible = Some(y);
-                self.telemetry.emit(Event::FeasibleIncumbent {
+                telemetry.emit(Event::FeasibleIncumbent {
                     task: idx,
                     value: y,
                 });
             }
         } else {
-            self.telemetry.incr("infeasible_points", 1);
+            telemetry.incr("infeasible_points", 1);
             for (name, &s) in self.problem.spec_names().iter().zip(slack) {
                 if s < 0.0 {
-                    self.telemetry.emit(Event::SpecViolated {
+                    telemetry.emit(Event::SpecViolated {
                         task: idx,
                         spec: name.clone(),
                         slack: s,
@@ -282,54 +272,36 @@ fn feasibility_probability(gp: &Gp, u: &[f64]) -> f64 {
 
 impl AsyncPolicy for ConstrainedPolicy<'_> {
     fn select_next(&mut self, data: &Dataset, busy: &[BusyPoint]) -> Vec<f64> {
-        if data.is_empty() {
-            return self
-                .objective_surrogate
-                .bounds()
-                .sample_uniform(&mut self.rng);
-        }
         self.sync_slacks(data);
-        let busy_units: Vec<Vec<f64>> = busy
-            .iter()
-            .map(|bp| self.objective_surrogate.to_unit(&bp.x))
-            .collect();
-        let inc = match self.objective_surrogate.incremental(data) {
-            Ok(inc) => inc,
-            Err(_) => {
-                self.fallbacks += 1;
-                return self
-                    .objective_surrogate
-                    .bounds()
-                    .sample_uniform(&mut self.rng);
-            }
+        let Some(mut fit) = self.core.fit(data) else {
+            return self.core.uniform();
         };
         let cgps = constraint_gps(&mut self.constraint_surrogates, &self.slacks, data);
-        let w = sample_kappa_weight(self.lambda, &mut self.rng);
-        // Eq. 9 on the factor stack (the mean mode reads no lie values).
-        let pushed = !busy_units.is_empty()
-            && PenalizationMode::HallucinateMean
-                .push_traced(inc, &busy_units, f64::NAN, f64::NAN, &self.telemetry)
-                .is_ok();
-        let penalized = PenalizedAcqInc { inc: &*inc, w };
-        let cg = &cgps;
-        let u = self.maximizer.maximize(&mut self.rng, move |p| {
-            let base = if pushed {
-                penalized.eval(p)
-            } else {
-                acquisition::weighted(penalized.inc.gp(), p, w)
-            };
-            // Multiply by the probability of joint feasibility (log-space
-            // accumulation for numerical hygiene). The weighted acquisition
-            // can be negative in standardized space; shift by a constant so
-            // multiplication preserves ordering within this maximization.
-            let mut log_pof = 0.0;
-            for gp_c in cg {
-                log_pof += feasibility_probability(gp_c, p).max(1e-12).ln();
+        let w = sample_kappa_weight(self.lambda, fit.rng);
+        // Eq. 9 on the factor stack.
+        let pushed = fit.hallucinate(PenalizationMode::HallucinateMean, busy, data);
+        let u = fit.maximize(|inc| {
+            let cg = &cgps;
+            move |p: &[f64]| {
+                let base = if pushed {
+                    PenalizedAcqInc { inc, w }.eval(p)
+                } else {
+                    acquisition::weighted(inc.gp(), p, w)
+                };
+                // Multiply by the probability of joint feasibility
+                // (log-space accumulation for numerical hygiene). The
+                // weighted acquisition can be negative in standardized
+                // space; shift by a constant so multiplication preserves
+                // ordering within this maximization.
+                let mut log_pof = 0.0;
+                for gp_c in cg {
+                    log_pof += feasibility_probability(gp_c, p).max(1e-12).ln();
+                }
+                base + log_pof
             }
-            base + log_pof
         });
-        inc.pop_all_pseudo();
-        self.objective_surrogate.from_unit(&u)
+        fit.gp.pop_all_pseudo();
+        fit.to_raw(&u)
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
@@ -338,13 +310,14 @@ impl AsyncPolicy for ConstrainedPolicy<'_> {
             .iter()
             .map(|sm| sm.state())
             .collect();
+        let core = self.core.snapshot();
         Some(crate::persistence::encode_constrained_state(
-            self.rng.state(),
-            self.fallbacks,
+            core.rng,
+            core.fallbacks,
             self.announced,
             self.feasible,
             self.best_feasible,
-            &self.objective_surrogate.state(),
+            &core.surrogate,
             &constraints,
         ))
     }
@@ -366,14 +339,10 @@ impl AsyncPolicy for ConstrainedPolicy<'_> {
                 blob.feasible, blob.announced
             )
         })?;
-        self.objective_surrogate
-            .restore(blob.core.surrogate)
-            .map_err(|e| e.to_string())?;
         for (sm, st) in self.constraint_surrogates.iter_mut().zip(blob.constraints) {
             sm.restore(st).map_err(|e| e.to_string())?;
         }
-        self.rng = StdRng::from_state(blob.core.rng);
-        self.fallbacks = blob.core.fallbacks;
+        self.core.restore(blob.core)?;
         self.announced = blob.announced;
         self.feasible = blob.feasible;
         self.best_feasible = blob.best_feasible;
@@ -382,8 +351,9 @@ impl AsyncPolicy for ConstrainedPolicy<'_> {
         self.slacks.clear();
         // Re-seed the feasibility counters so `feasible_fraction` covers
         // the whole run, not just the post-resume tail.
-        self.telemetry.incr("feasible_points", blob.feasible);
-        self.telemetry.incr("infeasible_points", infeasible);
+        let telemetry = self.core.telemetry();
+        telemetry.incr("feasible_points", blob.feasible);
+        telemetry.incr("infeasible_points", infeasible);
         Ok(())
     }
 }

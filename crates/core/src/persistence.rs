@@ -19,7 +19,9 @@ use crate::surrogate::SurrogateState;
 /// resume refuses blobs from other versions.
 pub(crate) const POLICY_BLOB_VERSION: u32 = 1;
 
-/// Decoded contents of an [`EasyBoAsyncPolicy`] state blob.
+/// The snapshot core every policy blob ends with: the whole of an
+/// [`EasyBoAsyncPolicy`] blob after its version word, and the `core` of
+/// every kind-tagged blob below.
 ///
 /// [`EasyBoAsyncPolicy`]: crate::policies::EasyBoAsyncPolicy
 #[derive(Debug, Clone, PartialEq)]
@@ -147,11 +149,7 @@ pub(crate) fn encode_policy_state(
 ) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u32(POLICY_BLOB_VERSION);
-    for word in rng {
-        w.put_u64(word);
-    }
-    w.put_usize(fallbacks);
-    put_surrogate_state(&mut w, surrogate);
+    put_policy_core(&mut w, rng, fallbacks, surrogate);
     w.into_bytes()
 }
 
@@ -165,18 +163,9 @@ pub(crate) fn decode_policy_state(bytes: &[u8]) -> Result<PolicyStateBlob, Persi
              version {POLICY_BLOB_VERSION})"
         )));
     }
-    let mut rng = [0u64; 4];
-    for word in &mut rng {
-        *word = r.get_u64()?;
-    }
-    let fallbacks = r.get_usize()?;
-    let surrogate = get_surrogate_state(&mut r)?;
+    let core = get_policy_core(&mut r)?;
     r.finish("policy state blob")?;
-    Ok(PolicyStateBlob {
-        rng,
-        fallbacks,
-        surrogate,
-    })
+    Ok(core)
 }
 
 // ---------------------------------------------------------------------
@@ -217,8 +206,8 @@ pub(crate) const STANDARD_BLOB_TAG: u32 = u32::from_le_bytes(*b"STDB");
 /// [`StandardAsyncPolicy`]: crate::policies::StandardAsyncPolicy
 pub(crate) const STANDARD_BLOB_VERSION: u32 = 1;
 
-/// Shared core of every portfolio policy blob: RNG words, fallback
-/// counter, surrogate manager state.
+/// Shared core of every policy blob: RNG words, fallback counter,
+/// surrogate manager state.
 fn put_policy_core(w: &mut ByteWriter, rng: [u64; 4], fallbacks: usize, s: &SurrogateState) {
     for word in rng {
         w.put_u64(word);

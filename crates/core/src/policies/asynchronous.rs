@@ -14,18 +14,14 @@
 //! scheduling and randomized weights, but the busy points are invisible,
 //! so concurrent workers can pile onto the same region.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use easybo_exec::{AsyncPolicy, BusyPoint, Dataset};
-use easybo_opt::{BatchObjective, Bounds};
-use easybo_telemetry::{Event, Telemetry};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use easybo_opt::Bounds;
+use easybo_telemetry::Telemetry;
 
 use crate::acquisition::{PenalizedAcqInc, WeightedAcq};
 use crate::policies::penalization::PenalizationMode;
-use crate::policies::{AcqMaximizer, AcqOptConfig};
-use crate::surrogate::{SurrogateConfig, SurrogateManager};
+use crate::policies::{AcqOptConfig, PolicyCore};
+use crate::surrogate::SurrogateConfig;
 use crate::weight::{sample_kappa_weight, DEFAULT_LAMBDA};
 
 /// Asynchronous EasyBO policy (full EasyBO with `penalize = true`,
@@ -54,15 +50,10 @@ use crate::weight::{sample_kappa_weight, DEFAULT_LAMBDA};
 /// # }
 /// ```
 pub struct EasyBoAsyncPolicy {
-    surrogate: SurrogateManager,
-    maximizer: AcqMaximizer,
-    rng: StdRng,
+    core: PolicyCore,
     penalize: bool,
     mode: PenalizationMode,
     lambda: f64,
-    fallbacks: usize,
-    acq_restarts: usize,
-    telemetry: Telemetry,
 }
 
 impl EasyBoAsyncPolicy {
@@ -88,27 +79,21 @@ impl EasyBoAsyncPolicy {
         surrogate: SurrogateConfig,
         acq_opt: AcqOptConfig,
     ) -> Self {
-        let dim = bounds.dim();
         EasyBoAsyncPolicy {
-            surrogate: SurrogateManager::new(bounds, SurrogateConfig { seed, ..surrogate }),
-            maximizer: AcqMaximizer::new(dim, acq_opt),
-            rng: StdRng::seed_from_u64(seed ^ 0xea5b_0a57),
+            core: PolicyCore::new(bounds, seed, 0xea5b_0a57, surrogate, acq_opt),
             penalize,
             mode: PenalizationMode::default(),
             lambda,
-            fallbacks: 0,
-            acq_restarts: acq_opt.starts,
-            telemetry: Telemetry::disabled(),
         }
     }
 
     /// Attaches a telemetry handle: each selection emits `AcqOptimized`
     /// (and `PseudoPointAdded` when penalization hallucinates busy
-    /// points), and GP retrainings emit `GpRefit`. Events are stamped
-    /// with the run clock the executor advances on the same handle.
+    /// points), GP retrainings emit `GpRefit`, and a failed surrogate fit
+    /// bumps `surrogate_fallbacks`. Events are stamped with the run clock
+    /// the executor advances on the same handle.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) -> &mut Self {
-        self.surrogate.set_telemetry(telemetry.clone());
-        self.telemetry = telemetry;
+        self.core.set_telemetry(telemetry);
         self
     }
 
@@ -124,157 +109,49 @@ impl EasyBoAsyncPolicy {
     pub fn penalizes(&self) -> bool {
         self.penalize
     }
-
-    /// Surrogate-fit fallback count (should stay 0).
-    pub fn fallbacks(&self) -> usize {
-        self.fallbacks
-    }
 }
 
 impl AsyncPolicy for EasyBoAsyncPolicy {
     fn select_next(&mut self, data: &Dataset, busy: &[BusyPoint]) -> Vec<f64> {
-        if data.is_empty() {
-            // More workers than initial points: nothing observed yet.
-            return self.surrogate.bounds().sample_uniform(&mut self.rng);
-        }
-        let penalizing = self.penalize && !busy.is_empty();
-        let busy_units: Vec<Vec<f64>> = if penalizing {
-            // Hallucinate the busy points (Algorithm 1, lines 5-6).
-            busy.iter()
-                .map(|bp| self.surrogate.to_unit(&bp.x))
-                .collect()
-        } else {
-            Vec::new()
+        // Fit before the `w` draw: a failed fit spends the RNG on the
+        // uniform fallback instead.
+        let Some(mut fit) = self.core.fit(data) else {
+            return self.core.uniform();
         };
-        let (y_lo, y_hi) = data
-            .ys()
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &y| {
-                (lo.min(y), hi.max(y))
-            });
-        // Fit (or incrementally extend) the surrogate before the `w` draw:
-        // a failed fit consumes the RNG for the uniform fallback instead.
-        let inc = match self.surrogate.incremental(data) {
-            Ok(inc) => inc,
-            Err(_) => {
-                self.fallbacks += 1;
-                return self.surrogate.bounds().sample_uniform(&mut self.rng);
-            }
-        };
-        let w = sample_kappa_weight(self.lambda, &mut self.rng);
-        // A numerically degenerate push (duplicated busy points) falls back
-        // to the unpenalized acquisition; `push_traced` already rolled back.
-        let pushed = penalizing
-            && self
-                .mode
-                .push_traced(inc, &busy_units, y_lo, y_hi, &self.telemetry)
-                .is_ok();
+        let w = sample_kappa_weight(self.lambda, fit.rng);
+        // Hallucinate the busy points (Algorithm 1, lines 5-6). A
+        // numerically degenerate push (duplicated busy points) falls back
+        // to the unpenalized acquisition.
+        let pushed = self.penalize && fit.hallucinate(self.mode, busy, data);
         let u = if pushed && self.mode == PenalizationMode::HallucinateMean {
             // Eq. 9: μ from the base-alpha prefix, σ̂ from the augmented
             // factor.
-            maximize_traced(
-                &self.maximizer,
-                &mut self.rng,
-                &self.telemetry,
-                self.acq_restarts,
-                &PenalizedAcqInc { inc: &*inc, w },
-            )
+            fit.maximize(|inc| PenalizedAcqInc { inc, w })
         } else {
             // Both moments from the live model: the unaugmented one when
             // nothing was pushed, the augmented one under a constant-liar
             // mode (which *deliberately* biases the mean near busy points).
-            maximize_traced(
-                &self.maximizer,
-                &mut self.rng,
-                &self.telemetry,
-                self.acq_restarts,
-                &WeightedAcq { gp: inc.gp(), w },
-            )
+            fit.maximize(|inc| WeightedAcq { gp: inc.gp(), w })
         };
         // Rank-1 downdates restore the base factor exactly; the next
         // selection starts from a clean stack.
-        inc.pop_all_pseudo();
-        self.surrogate.from_unit(&u)
+        fit.gp.pop_all_pseudo();
+        fit.to_raw(&u)
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
+        let core = self.core.snapshot();
         Some(crate::persistence::encode_policy_state(
-            self.rng.state(),
-            self.fallbacks,
-            &self.surrogate.state(),
+            core.rng,
+            core.fallbacks,
+            &core.surrogate,
         ))
     }
 
     fn restore_state(&mut self, state: &[u8]) -> Result<(), String> {
         let blob = crate::persistence::decode_policy_state(state).map_err(|e| e.to_string())?;
-        self.surrogate
-            .restore(blob.surrogate)
-            .map_err(|e| e.to_string())?;
-        self.rng = StdRng::from_state(blob.rng);
-        self.fallbacks = blob.fallbacks;
-        Ok(())
+        self.core.restore(blob)
     }
-}
-
-/// Wraps a [`BatchObjective`] with a thread-safe evaluation counter so the
-/// telemetry wrapper can count acquisition evaluations even when probe
-/// scoring and refinement run on worker threads.
-struct CountedObjective<'a, F: ?Sized> {
-    inner: &'a F,
-    evals: AtomicU64,
-}
-
-impl<F: BatchObjective + ?Sized> BatchObjective for CountedObjective<'_, F> {
-    fn eval(&self, x: &[f64]) -> f64 {
-        self.evals.fetch_add(1, Ordering::Relaxed);
-        self.inner.eval(x)
-    }
-
-    fn eval_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        self.evals.fetch_add(xs.len() as u64, Ordering::Relaxed);
-        self.inner.eval_batch(xs)
-    }
-}
-
-/// Runs one acquisition maximization, counting acquisition-function
-/// evaluations and timing the search; emits an `AcqOptimized` event plus
-/// the `acq_batch_size` (probes scored through the batched GP posterior)
-/// and `parallel_starts` (refinement starts fanned out concurrently)
-/// counters. On a disabled handle this is a direct call with no wrapper at
-/// all. Shared by every async portfolio policy.
-pub(crate) fn maximize_traced<F: BatchObjective>(
-    maximizer: &AcqMaximizer,
-    rng: &mut StdRng,
-    telemetry: &Telemetry,
-    restarts: usize,
-    f: &F,
-) -> Vec<f64> {
-    if !telemetry.enabled() {
-        return maximizer.maximize_batch(rng, f);
-    }
-    let _span = telemetry.span("acquisition");
-    let counted = CountedObjective {
-        inner: f,
-        evals: AtomicU64::new(0),
-    };
-    let t0 = std::time::Instant::now();
-    let u = maximizer.maximize_batch_traced(rng, &counted, telemetry);
-    let duration = t0.elapsed().as_secs_f64();
-    let evals = counted.evals.load(Ordering::Relaxed) as usize;
-    telemetry.incr("acq_restarts", restarts as u64);
-    telemetry.incr("acq_evals", evals as u64);
-    telemetry.incr("acq_batch_size", maximizer.probes() as u64);
-    telemetry.incr(
-        "parallel_starts",
-        restarts.min(maximizer.parallelism().threads()) as u64,
-    );
-    telemetry.observe("acq_opt_s", duration);
-    telemetry.emit(Event::AcqOptimized {
-        restarts,
-        evals,
-        duration,
-    });
-    u
 }
 
 #[cfg(test)]
@@ -283,6 +160,8 @@ mod tests {
     use easybo_exec::BlackBox as _;
     use easybo_exec::{CostedFunction, SimTimeModel, VirtualExecutor};
     use easybo_opt::sampling;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn bb_2d() -> CostedFunction<impl Fn(&[f64]) -> f64 + Send + Sync> {
         let bounds = Bounds::new(vec![(-2.0, 2.0), (-2.0, 2.0)]).unwrap();
@@ -304,7 +183,7 @@ mod tests {
         let mut policy = EasyBoAsyncPolicy::new(bounds.clone(), true, 1);
         let r = VirtualExecutor::new(5).run_async(&bb, &init(&bounds, 10, 1), 45, &mut policy);
         assert!(r.best_value() > 0.9, "EasyBO best {}", r.best_value());
-        assert_eq!(policy.fallbacks(), 0);
+        assert_eq!(policy.core.fallbacks(), 0);
         assert!(policy.penalizes());
     }
 

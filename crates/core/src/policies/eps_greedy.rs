@@ -20,14 +20,11 @@
 
 use easybo_exec::{AsyncPolicy, BusyPoint, Dataset};
 use easybo_opt::Bounds;
-use easybo_telemetry::Telemetry;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use crate::acquisition::WeightedAcq;
-use crate::policies::asynchronous::maximize_traced;
-use crate::policies::{AcqMaximizer, AcqOptConfig};
-use crate::surrogate::{SurrogateConfig, SurrogateManager};
+use crate::policies::{AcqOptConfig, PolicyCore};
+use crate::surrogate::SurrogateConfig;
 
 /// Default exploration rate (De Ath et al. recommend ε ≈ 0.1).
 pub const DEFAULT_EPSILON: f64 = 0.1;
@@ -59,15 +56,10 @@ pub const DEFAULT_EPSILON: f64 = 0.1;
 /// # }
 /// ```
 pub struct EpsGreedyPolicy {
-    surrogate: SurrogateManager,
-    maximizer: AcqMaximizer,
-    rng: StdRng,
+    core: PolicyCore,
     epsilon: f64,
-    fallbacks: usize,
     explores: u64,
     exploits: u64,
-    acq_restarts: usize,
-    telemetry: Telemetry,
 }
 
 impl EpsGreedyPolicy {
@@ -91,35 +83,17 @@ impl EpsGreedyPolicy {
         surrogate: SurrogateConfig,
         acq_opt: AcqOptConfig,
     ) -> Self {
-        let dim = bounds.dim();
         EpsGreedyPolicy {
-            surrogate: SurrogateManager::new(bounds, SurrogateConfig { seed, ..surrogate }),
-            maximizer: AcqMaximizer::new(dim, acq_opt),
-            rng: StdRng::seed_from_u64(seed ^ 0x0e95_6eed),
+            core: PolicyCore::new(bounds, seed, 0x0e95_6eed, surrogate, acq_opt),
             epsilon: epsilon.clamp(0.0, 1.0),
-            fallbacks: 0,
             explores: 0,
             exploits: 0,
-            acq_restarts: acq_opt.starts,
-            telemetry: Telemetry::disabled(),
         }
-    }
-
-    /// Attaches a telemetry handle (acquisition + GP-refit events).
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) -> &mut Self {
-        self.surrogate.set_telemetry(telemetry.clone());
-        self.telemetry = telemetry;
-        self
     }
 
     /// The configured exploration rate ε.
     pub fn epsilon(&self) -> f64 {
         self.epsilon
-    }
-
-    /// Surrogate-fit fallback count (should stay 0).
-    pub fn fallbacks(&self) -> usize {
-        self.fallbacks
     }
 
     /// Number of ε-branch (uniform-random) selections taken so far.
@@ -135,52 +109,38 @@ impl EpsGreedyPolicy {
 
 impl AsyncPolicy for EpsGreedyPolicy {
     fn select_next(&mut self, data: &Dataset, _busy: &[BusyPoint]) -> Vec<f64> {
-        if data.is_empty() {
-            // More workers than initial points: nothing observed yet.
-            return self.surrogate.bounds().sample_uniform(&mut self.rng);
-        }
-        // Fit before any RNG draw: a failed fit consumes the RNG for the
-        // uniform fallback instead of the coin.
-        let gp = match self.surrogate.surrogate(data) {
-            Ok(gp) => gp,
-            Err(_) => {
-                self.fallbacks += 1;
-                return self.surrogate.bounds().sample_uniform(&mut self.rng);
-            }
+        // Fit before the coin: a failed fit spends the RNG on the uniform
+        // fallback instead.
+        let Some(mut fit) = self.core.fit(data) else {
+            return self.core.uniform();
         };
-        let coin: f64 = self.rng.gen_range(0.0..1.0);
+        let coin: f64 = fit.rng.gen_range(0.0..1.0);
         if coin < self.epsilon {
             self.explores += 1;
-            return self.surrogate.bounds().sample_uniform(&mut self.rng);
+            return fit.uniform();
         }
         self.exploits += 1;
-        let u = maximize_traced(
-            &self.maximizer,
-            &mut self.rng,
-            &self.telemetry,
-            self.acq_restarts,
-            &WeightedAcq { gp, w: 0.0 },
-        );
-        self.surrogate.from_unit(&u)
+        let u = fit.maximize(|inc| WeightedAcq {
+            gp: inc.gp(),
+            w: 0.0,
+        });
+        fit.to_raw(&u)
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
+        let core = self.core.snapshot();
         Some(crate::persistence::encode_eps_greedy_state(
-            self.rng.state(),
-            self.fallbacks,
+            core.rng,
+            core.fallbacks,
             self.explores,
             self.exploits,
-            &self.surrogate.state(),
+            &core.surrogate,
         ))
     }
 
     fn restore_state(&mut self, state: &[u8]) -> Result<(), String> {
         let blob = crate::persistence::decode_eps_greedy_state(state).map_err(|e| e.to_string())?;
-        self.surrogate
-            .restore(blob.core.surrogate)
-            .map_err(|e| e.to_string())?;
-        self.rng = StdRng::from_state(blob.core.rng);
-        self.fallbacks = blob.core.fallbacks;
+        self.core.restore(blob.core)?;
         self.explores = blob.explores;
         self.exploits = blob.exploits;
         Ok(())
@@ -193,6 +153,8 @@ mod tests {
     use easybo_exec::BlackBox as _;
     use easybo_exec::{CostedFunction, SimTimeModel, VirtualExecutor};
     use easybo_opt::sampling;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn bb_2d() -> CostedFunction<impl Fn(&[f64]) -> f64 + Send + Sync> {
         let bounds = Bounds::new(vec![(-2.0, 2.0), (-2.0, 2.0)]).unwrap();
@@ -214,7 +176,7 @@ mod tests {
         let mut policy = EpsGreedyPolicy::new(bounds.clone(), 1);
         let r = VirtualExecutor::new(5).run_async(&bb, &init(&bounds, 10, 1), 45, &mut policy);
         assert!(r.best_value() > 0.85, "eps-greedy best {}", r.best_value());
-        assert_eq!(policy.fallbacks(), 0);
+        assert_eq!(policy.core.fallbacks(), 0);
         assert_eq!(policy.explores() + policy.exploits(), 35);
     }
 

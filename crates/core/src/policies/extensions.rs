@@ -5,12 +5,10 @@
 
 use easybo_exec::{Dataset, SyncBatchPolicy};
 use easybo_opt::Bounds;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::acquisition;
-use crate::policies::{AcqMaximizer, AcqOptConfig};
-use crate::surrogate::{SurrogateConfig, SurrogateManager};
+use crate::policies::{AcqOptConfig, PolicyCore};
+use crate::surrogate::SurrogateConfig;
 
 /// Batch UCB: batch members are selected sequentially, each maximizing
 /// `μ(x) + κ·σ̂(x)` where `σ̂` comes from the GP augmented with the
@@ -18,11 +16,8 @@ use crate::surrogate::{SurrogateConfig, SurrogateManager};
 /// the hallucination trick EasyBO's penalization borrows (§III-C cites
 /// "the same penalization strategy as \[32\]").
 pub struct BucbPolicy {
-    surrogate: SurrogateManager,
-    maximizer: AcqMaximizer,
-    rng: StdRng,
+    core: PolicyCore,
     kappa: f64,
-    fallbacks: usize,
 }
 
 impl BucbPolicy {
@@ -47,58 +42,36 @@ impl BucbPolicy {
         surrogate: SurrogateConfig,
         acq_opt: AcqOptConfig,
     ) -> Self {
-        let dim = bounds.dim();
         BucbPolicy {
-            surrogate: SurrogateManager::new(bounds, SurrogateConfig { seed, ..surrogate }),
-            maximizer: AcqMaximizer::new(dim, acq_opt),
-            rng: StdRng::seed_from_u64(seed ^ 0xbcbc_0001),
+            core: PolicyCore::new(bounds, seed, 0xbcbc_0001, surrogate, acq_opt),
             kappa,
-            fallbacks: 0,
         }
-    }
-
-    /// Surrogate-fit fallback count (should stay 0).
-    pub fn fallbacks(&self) -> usize {
-        self.fallbacks
     }
 }
 
 impl SyncBatchPolicy for BucbPolicy {
     fn select_batch(&mut self, data: &Dataset, batch_size: usize) -> Vec<Vec<f64>> {
-        if data.is_empty() {
-            return (0..batch_size)
-                .map(|_| self.surrogate.bounds().sample_uniform(&mut self.rng))
-                .collect();
-        }
-        let inc = match self.surrogate.incremental(data) {
-            Ok(inc) => inc,
-            Err(_) => {
-                self.fallbacks += 1;
-                return (0..batch_size)
-                    .map(|_| self.surrogate.bounds().sample_uniform(&mut self.rng))
-                    .collect();
-            }
+        let Some(mut fit) = self.core.fit(data) else {
+            return self.core.uniform_batch(batch_size);
         };
         let kappa = self.kappa;
-        let mut units = Vec::with_capacity(batch_size);
+        let mut batch = Vec::with_capacity(batch_size);
         for _ in 0..batch_size {
-            let stack = &*inc;
-            let u = self.maximizer.maximize(&mut self.rng, |p| {
+            let u = fit.maximize(|stack| {
                 // μ from the base model, σ̂ from the one augmented with the
                 // members selected so far.
-                let (mu, var_hat) = stack.predict_penalized(p);
-                mu + kappa * var_hat.max(0.0).sqrt()
+                move |p: &[f64]| {
+                    let (mu, var_hat) = stack.predict_penalized(p);
+                    mu + kappa * var_hat.max(0.0).sqrt()
+                }
             });
             // Hallucinate the new member; a degenerate (duplicated) push is
             // skipped.
-            let _ = inc.push_pseudo_mean(u.clone());
-            units.push(u);
+            let _ = fit.gp.push_pseudo_mean(u.clone());
+            batch.push(fit.to_raw(&u));
         }
-        inc.pop_all_pseudo();
-        units
-            .into_iter()
-            .map(|u| self.surrogate.from_unit(&u))
-            .collect()
+        fit.gp.pop_all_pseudo();
+        batch
     }
 }
 
@@ -108,10 +81,7 @@ impl SyncBatchPolicy for BucbPolicy {
 /// `z_j = (L·‖x − x_j‖ − M + μ(x_j)) / (√2·σ(x_j))` and `L` is a Lipschitz
 /// estimate from the observed data.
 pub struct LocalPenalizationPolicy {
-    surrogate: SurrogateManager,
-    maximizer: AcqMaximizer,
-    rng: StdRng,
-    fallbacks: usize,
+    core: PolicyCore,
 }
 
 impl LocalPenalizationPolicy {
@@ -133,18 +103,9 @@ impl LocalPenalizationPolicy {
         surrogate: SurrogateConfig,
         acq_opt: AcqOptConfig,
     ) -> Self {
-        let dim = bounds.dim();
         LocalPenalizationPolicy {
-            surrogate: SurrogateManager::new(bounds, SurrogateConfig { seed, ..surrogate }),
-            maximizer: AcqMaximizer::new(dim, acq_opt),
-            rng: StdRng::seed_from_u64(seed ^ 0x1b1b_0002),
-            fallbacks: 0,
+            core: PolicyCore::new(bounds, seed, 0x1b1b_0002, surrogate, acq_opt),
         }
-    }
-
-    /// Surrogate-fit fallback count (should stay 0).
-    pub fn fallbacks(&self) -> usize {
-        self.fallbacks
     }
 
     /// Lipschitz constant estimate: the largest observed finite-difference
@@ -170,60 +131,44 @@ impl LocalPenalizationPolicy {
 
 impl SyncBatchPolicy for LocalPenalizationPolicy {
     fn select_batch(&mut self, data: &Dataset, batch_size: usize) -> Vec<Vec<f64>> {
-        if data.is_empty() {
-            return (0..batch_size)
-                .map(|_| self.surrogate.bounds().sample_uniform(&mut self.rng))
-                .collect();
-        }
-        let gp = match self.surrogate.surrogate(data) {
-            Ok(gp) => gp.clone(),
-            Err(_) => {
-                self.fallbacks += 1;
-                return (0..batch_size)
-                    .map(|_| self.surrogate.bounds().sample_uniform(&mut self.rng))
-                    .collect();
-            }
+        let Some(mut fit) = self.core.fit(data) else {
+            return self.core.uniform_batch(batch_size);
         };
-        let units: Vec<Vec<f64>> = data
-            .xs()
-            .iter()
-            .map(|x| self.surrogate.to_unit(x))
-            .collect();
-        let zs: Vec<f64> = data
-            .ys()
-            .iter()
-            .map(|&y| gp.scaler().transform(y))
-            .collect();
+        let units: Vec<Vec<f64>> = data.xs().iter().map(|x| fit.to_unit(x)).collect();
+        let scaler = fit.gp.gp().scaler();
+        let zs: Vec<f64> = data.ys().iter().map(|&y| scaler.transform(y)).collect();
         let lipschitz = Self::lipschitz_estimate(&units, &zs);
         let best = data.best_value();
-        let best_z = gp.scaler().transform(best);
+        let best_z = scaler.transform(best);
 
         // (location, mean_z, sigma_z) of already-selected members.
         let mut selected: Vec<(Vec<f64>, f64, f64)> = Vec::new();
         let mut batch = Vec::with_capacity(batch_size);
         for _ in 0..batch_size {
-            let gp_ref = &gp;
             let sel = &selected;
-            let u = self.maximizer.maximize(&mut self.rng, |p| {
-                let mut acq = acquisition::expected_improvement(gp_ref, p, best)
-                    .max(1e-300)
-                    .ln();
-                for (xj, mu_j, sigma_j) in sel {
-                    let dist: f64 = xj
-                        .iter()
-                        .zip(p.iter())
-                        .map(|(a, b)| (a - b) * (a - b))
-                        .sum::<f64>()
-                        .sqrt();
-                    let z = (lipschitz * dist - best_z + mu_j)
-                        / (std::f64::consts::SQRT_2 * sigma_j.max(1e-9));
-                    acq += acquisition::normal_cdf(z).max(1e-300).ln();
+            let u = fit.maximize(|inc| {
+                let gp = inc.gp();
+                move |p: &[f64]| {
+                    let mut acq = acquisition::expected_improvement(gp, p, best)
+                        .max(1e-300)
+                        .ln();
+                    for (xj, mu_j, sigma_j) in sel {
+                        let dist: f64 = xj
+                            .iter()
+                            .zip(p.iter())
+                            .map(|(a, b)| (a - b) * (a - b))
+                            .sum::<f64>()
+                            .sqrt();
+                        let z = (lipschitz * dist - best_z + mu_j)
+                            / (std::f64::consts::SQRT_2 * sigma_j.max(1e-9));
+                        acq += acquisition::normal_cdf(z).max(1e-300).ln();
+                    }
+                    acq
                 }
-                acq
             });
-            let (mu_z, var_z) = gp.predict_standardized(&u);
+            let (mu_z, var_z) = fit.gp.gp().predict_standardized(&u);
             selected.push((u.clone(), mu_z, var_z.max(0.0).sqrt()));
-            batch.push(self.surrogate.from_unit(&u));
+            batch.push(fit.to_raw(&u));
         }
         batch
     }
@@ -235,6 +180,8 @@ mod tests {
     use easybo_exec::BlackBox as _;
     use easybo_exec::{CostedFunction, SimTimeModel, VirtualExecutor};
     use easybo_opt::sampling;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn bb_2d() -> CostedFunction<impl Fn(&[f64]) -> f64 + Send + Sync> {
         let bounds = Bounds::new(vec![(-2.0, 2.0), (-2.0, 2.0)]).unwrap();
@@ -256,7 +203,7 @@ mod tests {
         let mut policy = BucbPolicy::new(bounds.clone(), 2.0, 1);
         let r = VirtualExecutor::new(5).run_sync(&bb, &init(&bounds, 10, 1), 45, &mut policy);
         assert!(r.best_value() > 0.9, "BUCB best {}", r.best_value());
-        assert_eq!(policy.fallbacks(), 0);
+        assert_eq!(policy.core.fallbacks(), 0);
     }
 
     #[test]
@@ -266,7 +213,7 @@ mod tests {
         let mut policy = LocalPenalizationPolicy::new(bounds.clone(), 2);
         let r = VirtualExecutor::new(5).run_sync(&bb, &init(&bounds, 10, 2), 45, &mut policy);
         assert!(r.best_value() > 0.85, "LP best {}", r.best_value());
-        assert_eq!(policy.fallbacks(), 0);
+        assert_eq!(policy.core.fallbacks(), 0);
     }
 
     #[test]

@@ -20,15 +20,11 @@
 
 use easybo_exec::{AsyncPolicy, BusyPoint, Dataset};
 use easybo_opt::Bounds;
-use easybo_telemetry::Telemetry;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::acquisition::WeightedAcq;
-use crate::policies::asynchronous::maximize_traced;
 use crate::policies::penalization::PenalizationMode;
-use crate::policies::{AcqMaximizer, AcqOptConfig};
-use crate::surrogate::{SurrogateConfig, SurrogateManager};
+use crate::policies::{AcqOptConfig, PolicyCore};
+use crate::surrogate::SurrogateConfig;
 
 /// Default κ for the fixed exploration weight `w = κ/(1+κ)`.
 pub const DEFAULT_PESSIMISTIC_KAPPA: f64 = 2.0;
@@ -59,14 +55,9 @@ pub const DEFAULT_PESSIMISTIC_KAPPA: f64 = 2.0;
 /// # }
 /// ```
 pub struct PessimisticAsyncPolicy {
-    surrogate: SurrogateManager,
-    maximizer: AcqMaximizer,
-    rng: StdRng,
+    core: PolicyCore,
     w: f64,
-    fallbacks: usize,
     lies: u64,
-    acq_restarts: usize,
-    telemetry: Telemetry,
 }
 
 impl PessimisticAsyncPolicy {
@@ -91,35 +82,17 @@ impl PessimisticAsyncPolicy {
         surrogate: SurrogateConfig,
         acq_opt: AcqOptConfig,
     ) -> Self {
-        let dim = bounds.dim();
         let kappa = kappa.max(0.0);
         PessimisticAsyncPolicy {
-            surrogate: SurrogateManager::new(bounds, SurrogateConfig { seed, ..surrogate }),
-            maximizer: AcqMaximizer::new(dim, acq_opt),
-            rng: StdRng::seed_from_u64(seed ^ 0x9e55_1715),
+            core: PolicyCore::new(bounds, seed, 0x9e55_1715, surrogate, acq_opt),
             w: kappa / (1.0 + kappa),
-            fallbacks: 0,
             lies: 0,
-            acq_restarts: acq_opt.starts,
-            telemetry: Telemetry::disabled(),
         }
-    }
-
-    /// Attaches a telemetry handle (acquisition + pseudo-point events).
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) -> &mut Self {
-        self.surrogate.set_telemetry(telemetry.clone());
-        self.telemetry = telemetry;
-        self
     }
 
     /// The fixed exploration weight `w = κ/(1+κ)`.
     pub fn weight(&self) -> f64 {
         self.w
-    }
-
-    /// Surrogate-fit fallback count (should stay 0).
-    pub fn fallbacks(&self) -> usize {
-        self.fallbacks
     }
 
     /// Total number of pessimistic lies hallucinated so far (one per busy
@@ -131,67 +104,34 @@ impl PessimisticAsyncPolicy {
 
 impl AsyncPolicy for PessimisticAsyncPolicy {
     fn select_next(&mut self, data: &Dataset, busy: &[BusyPoint]) -> Vec<f64> {
-        if data.is_empty() {
-            // More workers than initial points: nothing observed yet.
-            return self.surrogate.bounds().sample_uniform(&mut self.rng);
-        }
-        let busy_units: Vec<Vec<f64>> = busy
-            .iter()
-            .map(|bp| self.surrogate.to_unit(&bp.x))
-            .collect();
-        let (y_lo, y_hi) = data
-            .ys()
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &y| {
-                (lo.min(y), hi.max(y))
-            });
-        let inc = match self.surrogate.incremental(data) {
-            Ok(inc) => inc,
-            Err(_) => {
-                self.fallbacks += 1;
-                return self.surrogate.bounds().sample_uniform(&mut self.rng);
-            }
+        let Some(mut fit) = self.core.fit(data) else {
+            return self.core.uniform();
         };
-        let pushed = !busy_units.is_empty()
-            && PenalizationMode::ConstantLiarMin
-                .push_traced(inc, &busy_units, y_lo, y_hi, &self.telemetry)
-                .is_ok();
-        if pushed {
-            self.lies += busy_units.len() as u64;
+        if fit.hallucinate(PenalizationMode::ConstantLiarMin, busy, data) {
+            self.lies += busy.len() as u64;
         }
         // The pessimistic lie deliberately biases the mean near busy
         // points, so both moments come from the augmented model.
-        let u = maximize_traced(
-            &self.maximizer,
-            &mut self.rng,
-            &self.telemetry,
-            self.acq_restarts,
-            &WeightedAcq {
-                gp: inc.gp(),
-                w: self.w,
-            },
-        );
-        inc.pop_all_pseudo();
-        self.surrogate.from_unit(&u)
+        let w = self.w;
+        let u = fit.maximize(|inc| WeightedAcq { gp: inc.gp(), w });
+        fit.gp.pop_all_pseudo();
+        fit.to_raw(&u)
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
+        let core = self.core.snapshot();
         Some(crate::persistence::encode_pessimistic_state(
-            self.rng.state(),
-            self.fallbacks,
+            core.rng,
+            core.fallbacks,
             self.lies,
-            &self.surrogate.state(),
+            &core.surrogate,
         ))
     }
 
     fn restore_state(&mut self, state: &[u8]) -> Result<(), String> {
         let blob =
             crate::persistence::decode_pessimistic_state(state).map_err(|e| e.to_string())?;
-        self.surrogate
-            .restore(blob.core.surrogate)
-            .map_err(|e| e.to_string())?;
-        self.rng = StdRng::from_state(blob.core.rng);
-        self.fallbacks = blob.core.fallbacks;
+        self.core.restore(blob.core)?;
         self.lies = blob.lies;
         Ok(())
     }
@@ -203,6 +143,7 @@ mod tests {
     use easybo_exec::BlackBox as _;
     use easybo_exec::{CostedFunction, SimTimeModel, VirtualExecutor};
     use easybo_opt::sampling;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn bb_2d() -> CostedFunction<impl Fn(&[f64]) -> f64 + Send + Sync> {
@@ -225,7 +166,7 @@ mod tests {
         let mut policy = PessimisticAsyncPolicy::new(bounds.clone(), 1);
         let r = VirtualExecutor::new(5).run_async(&bb, &init(&bounds, 10, 1), 45, &mut policy);
         assert!(r.best_value() > 0.85, "pessimistic best {}", r.best_value());
-        assert_eq!(policy.fallbacks(), 0);
+        assert_eq!(policy.core.fallbacks(), 0);
         assert!(policy.lies() > 0, "parallel run must hallucinate lies");
     }
 

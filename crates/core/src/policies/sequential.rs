@@ -3,13 +3,11 @@
 
 use easybo_exec::{AsyncPolicy, BusyPoint, Dataset};
 use easybo_opt::Bounds;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::acquisition;
-use crate::policies::{AcqMaximizer, AcqOptConfig};
-use crate::surrogate::{SurrogateConfig, SurrogateManager};
+use crate::policies::{AcqOptConfig, PolicyCore};
+use crate::surrogate::SurrogateConfig;
 use crate::weight::sample_kappa_weight;
 
 /// Which sequential acquisition to use.
@@ -57,11 +55,8 @@ pub enum SequentialAcquisition {
 /// # }
 /// ```
 pub struct SequentialBoPolicy {
-    surrogate: SurrogateManager,
+    core: PolicyCore,
     acquisition: SequentialAcquisition,
-    maximizer: AcqMaximizer,
-    rng: StdRng,
-    fallbacks: usize,
 }
 
 impl SequentialBoPolicy {
@@ -86,50 +81,34 @@ impl SequentialBoPolicy {
         surrogate: SurrogateConfig,
         acq_opt: AcqOptConfig,
     ) -> Self {
-        let dim = bounds.dim();
-        let surrogate = SurrogateManager::new(bounds, SurrogateConfig { seed, ..surrogate });
         SequentialBoPolicy {
-            surrogate,
+            core: PolicyCore::new(bounds, seed, 0xa5a5_1234, surrogate, acq_opt),
             acquisition,
-            maximizer: AcqMaximizer::new(dim, acq_opt),
-            rng: StdRng::seed_from_u64(seed ^ 0xa5a5_1234),
-            fallbacks: 0,
         }
-    }
-
-    /// How many times the policy had to fall back to random sampling
-    /// because the surrogate could not be fitted (should stay 0).
-    pub fn fallbacks(&self) -> usize {
-        self.fallbacks
     }
 }
 
 impl AsyncPolicy for SequentialBoPolicy {
     fn select_next(&mut self, data: &Dataset, _busy: &[BusyPoint]) -> Vec<f64> {
-        if data.is_empty() {
-            // More workers than initial points: nothing observed yet.
-            return self.surrogate.bounds().sample_uniform(&mut self.rng);
-        }
-        let gp = match self.surrogate.surrogate(data) {
-            Ok(gp) => gp.clone(),
-            Err(_) => {
-                self.fallbacks += 1;
-                return self.surrogate.bounds().sample_uniform(&mut self.rng);
-            }
+        let Some(mut fit) = self.core.fit(data) else {
+            return self.core.uniform();
         };
         let best = data.best_value();
         let acq = self.acquisition;
         let w = match acq {
-            SequentialAcquisition::EasyBo { lambda } => sample_kappa_weight(lambda, &mut self.rng),
+            SequentialAcquisition::EasyBo { lambda } => sample_kappa_weight(lambda, fit.rng),
             _ => 0.0,
         };
-        let u = self.maximizer.maximize(&mut self.rng, |p| match acq {
-            SequentialAcquisition::Ei => acquisition::expected_improvement(&gp, p, best),
-            SequentialAcquisition::Pi => acquisition::probability_of_improvement(&gp, p, best),
-            SequentialAcquisition::Ucb { kappa } => acquisition::ucb(&gp, p, kappa),
-            SequentialAcquisition::EasyBo { .. } => acquisition::weighted(&gp, p, w),
+        let u = fit.maximize(|inc| {
+            let gp = inc.gp();
+            move |p: &[f64]| match acq {
+                SequentialAcquisition::Ei => acquisition::expected_improvement(gp, p, best),
+                SequentialAcquisition::Pi => acquisition::probability_of_improvement(gp, p, best),
+                SequentialAcquisition::Ucb { kappa } => acquisition::ucb(gp, p, kappa),
+                SequentialAcquisition::EasyBo { .. } => acquisition::weighted(gp, p, w),
+            }
         });
-        self.surrogate.from_unit(&u)
+        fit.to_raw(&u)
     }
 }
 
@@ -138,6 +117,8 @@ mod tests {
     use super::*;
     use easybo_exec::{CostedFunction, SimTimeModel, VirtualExecutor};
     use easybo_opt::sampling;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn run(acq: SequentialAcquisition, seed: u64) -> f64 {
         let bounds = Bounds::new(vec![(-2.0, 2.0), (-2.0, 2.0)]).unwrap();
@@ -150,7 +131,7 @@ mod tests {
         let init = sampling::latin_hypercube(&bounds, 8, &mut rng);
         let mut policy = SequentialBoPolicy::new(bounds, acq, seed);
         let r = VirtualExecutor::run_sequential(&bb, &init, 35, &mut policy);
-        assert_eq!(policy.fallbacks(), 0);
+        assert_eq!(policy.core.fallbacks(), 0);
         r.best_value()
     }
 

@@ -19,17 +19,12 @@
 //! like the rest of the portfolio.
 
 use easybo_exec::{AsyncPolicy, BusyPoint, Dataset};
-use easybo_opt::Bounds;
-use easybo_telemetry::Telemetry;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use easybo_gp::Gp;
+use easybo_opt::Bounds;
 
 use crate::acquisition::{expected_improvement, normal_cdf, normal_pdf};
-use crate::policies::asynchronous::maximize_traced;
-use crate::policies::{AcqMaximizer, AcqOptConfig};
-use crate::surrogate::{SurrogateConfig, SurrogateManager};
+use crate::policies::{AcqOptConfig, PolicyCore};
+use crate::surrogate::SurrogateConfig;
 
 /// Standard-acquisition async baseline: plain sequential EI, busy points
 /// invisible.
@@ -57,12 +52,7 @@ use crate::surrogate::{SurrogateConfig, SurrogateManager};
 /// # }
 /// ```
 pub struct StandardAsyncPolicy {
-    surrogate: SurrogateManager,
-    maximizer: AcqMaximizer,
-    rng: StdRng,
-    fallbacks: usize,
-    acq_restarts: usize,
-    telemetry: Telemetry,
+    core: PolicyCore,
 }
 
 impl StandardAsyncPolicy {
@@ -84,27 +74,9 @@ impl StandardAsyncPolicy {
         surrogate: SurrogateConfig,
         acq_opt: AcqOptConfig,
     ) -> Self {
-        let dim = bounds.dim();
         StandardAsyncPolicy {
-            surrogate: SurrogateManager::new(bounds, SurrogateConfig { seed, ..surrogate }),
-            maximizer: AcqMaximizer::new(dim, acq_opt),
-            rng: StdRng::seed_from_u64(seed ^ 0x57d0_ba5e),
-            fallbacks: 0,
-            acq_restarts: acq_opt.starts,
-            telemetry: Telemetry::disabled(),
+            core: PolicyCore::new(bounds, seed, 0x57d0_ba5e, surrogate, acq_opt),
         }
-    }
-
-    /// Attaches a telemetry handle (acquisition + GP-refit events).
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) -> &mut Self {
-        self.surrogate.set_telemetry(telemetry.clone());
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Surrogate-fit fallback count (should stay 0).
-    pub fn fallbacks(&self) -> usize {
-        self.fallbacks
     }
 }
 
@@ -142,46 +114,28 @@ impl easybo_opt::BatchObjective for EiAcq<'_> {
 
 impl AsyncPolicy for StandardAsyncPolicy {
     fn select_next(&mut self, data: &Dataset, _busy: &[BusyPoint]) -> Vec<f64> {
-        if data.is_empty() {
-            // More workers than initial points: nothing observed yet.
-            return self.surrogate.bounds().sample_uniform(&mut self.rng);
-        }
-        let gp = match self.surrogate.surrogate(data) {
-            Ok(gp) => gp,
-            Err(_) => {
-                self.fallbacks += 1;
-                return self.surrogate.bounds().sample_uniform(&mut self.rng);
-            }
+        let Some(mut fit) = self.core.fit(data) else {
+            return self.core.uniform();
         };
         // Incumbent in raw units; the EI transforms it through the GP's
         // target scaler internally.
         let best = data.best_value();
-        let u = maximize_traced(
-            &self.maximizer,
-            &mut self.rng,
-            &self.telemetry,
-            self.acq_restarts,
-            &EiAcq { gp, best },
-        );
-        self.surrogate.from_unit(&u)
+        let u = fit.maximize(|inc| EiAcq { gp: inc.gp(), best });
+        fit.to_raw(&u)
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
+        let core = self.core.snapshot();
         Some(crate::persistence::encode_standard_state(
-            self.rng.state(),
-            self.fallbacks,
-            &self.surrogate.state(),
+            core.rng,
+            core.fallbacks,
+            &core.surrogate,
         ))
     }
 
     fn restore_state(&mut self, state: &[u8]) -> Result<(), String> {
         let blob = crate::persistence::decode_standard_state(state).map_err(|e| e.to_string())?;
-        self.surrogate
-            .restore(blob.surrogate)
-            .map_err(|e| e.to_string())?;
-        self.rng = StdRng::from_state(blob.rng);
-        self.fallbacks = blob.fallbacks;
-        Ok(())
+        self.core.restore(blob)
     }
 }
 
@@ -191,6 +145,7 @@ mod tests {
     use easybo_exec::BlackBox as _;
     use easybo_exec::{CostedFunction, SimTimeModel, VirtualExecutor};
     use easybo_opt::sampling;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn bb_2d() -> CostedFunction<impl Fn(&[f64]) -> f64 + Send + Sync> {
@@ -213,7 +168,7 @@ mod tests {
         let mut policy = StandardAsyncPolicy::new(bounds.clone(), 1);
         let r = VirtualExecutor::new(5).run_async(&bb, &init(&bounds, 10, 1), 45, &mut policy);
         assert!(r.best_value() > 0.85, "standard best {}", r.best_value());
-        assert_eq!(policy.fallbacks(), 0);
+        assert_eq!(policy.core.fallbacks(), 0);
     }
 
     #[test]

@@ -5,13 +5,11 @@ use std::collections::VecDeque;
 
 use easybo_exec::{Dataset, SyncBatchPolicy};
 use easybo_opt::Bounds;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::acquisition::{self, PenalizedAcqInc, WeightedAcq};
-use crate::policies::{AcqMaximizer, AcqOptConfig};
-use crate::surrogate::{SurrogateConfig, SurrogateManager};
-use crate::weight::WeightSchedule;
+use crate::policies::{AcqOptConfig, PolicyCore};
+use crate::surrogate::SurrogateConfig;
+use crate::weight::{sample_kappa_weight, WeightSchedule, DEFAULT_LAMBDA};
 
 /// How many past query points per weight index the pHCBO penalty remembers.
 const HC_HISTORY: usize = 5;
@@ -47,15 +45,12 @@ const HC_HISTORY: usize = 5;
 /// # }
 /// ```
 pub struct PboPolicy {
-    surrogate: SurrogateManager,
-    maximizer: AcqMaximizer,
-    rng: StdRng,
+    core: PolicyCore,
     high_coverage: bool,
     /// Per-weight-index history of recent query points (unit coords).
     history: Vec<VecDeque<Vec<f64>>>,
     /// Eq. 6 reference distance `d` in unit-cube space.
     hc_distance: f64,
-    fallbacks: usize,
 }
 
 impl PboPolicy {
@@ -82,19 +77,11 @@ impl PboPolicy {
     ) -> Self {
         let dim = bounds.dim();
         PboPolicy {
-            surrogate: SurrogateManager::new(bounds, SurrogateConfig { seed, ..surrogate }),
-            maximizer: AcqMaximizer::new(dim, acq_opt),
-            rng: StdRng::seed_from_u64(seed ^ 0x70b0_7070),
+            core: PolicyCore::new(bounds, seed, 0x70b0_7070, surrogate, acq_opt),
             high_coverage,
             history: Vec::new(),
             hc_distance: 0.1 * (dim as f64).sqrt(),
-            fallbacks: 0,
         }
-    }
-
-    /// Surrogate-fit fallback count (should stay 0).
-    pub fn fallbacks(&self) -> usize {
-        self.fallbacks
     }
 }
 
@@ -121,24 +108,13 @@ fn hc_penalty(hist: &[Vec<f64>], d: f64, u: &[f64]) -> f64 {
 
 impl SyncBatchPolicy for PboPolicy {
     fn select_batch(&mut self, data: &Dataset, batch_size: usize) -> Vec<Vec<f64>> {
-        if data.is_empty() {
-            return (0..batch_size)
-                .map(|_| self.surrogate.bounds().sample_uniform(&mut self.rng))
-                .collect();
-        }
-        let gp = match self.surrogate.surrogate(data) {
-            Ok(gp) => gp.clone(),
-            Err(_) => {
-                self.fallbacks += 1;
-                return (0..batch_size)
-                    .map(|_| self.surrogate.bounds().sample_uniform(&mut self.rng))
-                    .collect();
-            }
+        let Some(mut fit) = self.core.fit(data) else {
+            return self.core.uniform_batch(batch_size);
         };
         if self.history.len() < batch_size {
             self.history.resize_with(batch_size, VecDeque::new);
         }
-        let weights = WeightSchedule::UniformGrid.batch(batch_size, &mut self.rng);
+        let weights = WeightSchedule::UniformGrid.batch(batch_size, fit.rng);
         let mut batch = Vec::with_capacity(batch_size);
         for (i, w) in weights.into_iter().enumerate() {
             let hist: Vec<Vec<f64>> = if self.high_coverage {
@@ -147,9 +123,9 @@ impl SyncBatchPolicy for PboPolicy {
                 Vec::new()
             };
             let hc_d = self.hc_distance;
-            let gp_ref = &gp;
-            let u = self.maximizer.maximize(&mut self.rng, |p| {
-                acquisition::weighted(gp_ref, p, w) - hc_penalty(&hist, hc_d, p)
+            let u = fit.maximize(|inc| {
+                let gp = inc.gp();
+                move |p: &[f64]| acquisition::weighted(gp, p, w) - hc_penalty(&hist, hc_d, p)
             });
             if self.high_coverage {
                 let h = &mut self.history[i];
@@ -158,7 +134,7 @@ impl SyncBatchPolicy for PboPolicy {
                 }
                 h.push_back(u.clone());
             }
-            batch.push(self.surrogate.from_unit(&u));
+            batch.push(fit.to_raw(&u));
         }
         batch
     }
@@ -172,12 +148,9 @@ impl SyncBatchPolicy for PboPolicy {
 /// as hallucinated pseudo-points in `σ̂` (Eq. 9); without it (EasyBO-S) all
 /// members maximize over the same posterior.
 pub struct EasyBoSyncPolicy {
-    surrogate: SurrogateManager,
-    maximizer: AcqMaximizer,
-    rng: StdRng,
+    core: PolicyCore,
     penalize: bool,
     lambda: f64,
-    fallbacks: usize,
 }
 
 impl EasyBoSyncPolicy {
@@ -188,7 +161,7 @@ impl EasyBoSyncPolicy {
         Self::with_configs(
             bounds,
             penalize,
-            crate::weight::DEFAULT_LAMBDA,
+            DEFAULT_LAMBDA,
             seed,
             SurrogateConfig::default(),
             AcqOptConfig::for_dim(dim),
@@ -204,63 +177,37 @@ impl EasyBoSyncPolicy {
         surrogate: SurrogateConfig,
         acq_opt: AcqOptConfig,
     ) -> Self {
-        let dim = bounds.dim();
         EasyBoSyncPolicy {
-            surrogate: SurrogateManager::new(bounds, SurrogateConfig { seed, ..surrogate }),
-            maximizer: AcqMaximizer::new(dim, acq_opt),
-            rng: StdRng::seed_from_u64(seed ^ 0xea5b_0051),
+            core: PolicyCore::new(bounds, seed, 0xea5b_0051, surrogate, acq_opt),
             penalize,
             lambda,
-            fallbacks: 0,
         }
-    }
-
-    /// Surrogate-fit fallback count (should stay 0).
-    pub fn fallbacks(&self) -> usize {
-        self.fallbacks
     }
 }
 
 impl SyncBatchPolicy for EasyBoSyncPolicy {
     fn select_batch(&mut self, data: &Dataset, batch_size: usize) -> Vec<Vec<f64>> {
-        if data.is_empty() {
-            return (0..batch_size)
-                .map(|_| self.surrogate.bounds().sample_uniform(&mut self.rng))
-                .collect();
-        }
-        let inc = match self.surrogate.incremental(data) {
-            Ok(inc) => inc,
-            Err(_) => {
-                self.fallbacks += 1;
-                return (0..batch_size)
-                    .map(|_| self.surrogate.bounds().sample_uniform(&mut self.rng))
-                    .collect();
-            }
+        let Some(mut fit) = self.core.fit(data) else {
+            return self.core.uniform_batch(batch_size);
         };
         // Sequential hallucination on the cached factor stack: one rank-1
         // push per batch member, all popped at the end.
-        let mut units = Vec::with_capacity(batch_size);
+        let mut batch = Vec::with_capacity(batch_size);
         for _ in 0..batch_size {
-            let w = crate::weight::sample_kappa_weight(self.lambda, &mut self.rng);
+            let w = sample_kappa_weight(self.lambda, fit.rng);
             let u = if self.penalize {
-                self.maximizer
-                    .maximize_batch(&mut self.rng, &PenalizedAcqInc { inc: &*inc, w })
-            } else {
-                self.maximizer
-                    .maximize_batch(&mut self.rng, &WeightedAcq { gp: inc.gp(), w })
-            };
-            if self.penalize {
+                let u = fit.maximize(|inc| PenalizedAcqInc { inc, w });
                 // Hallucinate the new member so later members avoid it; a
                 // degenerate (duplicated) push is skipped.
-                let _ = inc.push_pseudo_mean(u.clone());
-            }
-            units.push(u);
+                let _ = fit.gp.push_pseudo_mean(u.clone());
+                u
+            } else {
+                fit.maximize(|inc| WeightedAcq { gp: inc.gp(), w })
+            };
+            batch.push(fit.to_raw(&u));
         }
-        inc.pop_all_pseudo();
-        units
-            .into_iter()
-            .map(|u| self.surrogate.from_unit(&u))
-            .collect()
+        fit.gp.pop_all_pseudo();
+        batch
     }
 }
 
@@ -270,6 +217,8 @@ mod tests {
     use easybo_exec::BlackBox as _;
     use easybo_exec::{CostedFunction, SimTimeModel, VirtualExecutor};
     use easybo_opt::sampling;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn bb_2d() -> CostedFunction<impl Fn(&[f64]) -> f64 + Send + Sync> {
         let bounds = Bounds::new(vec![(-2.0, 2.0), (-2.0, 2.0)]).unwrap();
@@ -291,7 +240,7 @@ mod tests {
         let mut policy = PboPolicy::new(bounds.clone(), false, 1);
         let r = VirtualExecutor::new(5).run_sync(&bb, &init(&bounds, 10, 1), 45, &mut policy);
         assert!(r.best_value() > 0.9, "pBO best {}", r.best_value());
-        assert_eq!(policy.fallbacks(), 0);
+        assert_eq!(policy.core.fallbacks(), 0);
     }
 
     #[test]
@@ -310,7 +259,7 @@ mod tests {
         let mut policy = EasyBoSyncPolicy::new(bounds.clone(), true, 3);
         let r = VirtualExecutor::new(5).run_sync(&bb, &init(&bounds, 10, 3), 45, &mut policy);
         assert!(r.best_value() > 0.9, "EasyBO-SP best {}", r.best_value());
-        assert_eq!(policy.fallbacks(), 0);
+        assert_eq!(policy.core.fallbacks(), 0);
     }
 
     #[test]

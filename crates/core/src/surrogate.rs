@@ -215,8 +215,17 @@ impl SurrogateManager {
     ///
     /// Same conditions as [`SurrogateManager::surrogate`].
     pub fn incremental(&mut self, data: &Dataset) -> crate::Result<&mut IncrementalGp> {
+        Ok(self.incremental_in(data)?.0)
+    }
+
+    /// [`SurrogateManager::incremental`] lent together with the design
+    /// space, so a caller can map points while it holds the model.
+    pub(crate) fn incremental_in(
+        &mut self,
+        data: &Dataset,
+    ) -> crate::Result<(&mut IncrementalGp, &Bounds)> {
         self.surrogate(data)?;
-        Ok(self.gp.as_mut().expect("GP fitted above"))
+        Ok((self.gp.as_mut().expect("GP fitted above"), &self.bounds))
     }
 
     /// Number of observations in the cached fit (0 before the first fit).

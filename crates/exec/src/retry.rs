@@ -14,6 +14,14 @@ pub enum FailureAction {
     /// non-finite. This is the legacy behaviour: failures are
     /// indistinguishable from successes and it is the caller's problem
     /// to filter the dataset.
+    ///
+    /// A recorded +∞ poisons the rest of the run: the surrogate's
+    /// winsorization fence clamps only the low side, so every later GP
+    /// fit fails and the policy falls back to uniform random draws for
+    /// every remaining query. Nothing in the result says so; only the
+    /// `surrogate_fallbacks` telemetry counter shows it. (NaN and −∞ fail
+    /// the fit the same way until the dataset is large enough for the
+    /// fence to clamp them.)
     Record,
     /// Drop the task: no observation enters the dataset or the trace.
     Drop,
@@ -60,6 +68,12 @@ impl RetryPolicy {
     /// The legacy policy: one attempt, no timeout, record whatever came
     /// back. Running either executor with this policy is bit-identical
     /// to the pre-fault-tolerance code paths.
+    ///
+    /// Because it records non-finite values raw ([`FailureAction::Record`]),
+    /// a single +∞ evaluation turns the rest of the run into uniform
+    /// random search, visible only in the `surrogate_fallbacks` counter.
+    /// Prefer a [`FailureAction::Penalty`] or [`FailureAction::Drop`]
+    /// policy when the objective can return non-finite values.
     pub fn none() -> Self {
         RetryPolicy {
             max_attempts: 1,

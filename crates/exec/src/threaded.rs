@@ -25,6 +25,15 @@
 //! when every thread is dead or stuck on an abandoned attempt the run
 //! ends with a structured [`OptError::ExecutorFailure`] instead of
 //! deadlocking.
+//!
+//! Panic reporting costs time. `catch_unwind` contains a panic, but the
+//! process panic hook runs first, on the worker thread. With
+//! `RUST_BACKTRACE` set the default hook symbolizes a backtrace, and that
+//! time counts against [`RetryPolicy::timeout`]. A probe run saw two
+//! attempts time out at exactly start + 0.05 s this way. Callers whose
+//! simulators panic by design should install a quiet hook
+//! ([`std::panic::set_hook`]) that skips reporting their own payloads.
+//! The executor does not swap the process-global hook itself.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -189,6 +198,12 @@ impl ThreadedExecutor {
     /// flagged failed, and the thread still evaluating it is considered
     /// stuck until it reports back. `max_evals` counts tasks, not
     /// attempts.
+    ///
+    /// A panicking evaluation runs the process panic hook on its worker
+    /// thread before `catch_unwind` returns, and that time counts against
+    /// `retry.timeout` (see the module docs): under `RUST_BACKTRACE` a
+    /// panic can turn into a timeout. Install a quiet hook when the black
+    /// box panics by design.
     ///
     /// # Errors
     ///

@@ -133,6 +133,11 @@ impl MultiStartMaximizer {
         self.probes
     }
 
+    /// Number of Nelder–Mead refinement starts per call.
+    pub fn starts(&self) -> usize {
+        self.starts
+    }
+
     /// Probe phase: Latin hypercube for coverage + pure uniform for tails.
     fn candidates<R: Rng + ?Sized>(&self, bounds: &Bounds, rng: &mut R) -> Vec<Vec<f64>> {
         let mut candidates = sampling::latin_hypercube(bounds, self.probes / 2, rng);

@@ -311,3 +311,50 @@ fn run_report_shares_are_consistent() {
     let text = format!("{r}");
     assert!(text.contains("utilization"), "report text: {text}");
 }
+
+/// A +∞ recorded raw under `RetryPolicy::none()` makes every later
+/// surrogate fit fail, so the policy turns to uniform draws. The
+/// `surrogate_fallbacks` counter reports it, and counting it leaves the
+/// trajectory bit-identical to the run with telemetry off.
+#[test]
+fn recorded_infinity_shows_in_the_surrogate_fallback_counter() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    let run = |telemetry: Option<Telemetry>| {
+        let calls = AtomicUsize::new(0);
+        let bounds = Bounds::new(vec![(-2.0, 2.0), (-2.0, 2.0)]).unwrap();
+        let time = SimTimeModel::new(&bounds, 10.0, 0.3, 0);
+        let bb = CostedFunction::new("infinite-once", bounds.clone(), time, |x: &[f64]| {
+            if calls.fetch_add(1, Ordering::Relaxed) == 7 {
+                f64::INFINITY
+            } else {
+                -(x[0] - 0.5).powi(2) - (x[1] + 0.5).powi(2)
+            }
+        });
+        let mut opt = EasyBo::new(bounds);
+        opt.batch_size(3)
+            .initial_points(6)
+            .max_evals(16)
+            .seed(4)
+            .retry_policy(easybo::RetryPolicy::none());
+        if let Some(t) = telemetry {
+            opt.telemetry(t);
+        }
+        opt.run_blackbox(&bb)
+            .expect("the finite points leave an incumbent")
+    };
+
+    let (telemetry, _recorder) = Telemetry::recording();
+    let traced = run(Some(telemetry.clone()));
+    let plain = run(None);
+    assert!(traced.data.ys().contains(&f64::INFINITY));
+    let metrics = telemetry.metrics_snapshot().expect("metrics enabled");
+    assert!(
+        metrics.counter("surrogate_fallbacks") > 0,
+        "a recorded +inf must show as surrogate fallbacks"
+    );
+    assert_eq!(traced.data.xs(), plain.data.xs());
+    let bits = |ys: &[f64]| ys.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(traced.data.ys()), bits(plain.data.ys()));
+    assert_eq!(traced.trace.to_csv(), plain.trace.to_csv());
+}
