@@ -35,7 +35,7 @@
 //! `surrogate_fallbacks` telemetry counter; empty data counts nothing.
 //! Only a fitted model draws anything else (weights, coins, probes) from
 //! the RNG, so the fallback consumes the stream exactly as far as its
-//! uniform draws. The fallback count is part of every policy's snapshot.
+//! uniform draws. Every policy blob carries the fallback count.
 
 mod asynchronous;
 mod eps_greedy;
@@ -233,6 +233,7 @@ impl PolicyCore {
         self.telemetry = telemetry;
     }
 
+    /// The attached handle (disabled until [`PolicyCore::set_telemetry`]).
     pub(crate) fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
