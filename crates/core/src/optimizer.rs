@@ -784,6 +784,25 @@ mod tests {
         assert_eq!(r.data.len(), 8);
     }
 
+    /// Snapshots stamp these fingerprints and resume checks them, so a
+    /// change to what feeds them orphans every snapshot on disk.
+    #[test]
+    fn config_fingerprints_are_pinned() {
+        use easybo_exec::FailureAction;
+        let bounds = Bounds::new(vec![(-1.0, 2.0), (0.0, 5.0)]).unwrap();
+        let default = EasyBo::new(bounds.clone());
+        let mut tuned = EasyBo::new(bounds);
+        tuned.seed(7).batch_size(3).retry_policy(
+            RetryPolicy::default()
+                .timeout(40.0)
+                .on_exhausted(FailureAction::Penalty(-3.5)),
+        );
+        let hex = |fp: u64| format!("{fp:016x}");
+        assert_eq!(hex(default.config_fingerprint()), "748311d13a4ef27c");
+        assert_eq!(hex(tuned.config_fingerprint()), "92fb7e25a448e434");
+        assert_eq!(hex(tuned.constrained_fingerprint(2)), "e9ebe2a6cb649e53");
+    }
+
     #[test]
     fn seeded_runs_reproduce() {
         let bounds = Bounds::unit_cube(2).unwrap();
