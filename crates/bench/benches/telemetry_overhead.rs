@@ -15,7 +15,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use easybo::policies::EasyBoAsyncPolicy;
 use easybo_bench::opamp_blackbox;
 use easybo_exec::{
-    AsyncPolicy, BlackBox, BusyPoint, CostedFunction, Dataset, SimTimeModel, VirtualExecutor,
+    AsyncPolicy, BlackBox, BusyPoint, CostedFunction, Dataset, RetryPolicy, SimTimeModel,
+    VirtualExecutor,
 };
 use easybo_opt::{sampling, Bounds};
 use easybo_telemetry::Telemetry;
@@ -29,6 +30,7 @@ fn fig1_init(bb: &dyn BlackBox) -> Vec<Vec<f64>> {
 fn bench_fig1_schedule(c: &mut Criterion) {
     let bb = opamp_blackbox();
     let init = fig1_init(&bb);
+    let none = RetryPolicy::none();
 
     // Seed entry point: no telemetry parameter anywhere.
     c.bench_function("fig1_async_schedule_no_telemetry", |b| {
@@ -43,11 +45,12 @@ fn bench_fig1_schedule(c: &mut Criterion) {
     c.bench_function("fig1_async_schedule_disabled_telemetry", |b| {
         b.iter(|| {
             let mut policy = EasyBoAsyncPolicy::new(bb.bounds().clone(), true, 7);
-            VirtualExecutor::new(3).run_async_with(
+            VirtualExecutor::new(3).run_async_resilient(
                 &bb,
                 &init,
                 18,
                 &mut policy,
+                &none,
                 &Telemetry::disabled(),
             )
         })
@@ -58,7 +61,14 @@ fn bench_fig1_schedule(c: &mut Criterion) {
         b.iter(|| {
             let (telemetry, _recorder) = Telemetry::recording();
             let mut policy = EasyBoAsyncPolicy::new(bb.bounds().clone(), true, 7);
-            VirtualExecutor::new(3).run_async_with(&bb, &init, 18, &mut policy, &telemetry)
+            VirtualExecutor::new(3).run_async_resilient(
+                &bb,
+                &init,
+                18,
+                &mut policy,
+                &none,
+                &telemetry,
+            )
         })
     });
 }
@@ -82,17 +92,19 @@ fn cheap_blackbox() -> CostedFunction<impl Fn(&[f64]) -> f64 + Send + Sync> {
 fn bench_executor_hot_loop(c: &mut Criterion) {
     let bb = cheap_blackbox();
     let evals = 512;
+    let none = RetryPolicy::none();
 
     c.bench_function("hot_loop_512_evals_no_telemetry", |b| {
         b.iter(|| VirtualExecutor::new(4).run_async(&bb, &[], evals, &mut Walker(0.0)))
     });
     c.bench_function("hot_loop_512_evals_disabled_telemetry", |b| {
         b.iter(|| {
-            VirtualExecutor::new(4).run_async_with(
+            VirtualExecutor::new(4).run_async_resilient(
                 &bb,
                 &[],
                 evals,
                 &mut Walker(0.0),
+                &none,
                 &Telemetry::disabled(),
             )
         })
@@ -100,7 +112,14 @@ fn bench_executor_hot_loop(c: &mut Criterion) {
     c.bench_function("hot_loop_512_evals_recorder", |b| {
         b.iter(|| {
             let (telemetry, _recorder) = Telemetry::recording();
-            VirtualExecutor::new(4).run_async_with(&bb, &[], evals, &mut Walker(0.0), &telemetry)
+            VirtualExecutor::new(4).run_async_resilient(
+                &bb,
+                &[],
+                evals,
+                &mut Walker(0.0),
+                &none,
+                &telemetry,
+            )
         })
     });
 }

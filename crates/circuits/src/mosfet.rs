@@ -211,11 +211,6 @@ impl Mosfet {
         1.0 / (self.lambda() * id)
     }
 
-    /// Intrinsic gain `gm·ro` at drain current `id`.
-    pub fn intrinsic_gain(&self, id: f64) -> f64 {
-        self.gm(id) * self.ro(id)
-    }
-
     /// Gate-source capacitance (F): `Cgs = (2/3)·W·L·Cox + W·Cgdo`.
     pub fn cgs(&self) -> f64 {
         (2.0 / 3.0) * self.w * self.l * self.params.cox + self.w * self.params.cgdo
@@ -293,7 +288,8 @@ mod tests {
         let long = Mosfet::new(MosType::Nmos, 10e-6, 1.0e-6);
         let id = 50e-6;
         assert!(long.ro(id) > short.ro(id));
-        assert!(long.intrinsic_gain(id) > short.intrinsic_gain(id) * 0.9);
+        let gain = |m: &Mosfet| m.gm(id) * m.ro(id);
+        assert!(gain(&long) > gain(&short) * 0.9);
     }
 
     #[test]
@@ -353,7 +349,8 @@ mod tests {
             // For fixed geometry, gm·ro ∝ 1/sqrt(Id): higher current, less gain.
             let m = nmos();
             let id = 10e-6;
-            prop_assert!(m.intrinsic_gain(id) > m.intrinsic_gain(id * scale));
+            let gain = |id: f64| m.gm(id) * m.ro(id);
+            prop_assert!(gain(id) > gain(id * scale));
         }
     }
 }

@@ -135,22 +135,6 @@ impl Algorithm {
     /// (checked by the registry tests).
     pub const COUNT: usize = 15;
 
-    /// The algorithms appearing in the paper's tables, in table order.
-    pub fn paper_set() -> [Algorithm; 10] {
-        [
-            Algorithm::De,
-            Algorithm::Lcb,
-            Algorithm::Ei,
-            Algorithm::EasyBoSeq,
-            Algorithm::Pbo,
-            Algorithm::Phcbo,
-            Algorithm::EasyBoS,
-            Algorithm::EasyBoA,
-            Algorithm::EasyBoSp,
-            Algorithm::EasyBo,
-        ]
-    }
-
     /// All implemented algorithms (paper set + extensions + the async
     /// portfolio), sorted by [`Algorithm::index`].
     pub fn all() -> [Algorithm; Self::COUNT] {
@@ -636,14 +620,6 @@ mod tests {
                 }
                 AlgorithmMode::SyncBatch => assert!(!has_async && has_sync, "{a:?}"),
             }
-        }
-    }
-
-    #[test]
-    fn paper_set_is_subset_of_all() {
-        let all = Algorithm::all();
-        for a in Algorithm::paper_set() {
-            assert!(all.contains(&a));
         }
     }
 

@@ -24,10 +24,10 @@ use std::path::Path;
 use easybo_exec::{AsyncPolicy, BlackBox, BusyPoint, Dataset};
 use easybo_gp::Gp;
 use easybo_opt::{BatchObjective, Bounds};
-use easybo_persist::PersistError;
 use easybo_telemetry::{Event, Telemetry};
 
 use crate::acquisition::{self, PenalizedAcqInc};
+use crate::optimizer::Executor;
 use crate::persistence::Fingerprint;
 use crate::policies::{AcqOptConfig, PenalizationMode, PolicyCore};
 use crate::surrogate::{SurrogateConfig, SurrogateManager};
@@ -380,7 +380,7 @@ impl EasyBo {
         let mut policy = ConstrainedPolicy::with_configs(
             problem,
             self.bounds().clone(),
-            self.lambda_value(),
+            DEFAULT_LAMBDA,
             self.seed_value(),
             self.surrogate_config_value().clone(),
             self.acq_config_value(),
@@ -429,22 +429,9 @@ impl EasyBo {
         problem: &ConstrainedProblem<'_>,
         bb: &dyn BlackBox,
     ) -> crate::Result<OptimizationResult> {
-        use easybo_exec::VirtualExecutor;
-        self.validate()?;
         let mut policy = self.build_constrained_policy(problem);
-        let exec = VirtualExecutor::new(self.batch_size_value());
-        let mut hook = self.hooks_active().then(|| {
-            self.session_hook_with(None, self.constrained_fingerprint(problem.n_constraints()))
-        });
-        let result = exec.run_session_resilient(
-            bb,
-            &self.initial_design(),
-            self.max_evals_value(),
-            &mut policy,
-            self.retry(),
-            self.telemetry_handle(),
-            hook.as_deref_mut(),
-        )?;
+        let fingerprint = self.constrained_fingerprint(problem.n_constraints());
+        let result = self.drive(Executor::Virtual(bb), None, &mut policy, fingerprint)?;
         self.finish_constrained(result, &mut policy)
     }
 
@@ -468,27 +455,10 @@ impl EasyBo {
         problem: &ConstrainedProblem<'_>,
         bb: &dyn BlackBox,
     ) -> crate::Result<OptimizationResult> {
-        use easybo_exec::VirtualExecutor;
-        self.validate()?;
-        let fingerprint = self.constrained_fingerprint(problem.n_constraints());
-        let (session, blob) = self.load_session_parts(path.as_ref(), fingerprint)?;
         let mut policy = self.build_constrained_policy(problem);
-        if let Some(blob) = &blob {
-            policy
-                .restore_state(blob)
-                .map_err(|e| EasyBoError::from(PersistError::decode(e)))?;
-        }
-        self.announce_resume(&session);
-        let baseline = (session.completed(), session.clock());
-        let mut hook = self.session_hook_with(Some(baseline), fingerprint);
-        let result = VirtualExecutor::new(self.batch_size_value()).resume_session_resilient(
-            bb,
-            session,
-            &mut policy,
-            self.retry(),
-            self.telemetry_handle(),
-            Some(&mut *hook),
-        )?;
+        let fingerprint = self.constrained_fingerprint(problem.n_constraints());
+        let path = Some(path.as_ref());
+        let result = self.drive(Executor::Virtual(bb), path, &mut policy, fingerprint)?;
         self.finish_constrained(result, &mut policy)
     }
 

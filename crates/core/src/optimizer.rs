@@ -3,9 +3,8 @@
 use std::path::{Path, PathBuf};
 
 use easybo_exec::{
-    AsyncPolicy, BlackBox, CheckpointTrigger, CostedFunction, Dataset, HookAction,
-    InvalidSessionParts, RetryPolicy, RunTrace, Schedule, SessionState, SimTimeModel,
-    ThreadedExecutor, VirtualExecutor,
+    AsyncPolicy, BlackBox, CostedFunction, Dataset, HookAction, InvalidSessionParts, RetryPolicy,
+    RunResult, RunTrace, Schedule, SessionState, SimTimeModel, ThreadedExecutor, VirtualExecutor,
 };
 use easybo_opt::{sampling, Bounds, Parallelism};
 use easybo_persist::{load_snapshot, PersistError, RunSnapshot};
@@ -69,15 +68,12 @@ pub struct EasyBo {
     max_evals: usize,
     initial_points: usize,
     seed: u64,
-    lambda: f64,
-    penalize: bool,
     surrogate: SurrogateConfig,
     acq_opt: AcqOptConfig,
     telemetry: Telemetry,
     retry: RetryPolicy,
     checkpoint_path: Option<PathBuf>,
     checkpoint_every_evals: Option<usize>,
-    checkpoint_every_seconds: Option<f64>,
     abort_after: Option<usize>,
 }
 
@@ -93,15 +89,12 @@ impl EasyBo {
             max_evals: 100,
             initial_points: 20,
             seed: 0,
-            lambda: DEFAULT_LAMBDA,
-            penalize: true,
             surrogate: SurrogateConfig::default(),
             acq_opt: AcqOptConfig::for_dim(dim),
             telemetry: Telemetry::disabled(),
             retry: RetryPolicy::none(),
             checkpoint_path: None,
             checkpoint_every_evals: None,
-            checkpoint_every_seconds: None,
             abort_after: None,
         }
     }
@@ -140,28 +133,9 @@ impl EasyBo {
         self
     }
 
-    /// κ sampling range `[0, λ]` of the acquisition (Eq. 8). Default 6.
-    pub fn lambda(&mut self, lambda: f64) -> &mut Self {
-        self.lambda = lambda.max(0.0);
-        self
-    }
-
-    /// Enables/disables the busy-point penalization scheme (Eq. 9).
-    /// Default on; disabling gives the EasyBO-A ablation.
-    pub fn penalization(&mut self, on: bool) -> &mut Self {
-        self.penalize = on;
-        self
-    }
-
     /// Overrides the surrogate configuration.
     pub fn surrogate_config(&mut self, config: SurrogateConfig) -> &mut Self {
         self.surrogate = config;
-        self
-    }
-
-    /// Overrides the acquisition-maximizer sizing.
-    pub fn acquisition_config(&mut self, config: AcqOptConfig) -> &mut Self {
-        self.acq_opt = config;
         self
     }
 
@@ -199,7 +173,7 @@ impl EasyBo {
     /// uninterrupted run.
     ///
     /// Default cadence: after every completed evaluation; tune with
-    /// [`EasyBo::checkpoint_every`] and/or [`EasyBo::checkpoint_interval`].
+    /// [`EasyBo::checkpoint_every`].
     pub fn checkpoint_to(&mut self, path: impl Into<PathBuf>) -> &mut Self {
         self.checkpoint_path = Some(path.into());
         self
@@ -209,16 +183,6 @@ impl EasyBo {
     /// [`EasyBo::checkpoint_to`]). Default 1.
     pub fn checkpoint_every(&mut self, k: usize) -> &mut Self {
         self.checkpoint_every_evals = Some(k.max(1));
-        self
-    }
-
-    /// Additionally checkpoints whenever `seconds` of run clock pass
-    /// since the last snapshot (virtual seconds on [`EasyBo::run`] /
-    /// [`EasyBo::run_blackbox`], real seconds on
-    /// [`EasyBo::run_threaded`]). Combines with
-    /// [`EasyBo::checkpoint_every`]: whichever fires first wins.
-    pub fn checkpoint_interval(&mut self, seconds: f64) -> &mut Self {
-        self.checkpoint_every_seconds = Some(seconds.max(0.0));
         self
     }
 
@@ -250,20 +214,8 @@ impl EasyBo {
         self.seed
     }
 
-    pub(crate) fn batch_size_value(&self) -> usize {
-        self.batch_size
-    }
-
     pub(crate) fn telemetry_handle(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    pub(crate) fn max_evals_value(&self) -> usize {
-        self.max_evals
-    }
-
-    pub(crate) fn lambda_value(&self) -> f64 {
-        self.lambda
     }
 
     pub(crate) fn surrogate_config_value(&self) -> &SurrogateConfig {
@@ -276,7 +228,7 @@ impl EasyBo {
 
     /// The configured asynchronous policy as a standalone value — the
     /// same construction every internal entry point uses. External
-    /// drivers of `run_session_resilient` (the network session manager,
+    /// drivers of the executors' `run` (the network session manager,
     /// custom executors) build their policy here so its decision stream
     /// matches an in-process [`EasyBo::run`] bit for bit.
     pub fn build_async_policy(&self) -> EasyBoAsyncPolicy {
@@ -305,8 +257,8 @@ impl EasyBo {
     fn build_policy(&self) -> EasyBoAsyncPolicy {
         let mut policy = EasyBoAsyncPolicy::with_configs(
             self.bounds.clone(),
-            self.penalize,
-            self.lambda,
+            true,
+            DEFAULT_LAMBDA,
             self.seed,
             self.surrogate.clone(),
             self.acq_opt,
@@ -339,8 +291,10 @@ impl EasyBo {
         fp.push_usize(self.batch_size);
         fp.push_usize(self.max_evals);
         fp.push_usize(self.initial_points);
-        fp.push_f64(self.lambda);
-        fp.push_bool(self.penalize);
+        // The κ range and the penalization switch are fixed; pushing their
+        // values keeps the fingerprints of existing snapshots valid.
+        fp.push_f64(DEFAULT_LAMBDA);
+        fp.push_bool(true);
         fp.push_u64(u64::from(kernel_tag(self.surrogate.kernel)));
         fp.push_f64(self.surrogate.retrain_growth);
         fp.push_usize(self.surrogate.first_restarts);
@@ -372,46 +326,19 @@ impl EasyBo {
         fp.finish()
     }
 
-    /// Whether the run needs a session hook at all: checkpointing or
-    /// fault injection is configured.
-    pub(crate) fn hooks_active(&self) -> bool {
-        self.checkpoint_path.is_some() || self.abort_after.is_some()
-    }
-
-    /// Builds the per-run session hook stamped with this optimizer's own
-    /// configuration fingerprint (the plain-policy entry points).
+    /// Builds the per-run session hook: writes a snapshot (and emits
+    /// `CheckpointWritten`) every `checkpoint_every` observations
+    /// counted from `completed`, then applies the `abort_after_evals`
+    /// fault injection. Pure observer of the session — it never perturbs
+    /// the optimization trajectory. `fingerprint` is what snapshots are
+    /// stamped with.
     #[allow(clippy::type_complexity)]
     fn session_hook(
         &self,
-        baseline: Option<(usize, f64)>,
-    ) -> Box<dyn FnMut(&SessionState, &dyn AsyncPolicy, f64) -> HookAction> {
-        self.session_hook_with(baseline, self.fingerprint())
-    }
-
-    /// Builds the per-run session hook: fires the checkpoint trigger
-    /// (writing a snapshot + emitting `CheckpointWritten`), then applies
-    /// the `abort_after_evals` fault injection. Pure observer of the
-    /// session — it never perturbs the optimization trajectory.
-    /// `fingerprint` is what snapshots are stamped with; entry points
-    /// whose trajectory depends on more than the builder settings (the
-    /// constrained path) pass an extended fingerprint here.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn session_hook_with(
-        &self,
-        baseline: Option<(usize, f64)>,
+        mut completed_at_last: usize,
         fingerprint: u64,
     ) -> Box<dyn FnMut(&SessionState, &dyn AsyncPolicy, f64) -> HookAction> {
-        let mut trigger = if self.checkpoint_path.is_some() {
-            CheckpointTrigger::new(
-                Some(self.checkpoint_every_evals.unwrap_or(1)),
-                self.checkpoint_every_seconds,
-            )
-        } else {
-            CheckpointTrigger::new(None, None)
-        };
-        if let Some((completed, clock)) = baseline {
-            trigger.rearm(completed, clock);
-        }
+        let every = self.checkpoint_every_evals.unwrap_or(1);
         let path = self.checkpoint_path.clone();
         let telemetry = self.telemetry.clone();
         let abort_after = self.abort_after;
@@ -419,7 +346,8 @@ impl EasyBo {
             move |session: &SessionState, policy: &dyn AsyncPolicy, now: f64| {
                 let completed = session.completed();
                 if let Some(path) = &path {
-                    if trigger.fire(completed, now) {
+                    if completed >= completed_at_last + every {
+                        completed_at_last = completed;
                         telemetry.set_now(now);
                         let _ckpt_span = telemetry.span("checkpoint");
                         let snap = RunSnapshot {
@@ -476,15 +404,52 @@ impl EasyBo {
         )
     }
 
+    /// The one driver behind every run and resume entry point. Starts
+    /// from a new session, or from the snapshot at `resume_from`: its
+    /// fingerprint is checked against `fingerprint`, its policy blob
+    /// restored into `policy`, and the resume announced. Then runs the
+    /// session on `executor` with the checkpoint/abort hook, whose
+    /// snapshots carry `fingerprint`.
+    pub(crate) fn drive(
+        &self,
+        executor: Executor<'_>,
+        resume_from: Option<&Path>,
+        policy: &mut dyn AsyncPolicy,
+        fingerprint: u64,
+    ) -> crate::Result<RunResult> {
+        self.validate()?;
+        let session = match resume_from {
+            None => SessionState::new(self.batch_size, self.max_evals, &self.initial_design()),
+            Some(path) => {
+                let session = self.load_session(path, fingerprint, policy)?;
+                self.announce_resume(&session);
+                session
+            }
+        };
+        let active = self.checkpoint_path.is_some() || self.abort_after.is_some();
+        let mut hook = active.then(|| self.session_hook(session.completed(), fingerprint));
+        let (retry, telemetry, hook) = (&self.retry, &self.telemetry, hook.as_deref_mut());
+        let result = match executor {
+            Executor::Virtual(bb) => VirtualExecutor::new(self.batch_size)
+                .run(bb, session, policy, retry, telemetry, hook),
+            Executor::Threaded(bb, time_scale) => {
+                ThreadedExecutor::new(self.batch_size, time_scale)
+                    .run(bb, session, policy, retry, telemetry, hook)
+            }
+        };
+        Ok(result?)
+    }
+
     /// Loads a snapshot, checks its configuration fingerprint against
-    /// `fingerprint` and every point's dimension against the bounds, and
-    /// rebuilds the session; the raw policy blob (if any) is returned for
-    /// the caller to restore into its own policy.
-    pub(crate) fn load_session_parts(
+    /// `fingerprint` and every point's dimension against the bounds,
+    /// restores its policy blob (if any) into `policy`, and rebuilds the
+    /// session.
+    fn load_session(
         &self,
         path: &Path,
         fingerprint: u64,
-    ) -> crate::Result<(SessionState, Option<Vec<u8>>)> {
+        policy: &mut dyn AsyncPolicy,
+    ) -> crate::Result<SessionState> {
         let snap = load_snapshot(path)?;
         if snap.config_fingerprint != fingerprint {
             return Err(PersistError::ConfigMismatch {
@@ -500,12 +465,17 @@ impl EasyBo {
             .and_then(|()| check_dims("backoffs", s.backoffs.iter().map(|b| &b.x), dim))
             .map_err(PersistError::from)?;
         let session = SessionState::from_parts(snap.session).map_err(PersistError::from)?;
-        Ok((session, snap.policy))
+        if let Some(blob) = &snap.policy {
+            policy
+                .restore_state(blob)
+                .map_err(|e| EasyBoError::from(PersistError::decode(e)))?;
+        }
+        Ok(session)
     }
 
     /// Rewinds the telemetry clock to the snapshot's and emits
     /// `RunResumed` — called once the restored policy is ready.
-    pub(crate) fn announce_resume(&self, session: &SessionState) {
+    fn announce_resume(&self, session: &SessionState) {
         self.telemetry.set_now(session.clock());
         self.telemetry.incr("resumes", 1);
         self.telemetry.emit_at(
@@ -517,21 +487,7 @@ impl EasyBo {
         );
     }
 
-    /// Loads a snapshot, checks its configuration fingerprint, restores
-    /// the policy's RNG/surrogate state, and rebuilds the session.
-    fn load_session(&self, path: &Path) -> crate::Result<(SessionState, EasyBoAsyncPolicy)> {
-        let (session, blob) = self.load_session_parts(path, self.fingerprint())?;
-        let mut policy = self.build_policy();
-        if let Some(blob) = &blob {
-            policy
-                .restore_state(blob)
-                .map_err(|e| EasyBoError::from(PersistError::decode(e)))?;
-        }
-        self.announce_resume(&session);
-        Ok((session, policy))
-    }
-
-    fn finish(&self, result: easybo_exec::RunResult) -> crate::Result<OptimizationResult> {
+    fn finish(&self, result: RunResult) -> crate::Result<OptimizationResult> {
         let (best_x, best_value) = result
             .data
             .best()
@@ -583,19 +539,8 @@ impl EasyBo {
     ///
     /// Same conditions as [`EasyBo::run`].
     pub fn run_blackbox(&self, bb: &dyn BlackBox) -> crate::Result<OptimizationResult> {
-        self.validate()?;
         let mut policy = self.build_policy();
-        let exec = VirtualExecutor::new(self.batch_size);
-        let mut hook = self.hooks_active().then(|| self.session_hook(None));
-        let result = exec.run_session_resilient(
-            bb,
-            &self.initial_design(),
-            self.max_evals,
-            &mut policy,
-            &self.retry,
-            &self.telemetry,
-            hook.as_deref_mut(),
-        )?;
+        let result = self.drive(Executor::Virtual(bb), None, &mut policy, self.fingerprint())?;
         self.finish(result)
     }
 
@@ -620,18 +565,9 @@ impl EasyBo {
         path: impl AsRef<Path>,
         bb: &dyn BlackBox,
     ) -> crate::Result<OptimizationResult> {
-        self.validate()?;
-        let (session, mut policy) = self.load_session(path.as_ref())?;
-        let baseline = (session.completed(), session.clock());
-        let mut hook = self.session_hook(Some(baseline));
-        let result = VirtualExecutor::new(self.batch_size).resume_session_resilient(
-            bb,
-            session,
-            &mut policy,
-            &self.retry,
-            &self.telemetry,
-            Some(&mut *hook),
-        )?;
+        let mut policy = self.build_policy();
+        let path = Some(path.as_ref());
+        let result = self.drive(Executor::Virtual(bb), path, &mut policy, self.fingerprint())?;
         self.finish(result)
     }
 
@@ -663,19 +599,9 @@ impl EasyBo {
         bb: &(dyn BlackBox + Sync),
         time_scale: f64,
     ) -> crate::Result<OptimizationResult> {
-        self.validate()?;
         let mut policy = self.build_policy();
-        let exec = ThreadedExecutor::new(self.batch_size, time_scale);
-        let mut hook = self.hooks_active().then(|| self.session_hook(None));
-        let result = exec.run_session_resilient(
-            bb,
-            &self.initial_design(),
-            self.max_evals,
-            &mut policy,
-            &self.retry,
-            &self.telemetry,
-            hook.as_deref_mut(),
-        )?;
+        let executor = Executor::Threaded(bb, time_scale);
+        let result = self.drive(executor, None, &mut policy, self.fingerprint())?;
         self.finish(result)
     }
 
@@ -698,20 +624,21 @@ impl EasyBo {
         bb: &(dyn BlackBox + Sync),
         time_scale: f64,
     ) -> crate::Result<OptimizationResult> {
-        self.validate()?;
-        let (session, mut policy) = self.load_session(path.as_ref())?;
-        let baseline = (session.completed(), session.clock());
-        let mut hook = self.session_hook(Some(baseline));
-        let result = ThreadedExecutor::new(self.batch_size, time_scale).resume_session_resilient(
-            bb,
-            session,
-            &mut policy,
-            &self.retry,
-            &self.telemetry,
-            Some(&mut *hook),
-        )?;
+        let mut policy = self.build_policy();
+        let executor = Executor::Threaded(bb, time_scale);
+        let path = Some(path.as_ref());
+        let result = self.drive(executor, path, &mut policy, self.fingerprint())?;
         self.finish(result)
     }
+}
+
+/// The executor a run drives: the deterministic virtual clock, or real
+/// threads emulating each virtual second of cost with `time_scale`
+/// seconds of sleep.
+#[derive(Clone, Copy)]
+pub(crate) enum Executor<'b> {
+    Virtual(&'b dyn BlackBox),
+    Threaded(&'b (dyn BlackBox + Sync), f64),
 }
 
 /// Rejects the first point of a snapshot list `field` whose length is
@@ -777,8 +704,8 @@ mod tests {
     fn builder_clamps_degenerate_settings() {
         let bounds = Bounds::unit_cube(1).unwrap();
         let mut opt = EasyBo::new(bounds);
-        opt.batch_size(0).initial_points(0).lambda(-1.0);
-        // batch >= 1, init >= 2, lambda >= 0: the run must still work.
+        opt.batch_size(0).initial_points(0);
+        // batch >= 1, init >= 2: the run must still work.
         opt.max_evals(8).seed(1);
         let r = opt.run(|x| -x[0]).unwrap();
         assert_eq!(r.data.len(), 8);
@@ -869,6 +796,37 @@ mod tests {
         assert_eq!(resumed.data, baseline.data);
         assert_eq!(resumed.trace.to_csv(), baseline.trace.to_csv());
         assert_eq!(resumed.best_x, baseline.best_x);
+    }
+
+    /// The hook writes a snapshot every `checkpoint_every` observations
+    /// counted from the session's start: zero on a new run, the
+    /// snapshot's count on a resume.
+    #[test]
+    fn checkpoint_cadence_counts_from_the_session_start() {
+        let written = |events: Vec<easybo_telemetry::TimedEvent>| -> Vec<usize> {
+            let completed = events.into_iter().filter_map(|e| match e.event {
+                Event::CheckpointWritten { completed, .. } => Some(completed),
+                _ => None,
+            });
+            completed.collect()
+        };
+        let path = snap_path("cadence");
+        let mut opt = EasyBo::new(Bounds::unit_cube(2).unwrap());
+        opt.batch_size(3).initial_points(6).max_evals(14).seed(4);
+        opt.checkpoint_to(&path).checkpoint_every(4);
+
+        let (tel, recorder) = Telemetry::recording();
+        let mut killed = opt.clone();
+        killed.telemetry(tel).abort_after_evals(10);
+        killed.run(objective).unwrap_err();
+        assert_eq!(written(recorder.events()), [4, 8]);
+
+        let (tel, recorder) = Telemetry::recording();
+        let mut resumer = opt.clone();
+        resumer.telemetry(tel);
+        resumer.resume(&path, objective).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(written(recorder.events()), [12]);
     }
 
     #[test]

@@ -197,15 +197,6 @@ pub(crate) const PESSIMISTIC_BLOB_TAG: u32 = u32::from_le_bytes(*b"PESS");
 ///
 /// [`PessimisticAsyncPolicy`]: crate::policies::PessimisticAsyncPolicy
 pub(crate) const PESSIMISTIC_BLOB_VERSION: u32 = 1;
-/// Kind tag of [`StandardAsyncPolicy`] blobs (`"STDB"` little-endian).
-///
-/// [`StandardAsyncPolicy`]: crate::policies::StandardAsyncPolicy
-pub(crate) const STANDARD_BLOB_TAG: u32 = u32::from_le_bytes(*b"STDB");
-/// Layout version of [`StandardAsyncPolicy`] blobs.
-///
-/// [`StandardAsyncPolicy`]: crate::policies::StandardAsyncPolicy
-pub(crate) const STANDARD_BLOB_VERSION: u32 = 1;
-
 /// Shared core of every policy blob: RNG words, fallback counter,
 /// surrogate manager state.
 fn put_policy_core(w: &mut ByteWriter, rng: [u64; 4], fallbacks: usize, s: &SurrogateState) {
@@ -349,33 +340,54 @@ pub(crate) fn decode_pessimistic_state(bytes: &[u8]) -> Result<PessimisticStateB
     Ok(PessimisticStateBlob { core, lies })
 }
 
-/// Encodes [`StandardAsyncPolicy`] state (layout `STDB` v1).
-///
-/// [`StandardAsyncPolicy`]: crate::policies::StandardAsyncPolicy
-pub(crate) fn encode_standard_state(
-    rng: [u64; 4],
-    fallbacks: usize,
-    surrogate: &SurrogateState,
-) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u32(STANDARD_BLOB_TAG);
-    w.put_u32(STANDARD_BLOB_VERSION);
-    put_policy_core(&mut w, rng, fallbacks, surrogate);
-    w.into_bytes()
+/// The layout of a policy blob that holds nothing beyond the policy
+/// core: kind tag, layout version, then the core.
+pub(crate) struct CoreBlob {
+    /// Four-byte kind tag (ASCII, little-endian).
+    tag: u32,
+    /// Layout version.
+    version: u32,
+    /// Policy name used in decode errors.
+    policy: &'static str,
 }
 
-/// Decodes a blob written by [`encode_standard_state`].
-pub(crate) fn decode_standard_state(bytes: &[u8]) -> Result<PolicyStateBlob, PersistError> {
-    let mut r = ByteReader::new(bytes);
-    check_tag_and_version(
-        &mut r,
-        "standard-acquisition",
-        STANDARD_BLOB_TAG,
-        STANDARD_BLOB_VERSION,
-    )?;
-    let core = get_policy_core(&mut r)?;
-    r.finish("standard-acquisition policy state blob")?;
-    Ok(core)
+/// [`StandardAsyncPolicy`] blobs: `STDB` v1.
+///
+/// [`StandardAsyncPolicy`]: crate::policies::StandardAsyncPolicy
+pub(crate) const STANDARD_BLOB: CoreBlob = CoreBlob {
+    tag: u32::from_le_bytes(*b"STDB"),
+    version: 1,
+    policy: "standard-acquisition",
+};
+
+/// [`SequentialBoPolicy`] blobs: `SEQB` v1.
+///
+/// [`SequentialBoPolicy`]: crate::policies::SequentialBoPolicy
+pub(crate) const SEQUENTIAL_BLOB: CoreBlob = CoreBlob {
+    tag: u32::from_le_bytes(*b"SEQB"),
+    version: 1,
+    policy: "sequential",
+};
+
+impl CoreBlob {
+    /// Encodes a policy core under this layout.
+    pub(crate) fn encode(&self, core: &PolicyStateBlob) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u32(self.tag);
+        w.put_u32(self.version);
+        put_policy_core(&mut w, core.rng, core.fallbacks, &core.surrogate);
+        w.into_bytes()
+    }
+
+    /// Decodes a blob written by [`CoreBlob::encode`], refusing another
+    /// tag or version with a message naming the policy.
+    pub(crate) fn decode(&self, bytes: &[u8]) -> Result<PolicyStateBlob, PersistError> {
+        let mut r = ByteReader::new(bytes);
+        check_tag_and_version(&mut r, self.policy, self.tag, self.version)?;
+        let core = get_policy_core(&mut r)?;
+        r.finish(&format!("{} policy state blob", self.policy))?;
+        Ok(core)
+    }
 }
 
 /// Kind tag of [`ConstrainedPolicy`] blobs (`"CNST"` little-endian).
@@ -510,6 +522,20 @@ impl Fingerprint {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encode_standard_state(rng: [u64; 4], fallbacks: usize, s: &SurrogateState) -> Vec<u8> {
+        let surrogate = s.clone();
+        let core = PolicyStateBlob {
+            rng,
+            fallbacks,
+            surrogate,
+        };
+        STANDARD_BLOB.encode(&core)
+    }
+
+    fn decode_standard_state(bytes: &[u8]) -> Result<PolicyStateBlob, PersistError> {
+        STANDARD_BLOB.decode(bytes)
+    }
 
     fn sample_surrogate_state() -> SurrogateState {
         SurrogateState {
@@ -701,6 +727,8 @@ mod tests {
         assert!(err.contains("pessimistic"), "{err}");
         let err = decode_standard_state(&eps).unwrap_err().to_string();
         assert!(err.contains("standard-acquisition"), "{err}");
+        let err = SEQUENTIAL_BLOB.decode(&std_blob).unwrap_err().to_string();
+        assert!(err.contains("not a sequential"), "{err}");
         // Legacy EasyBO blobs (version-first layout) are rejected too, in
         // both directions.
         assert!(decode_eps_greedy_state(&legacy).is_err());

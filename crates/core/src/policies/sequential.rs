@@ -6,6 +6,7 @@ use easybo_opt::Bounds;
 use serde::{Deserialize, Serialize};
 
 use crate::acquisition;
+use crate::persistence::SEQUENTIAL_BLOB;
 use crate::policies::{AcqOptConfig, PolicyCore};
 use crate::surrogate::SurrogateConfig;
 use crate::weight::sample_kappa_weight;
@@ -29,8 +30,8 @@ pub enum SequentialAcquisition {
     },
 }
 
-/// Sequential BO policy: drives [`easybo_exec::VirtualExecutor::run_sequential`]
-/// (or any 1-worker executor).
+/// Sequential BO policy, for a 1-worker executor such as
+/// `VirtualExecutor::new(1)`. Its state snapshots as a `SEQB` blob.
 ///
 /// # Example
 ///
@@ -49,7 +50,7 @@ pub enum SequentialAcquisition {
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 /// let init = sampling::latin_hypercube(&bounds, 6, &mut rng);
 /// let mut policy = SequentialBoPolicy::new(bounds, SequentialAcquisition::Ei, 42);
-/// let result = VirtualExecutor::run_sequential(&bb, &init, 25, &mut policy);
+/// let result = VirtualExecutor::new(1).run_async(&bb, &init, 25, &mut policy);
 /// assert!(result.best_value() > -0.01);
 /// # Ok(())
 /// # }
@@ -110,6 +111,15 @@ impl AsyncPolicy for SequentialBoPolicy {
         });
         fit.to_raw(&u)
     }
+
+    fn snapshot_state(&self) -> Option<Vec<u8>> {
+        Some(SEQUENTIAL_BLOB.encode(&self.core.snapshot()))
+    }
+
+    fn restore_state(&mut self, state: &[u8]) -> Result<(), String> {
+        let blob = SEQUENTIAL_BLOB.decode(state).map_err(|e| e.to_string())?;
+        self.core.restore(blob)
+    }
 }
 
 #[cfg(test)]
@@ -130,7 +140,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let init = sampling::latin_hypercube(&bounds, 8, &mut rng);
         let mut policy = SequentialBoPolicy::new(bounds, acq, seed);
-        let r = VirtualExecutor::run_sequential(&bb, &init, 35, &mut policy);
+        let r = VirtualExecutor::new(1).run_async(&bb, &init, 35, &mut policy);
         assert_eq!(policy.core.fallbacks(), 0);
         r.best_value()
     }

@@ -23,6 +23,7 @@ use easybo_gp::Gp;
 use easybo_opt::Bounds;
 
 use crate::acquisition::{expected_improvement, normal_cdf, normal_pdf};
+use crate::persistence::STANDARD_BLOB;
 use crate::policies::{AcqOptConfig, PolicyCore};
 use crate::surrogate::SurrogateConfig;
 
@@ -125,16 +126,11 @@ impl AsyncPolicy for StandardAsyncPolicy {
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
-        let core = self.core.snapshot();
-        Some(crate::persistence::encode_standard_state(
-            core.rng,
-            core.fallbacks,
-            &core.surrogate,
-        ))
+        Some(STANDARD_BLOB.encode(&self.core.snapshot()))
     }
 
     fn restore_state(&mut self, state: &[u8]) -> Result<(), String> {
-        let blob = crate::persistence::decode_standard_state(state).map_err(|e| e.to_string())?;
+        let blob = STANDARD_BLOB.decode(state).map_err(|e| e.to_string())?;
         self.core.restore(blob)
     }
 }

@@ -180,11 +180,6 @@ impl<F: Fn(&[f64]) -> f64 + Send + Sync> CostedFunction<F> {
             f,
         }
     }
-
-    /// The cost model in use.
-    pub fn time_model(&self) -> &SimTimeModel {
-        &self.time
-    }
 }
 
 impl<F: Fn(&[f64]) -> f64 + Send + Sync> BlackBox for CostedFunction<F> {

@@ -6,6 +6,8 @@
 //! [`crate::VirtualExecutor`], the network session manager and the
 //! real-clock [`crate::ThreadedExecutor`] all drive it; they differ only
 //! in the [`Resolver`] they pass and in whether they declare a horizon.
+//! It has one constructor, [`EventLoop::start`]: a new run is a resume
+//! of an empty session, whose idle workers the start fills at once.
 //!
 //! # Determinism under deferred results
 //!
@@ -144,53 +146,43 @@ pub struct EventLoop {
 }
 
 impl EventLoop {
-    fn new(session: SessionState, retry: RetryPolicy) -> Self {
-        EventLoop {
-            session,
-            retry,
-            heap: BinaryHeap::new(),
-            seq: 0,
-            outstanding: VecDeque::new(),
-            horizon: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Starts a fresh run: fills every worker at t = 0 while the task
-    /// budget lasts.
-    pub fn fresh(
+    /// Starts the loop over `session`, new or captured, in three steps:
+    ///
+    /// 1. Re-dispatches every in-flight attempt at its recorded worker
+    ///    and start time (attempts never started, as in threaded
+    ///    captures, restart at the session clock on a deterministic
+    ///    worker). They take the low sequence numbers, as they did in
+    ///    the uninterrupted run.
+    /// 2. Re-arms pending backoffs as retry events.
+    /// 3. Hands every worker slot that holds no attempt and no backoff a
+    ///    new task at the session clock, in slot order, while the task
+    ///    budget lasts.
+    ///
+    /// A new session has nothing in flight, so only the fill runs and
+    /// every worker starts at t = 0. Every capture follows a refill, so
+    /// on a captured session the fill finds the budget spent or every
+    /// slot occupied; it only fires for sessions assembled by hand.
+    pub fn start(
         session: SessionState,
         retry: RetryPolicy,
         policy: &mut dyn AsyncPolicy,
         telemetry: &Telemetry,
         resolver: &mut Resolver<'_>,
     ) -> Self {
-        let mut lp = EventLoop::new(session, retry);
-        for worker in 0..lp.session.workers {
-            if lp.session.issued >= lp.session.max_evals {
-                break;
-            }
-            lp.refill(worker, 0.0, policy, telemetry, resolver);
-        }
-        lp
-    }
-
-    /// Continues a captured session: re-dispatches every in-flight
-    /// attempt at its recorded worker and start time (attempts never
-    /// started, as in threaded captures, restart at the capture clock
-    /// on a deterministic worker), then re-arms pending backoffs as
-    /// retry events. The in-flight attempts take the low sequence
-    /// numbers, as they did in the uninterrupted run.
-    pub fn resume(
-        session: SessionState,
-        retry: RetryPolicy,
-        telemetry: &Telemetry,
-        resolver: &mut Resolver<'_>,
-    ) -> Self {
-        let mut lp = EventLoop::new(session, retry);
+        let mut lp = EventLoop {
+            session,
+            retry,
+            heap: BinaryHeap::new(),
+            seq: 0,
+            outstanding: VecDeque::new(),
+            horizon: f64::NEG_INFINITY,
+        };
         let clock = lp.session.clock;
         let workers = lp.session.workers;
+        let mut occupied = vec![false; workers];
         for inf in lp.session.drain_inflight() {
             let (worker, start) = inf.started.unwrap_or((inf.task % workers, clock));
+            occupied[worker] = true;
             lp.dispatch(
                 worker,
                 start,
@@ -210,7 +202,14 @@ impl EventLoop {
             .map(|b| (b.due, b.worker, b.task))
             .collect();
         for (due, worker, task) in waiting {
+            occupied[worker] = true;
             lp.push_retry(due, worker, task);
+        }
+        for worker in (0..workers).filter(|&w| !occupied[w]) {
+            if lp.session.issued >= lp.session.max_evals {
+                break;
+            }
+            lp.refill(worker, clock, policy, telemetry, resolver);
         }
         lp
     }
@@ -463,7 +462,7 @@ mod tests {
     use super::*;
     use crate::{
         BlackBox, BusyPoint, CostedFunction, Dataset, FailureAction, FaultPlan, FaultyBlackBox,
-        SimTimeModel, VirtualExecutor,
+        SessionParts, SimTimeModel, VirtualExecutor,
     };
     use easybo_opt::Bounds;
 
@@ -514,7 +513,7 @@ mod tests {
 
         let mut policy = Spread;
         let session = SessionState::new(3, 24, &init);
-        let mut lp = EventLoop::fresh(session, retry.clone(), &mut policy, &tel, &mut remote);
+        let mut lp = EventLoop::start(session, retry.clone(), &mut policy, &tel, &mut remote);
         while !lp.done() {
             let batch: Vec<(usize, usize, usize, Vec<f64>)> = lp
                 .unresolved()
@@ -547,7 +546,7 @@ mod tests {
         let tel = Telemetry::disabled();
         let mut policy = Spread;
         let session = SessionState::new(2, 3, &[vec![0.1], vec![0.9]]);
-        let mut lp = EventLoop::fresh(session, RetryPolicy::none(), &mut policy, &tel, &mut remote);
+        let mut lp = EventLoop::start(session, RetryPolicy::none(), &mut policy, &tel, &mut remote);
         assert!(lp.resolve(1, 1, (2.0, 1.5, EvalOutcome::Ok)));
         assert!(
             !lp.step(&mut policy, &tel, &mut remote),
@@ -578,7 +577,7 @@ mod tests {
         // timed out: it folds as a failed span and frees its worker.
         let retry = RetryPolicy::none().timeout(1.0);
         let session = SessionState::new(1, 1, &[vec![0.5]]);
-        let mut lp = EventLoop::fresh(session, retry, &mut policy, &tel, &mut remote);
+        let mut lp = EventLoop::start(session, retry, &mut policy, &tel, &mut remote);
         assert_eq!(lp.next_time(), Some(1.0));
         lp.set_horizon(1.0);
         assert_eq!(lp.unresolved().count(), 0);
@@ -589,12 +588,47 @@ mod tests {
         assert!(r.schedule.spans()[0].failed);
     }
 
+    /// A session with budget left and nothing in flight or backing off
+    /// passes `from_parts`; the start hands every idle worker a task at
+    /// the session clock, and the run finishes the budget.
+    #[test]
+    fn start_fills_the_idle_workers_of_a_hand_built_session() {
+        let parts = SessionParts {
+            workers: 2,
+            max_evals: 6,
+            issued: 2,
+            resolved: 2,
+            clock: 7.0,
+            observations: vec![(vec![0.1], 0.5), (vec![0.9], 0.2)],
+            trace: vec![(4.0, 0.5), (7.0, 0.2)],
+            ..SessionParts::default()
+        };
+        let session = SessionState::from_parts(parts).expect("a consistent capture");
+        let tel = Telemetry::disabled();
+        let r = VirtualExecutor::new(2)
+            .run(
+                &chaos_bb(),
+                session,
+                &mut Spread,
+                &RetryPolicy::none(),
+                &tel,
+                None,
+            )
+            .expect("no hook to abort");
+        assert_eq!(r.data.len(), 6, "the start fills both idle workers");
+        let starts: Vec<_> = r.schedule.spans()[..2]
+            .iter()
+            .map(|s| (s.worker, s.task, s.start))
+            .collect();
+        assert_eq!(starts, [(0, 2, 7.0), (1, 3, 7.0)]);
+    }
+
     #[test]
     fn resolve_rejects_unknown_and_resolved_attempts() {
         let tel = Telemetry::disabled();
         let mut policy = Spread;
         let session = SessionState::new(2, 5, &[vec![0.1], vec![0.9]]);
-        let mut lp = EventLoop::fresh(session, RetryPolicy::none(), &mut policy, &tel, &mut remote);
+        let mut lp = EventLoop::start(session, RetryPolicy::none(), &mut policy, &tel, &mut remote);
         assert_eq!(lp.unresolved().count(), 2);
         assert!(
             !lp.step(&mut policy, &tel, &mut remote),

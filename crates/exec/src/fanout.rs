@@ -61,16 +61,6 @@ impl FanOutBlackBox {
         self.members.push((label.into(), member));
         self
     }
-
-    /// Number of member black boxes (corners).
-    pub fn n_members(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Member labels in evaluation order.
-    pub fn member_labels(&self) -> Vec<&str> {
-        self.members.iter().map(|(l, _)| l.as_str()).collect()
-    }
 }
 
 impl BlackBox for FanOutBlackBox {

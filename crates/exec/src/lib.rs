@@ -9,10 +9,10 @@
 //! * [`VirtualExecutor`] — a deterministic discrete-event engine over a
 //!   virtual clock. Simulation durations come from a parameter-dependent
 //!   [`SimTimeModel`] (HSPICE runtimes vary with the design point); the
-//!   sync/sequential/async drivers reproduce exactly the scheduling
-//!   arithmetic of the paper's testbed in microseconds of real time.
-//!   The async drivers run the [`EventLoop`], the same loop the network
-//!   session manager drives with results that arrive later.
+//!   sync and async drivers reproduce exactly the scheduling arithmetic
+//!   of the paper's testbed in microseconds of real time. The async
+//!   drivers run the [`EventLoop`], the same loop the network session
+//!   manager drives with results that arrive later.
 //! * [`ThreadedExecutor`] — a real multi-threaded executor (crossbeam
 //!   channels + OS threads) for production use of the library, where the
 //!   black box is genuinely expensive. It drives the same [`EventLoop`]
@@ -51,8 +51,8 @@ pub use fault::{FaultPlan, FaultyBlackBox};
 pub use retry::{FailureAction, RetryPolicy};
 pub use schedule::{Schedule, TaskSpan};
 pub use session::{
-    CheckpointTrigger, HookAction, InFlightTask, InvalidSessionParts, PendingBackoff, SessionHook,
-    SessionParts, SessionState, Suggestion, Told,
+    HookAction, InFlightTask, InvalidSessionParts, PendingBackoff, SessionHook, SessionParts,
+    SessionState, Suggestion, Told,
 };
 pub use sim_time::SimTimeModel;
 pub use threaded::ThreadedExecutor;

@@ -104,54 +104,6 @@ pub enum HookAction {
 /// depend on the persistence layer.
 pub type SessionHook<'h> = dyn FnMut(&SessionState, &dyn AsyncPolicy, f64) -> HookAction + 'h;
 
-/// Decides when a checkpoint is due: every `every_evals` completed
-/// observations and/or every `every_seconds` of run clock, whichever
-/// fires first. Pure bookkeeping — the caller supplies both clocks.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct CheckpointTrigger {
-    every_evals: Option<usize>,
-    every_seconds: Option<f64>,
-    last_completed: usize,
-    last_time: f64,
-}
-
-impl CheckpointTrigger {
-    /// A trigger firing on eval-count and/or run-clock cadence. Both
-    /// `None` never fires.
-    pub fn new(every_evals: Option<usize>, every_seconds: Option<f64>) -> Self {
-        CheckpointTrigger {
-            every_evals,
-            every_seconds,
-            last_completed: 0,
-            last_time: 0.0,
-        }
-    }
-
-    /// Re-arms the cadence at `(completed, now)` without firing — used
-    /// after a resume so the first post-resume checkpoint waits a full
-    /// interval.
-    pub fn rearm(&mut self, completed: usize, now: f64) {
-        self.last_completed = completed;
-        self.last_time = now;
-    }
-
-    /// Returns `true` (and re-arms) when a checkpoint is due at
-    /// `(completed, now)`.
-    pub fn fire(&mut self, completed: usize, now: f64) -> bool {
-        let evals_due = self
-            .every_evals
-            .is_some_and(|k| completed >= self.last_completed + k);
-        let clock_due = self
-            .every_seconds
-            .is_some_and(|s| now >= self.last_time + s);
-        if evals_due || clock_due {
-            self.rearm(completed, now);
-            return true;
-        }
-        false
-    }
-}
-
 /// Plain-data image of a [`SessionState`] for serialization: only
 /// `std` types and `Copy`-field structs, so the persistence layer can
 /// encode it without knowing executor internals. Spans of *active*
@@ -868,31 +820,5 @@ mod tests {
             assert_eq!(err.field, field);
             assert!(err.to_string().contains(field), "{err}");
         }
-    }
-
-    #[test]
-    fn trigger_fires_on_eval_cadence() {
-        let mut tr = CheckpointTrigger::new(Some(3), None);
-        assert!(!tr.fire(2, 0.0));
-        assert!(tr.fire(3, 0.0));
-        assert!(!tr.fire(5, 0.0));
-        assert!(tr.fire(6, 0.0));
-    }
-
-    #[test]
-    fn trigger_fires_on_clock_cadence_and_rearm_resets() {
-        let mut tr = CheckpointTrigger::new(None, Some(10.0));
-        assert!(!tr.fire(1, 9.9));
-        assert!(tr.fire(1, 10.0));
-        assert!(!tr.fire(1, 19.0));
-        tr.rearm(1, 100.0);
-        assert!(!tr.fire(1, 105.0));
-        assert!(tr.fire(1, 110.0));
-    }
-
-    #[test]
-    fn disabled_trigger_never_fires() {
-        let mut tr = CheckpointTrigger::new(None, None);
-        assert!(!tr.fire(usize::MAX - 1, 1e12));
     }
 }

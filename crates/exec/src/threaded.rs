@@ -3,7 +3,9 @@
 //! The [`crate::VirtualExecutor`] reproduces the paper's wall-clock
 //! arithmetic in microseconds; this executor is the production path, where
 //! the black box is genuinely expensive (an actual simulator invocation).
-//! It drives the same [`EventLoop`] on a real clock. The loop's resolver
+//! It drives the same [`EventLoop`] on a real clock, through one entry
+//! point, [`ThreadedExecutor::run`], for new and captured sessions
+//! alike. The loop's resolver
 //! sends each dispatch to a crossbeam job channel that worker threads
 //! pull from, and each worker report resolves its attempt with cost =
 //! arrival time − dispatch start. Once per pass the driver reads the
@@ -14,7 +16,7 @@
 //!
 //! A span and its deadline start at dispatch, the moment its worker slot
 //! freed up, so the policy's think time is charged to the slot as on the
-//! virtual clock. A resumed run continues the captured clock.
+//! virtual clock. A captured session continues its captured clock.
 //!
 //! Failure handling: worker threads wrap every evaluation in
 //! [`std::panic::catch_unwind`], so a panicking black box costs one
@@ -48,7 +50,7 @@ use crate::event_loop::{EventLoop, Resolver};
 use crate::fault::WorkerDeath;
 use crate::retry::RetryPolicy;
 use crate::session::{SessionHook, SessionState};
-use crate::virtual_exec::{finish_run, step_hooked, AsyncPolicy};
+use crate::virtual_exec::{check_workers, finish_run, step_hooked, AsyncPolicy};
 use crate::{BlackBox, RunResult};
 
 /// Sleep-slice length for emulated evaluation time, so workers notice
@@ -64,9 +66,10 @@ const SLEEP_SLICE_S: f64 = 0.01;
 /// # Example
 ///
 /// ```
-/// use easybo_exec::{CostedFunction, Dataset, BusyPoint, SimTimeModel, ThreadedExecutor};
-/// use easybo_exec::AsyncPolicy;
+/// use easybo_exec::{AsyncPolicy, BusyPoint, CostedFunction, Dataset, RetryPolicy};
+/// use easybo_exec::{SessionState, SimTimeModel, ThreadedExecutor};
 /// use easybo_opt::Bounds;
+/// use easybo_telemetry::Telemetry;
 ///
 /// struct Center;
 /// impl AsyncPolicy for Center {
@@ -80,7 +83,9 @@ const SLEEP_SLICE_S: f64 = 0.01;
 /// let time = SimTimeModel::new(&bounds, 10.0, 0.2, 1);
 /// let bb = CostedFunction::new("toy", bounds, time, |x: &[f64]| x[0]);
 /// let exec = ThreadedExecutor::new(4, 1e-5); // 10µs per virtual second
-/// let result = exec.run_async(&bb, &[vec![0.9]], 8, &mut Center)?;
+/// let session = SessionState::new(exec.workers(), 8, &[vec![0.9]]);
+/// let (retry, telemetry) = (RetryPolicy::none(), Telemetry::disabled());
+/// let result = exec.run(&bb, session, &mut Center, &retry, &telemetry, None)?;
 /// assert_eq!(result.data.len(), 8);
 /// assert!(result.best_value() >= 0.9);
 /// # Ok(())
@@ -143,52 +148,25 @@ impl ThreadedExecutor {
         self.workers
     }
 
-    /// Runs asynchronous optimization on real threads. Semantics match
-    /// [`crate::VirtualExecutor::run_async`], except times in the returned
-    /// trace/schedule are *real elapsed seconds*.
+    /// Runs `session` to completion on real threads: the threaded twin
+    /// of [`crate::VirtualExecutor::run`], except times in the returned
+    /// trace and schedule are *real elapsed seconds*. A new session
+    /// starts at clock 0. A captured one resumes on a fresh pool at its
+    /// capture clock, so every attempt issued after the capture starts
+    /// at or after it; interrupted in-flight attempts are re-dispatched
+    /// at their recorded slot and start, and pending backoffs fire at
+    /// their captured due times.
     ///
-    /// # Errors
+    /// Events are timed as on the virtual executor, on the real clock:
+    /// `QueryIssued` and `EvalStarted` fire at dispatch (the moment a
+    /// worker slot freed up) and carry that logical slot, `EvalFinished`
+    /// carries the slot and the completion time `RunTrace` records, and
+    /// one `WorkerIdle` per slot reports its idle seconds at the end of
+    /// the run. Only `WorkerCrashed` names the OS thread that died. The
+    /// `queue_wait_s` histogram records the wait from dispatch to the
+    /// moment a thread picks the job up.
     ///
-    /// Returns [`OptError::ExecutorFailure`] when the worker pool can no
-    /// longer finish the run (every thread dead or stuck).
-    pub fn run_async(
-        &self,
-        bb: &(dyn BlackBox + Sync),
-        init: &[Vec<f64>],
-        max_evals: usize,
-        policy: &mut dyn AsyncPolicy,
-    ) -> Result<RunResult, OptError> {
-        self.run_async_with(bb, init, max_evals, policy, &Telemetry::disabled())
-    }
-
-    /// [`ThreadedExecutor::run_async`] with a telemetry handle: the run
-    /// clock is real seconds since the run began. Events are timed as on
-    /// the virtual executor, on the real clock: `QueryIssued` and
-    /// `EvalStarted` fire at dispatch (the moment a worker slot freed up)
-    /// and carry that logical slot, `EvalFinished` carries the slot and
-    /// the completion time `RunTrace` records, and one `WorkerIdle` per
-    /// slot reports its idle seconds at the end of the run. Only
-    /// `WorkerCrashed` names the OS thread that died. The `queue_wait_s`
-    /// histogram records the wait from dispatch to the moment a thread
-    /// picks the job up.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptError::ExecutorFailure`] when the worker pool can no
-    /// longer finish the run (every thread dead or stuck).
-    pub fn run_async_with(
-        &self,
-        bb: &(dyn BlackBox + Sync),
-        init: &[Vec<f64>],
-        max_evals: usize,
-        policy: &mut dyn AsyncPolicy,
-        telemetry: &Telemetry,
-    ) -> Result<RunResult, OptError> {
-        self.run_async_resilient(bb, init, max_evals, policy, &RetryPolicy::none(), telemetry)
-    }
-
-    /// [`ThreadedExecutor::run_async_with`] under a [`RetryPolicy`]:
-    /// failed attempts (panics, failed/non-finite outcomes, timeouts,
+    /// Failed attempts (panics, failed/non-finite outcomes, timeouts,
     /// worker deaths) are requeued onto the pool after a real-seconds
     /// backoff, up to `retry.max_attempts`, then dropped/recorded/
     /// penalized per [`crate::FailureAction`]. A timed-out attempt is
@@ -196,8 +174,8 @@ impl ThreadedExecutor {
     /// event frees the slot and removes its busy point (so the policy
     /// stops penalizing around a dead point, §III-C), its span is
     /// flagged failed, and the thread still evaluating it is considered
-    /// stuck until it reports back. `max_evals` counts tasks, not
-    /// attempts.
+    /// stuck until it reports back. The session's budget counts tasks,
+    /// not attempts.
     ///
     /// A panicking evaluation runs the process panic hook on its worker
     /// thread before `catch_unwind` returns, and that time counts against
@@ -205,77 +183,17 @@ impl ThreadedExecutor {
     /// panic can turn into a timeout. Install a quiet hook when the black
     /// box panics by design.
     ///
-    /// # Errors
-    ///
-    /// Returns [`OptError::ExecutorFailure`] when every thread is dead
-    /// or stuck, or the message channel is severed, instead of
-    /// deadlocking on a reply that can never come.
-    pub fn run_async_resilient(
-        &self,
-        bb: &(dyn BlackBox + Sync),
-        init: &[Vec<f64>],
-        max_evals: usize,
-        policy: &mut dyn AsyncPolicy,
-        retry: &RetryPolicy,
-        telemetry: &Telemetry,
-    ) -> Result<RunResult, OptError> {
-        let session = SessionState::new(self.workers, max_evals, init);
-        self.drive(bb, session, policy, retry, telemetry, None, false)
-    }
-
-    /// [`ThreadedExecutor::run_async_resilient`] over an explicit
-    /// [`SessionState`], with an optional [`SessionHook`] invoked after
-    /// every completed observation (the seam checkpoint writers and
-    /// chaos plans plug into).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptError::ExecutorFailure`] when the pool dies, the
-    /// channel is severed, or the hook aborts via
-    /// [`HookAction::Stop`](crate::HookAction::Stop).
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_session_resilient(
-        &self,
-        bb: &(dyn BlackBox + Sync),
-        init: &[Vec<f64>],
-        max_evals: usize,
-        policy: &mut dyn AsyncPolicy,
-        retry: &RetryPolicy,
-        telemetry: &Telemetry,
-        hook: Option<&mut SessionHook<'_>>,
-    ) -> Result<RunResult, OptError> {
-        let session = SessionState::new(self.workers, max_evals, init);
-        self.drive(bb, session, policy, retry, telemetry, hook, false)
-    }
-
-    /// Continues a previously captured session on a fresh thread pool,
-    /// continuing its clock: real time resumes at the capture clock, so
-    /// every attempt issued after the capture starts at or after it.
-    /// Interrupted in-flight attempts are re-dispatched at their
-    /// recorded slot and start, and pending backoffs fire at their
-    /// captured due times.
+    /// `hook`, if any, runs after every completed observation: the seam
+    /// checkpoint writers and chaos plans plug into.
     ///
     /// # Errors
     ///
     /// Returns [`OptError::ExecutorFailure`] when the session was
-    /// captured under a different worker count, the pool dies, or the
-    /// hook aborts via [`HookAction::Stop`](crate::HookAction::Stop).
-    pub fn resume_session_resilient(
-        &self,
-        bb: &(dyn BlackBox + Sync),
-        session: SessionState,
-        policy: &mut dyn AsyncPolicy,
-        retry: &RetryPolicy,
-        telemetry: &Telemetry,
-        hook: Option<&mut SessionHook<'_>>,
-    ) -> Result<RunResult, OptError> {
-        self.drive(bb, session, policy, retry, telemetry, hook, true)
-    }
-
-    /// Runs the worker threads and drives the [`EventLoop`] on the real
-    /// clock, for fresh and resumed runs alike.
-    #[allow(clippy::too_many_arguments)]
-    fn drive(
+    /// captured under a different worker count, every thread is dead or
+    /// stuck, the message channel is severed (instead of deadlocking on
+    /// a reply that can never come), or the hook aborts via
+    /// [`HookAction::Stop`](crate::HookAction::Stop).
+    pub fn run(
         &self,
         bb: &(dyn BlackBox + Sync),
         session: SessionState,
@@ -283,18 +201,10 @@ impl ThreadedExecutor {
         retry: &RetryPolicy,
         telemetry: &Telemetry,
         mut hook: Option<&mut SessionHook<'_>>,
-        resume: bool,
     ) -> Result<RunResult, OptError> {
         let n = self.workers;
-        if session.workers() != n {
-            return Err(OptError::ExecutorFailure {
-                reason: format!(
-                    "session captured with {} workers cannot run on {n}",
-                    session.workers()
-                ),
-            });
-        }
-        // A fresh session's clock is 0; a resumed one continues its own.
+        check_workers(&session, n)?;
+        // A new session's clock is 0; a captured one continues its own.
         let (offset, epoch) = (session.clock(), Instant::now());
         let clock = || offset + epoch.elapsed().as_secs_f64();
         let shutdown = AtomicBool::new(false);
@@ -318,11 +228,7 @@ impl ThreadedExecutor {
                 None
             };
             let retry = retry.clone();
-            let mut lp = if resume {
-                EventLoop::resume(session, retry, telemetry, &mut send)
-            } else {
-                EventLoop::fresh(session, retry, policy, telemetry, &mut send)
-            };
+            let mut lp = EventLoop::start(session, retry, policy, telemetry, &mut send);
             let out = pump(
                 &mut lp, &msg_rx, clock, policy, telemetry, &mut send, &mut hook,
             );
@@ -528,6 +434,19 @@ mod tests {
         }
     }
 
+    /// Runs a new session of `max_evals` tasks with telemetry off.
+    fn run(
+        exec: ThreadedExecutor,
+        bb: &(dyn BlackBox + Sync),
+        init: &[Vec<f64>],
+        max_evals: usize,
+        policy: &mut dyn AsyncPolicy,
+        retry: &RetryPolicy,
+    ) -> Result<RunResult, OptError> {
+        let session = SessionState::new(exec.workers(), max_evals, init);
+        exec.run(bb, session, policy, retry, &Telemetry::disabled(), None)
+    }
+
     fn bb() -> CostedFunction<impl Fn(&[f64]) -> f64 + Send + Sync> {
         let bounds = Bounds::unit_cube(1).unwrap();
         let time = SimTimeModel::new(&bounds, 100.0, 0.4, 3);
@@ -537,9 +456,15 @@ mod tests {
     #[test]
     fn runs_exact_count_and_finds_values() {
         let exec = ThreadedExecutor::new(4, 0.0);
-        let r = exec
-            .run_async(&bb(), &[vec![0.7]], 13, &mut Walker(0.0))
-            .expect("run succeeds");
+        let r = run(
+            exec,
+            &bb(),
+            &[vec![0.7]],
+            13,
+            &mut Walker(0.0),
+            &RetryPolicy::none(),
+        )
+        .expect("run succeeds");
         assert_eq!(r.data.len(), 13);
         assert_eq!(r.trace.len(), 13);
         assert!((r.best_value() - 1.0).abs() < 1e-12);
@@ -548,9 +473,8 @@ mod tests {
     #[test]
     fn honors_max_evals_below_worker_count() {
         let exec = ThreadedExecutor::new(8, 0.0);
-        let r = exec
-            .run_async(&bb(), &[], 3, &mut Walker(0.0))
-            .expect("run succeeds");
+        let r =
+            run(exec, &bb(), &[], 3, &mut Walker(0.0), &RetryPolicy::none()).expect("run succeeds");
         assert_eq!(r.data.len(), 3);
     }
 
@@ -560,9 +484,8 @@ mod tests {
         // the run takes a measurable but tiny amount of real time.
         let exec = ThreadedExecutor::new(2, 5e-5);
         let start = std::time::Instant::now();
-        let r = exec
-            .run_async(&bb(), &[], 6, &mut Walker(0.0))
-            .expect("run succeeds");
+        let r =
+            run(exec, &bb(), &[], 6, &mut Walker(0.0), &RetryPolicy::none()).expect("run succeeds");
         let elapsed = start.elapsed().as_secs_f64();
         assert_eq!(r.data.len(), 6);
         assert!(elapsed > 5e-3, "sleeps should be observable: {elapsed}");
@@ -580,9 +503,15 @@ mod tests {
         }
         let exec = ThreadedExecutor::new(3, 1e-5);
         let mut spy = Spy(Vec::new());
-        let _ = exec
-            .run_async(&bb(), &[vec![0.1], vec![0.2], vec![0.3]], 9, &mut spy)
-            .expect("run succeeds");
+        let _ = run(
+            exec,
+            &bb(),
+            &[vec![0.1], vec![0.2], vec![0.3]],
+            9,
+            &mut spy,
+            &RetryPolicy::none(),
+        )
+        .expect("run succeeds");
         assert!(!spy.0.is_empty());
         // At selection time the other workers are (still) busy.
         assert!(spy.0.iter().all(|&n| n <= 3));
@@ -614,16 +543,15 @@ mod tests {
         }
         let bb = PanicFirst(Bounds::unit_cube(1).unwrap());
         let retry = RetryPolicy::default().max_attempts(2).backoff(0.0, 1.0);
-        let r = ThreadedExecutor::new(2, 0.0)
-            .run_async_resilient(
-                &bb,
-                &[],
-                4,
-                &mut Walker(0.0),
-                &retry,
-                &Telemetry::disabled(),
-            )
-            .expect("panics are contained");
+        let r = run(
+            ThreadedExecutor::new(2, 0.0),
+            &bb,
+            &[],
+            4,
+            &mut Walker(0.0),
+            &retry,
+        )
+        .expect("panics are contained");
         assert_eq!(r.data.len(), 4);
         assert!(r.data.ys().iter().all(|y| y.is_finite()));
     }
@@ -637,9 +565,15 @@ mod tests {
             ..FaultPlan::default()
         };
         let faulty = FaultyBlackBox::new(bb(), plan);
-        let err = ThreadedExecutor::new(1, 0.0)
-            .run_async(&faulty, &[vec![0.5]], 6, &mut Walker(0.0))
-            .expect_err("run cannot finish without workers");
+        let err = run(
+            ThreadedExecutor::new(1, 0.0),
+            &faulty,
+            &[vec![0.5]],
+            6,
+            &mut Walker(0.0),
+            &RetryPolicy::none(),
+        )
+        .expect_err("run cannot finish without workers");
         assert!(
             matches!(err, OptError::ExecutorFailure { .. }),
             "unexpected error: {err:?}"
@@ -655,16 +589,16 @@ mod tests {
         };
         let faulty = FaultyBlackBox::new(bb(), plan);
         let retry = RetryPolicy::default().max_attempts(3).backoff(0.0, 1.0);
-        let r = ThreadedExecutor::new(3, 0.0)
-            .run_async_resilient(
-                &faulty,
-                &[vec![0.1], vec![0.2], vec![0.3]],
-                10,
-                &mut Walker(0.0),
-                &retry,
-                &Telemetry::disabled(),
-            )
-            .expect("survivors finish the run");
+        let init = [vec![0.1], vec![0.2], vec![0.3]];
+        let r = run(
+            ThreadedExecutor::new(3, 0.0),
+            &faulty,
+            &init,
+            10,
+            &mut Walker(0.0),
+            &retry,
+        )
+        .expect("survivors finish the run");
         assert_eq!(r.data.len(), 10);
         assert!(r.data.ys().iter().all(|y| y.is_finite()));
     }

@@ -102,15 +102,6 @@ impl RunTrace {
         }
     }
 
-    /// Earliest time at which the best-so-far reached `target`
-    /// (`None` if never).
-    pub fn time_to_reach(&self, target: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|p| p.best_so_far >= target)
-            .map(|p| p.time)
-    }
-
     /// Renders the trace as CSV (`time_s,completed,value,best_so_far`),
     /// ready for external plotting of the paper's Figs. 4/6.
     ///
@@ -186,15 +177,6 @@ mod tests {
         assert_eq!(t.best_at(20.0), Some(3.0));
         assert_eq!(t.best_at(44.0), Some(3.0));
         assert_eq!(t.best_at(1000.0), Some(5.0));
-    }
-
-    #[test]
-    fn time_to_reach_targets() {
-        let t = sample();
-        assert_eq!(t.time_to_reach(1.0), Some(10.0));
-        assert_eq!(t.time_to_reach(2.5), Some(20.0));
-        assert_eq!(t.time_to_reach(5.0), Some(45.0));
-        assert_eq!(t.time_to_reach(9.0), None);
     }
 
     #[test]

@@ -1,4 +1,11 @@
 //! Deterministic discrete-event executors over a virtual clock.
+//!
+//! Every asynchronous run ends in [`VirtualExecutor::run`], which starts
+//! the shared [`EventLoop`] over a session, new or captured (a fresh run
+//! is a resume of an empty session). `run_async`, `run_async_resilient`
+//! and `run_session_resilient` only build the new session first. The
+//! synchronous barrier driver (`run_sync`, `run_sync_with`) keeps its own
+//! round loop: it reveals a round's results only at the barrier.
 
 use std::collections::VecDeque;
 
@@ -224,39 +231,32 @@ impl VirtualExecutor {
         max_evals: usize,
         policy: &mut dyn AsyncPolicy,
     ) -> RunResult {
-        self.run_async_with(bb, init, max_evals, policy, &Telemetry::disabled())
+        // `RetryPolicy::none()`: one attempt per task, no timeout, every
+        // value recorded.
+        let (retry, telemetry) = (RetryPolicy::none(), Telemetry::disabled());
+        self.run_async_resilient(bb, init, max_evals, policy, &retry, &telemetry)
     }
 
-    /// [`VirtualExecutor::run_async`] with a telemetry handle: the run
-    /// clock tracks the discrete-event clock, `QueryIssued`/`EvalStarted`
-    /// fire when a worker picks up a point, `EvalFinished` at the
-    /// completion time `RunTrace` records, and one `WorkerIdle` per
-    /// worker reports its total idle seconds at the end of the run.
-    pub fn run_async_with(
-        &self,
-        bb: &dyn BlackBox,
-        init: &[Vec<f64>],
-        max_evals: usize,
-        policy: &mut dyn AsyncPolicy,
-        telemetry: &Telemetry,
-    ) -> RunResult {
-        // `RetryPolicy::none()` reproduces the legacy driver exactly:
-        // one attempt per task, no timeout, every value recorded.
-        self.run_async_resilient(bb, init, max_evals, policy, &RetryPolicy::none(), telemetry)
-    }
-
-    /// [`VirtualExecutor::run_async_with`] under a [`RetryPolicy`]:
-    /// attempts whose outcome is not [`crate::EvalOutcome::Ok`] (simulator
-    /// crash, non-finite FOM, timeout) are requeued on the same worker
-    /// after an exponential backoff *on the virtual clock*, up to
-    /// `retry.max_attempts`; exhausted tasks are then dropped, recorded
-    /// raw, or recorded at a penalty per [`crate::FailureAction`].
+    /// [`VirtualExecutor::run_async`] under a [`RetryPolicy`] and a
+    /// telemetry handle.
     ///
-    /// Failed attempts emit `EvalFailed` (and `EvalRetried` when
-    /// requeued); their spans carry the `failed` flag and are excluded
-    /// from [`Schedule::utilization`]. Their busy points are removed
-    /// during backoff so stale pseudo-points never poison the policy's
-    /// penalization (§III-C). `max_evals` counts *tasks*, not attempts.
+    /// Attempts whose outcome is not [`crate::EvalOutcome::Ok`]
+    /// (simulator crash, non-finite FOM, timeout) are requeued on the
+    /// same worker after an exponential backoff *on the virtual clock*,
+    /// up to `retry.max_attempts`; exhausted tasks are then dropped,
+    /// recorded raw, or recorded at a penalty per
+    /// [`crate::FailureAction`]. Failed attempts emit `EvalFailed` (and
+    /// `EvalRetried` when requeued); their spans carry the `failed` flag
+    /// and are excluded from [`Schedule::utilization`]. Their busy points
+    /// are removed during backoff so stale pseudo-points never poison the
+    /// policy's penalization (§III-C). `max_evals` counts *tasks*, not
+    /// attempts.
+    ///
+    /// The run clock tracks the discrete-event clock:
+    /// `QueryIssued`/`EvalStarted` fire when a worker picks up a point,
+    /// `EvalFinished` at the completion time `RunTrace` records, and one
+    /// `WorkerIdle` per worker reports its total idle seconds at the end
+    /// of the run.
     ///
     /// Everything stays deterministic: faults, backoff, and scheduling
     /// are pure functions of the inputs, so a seeded chaos run is
@@ -270,18 +270,15 @@ impl VirtualExecutor {
         retry: &RetryPolicy,
         telemetry: &Telemetry,
     ) -> RunResult {
-        let session = SessionState::new(self.workers, max_evals, init);
-        match self.drive(bb, session, policy, retry, telemetry, None, false) {
+        match self.run_session_resilient(bb, init, max_evals, policy, retry, telemetry, None) {
             Ok(result) => result,
             // Only a session hook can abort the run, and there is none.
             Err(e) => unreachable!("hookless run cannot abort: {e}"),
         }
     }
 
-    /// [`VirtualExecutor::run_async_resilient`] over an explicit
-    /// [`SessionState`], with an optional [`SessionHook`] invoked after
-    /// every completed observation (the seam checkpoint writers and
-    /// chaos plans plug into).
+    /// [`VirtualExecutor::run_async_resilient`] with an optional
+    /// [`SessionHook`]: [`VirtualExecutor::run`] over a new session.
     ///
     /// # Errors
     ///
@@ -299,36 +296,27 @@ impl VirtualExecutor {
         hook: Option<&mut SessionHook<'_>>,
     ) -> Result<RunResult, OptError> {
         let session = SessionState::new(self.workers, max_evals, init);
-        self.drive(bb, session, policy, retry, telemetry, hook, false)
+        self.run(bb, session, policy, retry, telemetry, hook)
     }
 
-    /// Continues a previously captured session to completion: every
-    /// in-flight attempt is re-issued at its recorded worker/start (a
-    /// pure re-evaluation, reproducing its span, busy point, and finish
-    /// event bit-for-bit), pending backoffs are turned back into retry
-    /// events, and the run proceeds as if never interrupted.
+    /// Runs `session` to completion on the shared [`EventLoop`] (see
+    /// [`EventLoop::start`]), evaluating each attempt eagerly at
+    /// dispatch, under [`VirtualExecutor::run_async_resilient`]'s retry
+    /// and telemetry rules. A new session starts every worker at t = 0.
+    /// A captured one continues as if never interrupted: each in-flight
+    /// attempt is re-issued at its recorded worker and start (a pure
+    /// re-evaluation, reproducing its span, busy point and finish event
+    /// bit-for-bit), and pending backoffs turn back into retry events.
+    ///
+    /// `hook`, if any, runs after every completed observation: the seam
+    /// checkpoint writers and chaos plans plug into.
     ///
     /// # Errors
     ///
     /// Returns [`OptError::ExecutorFailure`] when the session was
     /// captured under a different worker count, or when the hook aborts
     /// the run via [`HookAction::Stop`].
-    pub fn resume_session_resilient(
-        &self,
-        bb: &dyn BlackBox,
-        session: SessionState,
-        policy: &mut dyn AsyncPolicy,
-        retry: &RetryPolicy,
-        telemetry: &Telemetry,
-        hook: Option<&mut SessionHook<'_>>,
-    ) -> Result<RunResult, OptError> {
-        self.drive(bb, session, policy, retry, telemetry, hook, true)
-    }
-
-    /// Drives the shared [`EventLoop`] over a fresh or resumed session,
-    /// evaluating each attempt eagerly at dispatch.
-    #[allow(clippy::too_many_arguments)]
-    fn drive(
+    pub fn run(
         &self,
         bb: &dyn BlackBox,
         session: SessionState,
@@ -336,42 +324,32 @@ impl VirtualExecutor {
         retry: &RetryPolicy,
         telemetry: &Telemetry,
         mut hook: Option<&mut SessionHook<'_>>,
-        resume: bool,
     ) -> Result<RunResult, OptError> {
-        let b = self.workers;
-        if session.workers() != b {
-            return Err(OptError::ExecutorFailure {
-                reason: format!(
-                    "session captured with {} workers cannot run on {b}",
-                    session.workers()
-                ),
-            });
-        }
+        check_workers(&session, self.workers)?;
         let mut evaluate = |x: &[f64], ctx: AttemptContext| {
             let e = bb.evaluate_attempt(x, ctx);
             let outcome = e.resolved_outcome();
             Some((e.value, e.cost, outcome))
         };
         let retry = retry.clone();
-        let mut lp = if resume {
-            EventLoop::resume(session, retry, telemetry, &mut evaluate)
-        } else {
-            EventLoop::fresh(session, retry, policy, telemetry, &mut evaluate)
-        };
+        let mut lp = EventLoop::start(session, retry, policy, telemetry, &mut evaluate);
         while step_hooked(&mut lp, policy, telemetry, &mut evaluate, &mut hook)? {}
         Ok(finish_run(telemetry, lp))
     }
+}
 
-    /// Runs **sequential** optimization (one worker, one point at a time):
-    /// equivalent to [`VirtualExecutor::run_async`] with a single worker.
-    pub fn run_sequential(
-        bb: &dyn BlackBox,
-        init: &[Vec<f64>],
-        max_evals: usize,
-        policy: &mut dyn AsyncPolicy,
-    ) -> RunResult {
-        VirtualExecutor::new(1).run_async(bb, init, max_evals, policy)
+/// Refuses a session captured under a worker count other than the
+/// executor's.
+pub(crate) fn check_workers(session: &SessionState, workers: usize) -> Result<(), OptError> {
+    if session.workers() == workers {
+        return Ok(());
     }
+    Err(OptError::ExecutorFailure {
+        reason: format!(
+            "session captured with {} workers cannot run on {workers}",
+            session.workers()
+        ),
+    })
 }
 
 /// Runs one [`EventLoop::step`], then calls the hook if the step
@@ -560,7 +538,7 @@ mod tests {
     fn async_with_one_worker_is_sequential() {
         let bb = toy_bb(0.3);
         let mut policy = CenterPolicy;
-        let r = VirtualExecutor::run_sequential(&bb, &[vec![0.0]], 5, &mut policy);
+        let r = VirtualExecutor::new(1).run_async(&bb, &[vec![0.0]], 5, &mut policy);
         assert_eq!(r.data.len(), 5);
         // Sequential total time = sum of individual costs.
         let sum: f64 = r.schedule.spans().iter().map(|s| s.end - s.start).sum();

@@ -98,6 +98,7 @@ impl IncrementalGp {
     }
 
     /// Number of training points *below* the pseudo-point stack.
+    #[cfg(test)]
     pub fn n_base(&self) -> usize {
         self.gp.n_train() - self.saved_alpha.len()
     }

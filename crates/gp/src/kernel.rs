@@ -263,6 +263,7 @@ impl ArdKernel {
     /// # Panics
     ///
     /// Panics if any slice has the wrong length.
+    #[cfg(test)]
     pub fn eval_with_grad(&self, theta: &[f64], a: &[f64], b: &[f64], grad: &mut [f64]) -> f64 {
         assert_eq!(theta.len(), self.n_theta(), "theta length mismatch");
         assert_eq!(a.len(), self.dim, "input a dimension mismatch");

@@ -575,6 +575,7 @@ impl Gp {
 
     /// Log marginal likelihood of the (standardized) training data under the
     /// current hyperparameters.
+    #[cfg(test)]
     pub fn log_marginal_likelihood(&self) -> f64 {
         let n = self.n_train() as f64;
         -0.5 * self.z.dot(&self.alpha)

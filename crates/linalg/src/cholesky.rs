@@ -90,6 +90,7 @@ impl Cholesky {
     /// # Errors
     ///
     /// Same as [`Cholesky::new`], except no jitter ladder is attempted.
+    #[cfg(test)]
     pub fn new_exact(a: &Matrix) -> crate::Result<Self> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare {
@@ -467,16 +468,6 @@ impl Cholesky {
         x
     }
 
-    /// Quadratic form `b^T A^{-1} b` without forming the inverse.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != dim()`.
-    pub fn quad_form(&self, b: &Vector) -> f64 {
-        let y = self.solve_lower(b);
-        y.dot(&y)
-    }
-
     /// Extends the factorization with one appended row/column of the
     /// underlying matrix (an O(n^2) incremental update).
     ///
@@ -575,60 +566,8 @@ impl Cholesky {
         self.l.truncate_square(k);
     }
 
-    /// Removes row/column `k` of the factored matrix — the O((n-k)²)
-    /// *interior downdate*.
-    ///
-    /// Deleting row `k` of `L` leaves an `(n-1)×n` matrix `M` with
-    /// `M Mᵀ = A` (row/col `k` removed) whose trailing part is lower
-    /// Hessenberg. A sweep of Givens rotations applied from the right
-    /// restores lower-triangular form without changing `M Mᵀ`, and the
-    /// last (annihilated) column is dropped. Rows above `k` are untouched,
-    /// so the leading `k`×`k` factor block is preserved bit for bit.
-    /// Removing the trailing row degenerates to [`Cholesky::truncate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k >= dim()`.
-    pub fn remove_row(&mut self, k: usize) {
-        let n = self.dim();
-        assert!(k < n, "remove_row: index {k} out of range for dim {n}");
-        if k == n - 1 {
-            self.truncate(n - 1);
-            return;
-        }
-        let mut m = Matrix::zeros(n - 1, n);
-        for i in 0..k {
-            m.row_mut(i)[..=i].copy_from_slice(&self.l.row(i)[..=i]);
-        }
-        for i in k..(n - 1) {
-            m.row_mut(i)[..=i + 1].copy_from_slice(&self.l.row(i + 1)[..=i + 1]);
-        }
-        for j in k..(n - 1) {
-            // Rotate columns (j, j+1) to annihilate the superdiagonal
-            // entry m[(j, j+1)]; rows above j already have zeros in both
-            // columns. The sign choice keeps the new diagonal `r >= 0`.
-            let x = m[(j, j)];
-            let y = m[(j, j + 1)];
-            let r = x.hypot(y);
-            if r == 0.0 {
-                continue;
-            }
-            let (c, s) = (x / r, y / r);
-            for i in j..(n - 1) {
-                let xi = m[(i, j)];
-                let yi = m[(i, j + 1)];
-                m[(i, j)] = c * xi + s * yi;
-                m[(i, j + 1)] = c * yi - s * xi;
-            }
-        }
-        let mut l = Matrix::zeros(n - 1, n - 1);
-        for i in 0..(n - 1) {
-            l.row_mut(i)[..=i].copy_from_slice(&m.row(i)[..=i]);
-        }
-        self.l = l;
-    }
-
-    /// Reconstructs `L L^T` (for tests and diagnostics).
+    /// Reconstructs `L L^T`.
+    #[cfg(test)]
     pub fn reconstruct(&self) -> Matrix {
         self.l.matmul(&self.l.transpose())
     }
@@ -858,15 +797,6 @@ mod tests {
     }
 
     #[test]
-    fn quad_form_matches_solve() {
-        let a = spd(5, 11);
-        let c = Cholesky::new(&a).unwrap();
-        let b = Vector::from_iter((0..5).map(|i| i as f64 * 0.3 - 1.0));
-        let direct = b.dot(&c.solve_vec(&b));
-        assert!((c.quad_form(&b) - direct).abs() < 1e-10);
-    }
-
-    #[test]
     fn extend_matches_full_factorization() {
         let big = spd(7, 19);
         // Factor the leading 6x6 block, then extend by the last row/col.
@@ -1092,7 +1022,7 @@ mod tests {
         let a = spd(6, 17);
         let mut c = Cholesky::new_exact(&a).unwrap();
         let lead = Matrix::from_fn(5, 5, |i, j| a[(i, j)]);
-        c.remove_row(5);
+        c.truncate(5);
         let direct = Cholesky::new_exact(&lead).unwrap();
         for (x, y) in c.factor().as_slice().iter().zip(direct.factor().as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
@@ -1100,29 +1030,10 @@ mod tests {
     }
 
     #[test]
-    fn remove_interior_row_matches_refactorization() {
-        let a = spd(7, 29);
-        for k in 0..7 {
-            let mut c = Cholesky::new_exact(&a).unwrap();
-            c.remove_row(k);
-            let keep: Vec<usize> = (0..7).filter(|&i| i != k).collect();
-            let sub = Matrix::from_fn(6, 6, |i, j| a[(keep[i], keep[j])]);
-            let full = Cholesky::new_exact(&sub).unwrap();
-            let rel = (&c.reconstruct() - &sub).frobenius_norm() / sub.frobenius_norm();
-            assert!(rel < 1e-12, "k={k}: reconstruction error {rel}");
-            assert!((c.log_det() - full.log_det()).abs() < 1e-9, "k={k}");
-            // Diagonal must stay strictly positive for downstream solves.
-            for i in 0..6 {
-                assert!(c.factor()[(i, i)] > 0.0, "k={k} i={i}");
-            }
-        }
-    }
-
-    #[test]
     fn remove_row_to_empty() {
         let a = Matrix::from_rows(&[&[4.0]]).unwrap();
         let mut c = Cholesky::new_exact(&a).unwrap();
-        c.remove_row(0);
+        c.truncate(0);
         assert_eq!(c.dim(), 0);
     }
 
@@ -1181,10 +1092,10 @@ mod tests {
             seed in 0u64..500,
             removals in 0usize..4,
         ) {
-            // Grow a factor one appended row at a time, then delete rows at
-            // seed-derived (trailing AND interior) positions. The composed
-            // factor must reconstruct the same principal submatrix a
-            // from-scratch factorization does, to 1e-10 relative error.
+            // Grow a factor one appended row at a time, interleaving
+            // trailing downdates (`truncate`). The composed factor must
+            // reconstruct the same principal submatrix a from-scratch
+            // factorization does, to 1e-10 relative error.
             let total = n + removals;
             let a = spd(total, seed);
             let mut active: Vec<usize> = vec![0];
@@ -1195,18 +1106,15 @@ mod tests {
                     Vector::from_iter(active.iter().map(|&i| a[(i, next)]));
                 c.extend(&cross, a[(next, next)]).unwrap();
                 active.push(next);
-                // Interleave removals with appends, position driven by the
-                // seed so trailing (k = len-1) and interior cases both occur.
+                // Interleave removals with appends.
                 if removals > 0 && active.len() > n && active.len() % 5 == 4 {
-                    let k = (seed as usize).wrapping_mul(31).wrapping_add(next) % active.len();
-                    c.remove_row(k);
-                    active.remove(k);
+                    active.pop();
+                    c.truncate(active.len());
                 }
             }
             while active.len() > n {
-                let k = (seed as usize).wrapping_add(active.len()) % active.len();
-                c.remove_row(k);
-                active.remove(k);
+                active.pop();
+                c.truncate(active.len());
             }
             let m = active.len();
             let sub = Matrix::from_fn(m, m, |i, j| a[(active[i], active[j])]);

@@ -263,6 +263,7 @@ impl Matrix {
     }
 
     /// Frobenius norm.
+    #[cfg(test)]
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
@@ -396,6 +397,7 @@ impl Matrix {
     }
 
     /// Checks that the matrix is symmetric to within `tol`.
+    #[cfg(test)]
     pub fn is_symmetric(&self, tol: f64) -> bool {
         if !self.is_square() {
             return false;

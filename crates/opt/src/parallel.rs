@@ -53,11 +53,6 @@ impl Parallelism {
     pub fn threads(self) -> usize {
         self.0
     }
-
-    /// Whether this budget runs on the calling thread only.
-    pub fn is_sequential(self) -> bool {
-        self.0 <= 1
-    }
 }
 
 impl Default for Parallelism {
@@ -146,8 +141,7 @@ mod tests {
     fn parallelism_clamps_and_reports() {
         assert_eq!(Parallelism::new(0).threads(), 1);
         assert_eq!(Parallelism::new(8).threads(), 8);
-        assert!(Parallelism::sequential().is_sequential());
-        assert!(!Parallelism::new(2).is_sequential());
+        assert_eq!(Parallelism::sequential().threads(), 1);
         assert_eq!(Parallelism::from(3), Parallelism::new(3));
         assert!(Parallelism::available().threads() >= 1);
     }

@@ -21,12 +21,12 @@ use easybo_opt::Bounds;
 use crate::params::ParamSpace;
 use crate::spec::Spec;
 
-/// Default mean simulation seconds per corner job.
-const DEFAULT_SIM_SECONDS: f64 = 30.0;
-/// Default relative spread of simulation time across the design space.
-const DEFAULT_SIM_SPREAD: f64 = 0.25;
-/// Default seed for the per-corner simulation-time models.
-const DEFAULT_SIM_SEED: u64 = 0x5ce0;
+/// Mean simulation seconds per corner job.
+const SIM_SECONDS: f64 = 30.0;
+/// Relative spread of simulation time across the design space.
+const SIM_SPREAD: f64 = 0.25;
+/// Seed for the per-corner simulation-time models.
+const SIM_SEED: u64 = 0x5ce0;
 
 /// A constrained, multi-corner sizing scenario over a reduced search
 /// space. Build one with the builder methods (or pick one from
@@ -37,9 +37,6 @@ pub struct Scenario {
     space: ParamSpace,
     corners: Vec<Corner>,
     specs: Vec<Spec>,
-    sim_seconds: f64,
-    sim_spread: f64,
-    sim_seed: u64,
 }
 
 impl Scenario {
@@ -65,9 +62,6 @@ impl Scenario {
             space,
             corners: vec![Corner::nominal()],
             specs: Vec::new(),
-            sim_seconds: DEFAULT_SIM_SECONDS,
-            sim_spread: DEFAULT_SIM_SPREAD,
-            sim_seed: DEFAULT_SIM_SEED,
         }
     }
 
@@ -85,15 +79,6 @@ impl Scenario {
     /// Adds a design spec (builder style).
     pub fn with_spec(mut self, spec: Spec) -> Self {
         self.specs.push(spec);
-        self
-    }
-
-    /// Overrides the simulated evaluation-time model (builder style):
-    /// mean seconds per corner job, relative spread, seed.
-    pub fn with_sim_time(mut self, mean_seconds: f64, spread: f64, seed: u64) -> Self {
-        self.sim_seconds = mean_seconds;
-        self.sim_spread = spread;
-        self.sim_seed = seed;
         self
     }
 
@@ -160,9 +145,9 @@ impl Scenario {
         for (i, corner) in self.corners.iter().enumerate() {
             let time = SimTimeModel::new(
                 &bounds,
-                self.sim_seconds,
-                self.sim_spread,
-                self.sim_seed ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                SIM_SECONDS,
+                SIM_SPREAD,
+                SIM_SEED ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15),
             );
             let circuit = Arc::clone(&self.circuit);
             let space = self.space.clone();
@@ -345,8 +330,6 @@ mod tests {
         let s = tiny_ldo_scenario();
         let bb1 = s.blackbox();
         let bb2 = s.blackbox();
-        assert_eq!(bb1.n_members(), 3);
-        assert_eq!(bb1.member_labels(), vec!["tt", "ss", "ff"]);
         let x = s.reduced_bounds().center();
         assert_eq!(bb1.evaluate(&x), bb2.evaluate(&x));
     }

@@ -31,7 +31,7 @@
 //! The service's core guarantee, enforced end to end by the `service`
 //! test suite: a seeded chaos run through a real socket pair finishes
 //! with the same trace, dataset, and schedule — byte for byte — as a
-//! clean in-process `run_session_resilient` over the same black box.
+//! clean in-process `VirtualExecutor::run` over the same black box.
 //!
 //! [`SessionState`]: easybo_exec::SessionState
 

@@ -10,7 +10,7 @@
 //! [`EventLoop::resolve`] as workers report. The loop's dispatch,
 //! stall and fold rules make the trajectory of every session a pure
 //! function of its spec, byte-identical to an in-process
-//! `run_session_resilient` over the same black box — which is exactly
+//! `VirtualExecutor::run` over the same black box — which is exactly
 //! what the service chaos suite asserts through a real socket pair.
 //! The manager itself only tracks which connection leases which
 //! attempt.
@@ -205,16 +205,9 @@ impl SessionManager {
         let id = self.next_id;
         self.next_id += 1;
         let session = SessionState::new(spec.workers, spec.max_evals, &spec.init);
-        let mut policy = (spec.policy)();
-        let lp = EventLoop::fresh(
-            session,
-            spec.retry.clone(),
-            policy.as_mut(),
-            &self.telemetry,
-            &mut remote,
-        );
+        let policy = (spec.policy)();
         self.specs.insert(id, spec);
-        self.resident.insert(id, Resident::new(lp, policy));
+        self.admit(id, session, policy);
         self.touch_session(id);
         self.finalize_if_done(id);
         self.enforce_budget(Some(id));
@@ -394,8 +387,7 @@ impl SessionManager {
                 return Err(format!("snapshot for session {id} is corrupt: {e}"));
             }
         };
-        let spec = &self.specs[&id];
-        let mut policy = (spec.policy)();
+        let mut policy = (self.specs[&id].policy)();
         if let Some(blob) = &snap.policy {
             if let Err(e) = policy.restore_state(blob) {
                 self.evicted.insert(id, bytes);
@@ -410,8 +402,7 @@ impl SessionManager {
             }
         };
         let inflight = session.inflight().len();
-        let lp = EventLoop::resume(session, spec.retry.clone(), &self.telemetry, &mut remote);
-        self.resident.insert(id, Resident::new(lp, policy));
+        self.admit(id, session, policy);
         self.stats.rehydrations += 1;
         self.telemetry.incr("service_rehydrations", 1);
         self.telemetry.emit_with(|| Event::SessionRehydrated {
@@ -424,6 +415,20 @@ impl SessionManager {
         self.pump(id);
         self.enforce_budget(Some(id));
         Ok(())
+    }
+
+    /// Starts `session` on the event loop (see [`EventLoop::start`]) and
+    /// makes it resident under `id`.
+    fn admit(&mut self, id: u64, session: SessionState, mut policy: Box<dyn AsyncPolicy + Send>) {
+        let retry = self.specs[&id].retry.clone();
+        let lp = EventLoop::start(
+            session,
+            retry,
+            policy.as_mut(),
+            &self.telemetry,
+            &mut remote,
+        );
+        self.resident.insert(id, Resident::new(lp, policy));
     }
 
     /// Evicts least-recently-used sessions until residency fits the

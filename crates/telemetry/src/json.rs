@@ -14,8 +14,6 @@
 //! escapes, numbers, booleans, null). Numbers are `f64`, matching the
 //! rest of the workspace. Object keys keep insertion order.
 
-use std::collections::BTreeMap;
-
 /// One parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -72,12 +70,6 @@ impl JsonValue {
             JsonValue::Obj(members) => Some(members),
             _ => None,
         }
-    }
-
-    /// Object payload as a map (later duplicate keys win).
-    pub fn to_map(&self) -> Option<BTreeMap<String, JsonValue>> {
-        self.as_object()
-            .map(|m| m.iter().cloned().collect::<BTreeMap<_, _>>())
     }
 }
 
@@ -342,7 +334,6 @@ mod tests {
             .map(|(k, _)| k.as_str())
             .collect();
         assert_eq!(keys, ["z", "a"]);
-        let map = v.to_map().unwrap();
-        assert_eq!(map["a"], JsonValue::Num(2.0));
+        assert_eq!(v.as_object().unwrap()[1].1, JsonValue::Num(2.0));
     }
 }

@@ -116,11 +116,6 @@ impl StatusBoard {
         self.sessions.lock().unwrap().insert(name.into(), telemetry);
     }
 
-    /// Removes a session.
-    pub fn deregister(&self, name: &str) {
-        self.sessions.lock().unwrap().remove(name);
-    }
-
     /// Names of registered sessions.
     pub fn names(&self) -> Vec<String> {
         self.sessions.lock().unwrap().keys().cloned().collect()
@@ -484,10 +479,7 @@ mod tests {
         let status = &board.statuses()[0];
         assert_eq!(status.clock, 12.5);
         assert_eq!(status.evals_started, 2);
-
-        board.deregister("opamp");
-        assert!(board.names().is_empty());
-        assert_eq!(board.sessions_json(), "{\"sessions\":[]}\n");
+        assert_eq!(board.names(), ["opamp"]);
     }
 
     #[test]

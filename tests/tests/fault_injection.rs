@@ -13,7 +13,7 @@ use easybo::EasyBo;
 use easybo_exec::{
     fault::InjectedFault, AsyncPolicy, AttemptContext, BlackBox, BusyPoint, CostedFunction,
     Dataset, EvalOutcome, Evaluation, FailureAction, FaultPlan, FaultyBlackBox, RetryPolicy,
-    SimTimeModel, ThreadedExecutor, VirtualExecutor,
+    SessionState, SimTimeModel, ThreadedExecutor, VirtualExecutor,
 };
 use easybo_opt::Bounds;
 use easybo_telemetry::{Event, Telemetry};
@@ -205,15 +205,9 @@ fn worker_panics_are_contained() {
     let bb = FaultyBlackBox::new(toy_blackbox(5), plan);
     let retry = RetryPolicy::default().max_attempts(8).backoff(0.0, 1.0);
     let (telemetry, recorder) = Telemetry::recording();
+    let session = SessionState::new(3, 16, &init_points(4));
     let r = ThreadedExecutor::new(3, 0.0)
-        .run_async_resilient(
-            &bb,
-            &init_points(4),
-            16,
-            &mut Walker(0.0),
-            &retry,
-            &telemetry,
-        )
+        .run(&bb, session, &mut Walker(0.0), &retry, &telemetry, None)
         .expect("panics must not kill the run");
     assert_eq!(r.data.len(), 16);
     assert!(r.data.ys().iter().all(|y| y.is_finite()));
@@ -241,15 +235,9 @@ fn worker_crash_fails_over_to_surviving_workers() {
     let bb = FaultyBlackBox::new(toy_blackbox(6), plan);
     let retry = RetryPolicy::default().max_attempts(4).backoff(0.0, 1.0);
     let (telemetry, recorder) = Telemetry::recording();
+    let session = SessionState::new(3, 12, &init_points(3));
     let r = ThreadedExecutor::new(3, 1e-5)
-        .run_async_resilient(
-            &bb,
-            &init_points(3),
-            12,
-            &mut Walker(0.0),
-            &retry,
-            &telemetry,
-        )
+        .run(&bb, session, &mut Walker(0.0), &retry, &telemetry, None)
         .expect("survivors must finish the run");
     assert_eq!(r.data.len(), 12);
     assert!(r.data.ys().iter().all(|y| y.is_finite()));
@@ -437,8 +425,9 @@ fn threaded_run_replays_through_the_virtual_executor() {
             log: Mutex::new(HashMap::new()),
         };
         let (telemetry, events) = Telemetry::recording();
+        let session = SessionState::new(WORKERS, TASKS, &init_points(4));
         let threaded = ThreadedExecutor::new(WORKERS, 1e-4)
-            .run_async_resilient(&bb, &init_points(4), TASKS, &mut Spread, &retry, &telemetry)
+            .run(&bb, session, &mut Spread, &retry, &telemetry, None)
             .expect("hangs never hold every thread");
 
         let timed_out: HashSet<(usize, usize)> = (events.events().into_iter())

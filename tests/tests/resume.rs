@@ -7,7 +7,7 @@
 //! property tests over the snapshot codec and a committed golden file
 //! pinning format version 1 on disk.
 
-use easybo::{Algorithm, EasyBo, EasyBoError, Parallelism, Telemetry};
+use easybo::{Algorithm, AlgorithmMode, EasyBo, EasyBoError, Parallelism, Telemetry};
 use easybo_exec::{
     AsyncPolicy, CostedFunction, Dataset, FaultPlan, FaultyBlackBox, HookAction, InFlightTask,
     PendingBackoff, RetryPolicy, SessionParts, SessionState, SimTimeModel, TaskSpan,
@@ -310,7 +310,9 @@ fn checkpoint_and_resume_emit_telemetry() {
 // Portfolio policies: kill/resume byte-identity and blob format pins.
 // ---------------------------------------------------------------------
 
-/// The three literature policies under the raw session driver:
+/// The literature policies and the sequential baselines (EI, LCB,
+/// EasyBO-seq; on one worker, as the registry runs them) under the raw
+/// session driver:
 /// checkpoint every observation, kill mid-run, rebuild a same-config
 /// replacement policy, overwrite its mutable state from the snapshot
 /// blob, and resume. The resumed trajectory must be byte-identical to
@@ -337,7 +339,14 @@ fn portfolio_policies_kill_and_resume_bit_identical() {
         (Algorithm::StandardBo, 8usize),
         (Algorithm::PessimisticBo, 9),
         (Algorithm::EpsGreedy, 10),
+        (Algorithm::Ei, 10),
+        (Algorithm::Lcb, 10),
+        (Algorithm::EasyBoSeq, 10),
     ] {
+        let batch = match algo.mode() {
+            AlgorithmMode::Sequential => 1,
+            _ => batch,
+        };
         let mut p0 = build(algo, 77);
         let baseline = VirtualExecutor::new(batch)
             .run_session_resilient(&bb, &init, max_evals, p0.as_mut(), &retry, &tel, None)
@@ -385,7 +394,7 @@ fn portfolio_policies_kill_and_resume_bit_identical() {
         p2.restore_state(blob).expect("blob restores");
         let session = SessionState::from_parts(snap.session).expect("capture is consistent");
         let resumed = VirtualExecutor::new(batch)
-            .resume_session_resilient(&bb, session, p2.as_mut(), &retry, &tel, None)
+            .run(&bb, session, p2.as_mut(), &retry, &tel, None)
             .expect("resumed run completes");
 
         let tag = algo.key();
@@ -404,10 +413,13 @@ fn portfolio_policies_kill_and_resume_bit_identical() {
 #[test]
 fn portfolio_policy_blobs_pin_their_versioned_format() {
     let bounds = Bounds::unit_cube(2).unwrap();
-    let cases: [(Algorithm, [u8; 4], &str); 3] = [
+    let cases: [(Algorithm, [u8; 4], &str); 6] = [
         (Algorithm::EpsGreedy, *b"EPSG", "eps-greedy"),
         (Algorithm::PessimisticBo, *b"PESS", "pessimistic"),
         (Algorithm::StandardBo, *b"STDB", "standard-acquisition"),
+        (Algorithm::Ei, *b"SEQB", "sequential"),
+        (Algorithm::Lcb, *b"SEQB", "sequential"),
+        (Algorithm::EasyBoSeq, *b"SEQB", "sequential"),
     ];
     for (algo, tag, name) in cases {
         let mut p = algo

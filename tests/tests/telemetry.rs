@@ -11,8 +11,8 @@ use std::sync::{Arc, Mutex};
 
 use easybo::EasyBo;
 use easybo_exec::{
-    AsyncPolicy, BusyPoint, CostedFunction, Dataset, SimTimeModel, SyncBatchPolicy,
-    ThreadedExecutor, VirtualExecutor,
+    AsyncPolicy, BusyPoint, CostedFunction, Dataset, RetryPolicy, SessionState, SimTimeModel,
+    SyncBatchPolicy, ThreadedExecutor, VirtualExecutor,
 };
 use easybo_opt::Bounds;
 use easybo_telemetry::replay::{best_so_far_csv, parse_jsonl};
@@ -141,8 +141,16 @@ fn jsonl_reconstruction_equals_trace_csv_for_threaded_executor() {
     telemetry.add_sink(JsonlSink::new(buf.clone()));
 
     let bb = toy_blackbox();
+    let session = SessionState::new(3, 11, &init_points());
     let result = ThreadedExecutor::new(3, 1e-5)
-        .run_async_with(&bb, &init_points(), 11, &mut Walker(0.0), &telemetry)
+        .run(
+            &bb,
+            session,
+            &mut Walker(0.0),
+            &RetryPolicy::none(),
+            &telemetry,
+            None,
+        )
         .expect("threaded run succeeds");
     telemetry.flush();
 
@@ -188,11 +196,12 @@ fn events_by_task(events: &[TimedEvent]) -> std::collections::HashMap<usize, Tas
 fn virtual_event_ordering_matches_schedule_spans() {
     let (telemetry, recorder) = Telemetry::recording();
     let bb = toy_blackbox();
-    let result = VirtualExecutor::new(3).run_async_with(
+    let result = VirtualExecutor::new(3).run_async_resilient(
         &bb,
         &init_points(),
         12,
         &mut Walker(0.0),
+        &RetryPolicy::none(),
         &telemetry,
     );
 
@@ -218,8 +227,16 @@ fn virtual_event_ordering_matches_schedule_spans() {
 fn threaded_event_ordering_matches_schedule_spans() {
     let (telemetry, recorder) = Telemetry::recording();
     let bb = toy_blackbox();
+    let session = SessionState::new(3, 10, &init_points());
     let result = ThreadedExecutor::new(3, 1e-5)
-        .run_async_with(&bb, &init_points(), 10, &mut Walker(0.0), &telemetry)
+        .run(
+            &bb,
+            session,
+            &mut Walker(0.0),
+            &RetryPolicy::none(),
+            &telemetry,
+            None,
+        )
         .expect("threaded run succeeds");
 
     let spans = spans_by_task(&result.schedule);

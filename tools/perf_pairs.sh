@@ -7,14 +7,17 @@
 #   tools/perf_pairs.sh ../parent . class_e_ckpt 10 1
 #   tools/perf_pairs.sh ../parent . class_e_ckpt 1 1 --seconds 0 --trace 1
 #
-# PERFBENCH ARGS default to `--seconds 20 --trace 0`. Each side's
-# perfbench is built from its own checkout into a target directory
-# outside both checkouts, under `$PERF_PAIRS_OUT` (default: a fresh
-# temporary directory; reuse one to skip rebuilds). Each call keeps its
-# runs' output in a new subdirectory there. Each side runs from its own
-# checkout, so the class-E snapshot lands in that checkout's
-# `perfbench/.work/`. Nothing else is written inside either checkout
-# (Cargo creates the git-ignored `perfbench/Cargo.lock` if it is missing).
+# PERFBENCH ARGS default to `--seconds 20 --trace 0`. Each side's working
+# tree (without `.git/`, `target/`, `perfbench/target/` and
+# `perfbench/.work/`) is copied into a sibling directory `src-parent/` or
+# `src-change/` under `$PERF_PAIRS_OUT` (default: a fresh temporary
+# directory; reuse one to skip rebuilds, as the copies keep their
+# modification times). Each side is built there, into `target-parent/`
+# or `target-change/`, and runs from there, so both sides write their
+# class-E snapshot (`perfbench/.work/`, found through the crate's
+# manifest directory) on the same filesystem; the header names it for
+# each side. Each call keeps its runs' output in a new subdirectory.
+# Nothing is written inside either checkout.
 #
 # For every metric the runs report, prints the first quartile, median
 # and third quartile of each side, the median change, and the number of
@@ -42,29 +45,37 @@ out=${PERF_PAIRS_OUT:-$(mktemp -d -t perf_pairs.XXXXXX)}
 mkdir -p "$out"
 runs=$(mktemp -d "$out/$workload-seed$seed.XXXXXX")
 
-build() { # side checkout
+stage() { # side checkout: copy the working tree to $out/src-side, build it there
+    local src="$out/src-$1"
+    rm -rf "$src"
+    mkdir -p "$src"
+    tar -C "$2" --exclude=./.git --exclude=./target --exclude=./perfbench/target \
+        --exclude=./perfbench/.work -cf - . | tar -C "$src" -xf -
     CARGO_TARGET_DIR="$out/target-$1" cargo build --quiet --release --offline \
-        --manifest-path "$2/perfbench/Cargo.toml"
+        --manifest-path "$src/perfbench/Cargo.toml"
+    echo "$1 work dir $src/perfbench/.work on $(df -P "$src" | awk 'NR == 2 {print $1 " at " $6}')" \
+        >>"$runs/header.txt"
 }
-run() { # side checkout pair
-    local log="$runs/$1-$3.txt"
-    (cd "$2" && "$out/target-$1/release/easybo-perfbench" \
+run() { # side pair
+    local log="$runs/$1-$2.txt"
+    (cd "$out/src-$1" && "$out/target-$1/release/easybo-perfbench" \
         --workload "$workload" --seed "$seed" "${args[@]}") >"$log"
     tail -n 1 "$log" >>"$runs/$1.jsonl"
 }
 
-build parent "$parent"
-build change "$change"
+stage parent "$parent"
+stage change "$change"
 for ((i = 1; i <= pairs; i++)); do
     if ((i % 2)); then
-        run parent "$parent" "$i"
-        run change "$change" "$i"
+        run parent "$i"
+        run change "$i"
     else
-        run change "$change" "$i"
-        run parent "$parent" "$i"
+        run change "$i"
+        run parent "$i"
     fi
     echo "pair $i/$pairs done" >&2
 done
+cat "$runs/header.txt"
 
 python3 - "$runs" "$change/BENCHMARK.json" "$workload" "$seed" "${args[*]}" <<'EOF'
 import json, sys
