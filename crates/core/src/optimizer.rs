@@ -228,7 +228,7 @@ impl EasyBo {
 
     /// The configured asynchronous policy as a standalone value — the
     /// same construction every internal entry point uses. External
-    /// drivers of the executors' `run` (the network session manager,
+    /// callers of the executors' `run` (the network session manager,
     /// custom executors) build their policy here so its decision stream
     /// matches an in-process [`EasyBo::run`] bit for bit.
     pub fn build_async_policy(&self) -> EasyBoAsyncPolicy {
@@ -404,7 +404,7 @@ impl EasyBo {
         )
     }
 
-    /// The one driver behind every run and resume entry point. Starts
+    /// The one path behind every run and resume entry point. Starts
     /// from a new session, or from the snapshot at `resume_from`: its
     /// fingerprint is checked against `fingerprint`, its policy blob
     /// restored into `policy`, and the resume announced. Then runs the

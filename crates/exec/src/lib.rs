@@ -8,11 +8,11 @@
 //!
 //! * [`VirtualExecutor`] — a deterministic discrete-event engine over a
 //!   virtual clock. Simulation durations come from a parameter-dependent
-//!   [`SimTimeModel`] (HSPICE runtimes vary with the design point); the
-//!   sync and async drivers reproduce exactly the scheduling arithmetic
-//!   of the paper's testbed in microseconds of real time. The async
-//!   drivers run the [`EventLoop`], the same loop the network session
-//!   manager drives with results that arrive later.
+//!   [`SimTimeModel`] (HSPICE runtimes vary with the design point); its
+//!   sync and async runs reproduce exactly the scheduling arithmetic of
+//!   the paper's testbed in microseconds of real time. The async runs
+//!   go through the [`EventLoop`], the same loop the network session
+//!   manager feeds with results that arrive later.
 //! * [`ThreadedExecutor`] — a real multi-threaded executor (crossbeam
 //!   channels + OS threads) for production use of the library, where the
 //!   black box is genuinely expensive. It drives the same [`EventLoop`]

@@ -4,7 +4,7 @@
 //! the shared [`EventLoop`] over a session, new or captured (a fresh run
 //! is a resume of an empty session). `run_async`, `run_async_resilient`
 //! and `run_session_resilient` only build the new session first. The
-//! synchronous barrier driver (`run_sync`, `run_sync_with`) keeps its own
+//! synchronous barrier (`run_sync`, `run_sync_with`) keeps its own
 //! round loop: it reveals a round's results only at the barrier.
 
 use std::collections::VecDeque;

@@ -1094,7 +1094,7 @@ mod tests {
         ) {
             // Grow a factor one appended row at a time, interleaving
             // trailing downdates (`truncate`). The composed factor must
-            // reconstruct the same principal submatrix a from-scratch
+            // reconstruct the same principal submatrix a fresh
             // factorization does, to 1e-10 relative error.
             let total = n + removals;
             let a = spd(total, seed);

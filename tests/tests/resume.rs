@@ -311,8 +311,8 @@ fn checkpoint_and_resume_emit_telemetry() {
 // ---------------------------------------------------------------------
 
 /// The literature policies and the sequential baselines (EI, LCB,
-/// EasyBO-seq; on one worker, as the registry runs them) under the raw
-/// session driver:
+/// EasyBO-seq; on one worker, as the registry runs them) on a raw
+/// `VirtualExecutor` session:
 /// checkpoint every observation, kill mid-run, rebuild a same-config
 /// replacement policy, overwrite its mutable state from the snapshot
 /// blob, and resume. The resumed trajectory must be byte-identical to
