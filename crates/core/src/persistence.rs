@@ -648,6 +648,30 @@ mod tests {
         assert_eq!(re, bytes);
     }
 
+    /// FNV-1a (64-bit) over a blob's bytes.
+    fn blob_digest(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn counter_blob_bytes_are_pinned() {
+        let state = sample_surrogate_state();
+        let eps = encode_eps_greedy_state([4, 3, 2, 1], 2, 9, 31, &state);
+        let pess = encode_pessimistic_state([7, 7, 7, 7], 0, 12, &state);
+        assert_eq!(
+            (eps.len(), blob_digest(&eps)),
+            (347, 0x86be_9785_cdc7_9e4f),
+            "EPSG v1 bytes"
+        );
+        assert_eq!(
+            (pess.len(), blob_digest(&pess)),
+            (339, 0xb4a6_9c14_d24d_7875),
+            "PESS v1 bytes"
+        );
+    }
+
     #[test]
     fn standard_blob_round_trips() {
         let state = sample_surrogate_state();
