@@ -1,7 +1,8 @@
 //! Hot-path benchmark: batched GP posterior vs scalar prediction, the
 //! blocked batch posterior vs one whole-batch `K*`, the fused penalized
 //! posterior vs its two-call form, the hoisted scalar cross row vs
-//! per-pair kernel calls, and the parallel multi-start /
+//! per-pair kernel calls, sequential-EI probe scoring through the batched
+//! vs the scalar acquisition, and the parallel multi-start /
 //! parallel training fan-out vs the sequential legacy path.
 //!
 //! Prints a table and writes `BENCH_hotpath.json` at the repository root
@@ -12,10 +13,11 @@
 
 use std::time::Instant;
 
+use easybo::acquisition::{Acquisition, Moments, Score};
 use easybo_bench::{bench_report, host_threads, write_bench_report, BenchRecord};
 use easybo_gp::{Gp, GpConfig, IncrementalGp, KernelFamily, TrainConfig};
 use easybo_linalg::{Cholesky, Matrix, Vector};
-use easybo_opt::{sampling, Bounds, MultiStartMaximizer, Parallelism};
+use easybo_opt::{sampling, BatchObjective, Bounds, MultiStartMaximizer, Parallelism};
 use rand::SeedableRng;
 
 /// Deterministic training data on the unit cube: `n` points, `d` dims.
@@ -167,8 +169,9 @@ fn bench_blocked_posterior(rows: &mut Vec<BenchRecord>, reps: usize) {
 /// un-augmented model, `σ̂²` from the augmented one, two kernel rows per
 /// query — against the fused [`IncrementalGp::predict_penalized`] pair,
 /// which builds one row (or one `K*` block) and one forward solve. The
-/// fused side sends its mean to raw units and back, as `PenalizedAcqInc`
-/// does, so both sides round alike. One row for 2,000 scalar queries,
+/// fused side sends its mean to raw units and back, as Eq. 9's
+/// acquisition does (`Moments::Penalized { raw_round_trip: true }`), so
+/// both sides round alike. One row for 2,000 scalar queries,
 /// one for an m = 528 batch.
 fn bench_fused_penalized(rows: &mut Vec<BenchRecord>, reps: usize) {
     let (inc, probes) = class_e_stack(2000);
@@ -233,7 +236,7 @@ fn bench_fused_penalized(rows: &mut Vec<BenchRecord>, reps: usize) {
 /// recomputing `d + 2` exponentials — plus the same forward solve,
 /// against [`IncrementalGp::predict_penalized`], whose hoisted
 /// `ArdKernel::cross_row` pays one exponential per row. Both sides send
-/// the mean to raw units and back, as `PenalizedAcqInc` does.
+/// the mean to raw units and back, as Eq. 9's acquisition does.
 fn bench_hoisted_row(rows: &mut Vec<BenchRecord>, reps: usize) {
     let (inc, probes) = class_e_stack(2000);
     let gp = inc.gp();
@@ -279,15 +282,43 @@ fn raw_round_trip(gp: &Gp) -> impl Fn((f64, f64)) -> (f64, f64) + '_ {
     move |(mean_z, var)| (scaler.transform(scaler.inverse(mean_z)), var)
 }
 
-/// Multi-start acquisition maximization at k=8 vs the sequential path.
+/// Sequential-EI probe scoring at op-amp size: n = 400, d = 10 and the
+/// m = 440 probes `AcqOptConfig::for_dim(10)` draws. One
+/// [`Acquisition`] `eval` per probe, as EI scored its probes before it
+/// had a batched path, against one `eval_batch` through the batched
+/// posterior.
+fn bench_ei_probe_scoring(rows: &mut Vec<BenchRecord>, reps: usize) {
+    let (n, d, m) = (400, 10, 440);
+    let model = IncrementalGp::new(fitted_gp(n, d));
+    let best = training_data(n, d, 7)
+        .1
+        .into_iter()
+        .fold(f64::MIN, f64::max);
+    let best_z = model.gp().scaler().transform(best);
+    let ei = Acquisition::new(&model, Score::Ei(best_z), Moments::Posterior);
+    let bounds = Bounds::unit_cube(d).expect("unit cube");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+    let probes = sampling::uniform(&bounds, m, &mut rng);
+    let (scalar_s, scalar) = time_best(reps, || {
+        probes.iter().map(|p| ei.eval(p)).collect::<Vec<_>>()
+    });
+    let (batch_s, batch) = time_best(reps, || ei.eval_batch(&probes));
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    rows.push(BenchRecord::from_seconds(
+        format!("seq_ei_probes_batch_vs_scalar_opamp_n{n}_d{d}_m{m}"),
+        scalar_s,
+        batch_s,
+        bits(&scalar) == bits(&batch),
+    ));
+}
+
+/// Multi-start maximization of the weighted acquisition (w = 0.35) at
+/// k=8 vs the sequential path.
 fn bench_parallel_multistart(rows: &mut Vec<BenchRecord>, reps: usize, d: usize) {
-    let gp = fitted_gp(200, d);
+    let model = IncrementalGp::new(fitted_gp(200, d));
     let bounds = Bounds::unit_cube(d).expect("unit cube");
     let ms = MultiStartMaximizer::new(64.max(44 * d), 8, 100.max(14 * d));
-    let acq = |p: &[f64]| {
-        let pr = gp.predict(p);
-        0.65 * pr.mean + 0.35 * pr.variance.max(0.0).sqrt()
-    };
+    let acq = Acquisition::new(&model, Score::Weighted(0.35), Moments::Posterior);
     let run = |k: usize| {
         ms.maximize_batched(
             &bounds,
@@ -349,6 +380,7 @@ fn main() {
     bench_blocked_posterior(&mut rows, reps);
     bench_fused_penalized(&mut rows, reps);
     bench_hoisted_row(&mut rows, reps);
+    bench_ei_probe_scoring(&mut rows, reps);
     bench_parallel_multistart(&mut rows, reps, 10);
     bench_parallel_train(&mut rows, reps, 200, 10);
 

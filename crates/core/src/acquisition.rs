@@ -1,9 +1,24 @@
-//! Acquisition functions over a fitted Gaussian process.
+//! The acquisition objective every policy maximizes.
 //!
-//! All acquisitions operate in the GP's **standardized target space** so
-//! that the predictive mean and standard deviation are commensurate — the
-//! weighted combination `(1-w)·μ + w·σ` of Eqs. (4)/(8)/(9) is meaningless
-//! if μ lives around 690 while σ is O(1).
+//! Every acquisition in the paper and its baselines is a pointwise score
+//! of the GP's **standardized** posterior moments `(μ_z, σ²_z)`. The scores
+//! work in the GP's standardized target space so the mean and standard
+//! deviation are commensurate: the weighted combination `(1-w)·μ + w·σ` of
+//! Eqs. (4)/(8)/(9) is meaningless if μ lives around 690 while σ is O(1).
+//!
+//! One [`Acquisition`] has three parts:
+//!
+//! * a [`Score`]: the weighted blend of Eqs. 4/8/9, expected improvement,
+//!   or the confidence bound of Eq. 3, each formula written once;
+//! * a [`Moments`] source: the live posterior, or the penalized pair of
+//!   Eq. 9 (the base-α mean with `σ̂²` from the pseudo-point stack);
+//! * an optional per-point adjustment added after scoring: pHCBO's Eq. 6
+//!   distance penalty, Local Penalization's log-cones, or constrained
+//!   EasyBO's log probability of feasibility.
+//!
+//! Its [`BatchObjective::eval`] reads the scalar posterior (Nelder–Mead
+//! refinement) and its [`BatchObjective::eval_batch`] the batched one
+//! (probe scoring). The two agree bit for bit.
 
 use easybo_gp::{Gp, IncrementalGp};
 use easybo_opt::BatchObjective;
@@ -30,132 +45,237 @@ fn erf(x: f64) -> f64 {
     sign * (1.0 - poly * (-x * x).exp())
 }
 
-/// Expected improvement over the incumbent `best` (both in raw units):
-/// `EI(x) = σ·[z·Φ(z) + φ(z)]` with `z = (μ - best)/σ`.
+/// A pointwise score of standardized posterior moments.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Score {
+    /// `(1-w)·μ + w·σ` with exploration weight `w ∈ [0, 1]`: pBO's and
+    /// EasyBO's acquisition (Eqs. 4, 8 and 9).
+    Weighted(f64),
+    /// Expected improvement `σ·[z·Φ(z) + φ(z)]`, `z = (μ - best_z)/σ`, over
+    /// the standardized incumbent `best_z` (Mockus et al.).
+    Ei(f64),
+    /// Upper confidence bound `μ + κ·σ` (Eq. 3): the paper's "LCB" in
+    /// maximization form (after Srinivas et al.).
+    Ucb(f64),
+}
+
+impl Score {
+    /// The score of `(μ_z, σ²_z)`; a negative variance counts as zero.
+    pub fn of(self, (mu_z, var_z): (f64, f64)) -> f64 {
+        let sigma = var_z.max(0.0).sqrt();
+        match self {
+            Score::Weighted(w) => (1.0 - w) * mu_z + w * sigma,
+            Score::Ucb(kappa) => mu_z + kappa * sigma,
+            Score::Ei(best_z) if sigma < 1e-12 => (mu_z - best_z).max(0.0),
+            Score::Ei(best_z) => {
+                let z = (mu_z - best_z) / sigma;
+                sigma * (z * normal_cdf(z) + normal_pdf(z))
+            }
+        }
+    }
+}
+
+/// Where an [`Acquisition`] reads its moments from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Moments {
+    /// The live model's posterior: the fitted GP, or the augmented one
+    /// when pseudo-points are pushed (a constant-liar lie moves its mean).
+    Posterior,
+    /// The penalized pair of [`IncrementalGp::predict_penalized`]: the
+    /// mean from the base `α` under the pseudo-point stack, `σ̂²` from the
+    /// augmented factor.
+    Penalized {
+        /// Send the mean to raw units and back. Eq. 9 (EasyBO, EasyBO-SP,
+        /// constrained EasyBO) reads μ through the raw-unit mean-only path
+        /// (`scaler.transform(base.predict_mean(x))`); that round trip
+        /// rounds, so it is repeated to keep every trajectory on the same
+        /// bits. BUCB reads the mean as it comes.
+        raw_round_trip: bool,
+    },
+}
+
+/// A Local Penalization exclusion cone around an already-selected batch
+/// member: its unit coordinates and standardized moments.
+#[derive(Debug, Clone)]
+pub(crate) struct Cone {
+    pub(crate) center: Vec<f64>,
+    pub(crate) mu_z: f64,
+    pub(crate) sigma_z: f64,
+}
+
+/// A per-point term applied after scoring, at the point's unit
+/// coordinates.
+#[derive(Clone, Copy)]
+pub(crate) enum Adjustment<'a> {
+    /// The score as is.
+    None,
+    /// pHCBO (Eq. 6): minus `(Π_j exp[(d/d_j)^10])^(1/|hist|)` against a
+    /// weight index's recent queries, in log space to avoid overflow.
+    Coverage {
+        history: &'a [Vec<f64>],
+        distance: f64,
+    },
+    /// Local Penalization (González et al.): `ln` of the score plus
+    /// `ln Φ(z_j)`, `z_j = (L·‖x − x_j‖ − best_z + μ_j) / (√2·σ_j)`, per
+    /// cone.
+    LocalPenalties {
+        cones: &'a [Cone],
+        lipschitz: f64,
+        best_z: f64,
+    },
+    /// Constrained EasyBO: plus `Σ_j ln P(c_j(x) ≥ 0)` over the constraint
+    /// GPs, each probability floored at 1e-12. The weighted score can be
+    /// negative, so the product with the feasibility probability is taken
+    /// in log space as a shift that preserves ordering.
+    Feasibility(&'a [&'a Gp]),
+}
+
+/// Euclidean distance between two points.
+fn distance(a: &[f64], b: &[f64]) -> f64 {
+    a.iter()
+        .zip(b)
+        .map(|(p, q)| (p - q) * (p - q))
+        .sum::<f64>()
+        .sqrt()
+}
+
+/// Probability that the constraint GP predicts `c(x) ≥ 0`.
+fn feasibility_probability(gp: &Gp, u: &[f64]) -> f64 {
+    let pred = gp.predict(u);
+    let sigma = pred.std();
+    if sigma < 1e-12 {
+        return if pred.mean >= 0.0 { 1.0 } else { 0.0 };
+    }
+    normal_cdf(pred.mean / sigma)
+}
+
+impl Adjustment<'_> {
+    /// `score` adjusted at the unit point `u`.
+    pub(crate) fn apply(self, score: f64, u: &[f64]) -> f64 {
+        match self {
+            Adjustment::None | Adjustment::Coverage { history: [], .. } => score,
+            Adjustment::Coverage {
+                history,
+                distance: d,
+            } => {
+                let log_sum: f64 = history
+                    .iter()
+                    .map(|past| (d / distance(past, u).max(1e-9)).powi(10).min(700.0))
+                    .fold(0.0, |acc, t| acc + t);
+                score - (log_sum / history.len() as f64).min(700.0).exp()
+            }
+            Adjustment::LocalPenalties {
+                cones,
+                lipschitz,
+                best_z,
+            } => cones.iter().fold(score.max(1e-300).ln(), |acq, cone| {
+                let z = (lipschitz * distance(&cone.center, u) - best_z + cone.mu_z)
+                    / (std::f64::consts::SQRT_2 * cone.sigma_z.max(1e-9));
+                acq + normal_cdf(z).max(1e-300).ln()
+            }),
+            Adjustment::Feasibility(gps) => {
+                let log_pof = gps.iter().fold(0.0, |acc, gp| {
+                    acc + feasibility_probability(gp, u).max(1e-12).ln()
+                });
+                score + log_pof
+            }
+        }
+    }
+}
+
+/// One acquisition objective over an [`IncrementalGp`]: a [`Score`] of
+/// the moments a [`Moments`] source reads, plus the policy's per-point
+/// adjustment (none when built with [`Acquisition::new`]).
 ///
 /// # Example
 ///
 /// ```
-/// use easybo::acquisition::expected_improvement;
-/// use easybo_gp::{Gp, GpConfig};
+/// use easybo::acquisition::{Acquisition, Moments, Score};
+/// use easybo_gp::{Gp, GpConfig, IncrementalGp};
+/// use easybo_opt::BatchObjective;
 ///
 /// # fn main() -> Result<(), easybo_gp::GpError> {
 /// let x = vec![vec![0.0], vec![1.0]];
 /// let y = vec![0.0, 1.0];
-/// let gp = Gp::fit(x, y, GpConfig::default())?;
-/// // Unvisited territory has positive EI; the incumbent itself near zero.
-/// assert!(expected_improvement(&gp, &[0.5], 1.0) >= 0.0);
+/// let model = IncrementalGp::new(Gp::fit(x, y, GpConfig::default())?);
+/// let best_z = model.gp().scaler().transform(1.0);
+/// let ei = Acquisition::new(&model, Score::Ei(best_z), Moments::Posterior);
+/// // Unvisited territory has positive EI; the batched path agrees bit
+/// // for bit with the scalar one.
+/// let probes = vec![vec![0.25], vec![0.5], vec![0.75]];
+/// let batch = ei.eval_batch(&probes);
+/// for (p, v) in probes.iter().zip(&batch) {
+///     assert!(*v >= 0.0);
+///     assert_eq!(v.to_bits(), ei.eval(p).to_bits());
+/// }
 /// # Ok(())
 /// # }
 /// ```
-pub fn expected_improvement(gp: &Gp, x: &[f64], best: f64) -> f64 {
-    let (mu_z, var_z) = gp.predict_standardized(x);
-    let best_z = gp.scaler().transform(best);
-    let sigma = var_z.max(0.0).sqrt();
-    if sigma < 1e-12 {
-        return (mu_z - best_z).max(0.0);
-    }
-    let z = (mu_z - best_z) / sigma;
-    sigma * (z * normal_cdf(z) + normal_pdf(z))
+#[derive(Clone, Copy)]
+pub struct Acquisition<'a> {
+    model: &'a IncrementalGp,
+    score: Score,
+    moments: Moments,
+    adjustment: Adjustment<'a>,
 }
 
-/// Probability of improvement over the incumbent `best` (raw units).
-pub fn probability_of_improvement(gp: &Gp, x: &[f64], best: f64) -> f64 {
-    let (mu_z, var_z) = gp.predict_standardized(x);
-    let best_z = gp.scaler().transform(best);
-    let sigma = var_z.max(0.0).sqrt();
-    if sigma < 1e-12 {
-        return if mu_z > best_z { 1.0 } else { 0.0 };
+impl<'a> Acquisition<'a> {
+    /// `score` of the moments `moments` reads from `model`.
+    pub fn new(model: &'a IncrementalGp, score: Score, moments: Moments) -> Self {
+        Acquisition {
+            model,
+            score,
+            moments,
+            adjustment: Adjustment::None,
+        }
     }
-    normal_cdf((mu_z - best_z) / sigma)
+
+    /// The same acquisition with `adjustment` applied after scoring.
+    pub(crate) fn adjusted(self, adjustment: Adjustment<'a>) -> Self {
+        Acquisition { adjustment, ..self }
+    }
+
+    /// Scores one `(μ_z, σ²_z)` pair read at `u`.
+    fn finish(&self, (mu_z, var_z): (f64, f64), u: &[f64]) -> f64 {
+        let mu_z = match self.moments {
+            Moments::Penalized {
+                raw_round_trip: true,
+            } => {
+                let scaler = self.model.gp().scaler();
+                scaler.transform(scaler.inverse(mu_z))
+            }
+            _ => mu_z,
+        };
+        self.adjustment.apply(self.score.of((mu_z, var_z)), u)
+    }
 }
 
-/// Upper confidence bound `μ + κ·σ` in standardized space (Eq. 3). For
-/// maximization this is the "optimistic" strategy the paper calls LCB
-/// (after the minimization convention of Srinivas et al.).
-pub fn ucb(gp: &Gp, x: &[f64], kappa: f64) -> f64 {
-    let (mu_z, var_z) = gp.predict_standardized(x);
-    mu_z + kappa * var_z.max(0.0).sqrt()
+impl BatchObjective for Acquisition<'_> {
+    fn eval(&self, u: &[f64]) -> f64 {
+        let moments = match self.moments {
+            Moments::Posterior => self.model.gp().predict_standardized(u),
+            Moments::Penalized { .. } => self.model.predict_penalized(u),
+        };
+        self.finish(moments, u)
+    }
+
+    fn eval_batch(&self, us: &[Vec<f64>]) -> Vec<f64> {
+        let moments = match self.moments {
+            Moments::Posterior => self.model.gp().predict_standardized_batch(us),
+            Moments::Penalized { .. } => self.model.predict_penalized_batch(us),
+        };
+        moments
+            .into_iter()
+            .zip(us)
+            .map(|(m, u)| self.finish(m, u))
+            .collect()
+    }
 }
 
 /// The weighted acquisition of pBO/EasyBO (Eqs. 4 and 8):
 /// `α(x, w) = (1-w)·μ(x) + w·σ(x)` in standardized space.
 pub fn weighted(gp: &Gp, x: &[f64], w: f64) -> f64 {
-    let (mu_z, var_z) = gp.predict_standardized(x);
-    blend(mu_z, var_z, w)
-}
-
-/// `(1-w)·μ + w·σ` from a standardized mean and variance.
-fn blend(mu_z: f64, var_z: f64, w: f64) -> f64 {
-    (1.0 - w) * mu_z + w * var_z.max(0.0).sqrt()
-}
-
-/// Batched [`weighted`] over a whole candidate set: one `K*` assembly and
-/// one multi-RHS triangular solve for the entire batch. Each value is
-/// bit-identical to the scalar call on the same point.
-pub fn weighted_batch(gp: &Gp, xs: &[Vec<f64>], w: f64) -> Vec<f64> {
-    gp.predict_standardized_batch(xs)
-        .into_iter()
-        .map(|(mu_z, var_z)| blend(mu_z, var_z, w))
-        .collect()
-}
-
-/// [`weighted`] packaged as a [`BatchObjective`]: the multi-start maximizer
-/// scores its probe batch through [`weighted_batch`] and falls back to the
-/// scalar path inside Nelder–Mead refinement.
-pub struct WeightedAcq<'a> {
-    /// The fitted surrogate.
-    pub gp: &'a Gp,
-    /// Exploration weight `w ∈ [0, 1]`.
-    pub w: f64,
-}
-
-impl BatchObjective for WeightedAcq<'_> {
-    fn eval(&self, x: &[f64]) -> f64 {
-        weighted(self.gp, x, self.w)
-    }
-
-    fn eval_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        weighted_batch(self.gp, xs, self.w)
-    }
-}
-
-/// The penalized EasyBO acquisition (Eq. 9) over an [`IncrementalGp`]
-/// whose pseudo-point stack currently holds the hallucinated busy points:
-/// the *base* mean (from the saved base `α`) and `σ̂` (from the augmented
-/// model) come out of one kernel row and one forward solve per query
-/// ([`IncrementalGp::predict_penalized`]) — no cloned GP anywhere.
-pub struct PenalizedAcqInc<'a> {
-    /// Surrogate with the busy points pushed as pseudo-points.
-    pub inc: &'a IncrementalGp,
-    /// Exploration weight `w ∈ [0, 1]`.
-    pub w: f64,
-}
-
-impl PenalizedAcqInc<'_> {
-    /// `(1-w)·μ + w·σ̂` with the base mean sent to raw units and back.
-    /// Eq. 9 reads μ through the raw-unit mean-only path
-    /// (`scaler.transform(base.predict_mean(x))`, the reference in this
-    /// module's tests). That round trip rounds, so it is repeated here to
-    /// keep every trajectory on the same bits.
-    fn score(&self, (mu_z, var_hat): (f64, f64)) -> f64 {
-        let scaler = self.inc.gp().scaler();
-        blend(scaler.transform(scaler.inverse(mu_z)), var_hat, self.w)
-    }
-}
-
-impl BatchObjective for PenalizedAcqInc<'_> {
-    fn eval(&self, x: &[f64]) -> f64 {
-        self.score(self.inc.predict_penalized(x))
-    }
-
-    fn eval_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        self.inc
-            .predict_penalized_batch(xs)
-            .into_iter()
-            .map(|p| self.score(p))
-            .collect()
-    }
+    Score::Weighted(w).of(gp.predict_standardized(x))
 }
 
 #[cfg(test)]
@@ -169,36 +289,12 @@ mod tests {
     fn weighted_penalized(base: &Gp, augmented: &Gp, x: &[f64], w: f64) -> f64 {
         let mu_z = base.scaler().transform(base.predict_mean(x));
         let (_, var_hat) = augmented.predict_standardized(x);
-        blend(mu_z, var_hat, w)
+        Score::Weighted(w).of((mu_z, var_hat))
     }
 
-    /// Batched [`weighted_penalized`], bit-identical per point.
-    fn weighted_penalized_batch(base: &Gp, augmented: &Gp, xs: &[Vec<f64>], w: f64) -> Vec<f64> {
-        let means = base.predict_mean_batch(xs);
-        augmented
-            .predict_standardized_batch(xs)
-            .into_iter()
-            .zip(means)
-            .map(|((_, var_hat), mean)| blend(base.scaler().transform(mean), var_hat, w))
-            .collect()
-    }
-
-    /// [`weighted_penalized`] as a [`BatchObjective`]: the
-    /// clone-and-augment reference for [`PenalizedAcqInc`].
-    struct PenalizedAcq<'a> {
-        base: &'a Gp,
-        augmented: &'a Gp,
-        w: f64,
-    }
-
-    impl BatchObjective for PenalizedAcq<'_> {
-        fn eval(&self, x: &[f64]) -> f64 {
-            weighted_penalized(self.base, self.augmented, x, self.w)
-        }
-
-        fn eval_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-            weighted_penalized_batch(self.base, self.augmented, xs, self.w)
-        }
+    /// Expected improvement over a raw-unit incumbent on `gp`'s posterior.
+    fn ei(gp: &Gp, x: &[f64], best: f64) -> f64 {
+        Score::Ei(gp.scaler().transform(best)).of(gp.predict_standardized(x))
     }
 
     fn toy_gp() -> Gp {
@@ -238,43 +334,30 @@ mod tests {
         let gp = toy_gp();
         let best = 1.0;
         for q in [0.0, 0.1, 0.33, 0.5, 0.9, 1.3] {
-            let ei = expected_improvement(&gp, &[q], best);
+            let ei = ei(&gp, &[q], best);
             assert!(ei >= 0.0, "EI({q}) = {ei}");
         }
         // At the incumbent with ~zero variance EI is ~0.
-        assert!(expected_improvement(&gp, &[0.5], best) < 1e-3);
+        assert!(ei(&gp, &[0.5], best) < 1e-3);
     }
 
     #[test]
     fn ei_prefers_unexplored_over_known_bad() {
         let gp = toy_gp();
-        let far = expected_improvement(&gp, &[2.0], 1.0);
-        let known_bad = expected_improvement(&gp, &[0.0], 1.0);
+        let far = ei(&gp, &[2.0], 1.0);
+        let known_bad = ei(&gp, &[0.0], 1.0);
         assert!(far > known_bad);
-    }
-
-    #[test]
-    fn pi_bounded_and_monotone_in_mean() {
-        let gp = toy_gp();
-        for q in [0.0, 0.5, 1.0, 2.0] {
-            let pi = probability_of_improvement(&gp, &[q], 0.5);
-            assert!((0.0..=1.0).contains(&pi), "PI({q}) = {pi}");
-        }
-        // Near the peak, improving over a low bar is more likely than at the
-        // valley.
-        let at_peak = probability_of_improvement(&gp, &[0.5], 0.5);
-        let at_valley = probability_of_improvement(&gp, &[0.0], 0.5);
-        assert!(at_peak > at_valley);
     }
 
     #[test]
     fn ucb_increases_with_kappa_where_uncertain() {
         let gp = toy_gp();
         let q = [3.0]; // far from data: high sigma
-        assert!(ucb(&gp, &q, 2.0) > ucb(&gp, &q, 0.1));
+        let ucb = |kappa| Score::Ucb(kappa).of(gp.predict_standardized(&q));
+        assert!(ucb(2.0) > ucb(0.1));
         // With kappa=0, UCB is the standardized mean.
         let (mu, _) = gp.predict_standardized(&q);
-        assert!((ucb(&gp, &q, 0.0) - mu).abs() < 1e-12);
+        assert!((ucb(0.0) - mu).abs() < 1e-12);
     }
 
     #[test]
@@ -317,31 +400,90 @@ mod tests {
 
     #[test]
     fn batch_acquisitions_bitwise_match_scalar() {
-        let gp = toy_gp();
-        let aug = gp.augment(&[vec![0.4], vec![1.2]]).unwrap();
+        let plain = IncrementalGp::new(toy_gp());
+        let mut stacked = IncrementalGp::new(toy_gp());
+        for b in [vec![0.4], vec![1.2]] {
+            stacked.push_pseudo_mean(b).unwrap();
+        }
+        let constraint = toy_gp();
+        let constraints = [&constraint, &constraint];
+        let history = vec![vec![0.45], vec![0.8]];
+        let cones = vec![
+            Cone {
+                center: vec![0.3],
+                mu_z: 0.2,
+                sigma_z: 0.4,
+            },
+            Cone {
+                center: vec![1.1],
+                mu_z: -0.5,
+                sigma_z: 1e-12,
+            },
+        ];
+        let best_z = toy_gp().scaler().transform(1.0);
+        let scores = [
+            Score::Weighted(0.0),
+            Score::Weighted(0.35),
+            Score::Weighted(1.0),
+            Score::Ei(best_z),
+            Score::Ucb(2.0),
+        ];
+        let sources = [
+            Moments::Posterior,
+            Moments::Penalized {
+                raw_round_trip: true,
+            },
+            Moments::Penalized {
+                raw_round_trip: false,
+            },
+        ];
+        let adjustments = [
+            Adjustment::None,
+            Adjustment::Coverage {
+                history: &[],
+                distance: 0.1,
+            },
+            Adjustment::Coverage {
+                history: &history,
+                distance: 0.1,
+            },
+            Adjustment::LocalPenalties {
+                cones: &cones,
+                lipschitz: 2.5,
+                best_z,
+            },
+            Adjustment::Feasibility(&constraints),
+        ];
+        // 11 queries: two full blocks of four plus the `m mod 4` tail.
         let queries: Vec<Vec<f64>> = (0..11).map(|i| vec![i as f64 * 0.17 - 0.3]).collect();
-        for w in [0.0, 0.35, 1.0] {
-            let wb = weighted_batch(&gp, &queries, w);
-            let pb = weighted_penalized_batch(&gp, &aug, &queries, w);
-            let wa = WeightedAcq { gp: &gp, w };
-            let pa = PenalizedAcq {
-                base: &gp,
-                augmented: &aug,
-                w,
-            };
-            let wa_batch = wa.eval_batch(&queries);
-            let pa_batch = pa.eval_batch(&queries);
-            for (i, q) in queries.iter().enumerate() {
-                // Exact equality: the batch path must not perturb a bit.
-                assert_eq!(wb[i], weighted(&gp, q, w), "weighted at {i}, w = {w}");
-                assert_eq!(
-                    pb[i],
-                    weighted_penalized(&gp, &aug, q, w),
-                    "penalized at {i}, w = {w}"
-                );
-                assert_eq!(wa_batch[i], wa.eval(q));
-                assert_eq!(pa_batch[i], pa.eval(q));
+        for model in [&plain, &stacked] {
+            for score in scores {
+                for moments in sources {
+                    for adjustment in adjustments {
+                        let acq = Acquisition::new(model, score, moments).adjusted(adjustment);
+                        let batch = acq.eval_batch(&queries);
+                        assert_eq!(batch.len(), queries.len());
+                        for (i, q) in queries.iter().enumerate() {
+                            // Exact equality: the batch path must not
+                            // perturb a bit.
+                            assert_eq!(
+                                batch[i].to_bits(),
+                                acq.eval(q).to_bits(),
+                                "{score:?} {moments:?} at {i}, {} pseudo-points",
+                                model.n_pseudo()
+                            );
+                        }
+                    }
+                }
             }
+        }
+        // The plain weighted score is the public scalar helper.
+        let acq = Acquisition::new(&plain, Score::Weighted(0.35), Moments::Posterior);
+        for q in &queries {
+            assert_eq!(
+                acq.eval(q).to_bits(),
+                weighted(plain.gp(), q, 0.35).to_bits()
+            );
         }
     }
 
@@ -355,23 +497,21 @@ mod tests {
             inc.push_pseudo_mean(b.clone()).unwrap();
         }
         let queries: Vec<Vec<f64>> = (0..11).map(|i| vec![i as f64 * 0.17 - 0.3]).collect();
+        let eq9 = Moments::Penalized {
+            raw_round_trip: true,
+        };
         for w in [0.0, 0.35, 1.0] {
-            let cloned = PenalizedAcq {
-                base: &gp,
-                augmented: &aug,
-                w,
-            };
-            let fast = PenalizedAcqInc { inc: &inc, w };
-            let cloned_batch = cloned.eval_batch(&queries);
+            let fast = Acquisition::new(&inc, Score::Weighted(w), eq9);
             let fast_batch = fast.eval_batch(&queries);
             for (i, q) in queries.iter().enumerate() {
+                let cloned = weighted_penalized(&gp, &aug, q, w);
                 assert_eq!(
-                    cloned.eval(q).to_bits(),
+                    cloned.to_bits(),
                     fast.eval(q).to_bits(),
                     "scalar at {i}, w = {w}"
                 );
                 assert_eq!(
-                    cloned_batch[i].to_bits(),
+                    cloned.to_bits(),
                     fast_batch[i].to_bits(),
                     "batch at {i}, w = {w}"
                 );
@@ -384,7 +524,6 @@ mod tests {
         let x: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64 / 9.0]).collect();
         let y: Vec<f64> = x.iter().map(|p| -(p[0] - 0.6).powi(2)).collect();
         let gp = Gp::fit(x, y, GpConfig::default()).unwrap();
-        let ei = expected_improvement(&gp, &[0.55], 0.0);
-        assert!(ei.is_finite());
+        assert!(ei(&gp, &[0.55], 0.0).is_finite());
     }
 }

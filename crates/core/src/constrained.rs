@@ -23,10 +23,10 @@ use std::path::Path;
 
 use easybo_exec::{AsyncPolicy, BlackBox, BusyPoint, Dataset};
 use easybo_gp::Gp;
-use easybo_opt::{BatchObjective, Bounds};
+use easybo_opt::Bounds;
 use easybo_telemetry::{Event, Telemetry};
 
-use crate::acquisition::{self, PenalizedAcqInc};
+use crate::acquisition::{Adjustment, Moments, Score};
 use crate::optimizer::Executor;
 use crate::persistence::Fingerprint;
 use crate::policies::{AcqOptConfig, PenalizationMode, PolicyCore};
@@ -260,16 +260,6 @@ fn constraint_gps<'s>(
         .collect()
 }
 
-/// Probability that the constraint GP predicts `c(x) ≥ 0`.
-fn feasibility_probability(gp: &Gp, u: &[f64]) -> f64 {
-    let pred = gp.predict(u);
-    let sigma = pred.std();
-    if sigma < 1e-12 {
-        return if pred.mean >= 0.0 { 1.0 } else { 0.0 };
-    }
-    acquisition::normal_cdf(pred.mean / sigma)
-}
-
 impl AsyncPolicy for ConstrainedPolicy<'_> {
     fn select_next(&mut self, data: &Dataset, busy: &[BusyPoint]) -> Vec<f64> {
         self.sync_slacks(data);
@@ -278,28 +268,17 @@ impl AsyncPolicy for ConstrainedPolicy<'_> {
         };
         let cgps = constraint_gps(&mut self.constraint_surrogates, &self.slacks, data);
         let w = sample_kappa_weight(self.lambda, fit.rng);
-        // Eq. 9 on the factor stack.
-        let pushed = fit.hallucinate(PenalizationMode::HallucinateMean, busy, data);
-        let u = fit.maximize(|inc| {
-            let cg = &cgps;
-            move |p: &[f64]| {
-                let base = if pushed {
-                    PenalizedAcqInc { inc, w }.eval(p)
-                } else {
-                    acquisition::weighted(inc.gp(), p, w)
-                };
-                // Multiply by the probability of joint feasibility
-                // (log-space accumulation for numerical hygiene). The
-                // weighted acquisition can be negative in standardized
-                // space; shift by a constant so multiplication preserves
-                // ordering within this maximization.
-                let mut log_pof = 0.0;
-                for gp_c in cg {
-                    log_pof += feasibility_probability(gp_c, p).max(1e-12).ln();
-                }
-                base + log_pof
+        // Eq. 9 on the factor stack, times the probability of joint
+        // feasibility.
+        let moments = if fit.hallucinate(PenalizationMode::HallucinateMean, busy, data) {
+            Moments::Penalized {
+                raw_round_trip: true,
             }
-        });
+        } else {
+            Moments::Posterior
+        };
+        let feasibility = Adjustment::Feasibility(&cgps);
+        let u = fit.maximize(Score::Weighted(w), moments, feasibility);
         fit.gp.pop_all_pseudo();
         fit.to_raw(&u)
     }

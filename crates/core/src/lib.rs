@@ -10,7 +10,7 @@
 //!   `w = κ/(κ+1)`, `κ ~ U[0, λ]` (Eq. 8), and the hallucinated-pseudo-point
 //!   penalization scheme (Eq. 9) that collapses predictive uncertainty
 //!   around busy points.
-//! * Every baseline the paper compares against: sequential [EI], [PI],
+//! * Every baseline the paper compares against: sequential [EI] and
 //!   LCB/[UCB] BO, the synchronous batch algorithms pBO and pHCBO (Hu, Li &
 //!   Huang, ICCAD'18), and the EasyBO ablations (EasyBO-S, EasyBO-A,
 //!   EasyBO-SP).
@@ -39,9 +39,8 @@
 //! # }
 //! ```
 //!
-//! [EI]: acquisition::expected_improvement
-//! [PI]: acquisition::probability_of_improvement
-//! [UCB]: acquisition::ucb
+//! [EI]: acquisition::Score::Ei
+//! [UCB]: acquisition::Score::Ucb
 
 pub mod acquisition;
 mod algorithms;

@@ -181,22 +181,6 @@ pub(crate) fn decode_policy_state(bytes: &[u8]) -> Result<PolicyStateBlob, Persi
 // (pinned by `tests/tests/resume.rs`) in sync.
 // ---------------------------------------------------------------------
 
-/// Kind tag of [`EpsGreedyPolicy`] blobs (`"EPSG"` little-endian).
-///
-/// [`EpsGreedyPolicy`]: crate::policies::EpsGreedyPolicy
-pub(crate) const EPS_GREEDY_BLOB_TAG: u32 = u32::from_le_bytes(*b"EPSG");
-/// Layout version of [`EpsGreedyPolicy`] blobs.
-///
-/// [`EpsGreedyPolicy`]: crate::policies::EpsGreedyPolicy
-pub(crate) const EPS_GREEDY_BLOB_VERSION: u32 = 1;
-/// Kind tag of [`PessimisticAsyncPolicy`] blobs (`"PESS"` little-endian).
-///
-/// [`PessimisticAsyncPolicy`]: crate::policies::PessimisticAsyncPolicy
-pub(crate) const PESSIMISTIC_BLOB_TAG: u32 = u32::from_le_bytes(*b"PESS");
-/// Layout version of [`PessimisticAsyncPolicy`] blobs.
-///
-/// [`PessimisticAsyncPolicy`]: crate::policies::PessimisticAsyncPolicy
-pub(crate) const PESSIMISTIC_BLOB_VERSION: u32 = 1;
 /// Shared core of every policy blob: RNG words, fallback counter,
 /// surrogate manager state.
 fn put_policy_core(w: &mut ByteWriter, rng: [u64; 4], fallbacks: usize, s: &SurrogateState) {
@@ -245,104 +229,10 @@ fn check_tag_and_version(
     Ok(())
 }
 
-/// Decoded state of an [`EpsGreedyPolicy`] blob.
-///
-/// [`EpsGreedyPolicy`]: crate::policies::EpsGreedyPolicy
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct EpsGreedyStateBlob {
-    /// Shared core (RNG, fallbacks, surrogate).
-    pub core: PolicyStateBlob,
-    /// Number of ε-branch (uniform-random) selections taken so far.
-    pub explores: u64,
-    /// Number of greedy (posterior-mean) selections taken so far.
-    pub exploits: u64,
-}
-
-/// Encodes [`EpsGreedyPolicy`] state (layout `EPSG` v1).
-///
-/// [`EpsGreedyPolicy`]: crate::policies::EpsGreedyPolicy
-pub(crate) fn encode_eps_greedy_state(
-    rng: [u64; 4],
-    fallbacks: usize,
-    explores: u64,
-    exploits: u64,
-    surrogate: &SurrogateState,
-) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u32(EPS_GREEDY_BLOB_TAG);
-    w.put_u32(EPS_GREEDY_BLOB_VERSION);
-    w.put_u64(explores);
-    w.put_u64(exploits);
-    put_policy_core(&mut w, rng, fallbacks, surrogate);
-    w.into_bytes()
-}
-
-/// Decodes a blob written by [`encode_eps_greedy_state`].
-pub(crate) fn decode_eps_greedy_state(bytes: &[u8]) -> Result<EpsGreedyStateBlob, PersistError> {
-    let mut r = ByteReader::new(bytes);
-    check_tag_and_version(
-        &mut r,
-        "eps-greedy",
-        EPS_GREEDY_BLOB_TAG,
-        EPS_GREEDY_BLOB_VERSION,
-    )?;
-    let explores = r.get_u64()?;
-    let exploits = r.get_u64()?;
-    let core = get_policy_core(&mut r)?;
-    r.finish("eps-greedy policy state blob")?;
-    Ok(EpsGreedyStateBlob {
-        core,
-        explores,
-        exploits,
-    })
-}
-
-/// Decoded state of a [`PessimisticAsyncPolicy`] blob.
-///
-/// [`PessimisticAsyncPolicy`]: crate::policies::PessimisticAsyncPolicy
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct PessimisticStateBlob {
-    /// Shared core (RNG, fallbacks, surrogate).
-    pub core: PolicyStateBlob,
-    /// Number of pessimistic lies hallucinated onto busy points so far.
-    pub lies: u64,
-}
-
-/// Encodes [`PessimisticAsyncPolicy`] state (layout `PESS` v1).
-///
-/// [`PessimisticAsyncPolicy`]: crate::policies::PessimisticAsyncPolicy
-pub(crate) fn encode_pessimistic_state(
-    rng: [u64; 4],
-    fallbacks: usize,
-    lies: u64,
-    surrogate: &SurrogateState,
-) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u32(PESSIMISTIC_BLOB_TAG);
-    w.put_u32(PESSIMISTIC_BLOB_VERSION);
-    w.put_u64(lies);
-    put_policy_core(&mut w, rng, fallbacks, surrogate);
-    w.into_bytes()
-}
-
-/// Decodes a blob written by [`encode_pessimistic_state`].
-pub(crate) fn decode_pessimistic_state(bytes: &[u8]) -> Result<PessimisticStateBlob, PersistError> {
-    let mut r = ByteReader::new(bytes);
-    check_tag_and_version(
-        &mut r,
-        "pessimistic",
-        PESSIMISTIC_BLOB_TAG,
-        PESSIMISTIC_BLOB_VERSION,
-    )?;
-    let lies = r.get_u64()?;
-    let core = get_policy_core(&mut r)?;
-    r.finish("pessimistic policy state blob")?;
-    Ok(PessimisticStateBlob { core, lies })
-}
-
-/// The layout of a policy blob that holds nothing beyond the policy
-/// core: kind tag, layout version, then the core.
-pub(crate) struct CoreBlob {
+/// The layout of a kind-tagged policy blob that holds the policy core
+/// and `N` counters: kind tag, layout version, the counters as `u64`
+/// words, then the core.
+pub(crate) struct CoreBlob<const N: usize> {
     /// Four-byte kind tag (ASCII, little-endian).
     tag: u32,
     /// Layout version.
@@ -354,7 +244,7 @@ pub(crate) struct CoreBlob {
 /// [`StandardAsyncPolicy`] blobs: `STDB` v1.
 ///
 /// [`StandardAsyncPolicy`]: crate::policies::StandardAsyncPolicy
-pub(crate) const STANDARD_BLOB: CoreBlob = CoreBlob {
+pub(crate) const STANDARD_BLOB: CoreBlob<0> = CoreBlob {
     tag: u32::from_le_bytes(*b"STDB"),
     version: 1,
     policy: "standard-acquisition",
@@ -363,30 +253,57 @@ pub(crate) const STANDARD_BLOB: CoreBlob = CoreBlob {
 /// [`SequentialBoPolicy`] blobs: `SEQB` v1.
 ///
 /// [`SequentialBoPolicy`]: crate::policies::SequentialBoPolicy
-pub(crate) const SEQUENTIAL_BLOB: CoreBlob = CoreBlob {
+pub(crate) const SEQUENTIAL_BLOB: CoreBlob<0> = CoreBlob {
     tag: u32::from_le_bytes(*b"SEQB"),
     version: 1,
     policy: "sequential",
 };
 
-impl CoreBlob {
-    /// Encodes a policy core under this layout.
-    pub(crate) fn encode(&self, core: &PolicyStateBlob) -> Vec<u8> {
+/// [`EpsGreedyPolicy`] blobs: `EPSG` v1, counting explores then
+/// exploits.
+///
+/// [`EpsGreedyPolicy`]: crate::policies::EpsGreedyPolicy
+pub(crate) const EPS_GREEDY_BLOB: CoreBlob<2> = CoreBlob {
+    tag: u32::from_le_bytes(*b"EPSG"),
+    version: 1,
+    policy: "eps-greedy",
+};
+
+/// [`PessimisticAsyncPolicy`] blobs: `PESS` v1, counting the lies
+/// hallucinated onto busy points.
+///
+/// [`PessimisticAsyncPolicy`]: crate::policies::PessimisticAsyncPolicy
+pub(crate) const PESSIMISTIC_BLOB: CoreBlob<1> = CoreBlob {
+    tag: u32::from_le_bytes(*b"PESS"),
+    version: 1,
+    policy: "pessimistic",
+};
+
+impl<const N: usize> CoreBlob<N> {
+    /// Encodes the counters and a policy core under this layout.
+    pub(crate) fn encode(&self, counters: [u64; N], core: &PolicyStateBlob) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_u32(self.tag);
         w.put_u32(self.version);
+        for c in counters {
+            w.put_u64(c);
+        }
         put_policy_core(&mut w, core.rng, core.fallbacks, &core.surrogate);
         w.into_bytes()
     }
 
     /// Decodes a blob written by [`CoreBlob::encode`], refusing another
     /// tag or version with a message naming the policy.
-    pub(crate) fn decode(&self, bytes: &[u8]) -> Result<PolicyStateBlob, PersistError> {
+    pub(crate) fn decode(&self, bytes: &[u8]) -> Result<([u64; N], PolicyStateBlob), PersistError> {
         let mut r = ByteReader::new(bytes);
         check_tag_and_version(&mut r, self.policy, self.tag, self.version)?;
+        let mut counters = [0; N];
+        for c in &mut counters {
+            *c = r.get_u64()?;
+        }
         let core = get_policy_core(&mut r)?;
         r.finish(&format!("{} policy state blob", self.policy))?;
-        Ok(core)
+        Ok((counters, core))
     }
 }
 
@@ -523,18 +440,47 @@ impl Fingerprint {
 mod tests {
     use super::*;
 
-    fn encode_standard_state(rng: [u64; 4], fallbacks: usize, s: &SurrogateState) -> Vec<u8> {
-        let surrogate = s.clone();
-        let core = PolicyStateBlob {
+    fn core(rng: [u64; 4], fallbacks: usize, s: &SurrogateState) -> PolicyStateBlob {
+        PolicyStateBlob {
             rng,
             fallbacks,
-            surrogate,
-        };
-        STANDARD_BLOB.encode(&core)
+            surrogate: s.clone(),
+        }
+    }
+
+    fn encode_standard_state(rng: [u64; 4], fallbacks: usize, s: &SurrogateState) -> Vec<u8> {
+        STANDARD_BLOB.encode([], &core(rng, fallbacks, s))
     }
 
     fn decode_standard_state(bytes: &[u8]) -> Result<PolicyStateBlob, PersistError> {
-        STANDARD_BLOB.decode(bytes)
+        STANDARD_BLOB.decode(bytes).map(|([], core)| core)
+    }
+
+    fn encode_eps_greedy_state(
+        rng: [u64; 4],
+        fallbacks: usize,
+        explores: u64,
+        exploits: u64,
+        s: &SurrogateState,
+    ) -> Vec<u8> {
+        EPS_GREEDY_BLOB.encode([explores, exploits], &core(rng, fallbacks, s))
+    }
+
+    fn decode_eps_greedy_state(bytes: &[u8]) -> Result<([u64; 2], PolicyStateBlob), PersistError> {
+        EPS_GREEDY_BLOB.decode(bytes)
+    }
+
+    fn encode_pessimistic_state(
+        rng: [u64; 4],
+        fallbacks: usize,
+        lies: u64,
+        s: &SurrogateState,
+    ) -> Vec<u8> {
+        PESSIMISTIC_BLOB.encode([lies], &core(rng, fallbacks, s))
+    }
+
+    fn decode_pessimistic_state(bytes: &[u8]) -> Result<([u64; 1], PolicyStateBlob), PersistError> {
+        PESSIMISTIC_BLOB.decode(bytes)
     }
 
     fn sample_surrogate_state() -> SurrogateState {
@@ -618,17 +564,17 @@ mod tests {
     fn eps_greedy_blob_round_trips() {
         let state = sample_surrogate_state();
         let bytes = encode_eps_greedy_state([4, 3, 2, 1], 2, 9, 31, &state);
-        let blob = decode_eps_greedy_state(&bytes).unwrap();
-        assert_eq!(blob.core.rng, [4, 3, 2, 1]);
-        assert_eq!(blob.core.fallbacks, 2);
-        assert_eq!(blob.explores, 9);
-        assert_eq!(blob.exploits, 31);
+        let ([explores, exploits], blob) = decode_eps_greedy_state(&bytes).unwrap();
+        assert_eq!(blob.rng, [4, 3, 2, 1]);
+        assert_eq!(blob.fallbacks, 2);
+        assert_eq!(explores, 9);
+        assert_eq!(exploits, 31);
         let re = encode_eps_greedy_state(
-            blob.core.rng,
-            blob.core.fallbacks,
-            blob.explores,
-            blob.exploits,
-            &blob.core.surrogate,
+            blob.rng,
+            blob.fallbacks,
+            explores,
+            exploits,
+            &blob.surrogate,
         );
         assert_eq!(re, bytes);
     }
@@ -637,14 +583,9 @@ mod tests {
     fn pessimistic_blob_round_trips() {
         let state = sample_surrogate_state();
         let bytes = encode_pessimistic_state([7, 7, 7, 7], 0, 12, &state);
-        let blob = decode_pessimistic_state(&bytes).unwrap();
-        assert_eq!(blob.lies, 12);
-        let re = encode_pessimistic_state(
-            blob.core.rng,
-            blob.core.fallbacks,
-            blob.lies,
-            &blob.core.surrogate,
-        );
+        let ([lies], blob) = decode_pessimistic_state(&bytes).unwrap();
+        assert_eq!(lies, 12);
+        let re = encode_pessimistic_state(blob.rng, blob.fallbacks, lies, &blob.surrogate);
         assert_eq!(re, bytes);
     }
 

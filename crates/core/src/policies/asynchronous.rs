@@ -18,7 +18,7 @@ use easybo_exec::{AsyncPolicy, BusyPoint, Dataset};
 use easybo_opt::Bounds;
 use easybo_telemetry::Telemetry;
 
-use crate::acquisition::{PenalizedAcqInc, WeightedAcq};
+use crate::acquisition::{Adjustment, Moments, Score};
 use crate::policies::penalization::PenalizationMode;
 use crate::policies::{AcqOptConfig, PolicyCore};
 use crate::surrogate::SurrogateConfig;
@@ -123,16 +123,19 @@ impl AsyncPolicy for EasyBoAsyncPolicy {
         // numerically degenerate push (duplicated busy points) falls back
         // to the unpenalized acquisition.
         let pushed = self.penalize && fit.hallucinate(self.mode, busy, data);
-        let u = if pushed && self.mode == PenalizationMode::HallucinateMean {
+        let moments = if pushed && self.mode == PenalizationMode::HallucinateMean {
             // Eq. 9: μ from the base-alpha prefix, σ̂ from the augmented
             // factor.
-            fit.maximize(|inc| PenalizedAcqInc { inc, w })
+            Moments::Penalized {
+                raw_round_trip: true,
+            }
         } else {
             // Both moments from the live model: the unaugmented one when
             // nothing was pushed, the augmented one under a constant-liar
             // mode (which *deliberately* biases the mean near busy points).
-            fit.maximize(|inc| WeightedAcq { gp: inc.gp(), w })
+            Moments::Posterior
         };
+        let u = fit.maximize(Score::Weighted(w), moments, Adjustment::None);
         // Rank-1 downdates restore the base factor exactly; the next
         // selection starts from a clean stack.
         fit.gp.pop_all_pseudo();

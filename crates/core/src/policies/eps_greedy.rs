@@ -22,7 +22,8 @@ use easybo_exec::{AsyncPolicy, BusyPoint, Dataset};
 use easybo_opt::Bounds;
 use rand::Rng;
 
-use crate::acquisition::WeightedAcq;
+use crate::acquisition::{Adjustment, Moments, Score};
+use crate::persistence::EPS_GREEDY_BLOB;
 use crate::policies::{AcqOptConfig, PolicyCore};
 use crate::surrogate::SurrogateConfig;
 
@@ -120,29 +121,21 @@ impl AsyncPolicy for EpsGreedyPolicy {
             return fit.uniform();
         }
         self.exploits += 1;
-        let u = fit.maximize(|inc| WeightedAcq {
-            gp: inc.gp(),
-            w: 0.0,
-        });
+        let u = fit.maximize(Score::Weighted(0.0), Moments::Posterior, Adjustment::None);
         fit.to_raw(&u)
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
-        let core = self.core.snapshot();
-        Some(crate::persistence::encode_eps_greedy_state(
-            core.rng,
-            core.fallbacks,
-            self.explores,
-            self.exploits,
-            &core.surrogate,
-        ))
+        let counters = [self.explores, self.exploits];
+        Some(EPS_GREEDY_BLOB.encode(counters, &self.core.snapshot()))
     }
 
     fn restore_state(&mut self, state: &[u8]) -> Result<(), String> {
-        let blob = crate::persistence::decode_eps_greedy_state(state).map_err(|e| e.to_string())?;
-        self.core.restore(blob.core)?;
-        self.explores = blob.explores;
-        self.exploits = blob.exploits;
+        let ([explores, exploits], core) =
+            EPS_GREEDY_BLOB.decode(state).map_err(|e| e.to_string())?;
+        self.core.restore(core)?;
+        self.explores = explores;
+        self.exploits = exploits;
         Ok(())
     }
 }

@@ -6,7 +6,7 @@
 use easybo_exec::{Dataset, SyncBatchPolicy};
 use easybo_opt::Bounds;
 
-use crate::acquisition;
+use crate::acquisition::{Adjustment, Cone, Moments, Score};
 use crate::policies::{AcqOptConfig, PolicyCore};
 use crate::surrogate::SurrogateConfig;
 
@@ -54,17 +54,14 @@ impl SyncBatchPolicy for BucbPolicy {
         let Some(mut fit) = self.core.fit(data) else {
             return self.core.uniform_batch(batch_size);
         };
-        let kappa = self.kappa;
+        // μ from the base model, σ̂ from the one augmented with the
+        // members selected so far.
+        let moments = Moments::Penalized {
+            raw_round_trip: false,
+        };
         let mut batch = Vec::with_capacity(batch_size);
         for _ in 0..batch_size {
-            let u = fit.maximize(|stack| {
-                // μ from the base model, σ̂ from the one augmented with the
-                // members selected so far.
-                move |p: &[f64]| {
-                    let (mu, var_hat) = stack.predict_penalized(p);
-                    mu + kappa * var_hat.max(0.0).sqrt()
-                }
-            });
+            let u = fit.maximize(Score::Ucb(self.kappa), moments, Adjustment::None);
             // Hallucinate the new member; a degenerate (duplicated) push is
             // skipped.
             let _ = fit.gp.push_pseudo_mean(u.clone());
@@ -138,37 +135,25 @@ impl SyncBatchPolicy for LocalPenalizationPolicy {
         let scaler = fit.gp.gp().scaler();
         let zs: Vec<f64> = data.ys().iter().map(|&y| scaler.transform(y)).collect();
         let lipschitz = Self::lipschitz_estimate(&units, &zs);
-        let best = data.best_value();
-        let best_z = scaler.transform(best);
+        let best_z = scaler.transform(data.best_value());
 
-        // (location, mean_z, sigma_z) of already-selected members.
-        let mut selected: Vec<(Vec<f64>, f64, f64)> = Vec::new();
+        // Cones around the already-selected members.
+        let mut cones = Vec::new();
         let mut batch = Vec::with_capacity(batch_size);
         for _ in 0..batch_size {
-            let sel = &selected;
-            let u = fit.maximize(|inc| {
-                let gp = inc.gp();
-                move |p: &[f64]| {
-                    let mut acq = acquisition::expected_improvement(gp, p, best)
-                        .max(1e-300)
-                        .ln();
-                    for (xj, mu_j, sigma_j) in sel {
-                        let dist: f64 = xj
-                            .iter()
-                            .zip(p.iter())
-                            .map(|(a, b)| (a - b) * (a - b))
-                            .sum::<f64>()
-                            .sqrt();
-                        let z = (lipschitz * dist - best_z + mu_j)
-                            / (std::f64::consts::SQRT_2 * sigma_j.max(1e-9));
-                        acq += acquisition::normal_cdf(z).max(1e-300).ln();
-                    }
-                    acq
-                }
-            });
+            let adjustment = Adjustment::LocalPenalties {
+                cones: &cones,
+                lipschitz,
+                best_z,
+            };
+            let u = fit.maximize(Score::Ei(best_z), Moments::Posterior, adjustment);
             let (mu_z, var_z) = fit.gp.gp().predict_standardized(&u);
-            selected.push((u.clone(), mu_z, var_z.max(0.0).sqrt()));
             batch.push(fit.to_raw(&u));
+            cones.push(Cone {
+                center: u,
+                mu_z,
+                sigma_z: var_z.max(0.0).sqrt(),
+            });
         }
         batch
     }

@@ -36,6 +36,15 @@
 //! Only a fitted model draws anything else (weights, coins, probes) from
 //! the RNG, so the fallback consumes the stream exactly as far as its
 //! uniform draws. Every policy blob carries the fallback count.
+//!
+//! **One acquisition.** No policy builds its own objective. Each names a
+//! [`Score`] (weighted, EI or UCB), a
+//! [`Moments`] source (the live posterior, or
+//! the penalized pair under hallucinated busy points) and, for pHCBO, LP
+//! and constrained EasyBO, a per-point adjustment. The core's maximizer
+//! scores the probe batch through the batched posterior and refines the
+//! best probes through the scalar one; both give the same bits (see
+//! [`crate::acquisition`]).
 
 mod asynchronous;
 mod eps_greedy;
@@ -65,6 +74,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
+use crate::acquisition::{Acquisition, Adjustment, Moments, Score};
 use crate::persistence::PolicyStateBlob;
 use crate::surrogate::{SurrogateConfig, SurrogateManager};
 
@@ -125,8 +135,8 @@ impl AcqMaximizer {
     }
 
     /// Maximizes `f` over the unit cube and returns unit coordinates.
-    /// Probes score through `eval_batch` (closures pointwise via the
-    /// blanket [`BatchObjective`] impl); refinement starts run on the
+    /// Probes score through `eval_batch` (for an [`Acquisition`], the
+    /// batched posterior); refinement starts call `eval` on the
     /// configured worker threads.
     ///
     /// On a disabled handle this is a direct call. Otherwise it opens an
@@ -327,14 +337,17 @@ impl Fitted<'_> {
         self.bounds.sample_uniform(self.rng)
     }
 
-    /// Maximizes the acquisition `acq` builds on the model (see
-    /// [`AcqMaximizer::maximize`]); returns unit coordinates.
-    pub(crate) fn maximize<'s, F: BatchObjective>(
-        &'s mut self,
-        acq: impl FnOnce(&'s IncrementalGp) -> F,
+    /// Maximizes `score` of the model's `moments`, adjusted per point
+    /// (see [`AcqMaximizer::maximize`]); returns unit coordinates.
+    pub(crate) fn maximize(
+        &mut self,
+        score: Score,
+        moments: Moments,
+        adjustment: Adjustment<'_>,
     ) -> Vec<f64> {
-        let f = acq(&*self.gp);
-        self.maximizer.maximize(&mut *self.rng, self.telemetry, &f)
+        let acq = Acquisition::new(&*self.gp, score, moments).adjusted(adjustment);
+        self.maximizer
+            .maximize(&mut *self.rng, self.telemetry, &acq)
     }
 
     /// Hallucinates the busy points onto the factor stack under `mode`

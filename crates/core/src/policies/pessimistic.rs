@@ -21,7 +21,8 @@
 use easybo_exec::{AsyncPolicy, BusyPoint, Dataset};
 use easybo_opt::Bounds;
 
-use crate::acquisition::WeightedAcq;
+use crate::acquisition::{Adjustment, Moments, Score};
+use crate::persistence::PESSIMISTIC_BLOB;
 use crate::policies::penalization::PenalizationMode;
 use crate::policies::{AcqOptConfig, PolicyCore};
 use crate::surrogate::SurrogateConfig;
@@ -112,27 +113,23 @@ impl AsyncPolicy for PessimisticAsyncPolicy {
         }
         // The pessimistic lie deliberately biases the mean near busy
         // points, so both moments come from the augmented model.
-        let w = self.w;
-        let u = fit.maximize(|inc| WeightedAcq { gp: inc.gp(), w });
+        let u = fit.maximize(
+            Score::Weighted(self.w),
+            Moments::Posterior,
+            Adjustment::None,
+        );
         fit.gp.pop_all_pseudo();
         fit.to_raw(&u)
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
-        let core = self.core.snapshot();
-        Some(crate::persistence::encode_pessimistic_state(
-            core.rng,
-            core.fallbacks,
-            self.lies,
-            &core.surrogate,
-        ))
+        Some(PESSIMISTIC_BLOB.encode([self.lies], &self.core.snapshot()))
     }
 
     fn restore_state(&mut self, state: &[u8]) -> Result<(), String> {
-        let blob =
-            crate::persistence::decode_pessimistic_state(state).map_err(|e| e.to_string())?;
-        self.core.restore(blob.core)?;
-        self.lies = blob.lies;
+        let ([lies], core) = PESSIMISTIC_BLOB.decode(state).map_err(|e| e.to_string())?;
+        self.core.restore(core)?;
+        self.lies = lies;
         Ok(())
     }
 }

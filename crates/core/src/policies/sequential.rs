@@ -5,7 +5,7 @@ use easybo_exec::{AsyncPolicy, BusyPoint, Dataset};
 use easybo_opt::Bounds;
 use serde::{Deserialize, Serialize};
 
-use crate::acquisition;
+use crate::acquisition::{Adjustment, Moments, Score};
 use crate::persistence::SEQUENTIAL_BLOB;
 use crate::policies::{AcqOptConfig, PolicyCore};
 use crate::surrogate::SurrogateConfig;
@@ -16,8 +16,6 @@ use crate::weight::sample_kappa_weight;
 pub enum SequentialAcquisition {
     /// Expected improvement (Mockus et al.).
     Ei,
-    /// Probability of improvement (Kushner).
-    Pi,
     /// GP-UCB, the paper's "LCB" optimistic strategy.
     Ucb {
         /// Exploration multiplier κ.
@@ -94,30 +92,25 @@ impl AsyncPolicy for SequentialBoPolicy {
         let Some(mut fit) = self.core.fit(data) else {
             return self.core.uniform();
         };
-        let best = data.best_value();
-        let acq = self.acquisition;
-        let w = match acq {
-            SequentialAcquisition::EasyBo { lambda } => sample_kappa_weight(lambda, fit.rng),
-            _ => 0.0,
-        };
-        let u = fit.maximize(|inc| {
-            let gp = inc.gp();
-            move |p: &[f64]| match acq {
-                SequentialAcquisition::Ei => acquisition::expected_improvement(gp, p, best),
-                SequentialAcquisition::Pi => acquisition::probability_of_improvement(gp, p, best),
-                SequentialAcquisition::Ucb { kappa } => acquisition::ucb(gp, p, kappa),
-                SequentialAcquisition::EasyBo { .. } => acquisition::weighted(gp, p, w),
+        let score = match self.acquisition {
+            SequentialAcquisition::Ei => {
+                Score::Ei(fit.gp.gp().scaler().transform(data.best_value()))
             }
-        });
+            SequentialAcquisition::Ucb { kappa } => Score::Ucb(kappa),
+            SequentialAcquisition::EasyBo { lambda } => {
+                Score::Weighted(sample_kappa_weight(lambda, fit.rng))
+            }
+        };
+        let u = fit.maximize(score, Moments::Posterior, Adjustment::None);
         fit.to_raw(&u)
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
-        Some(SEQUENTIAL_BLOB.encode(&self.core.snapshot()))
+        Some(SEQUENTIAL_BLOB.encode([], &self.core.snapshot()))
     }
 
     fn restore_state(&mut self, state: &[u8]) -> Result<(), String> {
-        let blob = SEQUENTIAL_BLOB.decode(state).map_err(|e| e.to_string())?;
+        let ([], blob) = SEQUENTIAL_BLOB.decode(state).map_err(|e| e.to_string())?;
         self.core.restore(blob)
     }
 }
@@ -158,12 +151,6 @@ mod tests {
     #[test]
     fn easybo_sequential_converges_to_peak() {
         assert!(run(SequentialAcquisition::EasyBo { lambda: 6.0 }, 5) > 0.95);
-    }
-
-    #[test]
-    fn pi_makes_progress() {
-        // PI is greedier; just require clear improvement over random init.
-        assert!(run(SequentialAcquisition::Pi, 6) > 0.8);
     }
 
     #[test]

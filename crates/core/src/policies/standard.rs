@@ -19,10 +19,9 @@
 //! like the rest of the portfolio.
 
 use easybo_exec::{AsyncPolicy, BusyPoint, Dataset};
-use easybo_gp::Gp;
 use easybo_opt::Bounds;
 
-use crate::acquisition::{expected_improvement, normal_cdf, normal_pdf};
+use crate::acquisition::{Adjustment, Moments, Score};
 use crate::persistence::STANDARD_BLOB;
 use crate::policies::{AcqOptConfig, PolicyCore};
 use crate::surrogate::SurrogateConfig;
@@ -81,56 +80,22 @@ impl StandardAsyncPolicy {
     }
 }
 
-/// [`expected_improvement`] packaged as a [`easybo_opt::BatchObjective`]:
-/// probe batches score through the GP's batched standardized posterior,
-/// bit-identical per point to the scalar call (busy points never enter).
-struct EiAcq<'a> {
-    gp: &'a Gp,
-    /// Incumbent in raw units (the scalar EI transforms it internally).
-    best: f64,
-}
-
-impl easybo_opt::BatchObjective for EiAcq<'_> {
-    fn eval(&self, x: &[f64]) -> f64 {
-        expected_improvement(self.gp, x, self.best)
-    }
-
-    fn eval_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        let best_z = self.gp.scaler().transform(self.best);
-        self.gp
-            .predict_standardized_batch(xs)
-            .into_iter()
-            .map(|(mu_z, var_z)| {
-                let sigma = var_z.max(0.0).sqrt();
-                if sigma < 1e-12 {
-                    (mu_z - best_z).max(0.0)
-                } else {
-                    let z = (mu_z - best_z) / sigma;
-                    sigma * (z * normal_cdf(z) + normal_pdf(z))
-                }
-            })
-            .collect()
-    }
-}
-
 impl AsyncPolicy for StandardAsyncPolicy {
     fn select_next(&mut self, data: &Dataset, _busy: &[BusyPoint]) -> Vec<f64> {
         let Some(mut fit) = self.core.fit(data) else {
             return self.core.uniform();
         };
-        // Incumbent in raw units; the EI transforms it through the GP's
-        // target scaler internally.
-        let best = data.best_value();
-        let u = fit.maximize(|inc| EiAcq { gp: inc.gp(), best });
+        let best_z = fit.gp.gp().scaler().transform(data.best_value());
+        let u = fit.maximize(Score::Ei(best_z), Moments::Posterior, Adjustment::None);
         fit.to_raw(&u)
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
-        Some(STANDARD_BLOB.encode(&self.core.snapshot()))
+        Some(STANDARD_BLOB.encode([], &self.core.snapshot()))
     }
 
     fn restore_state(&mut self, state: &[u8]) -> Result<(), String> {
-        let blob = STANDARD_BLOB.decode(state).map_err(|e| e.to_string())?;
+        let ([], blob) = STANDARD_BLOB.decode(state).map_err(|e| e.to_string())?;
         self.core.restore(blob)
     }
 }

@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 use easybo_exec::{Dataset, SyncBatchPolicy};
 use easybo_opt::Bounds;
 
-use crate::acquisition::{self, PenalizedAcqInc, WeightedAcq};
+use crate::acquisition::{Adjustment, Moments, Score};
 use crate::policies::{AcqOptConfig, PolicyCore};
 use crate::surrogate::SurrogateConfig;
 use crate::weight::{sample_kappa_weight, WeightSchedule, DEFAULT_LAMBDA};
@@ -85,27 +85,6 @@ impl PboPolicy {
     }
 }
 
-/// Eq. 6 high-coverage penalty of pHCBO against a weight-index history:
-/// `N_HC · (Π_j exp[(d/d_x)^10])^(1/|hist|)` with `N_HC = 1`, evaluated in
-/// log space to avoid overflow.
-fn hc_penalty(hist: &[Vec<f64>], d: f64, u: &[f64]) -> f64 {
-    if hist.is_empty() {
-        return 0.0;
-    }
-    let mut log_sum = 0.0;
-    for past in hist {
-        let dx: f64 = past
-            .iter()
-            .zip(u.iter())
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt()
-            .max(1e-9);
-        log_sum += (d / dx).powi(10).min(700.0);
-    }
-    (log_sum / hist.len() as f64).min(700.0).exp()
-}
-
 impl SyncBatchPolicy for PboPolicy {
     fn select_batch(&mut self, data: &Dataset, batch_size: usize) -> Vec<Vec<f64>> {
         let Some(mut fit) = self.core.fit(data) else {
@@ -117,16 +96,15 @@ impl SyncBatchPolicy for PboPolicy {
         let weights = WeightSchedule::UniformGrid.batch(batch_size, fit.rng);
         let mut batch = Vec::with_capacity(batch_size);
         for (i, w) in weights.into_iter().enumerate() {
-            let hist: Vec<Vec<f64>> = if self.high_coverage {
-                self.history[i].iter().cloned().collect()
+            let adjustment = if self.high_coverage {
+                Adjustment::Coverage {
+                    history: self.history[i].make_contiguous(),
+                    distance: self.hc_distance,
+                }
             } else {
-                Vec::new()
+                Adjustment::None
             };
-            let hc_d = self.hc_distance;
-            let u = fit.maximize(|inc| {
-                let gp = inc.gp();
-                move |p: &[f64]| acquisition::weighted(gp, p, w) - hc_penalty(&hist, hc_d, p)
-            });
+            let u = fit.maximize(Score::Weighted(w), Moments::Posterior, adjustment);
             if self.high_coverage {
                 let h = &mut self.history[i];
                 if h.len() == HC_HISTORY {
@@ -196,13 +174,16 @@ impl SyncBatchPolicy for EasyBoSyncPolicy {
         for _ in 0..batch_size {
             let w = sample_kappa_weight(self.lambda, fit.rng);
             let u = if self.penalize {
-                let u = fit.maximize(|inc| PenalizedAcqInc { inc, w });
+                let eq9 = Moments::Penalized {
+                    raw_round_trip: true,
+                };
+                let u = fit.maximize(Score::Weighted(w), eq9, Adjustment::None);
                 // Hallucinate the new member so later members avoid it; a
                 // degenerate (duplicated) push is skipped.
                 let _ = fit.gp.push_pseudo_mean(u.clone());
                 u
             } else {
-                fit.maximize(|inc| WeightedAcq { gp: inc.gp(), w })
+                fit.maximize(Score::Weighted(w), Moments::Posterior, Adjustment::None)
             };
             batch.push(fit.to_raw(&u));
         }
@@ -331,6 +312,13 @@ mod tests {
 
     #[test]
     fn hc_penalty_explodes_near_history() {
+        let hc_penalty = |hist: &[Vec<f64>], distance: f64, u: &[f64]| {
+            -Adjustment::Coverage {
+                history: hist,
+                distance,
+            }
+            .apply(0.0, u)
+        };
         let hist = vec![vec![0.5, 0.5]];
         let d = 0.1 * 2f64.sqrt();
         let near = hc_penalty(&hist, d, &[0.5001, 0.5]);

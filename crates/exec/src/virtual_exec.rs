@@ -725,21 +725,17 @@ mod tests {
     }
 
     #[test]
-    fn none_policy_is_bit_identical_to_legacy_entry_point() {
-        let bb = toy_bb(0.3);
-        let exec = VirtualExecutor::new(3);
-        let init = vec![vec![0.4], vec![0.6]];
-        let legacy = exec.run_async(&bb, &init, 12, &mut CenterPolicy);
-        let resilient = exec.run_async_resilient(
-            &bb,
-            &init,
-            12,
-            &mut CenterPolicy,
-            &RetryPolicy::none(),
-            &Telemetry::disabled(),
-        );
-        assert_eq!(legacy.data, resilient.data);
-        assert_eq!(legacy.trace, resilient.trace);
-        assert_eq!(legacy.schedule, resilient.schedule);
+    fn run_async_records_every_failed_first_attempt_raw() {
+        // `run_async` runs under `RetryPolicy::none()`: one attempt per
+        // task, no retry, the failed attempt's raw value recorded. Any
+        // retry would add a second span per task and a finite value.
+        let bb = flaky_bb(1); // first attempt always fails
+        let max_evals = 7;
+        let r = VirtualExecutor::new(3).run_async(&bb, &[vec![0.1]], max_evals, &mut CenterPolicy);
+        let spans = r.schedule.spans();
+        assert_eq!(spans.len(), max_evals);
+        assert!(spans.iter().all(|s| s.failed));
+        assert_eq!(r.data.len(), max_evals);
+        assert!(r.data.ys().iter().all(|y| y.is_nan()), "{:?}", r.data.ys());
     }
 }
