@@ -22,6 +22,9 @@ echo "==> exact-bits suites of the GP and acquisition hot path, the trajectory-d
 cargo test --release -q -p easybo-linalg -p easybo-gp -p easybo-persist -p easybo
 cargo test --release -q -p easybo-integration --test incremental
 
+echo "==> kill-and-resume suite under release arithmetic (restores replay the Cholesky factor)"
+cargo test --release -q -p easybo-integration --test resume
+
 echo "==> threaded run replays through the virtual executor under release timing"
 cargo test --release -q -p easybo-integration --test fault_injection threaded_run_replays
 

@@ -2,7 +2,9 @@
 //!
 //! Measures what the persistence layer costs: a full `EasyBo` run with
 //! snapshots written every completed evaluation vs the same run with
-//! checkpointing disabled — the worst-case (k = 1) write amplification.
+//! checkpointing disabled — the worst-case (k = 1) write amplification —
+//! and what a restore pays to replay a class-E-size GP factor instead of
+//! reading it back stored.
 //!
 //! Prints a table and writes `BENCH_checkpoint.json` at the repository
 //! root with the measured times, relative overheads, snapshot size, and
@@ -14,7 +16,9 @@ use std::time::Instant;
 
 use easybo::EasyBo;
 use easybo_bench::{bench_report, write_bench_report, BenchRecord};
-use easybo_opt::Bounds;
+use easybo_gp::{Gp, GpFactor, GpState, KernelFamily};
+use easybo_opt::{sampling, Bounds};
+use rand::SeedableRng;
 
 fn objective(x: &[f64]) -> f64 {
     (-((x[0] - 0.35).powi(2) + (x[1] - 0.65).powi(2))).exp()
@@ -60,6 +64,61 @@ fn bench_checkpoint_writes(rows: &mut Vec<BenchRecord>, reps: usize) -> u64 {
     snapshot_bytes
 }
 
+/// `Gp::from_state` at class-E size (260 fitted points plus 14 appended,
+/// d = 12): the factor replayed from `n_factored` vs the same state with
+/// its 274² factor stored. Identical when the replayed factor and the
+/// restored state match the live model bit for bit.
+fn bench_gp_restore(rows: &mut Vec<BenchRecord>, reps: usize) {
+    let d = 12;
+    let bounds = Bounds::unit_cube(d).expect("unit cube");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    let xs = sampling::uniform(&bounds, 274, &mut rng);
+    let y = |x: &[f64]| {
+        x.iter()
+            .enumerate()
+            .map(|(j, v)| (v * (j + 1) as f64).sin())
+            .sum()
+    };
+    let (fit, appended) = xs.split_at(260);
+    let ys = fit.iter().map(|x| y(x)).collect();
+    let mut theta = vec![-0.5; d];
+    theta.push(0.3);
+    let mut gp = Gp::fit_with_params(
+        fit.to_vec(),
+        ys,
+        KernelFamily::SquaredExponential,
+        theta,
+        (1e-6f64).ln(),
+    )
+    .expect("fits");
+    for x in appended {
+        gp = gp.extend_observed(x.clone(), y(x)).expect("appends");
+    }
+    let replay = gp.state();
+    let stored = GpState {
+        factor: GpFactor::Stored(gp.cholesky().factor().as_slice().to_vec()),
+        ..replay.clone()
+    };
+    let (stored_s, _) = time_best(reps, || Gp::from_state(stored.clone()).expect("restores"));
+    let (replay_s, back) = time_best(reps, || Gp::from_state(replay.clone()).expect("replays"));
+    rows.push(BenchRecord::from_seconds(
+        format!("gp_restore_replay_vs_stored_n{}_d{d}", gp.n_train()),
+        stored_s,
+        replay_s,
+        back.state() == replay && factor_bits(&back) == factor_bits(&gp),
+    ));
+}
+
+/// Bit patterns of a model's Cholesky factor and its jitter.
+fn factor_bits(gp: &Gp) -> Vec<u64> {
+    let chol = gp.cholesky();
+    let factor = chol.factor().as_slice().iter();
+    factor
+        .chain([&chol.jitter()])
+        .map(|v| v.to_bits())
+        .collect()
+}
+
 fn main() {
     let reps: usize = std::env::var("EASYBO_REPS")
         .ok()
@@ -69,6 +128,7 @@ fn main() {
 
     let mut rows = Vec::new();
     let snapshot_bytes = bench_checkpoint_writes(&mut rows, reps);
+    bench_gp_restore(&mut rows, reps);
 
     println!(
         "{:<40} {:>12} {:>12} {:>10} {:>10}",
@@ -90,9 +150,12 @@ fn main() {
         "checkpoint",
         reps,
         &format!(
-            "baseline = checkpointing disabled, candidate = snapshot-per-eval; best-of-reps \
-             wall clock. Identical rows compare the full best-so-far trace and dataset bit \
-             for bit. snapshot_bytes at max_evals=24, d=2: {snapshot_bytes}."
+            "checkpoint rows: baseline = checkpointing disabled, candidate = \
+             snapshot-per-eval; identical compares the full best-so-far trace and dataset \
+             bit for bit. gp_restore rows: baseline = restore with the factor stored, \
+             candidate = restore replaying it (a cost, not a gain: the state is 274^2 * 8 \
+             bytes smaller); identical compares the restored factor and state bit for bit. \
+             Best-of-reps wall clock. snapshot_bytes at max_evals=24, d=2: {snapshot_bytes}."
         ),
         &rows,
     );
@@ -101,6 +164,6 @@ fn main() {
 
     assert!(
         rows.iter().all(|r| r.identical),
-        "checkpoint-instrumented runs must be bit-identical to the plain path"
+        "checkpoint-instrumented runs and replayed restores must be bit-identical"
     );
 }

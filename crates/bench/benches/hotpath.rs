@@ -16,7 +16,7 @@ use std::time::Instant;
 use easybo::acquisition::{Acquisition, Moments, Score};
 use easybo_bench::{bench_report, host_threads, write_bench_report, BenchRecord};
 use easybo_gp::{Gp, GpConfig, IncrementalGp, KernelFamily, TrainConfig};
-use easybo_linalg::{Cholesky, Matrix, Vector};
+use easybo_linalg::Vector;
 use easybo_opt::{sampling, BatchObjective, Bounds, MultiStartMaximizer, Parallelism};
 use rand::SeedableRng;
 
@@ -92,13 +92,14 @@ fn bench_predict_batch(rows: &mut Vec<BenchRecord>, reps: usize, label: &str, n:
 /// bit.
 fn unblocked_posterior(gp: &Gp, probes: &[Vec<f64>]) -> Vec<(f64, f64)> {
     let s = gp.state();
+    let factor = gp.cholesky().factor().as_slice();
     let n = s.x.len();
     let m = probes.len();
     let kstar = gp.kernel().cross_covariance(gp.theta(), &s.x, probes);
     let mut v = kstar.clone();
     let data = v.as_mut_slice();
     for i in 0..n {
-        let li = &s.chol_factor[i * n..(i + 1) * n];
+        let li = &factor[i * n..(i + 1) * n];
         let (done, rest) = data.split_at_mut(i * m);
         let yi = &mut rest[..m];
         for (k, &lik) in li[..i].iter().enumerate() {
@@ -242,8 +243,7 @@ fn bench_hoisted_row(rows: &mut Vec<BenchRecord>, reps: usize) {
     let gp = inc.gp();
     let s = gp.state();
     let n = s.x.len();
-    let factor = Matrix::from_vec(n, n, s.chol_factor).expect("square factor");
-    let chol = Cholesky::from_parts(factor, s.chol_jitter).expect("valid factor");
+    let chol = gp.cholesky();
     let base_alpha = inc.clone().into_gp().state().alpha;
     let (kernel, theta, scaler) = (gp.kernel(), gp.theta(), gp.scaler());
     let per_pair = |x: &[f64]| {

@@ -4,20 +4,55 @@
 //! byte section so executors stay free of persistence concerns; this
 //! module defines what those bytes *are* for [`EasyBoAsyncPolicy`]: a
 //! versioned little-endian blob carrying the RNG stream, the fallback
-//! counter, and the surrogate manager's exact cached state (GP
-//! factorization included). It also provides the FNV-1a configuration
-//! fingerprint that guards resume against mismatched optimizer settings.
+//! counter, and the surrogate manager's exact cached state. It also
+//! provides the FNV-1a configuration fingerprint that guards resume
+//! against mismatched optimizer settings.
+//!
+//! Every blob layout went from version 1 to version 2 in one step, and
+//! the GP state is the only part that changed. Version 1 stores each
+//! GP's Cholesky factor as a full `n×n` square. Version 2 stores a tag
+//! instead: either the number of rows of the last full factorization,
+//! from which [`Gp::from_state`] replays the factor, or (for a GP that
+//! was itself restored from version 1 and not refitted since) the factor
+//! verbatim. Decoders read both versions; encoders write version 2.
+//!
+//! [`Gp::from_state`]: easybo_gp::Gp::from_state
 //!
 //! [`EasyBoAsyncPolicy`]: crate::policies::EasyBoAsyncPolicy
 
-use easybo_gp::{GpState, KernelFamily};
+use easybo_gp::{GpFactor, GpState, KernelFamily};
 use easybo_persist::{ByteReader, ByteWriter, PersistError};
 
 use crate::surrogate::SurrogateState;
 
 /// Version stamp of the policy blob layout. Bump on any layout change;
-/// resume refuses blobs from other versions.
-pub(crate) const POLICY_BLOB_VERSION: u32 = 1;
+/// resume refuses blobs from versions other than this one and
+/// [`STORED_FACTOR_VERSION`].
+pub(crate) const POLICY_BLOB_VERSION: u32 = 2;
+
+/// The version of every blob layout whose GP states store the Cholesky
+/// factor verbatim; decoders still read it.
+const STORED_FACTOR_VERSION: u32 = 1;
+
+/// How a blob version lays out each GP state's Cholesky factor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FactorLayout {
+    /// [`STORED_FACTOR_VERSION`]: the factor as an `f64` vector.
+    Verbatim,
+    /// Later versions: tag 0 then `n_factored`, or tag 1 then the factor.
+    Tagged,
+}
+
+impl FactorLayout {
+    /// The layout of a blob `version` that its decoder accepted.
+    fn of(version: u32) -> Self {
+        if version == STORED_FACTOR_VERSION {
+            FactorLayout::Verbatim
+        } else {
+            FactorLayout::Tagged
+        }
+    }
+}
 
 /// The snapshot core every policy blob ends with: the whole of an
 /// [`EasyBoAsyncPolicy`] blob after its version word, and the `core` of
@@ -65,13 +100,35 @@ fn put_gp_state(w: &mut ByteWriter, s: &GpState) {
     w.put_f64s(&s.z);
     w.put_f64(s.scaler_mean);
     w.put_f64(s.scaler_std);
-    w.put_f64s(&s.chol_factor);
+    match &s.factor {
+        GpFactor::Replay { n_factored } => {
+            w.put_u8(0);
+            w.put_usize(*n_factored);
+        }
+        GpFactor::Stored(l) => {
+            w.put_u8(1);
+            w.put_f64s(l);
+        }
+    }
     w.put_f64(s.chol_jitter);
     w.put_f64s(&s.alpha);
     w.put_usize(s.n_real);
 }
 
-fn get_gp_state(r: &mut ByteReader<'_>) -> Result<GpState, PersistError> {
+fn get_factor(r: &mut ByteReader<'_>, layout: FactorLayout) -> Result<GpFactor, PersistError> {
+    if layout == FactorLayout::Verbatim {
+        return Ok(GpFactor::Stored(r.get_f64s()?));
+    }
+    Ok(match r.get_u8()? {
+        0 => GpFactor::Replay {
+            n_factored: r.get_usize()?,
+        },
+        1 => GpFactor::Stored(r.get_f64s()?),
+        t => return Err(PersistError::decode(format!("unknown GP factor tag {t}"))),
+    })
+}
+
+fn get_gp_state(r: &mut ByteReader<'_>, layout: FactorLayout) -> Result<GpState, PersistError> {
     let kernel = kernel_from_tag(r.get_u8()?)?;
     let dim = r.get_usize()?;
     let theta = r.get_f64s()?;
@@ -90,7 +147,7 @@ fn get_gp_state(r: &mut ByteReader<'_>) -> Result<GpState, PersistError> {
         z: r.get_f64s()?,
         scaler_mean: r.get_f64()?,
         scaler_std: r.get_f64()?,
-        chol_factor: r.get_f64s()?,
+        factor: get_factor(r, layout)?,
         chol_jitter: r.get_f64()?,
         alpha: r.get_f64s()?,
         n_real: r.get_usize()?,
@@ -118,7 +175,10 @@ fn put_surrogate_state(w: &mut ByteWriter, s: &SurrogateState) {
     }
 }
 
-fn get_surrogate_state(r: &mut ByteReader<'_>) -> Result<SurrogateState, PersistError> {
+fn get_surrogate_state(
+    r: &mut ByteReader<'_>,
+    layout: FactorLayout,
+) -> Result<SurrogateState, PersistError> {
     let fitted_n = r.get_usize()?;
     let last_trained_n = r.get_usize()?;
     let fence = r.get_f64()?;
@@ -128,7 +188,7 @@ fn get_surrogate_state(r: &mut ByteReader<'_>) -> Result<SurrogateState, Persist
         None
     };
     let gp = if r.get_bool()? {
-        Some(get_gp_state(r)?)
+        Some(get_gp_state(r, layout)?)
     } else {
         None
     };
@@ -157,13 +217,13 @@ pub(crate) fn encode_policy_state(
 pub(crate) fn decode_policy_state(bytes: &[u8]) -> Result<PolicyStateBlob, PersistError> {
     let mut r = ByteReader::new(bytes);
     let version = r.get_u32()?;
-    if version != POLICY_BLOB_VERSION {
+    if version != POLICY_BLOB_VERSION && version != STORED_FACTOR_VERSION {
         return Err(PersistError::decode(format!(
             "policy blob version {version} is not supported (this build reads \
-             version {POLICY_BLOB_VERSION})"
+             versions {STORED_FACTOR_VERSION} and {POLICY_BLOB_VERSION})"
         )));
     }
-    let core = get_policy_core(&mut r)?;
+    let core = get_policy_core(&mut r, FactorLayout::of(version))?;
     r.finish("policy state blob")?;
     Ok(core)
 }
@@ -178,7 +238,8 @@ pub(crate) fn decode_policy_state(bytes: &[u8]) -> Result<PolicyStateBlob, Persi
 // expected policy and what was found — it can never be half-decoded as
 // a different policy's state. Each layout carries its own version
 // constant; bump it on any layout change and keep the failure message
-// (pinned by `tests/tests/resume.rs`) in sync.
+// (pinned by `tests/tests/resume.rs`) in sync. Each decoder also reads
+// its layout's `STORED_FACTOR_VERSION`.
 // ---------------------------------------------------------------------
 
 /// Shared core of every policy blob: RNG words, fallback counter,
@@ -191,13 +252,16 @@ fn put_policy_core(w: &mut ByteWriter, rng: [u64; 4], fallbacks: usize, s: &Surr
     put_surrogate_state(w, s);
 }
 
-fn get_policy_core(r: &mut ByteReader<'_>) -> Result<PolicyStateBlob, PersistError> {
+fn get_policy_core(
+    r: &mut ByteReader<'_>,
+    layout: FactorLayout,
+) -> Result<PolicyStateBlob, PersistError> {
     let mut rng = [0u64; 4];
     for word in &mut rng {
         *word = r.get_u64()?;
     }
     let fallbacks = r.get_usize()?;
-    let surrogate = get_surrogate_state(r)?;
+    let surrogate = get_surrogate_state(r, layout)?;
     Ok(PolicyStateBlob {
         rng,
         fallbacks,
@@ -205,14 +269,15 @@ fn get_policy_core(r: &mut ByteReader<'_>) -> Result<PolicyStateBlob, PersistErr
     })
 }
 
-/// Checks a portfolio blob's kind tag and layout version; the error
-/// messages are part of the kill/resume contract and pinned by tests.
+/// Checks a portfolio blob's kind tag and layout version, returning the
+/// factor layout of the version found; the error messages are part of
+/// the kill/resume contract and pinned by tests.
 fn check_tag_and_version(
     r: &mut ByteReader<'_>,
     policy: &str,
     tag: u32,
     version: u32,
-) -> Result<(), PersistError> {
+) -> Result<FactorLayout, PersistError> {
     let found = r.get_u32()?;
     if found != tag {
         return Err(PersistError::decode(format!(
@@ -220,13 +285,13 @@ fn check_tag_and_version(
         )));
     }
     let v = r.get_u32()?;
-    if v != version {
+    if v != version && v != STORED_FACTOR_VERSION {
         return Err(PersistError::decode(format!(
             "{policy} policy blob version {v} is not supported (this build reads \
-             version {version})"
+             versions {STORED_FACTOR_VERSION} and {version})"
         )));
     }
-    Ok(())
+    Ok(FactorLayout::of(v))
 }
 
 /// The layout of a kind-tagged policy blob that holds the policy core
@@ -241,41 +306,41 @@ pub(crate) struct CoreBlob<const N: usize> {
     policy: &'static str,
 }
 
-/// [`StandardAsyncPolicy`] blobs: `STDB` v1.
+/// [`StandardAsyncPolicy`] blobs: `STDB` v2.
 ///
 /// [`StandardAsyncPolicy`]: crate::policies::StandardAsyncPolicy
 pub(crate) const STANDARD_BLOB: CoreBlob<0> = CoreBlob {
     tag: u32::from_le_bytes(*b"STDB"),
-    version: 1,
+    version: 2,
     policy: "standard-acquisition",
 };
 
-/// [`SequentialBoPolicy`] blobs: `SEQB` v1.
+/// [`SequentialBoPolicy`] blobs: `SEQB` v2.
 ///
 /// [`SequentialBoPolicy`]: crate::policies::SequentialBoPolicy
 pub(crate) const SEQUENTIAL_BLOB: CoreBlob<0> = CoreBlob {
     tag: u32::from_le_bytes(*b"SEQB"),
-    version: 1,
+    version: 2,
     policy: "sequential",
 };
 
-/// [`EpsGreedyPolicy`] blobs: `EPSG` v1, counting explores then
+/// [`EpsGreedyPolicy`] blobs: `EPSG` v2, counting explores then
 /// exploits.
 ///
 /// [`EpsGreedyPolicy`]: crate::policies::EpsGreedyPolicy
 pub(crate) const EPS_GREEDY_BLOB: CoreBlob<2> = CoreBlob {
     tag: u32::from_le_bytes(*b"EPSG"),
-    version: 1,
+    version: 2,
     policy: "eps-greedy",
 };
 
-/// [`PessimisticAsyncPolicy`] blobs: `PESS` v1, counting the lies
+/// [`PessimisticAsyncPolicy`] blobs: `PESS` v2, counting the lies
 /// hallucinated onto busy points.
 ///
 /// [`PessimisticAsyncPolicy`]: crate::policies::PessimisticAsyncPolicy
 pub(crate) const PESSIMISTIC_BLOB: CoreBlob<1> = CoreBlob {
     tag: u32::from_le_bytes(*b"PESS"),
-    version: 1,
+    version: 2,
     policy: "pessimistic",
 };
 
@@ -296,12 +361,12 @@ impl<const N: usize> CoreBlob<N> {
     /// tag or version with a message naming the policy.
     pub(crate) fn decode(&self, bytes: &[u8]) -> Result<([u64; N], PolicyStateBlob), PersistError> {
         let mut r = ByteReader::new(bytes);
-        check_tag_and_version(&mut r, self.policy, self.tag, self.version)?;
+        let layout = check_tag_and_version(&mut r, self.policy, self.tag, self.version)?;
         let mut counters = [0; N];
         for c in &mut counters {
             *c = r.get_u64()?;
         }
-        let core = get_policy_core(&mut r)?;
+        let core = get_policy_core(&mut r, layout)?;
         r.finish(&format!("{} policy state blob", self.policy))?;
         Ok((counters, core))
     }
@@ -314,7 +379,7 @@ pub(crate) const CONSTRAINED_BLOB_TAG: u32 = u32::from_le_bytes(*b"CNST");
 /// Layout version of [`ConstrainedPolicy`] blobs.
 ///
 /// [`ConstrainedPolicy`]: crate::constrained::ConstrainedPolicy
-pub(crate) const CONSTRAINED_BLOB_VERSION: u32 = 1;
+pub(crate) const CONSTRAINED_BLOB_VERSION: u32 = 2;
 
 /// Decoded state of a [`ConstrainedPolicy`] blob. Slack observations are
 /// *not* serialized: they are a pure deterministic function of the
@@ -337,7 +402,7 @@ pub(crate) struct ConstrainedStateBlob {
     pub constraints: Vec<SurrogateState>,
 }
 
-/// Encodes [`ConstrainedPolicy`] state (layout `CNST` v1).
+/// Encodes [`ConstrainedPolicy`] state (layout `CNST` v2).
 ///
 /// [`ConstrainedPolicy`]: crate::constrained::ConstrainedPolicy
 pub(crate) fn encode_constrained_state(
@@ -372,7 +437,7 @@ pub(crate) fn encode_constrained_state(
 /// Decodes a blob written by [`encode_constrained_state`].
 pub(crate) fn decode_constrained_state(bytes: &[u8]) -> Result<ConstrainedStateBlob, PersistError> {
     let mut r = ByteReader::new(bytes);
-    check_tag_and_version(
+    let layout = check_tag_and_version(
         &mut r,
         "constrained",
         CONSTRAINED_BLOB_TAG,
@@ -388,9 +453,9 @@ pub(crate) fn decode_constrained_state(bytes: &[u8]) -> Result<ConstrainedStateB
     let k = r.get_u32()? as usize;
     let mut constraints = Vec::with_capacity(k.min(1024));
     for _ in 0..k {
-        constraints.push(get_surrogate_state(&mut r)?);
+        constraints.push(get_surrogate_state(&mut r, layout)?);
     }
-    let core = get_policy_core(&mut r)?;
+    let core = get_policy_core(&mut r, layout)?;
     r.finish("constrained policy state blob")?;
     Ok(ConstrainedStateBlob {
         core,
@@ -498,7 +563,7 @@ mod tests {
                 z: vec![-1.0, 1.0],
                 scaler_mean: 0.25,
                 scaler_std: 2.0,
-                chol_factor: vec![1.0, 0.0, 0.5, 0.9],
+                factor: GpFactor::Replay { n_factored: 1 },
                 chol_jitter: 1e-10,
                 alpha: vec![0.7, -0.3],
                 n_real: 2,
@@ -603,14 +668,93 @@ mod tests {
         let pess = encode_pessimistic_state([7, 7, 7, 7], 0, 12, &state);
         assert_eq!(
             (eps.len(), blob_digest(&eps)),
-            (347, 0x86be_9785_cdc7_9e4f),
-            "EPSG v1 bytes"
+            (316, 0xb974_32e5_76cf_9a1b),
+            "EPSG v2 bytes"
         );
         assert_eq!(
             (pess.len(), blob_digest(&pess)),
-            (339, 0xb4a6_9c14_d24d_7875),
-            "PESS v1 bytes"
+            (308, 0xa74d_98f3_3723_fb15),
+            "PESS v2 bytes"
         );
+    }
+
+    /// The committed version-1 `EPSG` and `PESS` blobs of
+    /// [`sample_surrogate_state`] (written before factor replay, with its
+    /// factor `[1, 0, 0.5, 0.9]`) decode to a stored factor and re-encode
+    /// as the committed version-2 goldens. Regenerate the version-2 files
+    /// after an intentional layout change with
+    /// `EASYBO_REGEN_GOLDEN=1 cargo test -p easybo --lib v1_counter_blobs`.
+    #[test]
+    fn v1_counter_blobs_migrate_to_stored_factors() {
+        let data = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/data/");
+        let migrate = |v1: &[u8], v2_name: &str, reencode: &dyn Fn(&[u8]) -> Vec<u8>| {
+            let v2 = reencode(v1);
+            assert_eq!(&v2[..4], &v1[..4], "{v2_name}: kind tag");
+            assert_eq!((v1[4], v2[4]), (1, 2), "{v2_name}: version word");
+            let path = format!("{data}{v2_name}");
+            if std::env::var("EASYBO_REGEN_GOLDEN").is_ok() {
+                std::fs::write(&path, &v2).unwrap();
+            }
+            assert_eq!(v2, std::fs::read(&path).unwrap(), "{v2_name}");
+            // Version 2 round-trips byte for byte.
+            assert_eq!(reencode(&v2), v2, "{v2_name}");
+        };
+        let stored = |core: &PolicyStateBlob| {
+            let gp = core.surrogate.gp.as_ref().expect("the fixture has a GP");
+            assert_eq!(gp.factor, GpFactor::Stored(vec![1.0, 0.0, 0.5, 0.9]));
+        };
+        migrate(
+            include_bytes!("../../../tests/data/golden_epsg_v1.blob"),
+            "golden_epsg_v2.blob",
+            &|bytes| {
+                let ([explores, exploits], core) = decode_eps_greedy_state(bytes).unwrap();
+                assert_eq!(
+                    (core.rng, core.fallbacks, explores, exploits),
+                    ([4, 3, 2, 1], 2, 9, 31)
+                );
+                stored(&core);
+                encode_eps_greedy_state(
+                    core.rng,
+                    core.fallbacks,
+                    explores,
+                    exploits,
+                    &core.surrogate,
+                )
+            },
+        );
+        migrate(
+            include_bytes!("../../../tests/data/golden_pess_v1.blob"),
+            "golden_pess_v2.blob",
+            &|bytes| {
+                let ([lies], core) = decode_pessimistic_state(bytes).unwrap();
+                assert_eq!((core.rng, core.fallbacks, lies), ([7; 4], 0, 12));
+                stored(&core);
+                encode_pessimistic_state(core.rng, core.fallbacks, lies, &core.surrogate)
+            },
+        );
+    }
+
+    #[test]
+    fn stored_factors_round_trip_and_unknown_factor_tags_are_rejected() {
+        let mut state = sample_surrogate_state();
+        if let Some(gp) = state.gp.as_mut() {
+            gp.factor = GpFactor::Stored(vec![1.0, 0.0, 0.5, 0.9]);
+        }
+        let bytes = encode_policy_state([1, 2, 3, 4], 0, &state);
+        let blob = decode_policy_state(&bytes).unwrap();
+        assert_eq!(encode_policy_state(blob.rng, 0, &blob.surrogate), bytes);
+        // The factor tag sits right after the scaler's std, which is the
+        // only 2.0 in the blob.
+        let at = bytes
+            .windows(8)
+            .position(|w| w == 2.0f64.to_le_bytes())
+            .expect("scaler std")
+            + 8;
+        assert_eq!(bytes[at], 1, "stored-factor tag");
+        let mut bad = bytes.clone();
+        bad[at] = 7;
+        let err = decode_policy_state(&bad).unwrap_err().to_string();
+        assert!(err.contains("unknown GP factor tag 7"), "{err}");
     }
 
     #[test]

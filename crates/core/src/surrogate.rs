@@ -268,10 +268,10 @@ impl SurrogateManager {
         }
     }
 
-    /// Restores state captured by [`SurrogateManager::state`]. The GP is
-    /// rebuilt from its exact cached factorization, so subsequent
-    /// predictions and incremental extensions are bit-identical to the
-    /// uninterrupted run.
+    /// Restores state captured by [`SurrogateManager::state`]. The GP's
+    /// factor is replayed bit for bit (see [`easybo_gp::GpState`]), so
+    /// subsequent predictions and incremental extensions are
+    /// bit-identical to the uninterrupted run.
     ///
     /// # Errors
     ///
@@ -347,7 +347,7 @@ pub struct SurrogateState {
     pub warm: Option<Vec<f64>>,
     /// Lower winsorization fence applied to targets.
     pub fence: f64,
-    /// The cached GP, exact factorization included.
+    /// The cached GP, from which its factor is replayed.
     pub gp: Option<GpState>,
 }
 

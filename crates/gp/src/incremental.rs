@@ -254,7 +254,7 @@ mod tests {
     use super::*;
     use crate::model::mean_batch;
     use crate::model::tests::posterior_per_pair;
-    use crate::KernelFamily;
+    use crate::{GpFactor, KernelFamily};
 
     fn fitted() -> Gp {
         let x: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64 / 9.0]).collect();
@@ -330,16 +330,114 @@ mod tests {
             .collect()
     }
 
-    /// Bit patterns of every float in a model's state.
+    /// Bit patterns of every float in a model's state and its factor.
     fn state_bits(gp: &Gp) -> Vec<u64> {
         let s = gp.state();
         let rows = s.x.iter().flatten();
         rows.chain(&s.z)
-            .chain(&s.chol_factor)
+            .chain(gp.cholesky().factor().as_slice())
             .chain(&s.alpha)
             .chain(&s.theta)
             .map(|v| v.to_bits())
             .collect()
+    }
+
+    /// [`Gp::from_state`] of a replay state against the live model: the
+    /// state, the factor, its jitter, `α` and the posterior at `probes`,
+    /// bit for bit.
+    fn assert_replays(gp: &Gp, probes: &[Vec<f64>], at: &str) {
+        let state = gp.state();
+        assert!(
+            matches!(state.factor, GpFactor::Replay { .. }),
+            "{at}: {:?}",
+            state.factor
+        );
+        let replayed = Gp::from_state(state.clone()).unwrap_or_else(|e| panic!("{at}: {e}"));
+        assert_eq!(replayed.state(), state, "{at}");
+        assert_eq!(state_bits(&replayed), state_bits(gp), "{at}");
+        let (live, back) = (gp.cholesky(), replayed.cholesky());
+        assert_eq!(live.jitter().to_bits(), back.jitter().to_bits(), "{at}");
+        for (j, q) in probes.iter().enumerate() {
+            let (a, b) = (gp.predict_standardized(q), replayed.predict_standardized(q));
+            assert_eq!(
+                (a.0.to_bits(), a.1.to_bits()),
+                (b.0.to_bits(), b.1.to_bits()),
+                "{at} probe {j}"
+            );
+        }
+    }
+
+    #[test]
+    fn replayed_state_is_bitwise_the_live_model() {
+        let probes = cube_points(8, 9);
+        for family in FAMILIES {
+            for (n_factored, appends) in [(1, 0), (1, 40), (8, 3), (33, 40), (120, 12)] {
+                let at = format!("{family:?} n_factored={n_factored} appends={appends}");
+                let mut inc = IncrementalGp::new(class_e_gp(family, n_factored));
+                for (i, p) in cube_points(appends, 5).into_iter().enumerate() {
+                    // Pseudo-points pushed and popped between appends leave
+                    // no trace in the factor a replay must rebuild.
+                    if i % 4 == 0 {
+                        inc.push_pseudo_mean(p.iter().map(|v| 1.0 - v).collect())
+                            .unwrap();
+                        inc.push_pseudo_lie(p.iter().map(|v| v * 0.5).collect(), 0.3)
+                            .unwrap();
+                        inc.pop_all_pseudo();
+                    }
+                    let y = p.iter().sum::<f64>().sin();
+                    inc.append_observation(p, y).unwrap();
+                }
+                assert_replays(inc.gp(), &probes, &at);
+                // A state taken with pseudo-points live replays them too.
+                for p in cube_points(3, 6) {
+                    inc.push_pseudo_mean(p).unwrap();
+                }
+                assert_replays(inc.gp(), &probes, &format!("{at} +3 pseudo"));
+            }
+        }
+    }
+
+    /// The 1-d grid of [`duplicate_pseudo_point_bumps_jitter_counter`],
+    /// with `log_noise` small enough that duplicates are singular.
+    fn near_noiseless_gp(x: Vec<Vec<f64>>) -> Gp {
+        let y: Vec<f64> = x.iter().map(|p| (6.0 * p[0]).sin() + 2.0).collect();
+        Gp::fit_with_params(
+            x,
+            y,
+            KernelFamily::SquaredExponential,
+            vec![-1.0, 0.0],
+            -45.0,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn replay_reproduces_the_pivot_floor_and_the_jitter_ladder() {
+        let grid: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64 / 9.0]).collect();
+        let probes: Vec<Vec<f64>> = (0..7).map(|i| vec![i as f64 / 6.0 + 0.01]).collect();
+
+        // A real duplicate appended after the fit fires the pivot floor.
+        let (telemetry, _recorder) = Telemetry::recording();
+        let mut inc =
+            IncrementalGp::with_telemetry(near_noiseless_gp(grid.clone()), telemetry.clone());
+        assert_eq!(inc.gp().cholesky().jitter(), 0.0);
+        inc.append_observation(vec![3.0 / 9.0], 2.5).unwrap();
+        inc.append_observation(vec![0.5], 2.1).unwrap();
+        let bumps = telemetry
+            .metrics_snapshot()
+            .unwrap()
+            .counter("cholesky_jitter_bumps");
+        assert!(bumps >= 1, "the duplicate must floor its pivot");
+        assert_replays(inc.gp(), &probes, "pivot floor");
+
+        // Duplicates inside the fit push the factorization up the jitter
+        // ladder; the replay must land on the same rung.
+        let mut doubled = grid.clone();
+        doubled.extend(grid.iter().map(|p| vec![p[0] + 1e-12]));
+        let mut inc = IncrementalGp::new(near_noiseless_gp(doubled));
+        assert!(inc.gp().cholesky().jitter() > 0.0, "ladder not climbed");
+        inc.append_observation(vec![0.45], 2.0).unwrap();
+        assert_replays(inc.gp(), &probes, "jitter ladder");
     }
 
     #[test]

@@ -49,11 +49,13 @@ impl Prediction {
 /// Exact raw-parts capture of a fitted [`Gp`], produced by
 /// [`Gp::state`] and consumed by [`Gp::from_state`].
 ///
-/// Every float is carried verbatim — including the cached Cholesky
-/// factor and `α = K⁻¹ z` — because a model grown incrementally with
-/// [`Gp::extend_observed`]/[`Gp::augment`] is *not* bit-identical to
-/// one refactorized from scratch, and checkpoint/resume must continue
-/// the run bit-for-bit.
+/// Every float but the Cholesky factor is carried verbatim, `α = K⁻¹ z`
+/// included. The factor is a function of the other fields: one full
+/// factorization of the first `n_factored` rows at the last fit, then
+/// one [`Cholesky::extend`] per later row. [`Gp::from_state`] replays
+/// exactly those operations, so the rebuilt factor is bit-identical to
+/// the live one and checkpoint/resume continues the run bit for bit,
+/// while the state stays O(n·d) instead of O(n²). See [`GpFactor`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpState {
     /// Kernel family.
@@ -72,14 +74,31 @@ pub struct GpState {
     pub scaler_mean: f64,
     /// Target-scaler std.
     pub scaler_std: f64,
-    /// Cached Cholesky factor `L`, row-major `n×n`.
-    pub chol_factor: Vec<f64>,
-    /// Diagonal jitter the factorization settled on.
+    /// How the Cholesky factor `L` is rebuilt.
+    pub factor: GpFactor,
+    /// Diagonal jitter the full factorization settled on.
     pub chol_jitter: f64,
     /// Cached weight vector `α = K⁻¹ z`.
     pub alpha: Vec<f64>,
     /// Number of real (non-hallucinated) observations.
     pub n_real: usize,
+}
+
+/// How [`Gp::from_state`] rebuilds the Cholesky factor of a [`GpState`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum GpFactor {
+    /// Replay the factor: [`Cholesky::new`] over `K(x[..n_factored])`,
+    /// then one [`Cholesky::extend`] per later row, with the cross row
+    /// and `σ_f² + σ_n²` diagonal of the live append. The replayed
+    /// jitter must equal [`GpState::chol_jitter`].
+    Replay {
+        /// Rows covered by the last full factorization.
+        n_factored: usize,
+    },
+    /// The factor verbatim, row-major `n×n`. Only a model restored from
+    /// a checkpoint layout that predates replay carries this form; it
+    /// keeps it until its next full fit.
+    Stored(Vec<f64>),
 }
 
 /// A fitted Gaussian process regression model (Eq. 2 of the paper).
@@ -123,6 +142,10 @@ pub struct Gp {
     /// Number of *real* observations; the tail `x[n_real..]` are
     /// hallucinated pseudo-points added by [`Gp::augment`].
     n_real: usize,
+    /// Rows covered by the last full factorization (every later row was
+    /// appended with [`Cholesky::extend`]); `None` when the factor was
+    /// restored verbatim from a [`GpFactor::Stored`] state.
+    n_factored: Option<usize>,
 }
 
 impl Gp {
@@ -317,6 +340,7 @@ impl Gp {
             chol,
             alpha,
             n_real,
+            n_factored: Some(n_real),
         })
     }
 
@@ -355,6 +379,12 @@ impl Gp {
         &self.scaler
     }
 
+    /// The cached Cholesky factor of `K = K_f + σ_n² I`, pseudo-point
+    /// rows included.
+    pub fn cholesky(&self) -> &Cholesky {
+        &self.chol
+    }
+
     /// Captures the complete model state, bit-for-bit, for
     /// checkpointing. See [`GpState`].
     pub fn state(&self) -> GpState {
@@ -367,7 +397,10 @@ impl Gp {
             z: self.z.as_slice().to_vec(),
             scaler_mean: self.scaler.mean(),
             scaler_std: self.scaler.std(),
-            chol_factor: self.chol.factor().as_slice().to_vec(),
+            factor: match self.n_factored {
+                Some(n_factored) => GpFactor::Replay { n_factored },
+                None => GpFactor::Stored(self.chol.factor().as_slice().to_vec()),
+            },
             chol_jitter: self.chol.jitter(),
             alpha: self.alpha.as_slice().to_vec(),
             n_real: self.n_real,
@@ -378,11 +411,17 @@ impl Gp {
     /// continues every computation (predictions, incremental extends,
     /// augmentation) exactly where the captured model left off.
     ///
+    /// A [`GpFactor::Replay`] state costs one O(n³/6) factorization plus
+    /// one O(n²) extension per row appended since.
+    ///
     /// # Errors
     ///
     /// * [`GpError::BadHyperParameters`] if `theta` has the wrong
     ///   length for the kernel.
-    /// * [`GpError::InconsistentData`] if the part lengths disagree.
+    /// * [`GpError::InconsistentData`] if the part lengths disagree,
+    ///   `n_factored` is outside `1..=n`, or the replayed jitter is not
+    ///   `chol_jitter`.
+    /// * [`GpError::NonFiniteData`] for a non-finite input row.
     /// * [`GpError::Linalg`] if the Cholesky factor cannot be rebuilt.
     pub fn from_state(state: GpState) -> crate::Result<Self> {
         let kernel = ArdKernel::new(state.kernel, state.dim);
@@ -408,13 +447,26 @@ impl Gp {
                 detail: format!("n_real {} exceeds {} training points", state.n_real, n),
             });
         }
-        if state.x.iter().any(|row| row.len() != state.dim) {
-            return Err(GpError::InconsistentData {
-                detail: format!("input rows must all have {} dims", state.dim),
-            });
+        for (i, row) in state.x.iter().enumerate() {
+            validate_point(row, state.dim, &format!("input row {i}"))?;
         }
-        let l = Matrix::from_vec(n, n, state.chol_factor)?;
-        let chol = Cholesky::from_parts(l, state.chol_jitter)?;
+        let (chol, n_factored) = match state.factor {
+            GpFactor::Replay { n_factored } => {
+                let chol = replay_factor(
+                    &kernel,
+                    &state.theta,
+                    state.log_noise,
+                    &state.x,
+                    n_factored,
+                    state.chol_jitter,
+                )?;
+                (chol, Some(n_factored))
+            }
+            GpFactor::Stored(l) => {
+                let l = Matrix::from_vec(n, n, l)?;
+                (Cholesky::from_parts(l, state.chol_jitter)?, None)
+            }
+        };
         Ok(Gp {
             kernel,
             theta: state.theta,
@@ -425,6 +477,7 @@ impl Gp {
             chol,
             alpha: Vector::from(state.alpha),
             n_real: state.n_real,
+            n_factored,
         })
     }
 
@@ -645,7 +698,7 @@ impl Gp {
         z: f64,
     ) -> crate::Result<(bool, Vector)> {
         let cross = self.kernel.cross_row(&self.theta, &x, &self.x);
-        let diag = self.kernel.signal_variance(&self.theta) + self.log_noise.exp();
+        let diag = append_diag(&self.kernel, &self.theta, self.log_noise);
         let floored = self.chol.extend(&cross, diag)?;
         Ok((floored, self.append_target(x, z)))
     }
@@ -662,7 +715,7 @@ impl Gp {
         let kstar = self.kernel.cross_row(&self.theta, &x, &self.x);
         let mean_z = kstar.dot(&self.alpha);
         let w = self.chol.solve_lower(&kstar);
-        let diag = self.kernel.signal_variance(&self.theta) + self.log_noise.exp();
+        let diag = append_diag(&self.kernel, &self.theta, self.log_noise);
         let floored = self.chol.extend_solved(&w, diag)?;
         Ok((floored, self.append_target(x, mean_z)))
     }
@@ -774,6 +827,51 @@ pub(crate) fn mean_batch(
         out.extend_from_slice(&block_means(&kstar, alpha)[..block.len()]);
     }
     out
+}
+
+/// The diagonal entry `σ_f² + σ_n²` of a row appended to the factor.
+fn append_diag(kernel: &ArdKernel, theta: &[f64], log_noise: f64) -> f64 {
+    kernel.signal_variance(theta) + log_noise.exp()
+}
+
+/// Rebuilds the factor of a [`GpFactor::Replay`] state with the
+/// operations that built the live one: the full factorization of
+/// [`Gp::assemble_traced`] over `x[..n_factored]`, then the append of
+/// [`Gp::push_point_standardized`] for every later row. Each row's
+/// factor entries depend only on the rows before it, so appends and
+/// pseudo-point pushes that were later popped leave no trace.
+fn replay_factor(
+    kernel: &ArdKernel,
+    theta: &[f64],
+    log_noise: f64,
+    x: &[Vec<f64>],
+    n_factored: usize,
+    jitter: f64,
+) -> crate::Result<Cholesky> {
+    if n_factored == 0 || n_factored > x.len() {
+        return Err(GpError::InconsistentData {
+            detail: format!(
+                "n_factored {n_factored} is outside 1..={} training points",
+                x.len()
+            ),
+        });
+    }
+    let k = covariance_matrix(kernel, theta, log_noise, &x[..n_factored]);
+    let mut chol = Cholesky::new(&k)?;
+    if chol.jitter().to_bits() != jitter.to_bits() {
+        return Err(GpError::InconsistentData {
+            detail: format!(
+                "chol_jitter {jitter:e} differs from the replayed factorization's {:e}",
+                chol.jitter()
+            ),
+        });
+    }
+    let diag = append_diag(kernel, theta, log_noise);
+    for i in n_factored..x.len() {
+        let cross = kernel.cross_row(theta, &x[i], &x[..i]);
+        chol.extend(&cross, diag)?;
+    }
+    Ok(chol)
 }
 
 /// Builds `K = K_f + σ_n² I` for the given inputs via the batched symmetric
@@ -928,8 +1026,51 @@ pub(crate) mod tests {
             Err(GpError::InconsistentData { .. })
         ));
         let mut s = gp.state();
-        s.chol_factor.pop();
+        s.x[3][0] = f64::NAN;
+        assert!(matches!(
+            Gp::from_state(s),
+            Err(GpError::NonFiniteData { .. })
+        ));
+        let n = gp.n_train();
+        for n_factored in [0, n + 1] {
+            let mut s = gp.state();
+            s.factor = GpFactor::Replay { n_factored };
+            let err = Gp::from_state(s).unwrap_err();
+            assert!(err.to_string().contains("n_factored"), "{err}");
+        }
+        let mut s = gp.state();
+        s.chol_jitter = 1e-9;
+        let err = Gp::from_state(s).unwrap_err();
+        assert!(err.to_string().contains("chol_jitter"), "{err}");
+        let mut s = gp.state();
+        s.factor = GpFactor::Stored(vec![1.0; n * n - 1]);
         assert!(matches!(Gp::from_state(s), Err(GpError::Linalg(_))));
+    }
+
+    #[test]
+    fn stored_factor_is_kept_verbatim_until_the_next_fit() {
+        let (x, y) = toy_1d();
+        let gp = fixed_gp(x.clone(), y.clone());
+        // A stored factor restores as given, even one no replay would
+        // produce, and stays stored through appends.
+        let mut s = gp.state();
+        let mut l = gp.chol.factor().as_slice().to_vec();
+        l[0] = f64::from_bits(l[0].to_bits() + 1);
+        s.factor = GpFactor::Stored(l.clone());
+        let restored = Gp::from_state(s).unwrap();
+        assert_eq!(restored.chol.factor().as_slice(), l.as_slice());
+        let grown = restored.extend_observed(vec![0.42], 2.2).unwrap();
+        let GpFactor::Stored(grown_l) = grown.state().factor else {
+            panic!("an appended stored factor must stay stored");
+        };
+        assert_eq!(grown_l, grown.chol.factor().as_slice());
+        assert_eq!(
+            Gp::from_state(grown.state()).unwrap().state(),
+            grown.state()
+        );
+        // The next fit factors afresh and replays again.
+        let refit = fixed_gp(x, y);
+        assert_eq!(refit.state().factor, GpFactor::Replay { n_factored: 10 });
     }
 
     #[test]

@@ -104,10 +104,10 @@ impl Cholesky {
 
     /// Rebuilds a factorization from a previously computed factor `l`
     /// and the `jitter` that produced it — the exact inverse of
-    /// ([`Cholesky::factor`], [`Cholesky::jitter`]). Used by
-    /// checkpoint/resume, where re-running the factorization is not
-    /// bit-identical to a factor that was grown incrementally with
-    /// [`Cholesky::extend`].
+    /// ([`Cholesky::factor`], [`Cholesky::jitter`]). Used to restore a
+    /// factor that a checkpoint stored verbatim; re-running one full
+    /// factorization is not bit-identical to a factor that was grown
+    /// incrementally with [`Cholesky::extend`].
     ///
     /// # Errors
     ///

@@ -7,6 +7,8 @@
 //! derives per-task RNG seeds as a pure function of the caller's seed so a
 //! fan-out is reproducible regardless of how it is scheduled.
 
+use std::sync::Mutex;
+
 use serde::{Deserialize, Serialize};
 
 /// Worker-thread budget for the parallel hot paths (acquisition probe
@@ -14,7 +16,10 @@ use serde::{Deserialize, Serialize};
 ///
 /// The default is the number of available cores; [`Parallelism::sequential`]
 /// (`1`) selects the legacy single-threaded path. Any setting produces
-/// bit-identical results — the knob trades wall-clock time only.
+/// bit-identical results — the knob trades wall-clock time only. A budget
+/// above the host's hardware threads is kept as given, so callers still
+/// split their work into that many chunks, but [`parallel_map`] runs the
+/// chunks on at most one OS thread per hardware thread.
 ///
 /// # Example
 ///
@@ -67,14 +72,31 @@ impl From<usize> for Parallelism {
     }
 }
 
-/// Maps `f(index, item)` over `items`, fanning contiguous chunks out to
-/// scoped worker threads, and returns the outputs **in input order**.
+/// The hardware threads the platform reports (1 when it cannot), read
+/// once per process: the probe reads cgroup files on Linux.
+fn host_threads() -> usize {
+    use std::sync::OnceLock;
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| Parallelism::available().threads())
+}
+
+/// OS threads for a fan-out of `items` under a `budget`: one per item up
+/// to the budget, and never more than the `host` has hardware threads,
+/// since oversubscribed threads only add switching.
+fn os_threads(budget: usize, items: usize, host: usize) -> usize {
+    budget.min(items).min(host)
+}
+
+/// Maps `f(index, item)` over `items`, fanning the items out to scoped
+/// worker threads, and returns the outputs **in input order**.
 ///
 /// Because every item is processed independently with its original index and
 /// the output order is fixed, the result is bit-identical to the sequential
 /// map for any `parallelism` — a deterministic fan-out, not a reduction
-/// whose shape depends on thread timing. With a sequential budget (or a
-/// trivially small input) no threads are spawned at all.
+/// whose shape depends on thread timing. The fan-out never spawns more
+/// threads than the host has hardware threads, whatever the budget. With
+/// a sequential budget (or a trivially small input) no threads are
+/// spawned at all.
 pub fn parallel_map<T, U, F>(parallelism: Parallelism, items: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,
@@ -82,7 +104,7 @@ where
     F: Fn(usize, T) -> U + Sync,
 {
     let n = items.len();
-    let workers = parallelism.threads().min(n);
+    let workers = os_threads(parallelism.threads(), n, host_threads());
     if workers <= 1 {
         return items
             .into_iter()
@@ -90,27 +112,42 @@ where
             .map(|(i, t)| f(i, t))
             .collect();
     }
-    let chunk = n.div_ceil(workers);
-    let mut inputs: Vec<Option<T>> = items.into_iter().map(Some).collect();
-    let mut outputs: Vec<Option<U>> = (0..n).map(|_| None).collect();
-    let f = &f;
-    std::thread::scope(|scope| {
-        for (ci, (ins, outs)) in inputs
-            .chunks_mut(chunk)
-            .zip(outputs.chunks_mut(chunk))
-            .enumerate()
-        {
-            scope.spawn(move || {
-                for (off, (i, o)) in ins.iter_mut().zip(outs.iter_mut()).enumerate() {
-                    let item = i.take().expect("input taken once");
-                    *o = Some(f(ci * chunk + off, item));
-                }
-            });
-        }
+    // Each thread takes the next unclaimed item, so items of uneven cost
+    // balance across the threads the way the OS would balance one thread
+    // per item. Outputs are keyed by input index, so the schedule never
+    // shows in the result.
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let (queue, f) = (&queue, &f);
+    let done: Vec<Vec<(usize, U)>> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut out = Vec::new();
+                    loop {
+                        // The lock is released before `f` runs.
+                        let next = queue.lock().expect("no thread panics holding it").next();
+                        let Some((i, item)) = next else { break };
+                        out.push((i, f(i, item)));
+                    }
+                    out
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| {
+                t.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
     });
+    let mut outputs: Vec<Option<U>> = (0..n).map(|_| None).collect();
+    for (i, u) in done.into_iter().flatten() {
+        outputs[i] = Some(u);
+    }
     outputs
         .into_iter()
-        .map(|o| o.expect("every chunk filled its outputs"))
+        .map(|o| o.expect("every item mapped once"))
         .collect()
 }
 
@@ -147,6 +184,16 @@ mod tests {
     }
 
     #[test]
+    fn os_threads_never_exceed_the_host() {
+        assert_eq!(os_threads(usize::MAX, usize::MAX, 2), 2);
+        assert_eq!(os_threads(usize::MAX, 5, 64), 5);
+        assert_eq!(os_threads(8, 1_000, 64), 8);
+        assert_eq!(os_threads(8, 0, 64), 0);
+        assert_eq!(os_threads(1, 1_000, 64), 1);
+        assert!(host_threads() >= 1);
+    }
+
+    #[test]
     fn parallel_map_preserves_order_and_indices() {
         let items: Vec<usize> = (0..23).collect();
         let expect: Vec<usize> = items.iter().map(|&v| v * 10).collect();
@@ -157,6 +204,14 @@ mod tests {
             });
             assert_eq!(got, expect, "k = {k}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "item 3 failed")]
+    fn parallel_map_propagates_a_panicking_item() {
+        parallel_map(Parallelism::new(2), (0..8).collect(), |i, _: usize| {
+            assert_ne!(i, 3, "item 3 failed");
+        });
     }
 
     #[test]

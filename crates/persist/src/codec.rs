@@ -131,6 +131,12 @@ impl<'a> ByteReader<'a> {
         Ok(s)
     }
 
+    /// Reads the next `len` bytes as they are, with no length prefix
+    /// (the counterpart of [`ByteWriter::put_raw`]).
+    pub fn get_raw(&mut self, len: usize) -> Result<&'a [u8], PersistError> {
+        self.take(len, "raw bytes")
+    }
+
     /// Reads one byte.
     pub fn get_u8(&mut self) -> Result<u8, PersistError> {
         Ok(self.take(1, "u8")?[0])
@@ -262,6 +268,19 @@ mod tests {
         let bytes = w.into_bytes();
         assert_eq!(bytes, b"abc\x03\0\0\0\0\0\0\0abc");
         assert_eq!(bytes.capacity(), 14, "no regrowth");
+    }
+
+    #[test]
+    fn get_raw_reads_in_place_and_reports_truncation() {
+        let mut r = ByteReader::new(b"abcdef");
+        assert_eq!(r.get_raw(4).unwrap(), b"abcd");
+        let err = r.get_raw(3).unwrap_err().to_string();
+        assert!(
+            err.contains("truncated reading raw bytes: need 3 bytes, have 2"),
+            "{err}"
+        );
+        assert_eq!(r.get_raw(2).unwrap(), b"ef");
+        r.finish("raw").unwrap();
     }
 
     #[test]

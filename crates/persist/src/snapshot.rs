@@ -16,8 +16,9 @@
 //! Sections are checksummed independently, so any bit flip or
 //! truncation is reported as a [`PersistError::CorruptSection`] naming
 //! the damaged section. Writes go through a temporary file in the same
-//! directory followed by `fsync` + atomic rename: a crash mid-write
-//! leaves the previous snapshot intact, never a torn file.
+//! directory, `fsync`, an atomic rename and (on unix) an `fsync` of the
+//! directory: a crash at any point leaves the previous snapshot or the
+//! new one, never a torn file.
 
 use std::fs;
 use std::io::Write as _;
@@ -292,8 +293,8 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<RunSnapshot, PersistError> {
         });
     }
     let count = r.get_u32()?;
-    let mut meta: Option<Vec<u8>> = None;
-    let mut session: Option<Vec<u8>> = None;
+    let mut meta: Option<&[u8]> = None;
+    let mut session: Option<&[u8]> = None;
     let mut policy: Option<Vec<u8>> = None;
     for _ in 0..count {
         let name = r.get_str()?;
@@ -306,11 +307,8 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<RunSnapshot, PersistError> {
                 actual: 0,
             });
         }
-        let mut payload = Vec::with_capacity(len);
-        for _ in 0..len {
-            payload.push(r.get_u8()?);
-        }
-        let actual = crc32(&payload);
+        let payload = r.get_raw(len)?;
+        let actual = crc32(payload);
         if actual != stored_crc {
             return Err(PersistError::CorruptSection {
                 name,
@@ -321,7 +319,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<RunSnapshot, PersistError> {
         match name.as_str() {
             "meta" => meta = Some(payload),
             "session" => session = Some(payload),
-            "policy" => policy = Some(payload),
+            "policy" => policy = Some(payload.to_vec()),
             // Unknown sections from future minor additions are ignored.
             _ => {}
         }
@@ -332,13 +330,13 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<RunSnapshot, PersistError> {
     let session_bytes = session.ok_or(PersistError::MissingSection {
         name: "session".to_string(),
     })?;
-    let mut m = ByteReader::new(&meta);
+    let mut m = ByteReader::new(meta);
     let config_fingerprint = m.get_u64()?;
     let _clock = m.get_f64()?;
     let _completed = m.get_usize()?;
     let _issued = m.get_usize()?;
     m.finish("meta section")?;
-    let session = decode_session(&session_bytes)?;
+    let session = decode_session(session_bytes)?;
     Ok(RunSnapshot {
         config_fingerprint,
         session,
@@ -347,9 +345,9 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<RunSnapshot, PersistError> {
 }
 
 /// Writes a snapshot to `path` atomically (temp file in the same
-/// directory, `fsync`, rename) and returns the number of bytes
-/// written. A crash at any point leaves either the old snapshot or the
-/// new one — never a torn file.
+/// directory, `fsync`, rename, directory `fsync`) and returns the
+/// number of bytes written. A crash at any point leaves either the old
+/// snapshot or the new one — never a torn file.
 pub fn save_snapshot(path: &Path, snap: &RunSnapshot) -> Result<usize, PersistError> {
     let bytes = encode_snapshot(snap);
     write_snapshot_bytes(path, &bytes)?;
@@ -359,6 +357,10 @@ pub fn save_snapshot(path: &Path, snap: &RunSnapshot) -> Result<usize, PersistEr
 /// The durable half of [`save_snapshot`]: writes pre-encoded snapshot
 /// bytes to `path` atomically (temp file, `fsync`, rename). Split out so
 /// callers can time encode and fsync separately.
+///
+/// On unix the parent directory is fsynced after the rename too, so the
+/// rename itself survives a crash: without it the directory entry may
+/// still name the old file, or no file at all.
 pub fn write_snapshot_bytes(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
     if let Some(dir) = dir {
@@ -382,6 +384,13 @@ pub fn write_snapshot_bytes(path: &Path, bytes: &[u8]) -> Result<(), PersistErro
             e,
         )
     })?;
+    #[cfg(unix)]
+    {
+        let dir = dir.unwrap_or(Path::new("."));
+        fs::File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| PersistError::io(format!("syncing directory {}", dir.display()), e))?;
+    }
     Ok(())
 }
 
@@ -676,6 +685,22 @@ mod tests {
         save_snapshot(&path, &snap).expect("overwrites");
         assert!(load_snapshot(&path).is_ok());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn save_into_a_fresh_nested_directory_loads_back() {
+        let root = std::env::temp_dir().join(format!(
+            "easybo-persist-test-{}-{}",
+            std::process::id(),
+            line!()
+        ));
+        let path = root.join("a").join("b").join("run.snap");
+        let snap = sample_snapshot();
+        let n = save_snapshot(&path, &snap).expect("creates, saves and syncs");
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), n as u64);
+        let back = load_snapshot(&path).expect("loads");
+        assert_eq!(encode_snapshot(&back), encode_snapshot(&snap));
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

@@ -77,9 +77,9 @@ fn killed_and_resumed_runs_reproduce_uninterrupted_traces() {
     }
 }
 
-/// A real checkpoint whose checksums pass but whose session contents
-/// were edited must make resume fail with an error that names the
-/// field — never panic. Each edit is re-saved, so every CRC is valid.
+/// A real checkpoint whose checksums pass but whose session or policy
+/// contents were edited must make resume fail with an error that names
+/// the field — never panic. Each edit is re-saved, so every CRC is valid.
 #[test]
 fn resume_rejects_edited_checkpoints_with_valid_crcs() {
     let path = tmp("hostile");
@@ -121,10 +121,8 @@ fn resume_rejects_edited_checkpoints_with_valid_crcs() {
             });
         }),
     ];
-    for (field, edit) in edits {
-        let mut snap = clean.clone();
-        edit(&mut snap.session);
-        save_snapshot(&path, &snap).unwrap();
+    let rejects = |snap: &RunSnapshot, field: &str| {
+        save_snapshot(&path, snap).unwrap();
         let err = optimizer(3, 4)
             .resume(&path, objective)
             .expect_err("an inconsistent snapshot must not resume");
@@ -132,8 +130,99 @@ fn resume_rejects_edited_checkpoints_with_valid_crcs() {
             matches!(err, EasyBoError::Persist(_)) && err.to_string().contains(field),
             "{field}: {err}"
         );
+    };
+    for (field, edit) in edits {
+        let mut snap = clean.clone();
+        edit(&mut snap.session);
+        rejects(&snap, field);
+    }
+    // The policy blob's GP state: a factorization of more rows than the
+    // GP holds, and a jitter the replayed factorization does not settle on.
+    let blob = clean.policy.as_ref().expect("EasyBO snapshots its policy");
+    let gp = GpFactorFields::find(blob);
+    let blob_edits: [(&str, BlobEdit); 2] = [
+        ("n_factored", |b, gp| {
+            b[gp.n_factored..gp.n_factored + 8].copy_from_slice(&(gp.n as u64 + 1).to_le_bytes())
+        }),
+        ("chol_jitter", |b, gp| {
+            let jitter = f64::from_le_bytes(b[gp.jitter..gp.jitter + 8].try_into().unwrap());
+            let edited = if jitter == 0.0 { 1e-9 } else { jitter * 2.0 };
+            b[gp.jitter..gp.jitter + 8].copy_from_slice(&edited.to_le_bytes())
+        }),
+    ];
+    for (field, edit) in blob_edits {
+        let mut snap = clean.clone();
+        edit(snap.policy.as_mut().unwrap(), &gp);
+        rejects(&snap, field);
     }
     std::fs::remove_file(&path).ok();
+}
+
+type BlobEdit = fn(&mut [u8], &GpFactorFields);
+
+/// Where the GP state of an EasyBO policy blob (version 2) keeps its
+/// factor fields, found by walking the layout that
+/// `easybo::persistence` writes.
+struct GpFactorFields {
+    /// Training points in the GP state.
+    n: usize,
+    /// Offset of the `n_factored` word of a replayed factor.
+    n_factored: usize,
+    /// Offset of the jitter word.
+    jitter: usize,
+}
+
+impl GpFactorFields {
+    fn find(blob: &[u8]) -> Self {
+        assert_eq!(blob[..4], 2u32.to_le_bytes(), "version word");
+        // Version, RNG words, fallbacks, fitted_n, last_trained_n, fence.
+        let mut c = Cursor {
+            blob,
+            at: 4 + 4 * 8 + 4 * 8,
+        };
+        if c.byte() == 1 {
+            c.skip_f64s(); // warm-start vector
+        }
+        assert_eq!(c.byte(), 1, "the snapshot carries a GP");
+        c.at += 1 + 8; // kernel tag, dimension
+        c.skip_f64s(); // theta
+        c.at += 8; // log noise
+        let n = c.word();
+        for _ in 0..n {
+            c.skip_f64s();
+        }
+        c.skip_f64s(); // z
+        c.at += 16; // scaler mean and std
+        assert_eq!(c.byte(), 0, "a replayed factor");
+        GpFactorFields {
+            n,
+            n_factored: c.at,
+            jitter: c.at + 8,
+        }
+    }
+}
+
+/// A read position in a policy blob.
+struct Cursor<'a> {
+    blob: &'a [u8],
+    at: usize,
+}
+
+impl Cursor<'_> {
+    fn byte(&mut self) -> u8 {
+        self.at += 1;
+        self.blob[self.at - 1]
+    }
+
+    fn word(&mut self) -> usize {
+        self.at += 8;
+        u64::from_le_bytes(self.blob[self.at - 8..self.at].try_into().unwrap()) as usize
+    }
+
+    fn skip_f64s(&mut self) {
+        let len = self.word();
+        self.at += 8 * len;
+    }
 }
 
 /// Checkpointing disabled (the default) uses the legacy entry point;

@@ -11,13 +11,14 @@
 //!    and the multi-corner LDO survives kill/resume with byte-identical
 //!    traces.
 //! 3. **Format pinning** — the versioned constrained-policy state blob
-//!    (`CNST` v1) keeps restoring from its committed golden bytes, and
+//!    (`CNST` v1 and v2) keeps restoring from its committed golden bytes, and
 //!    constrained snapshots are fingerprint-isolated from plain ones.
 
 use easybo::{
-    ConstrainedProblem, EasyBo, EasyBoError, FaultPlan, FaultyBlackBox, RetryPolicy, Telemetry,
+    ConstrainedPolicy, ConstrainedProblem, EasyBo, EasyBoError, FaultPlan, FaultyBlackBox,
+    RetryPolicy, Telemetry,
 };
-use easybo_exec::{AsyncPolicy, Dataset};
+use easybo_exec::{AsyncPolicy, BusyPoint, Dataset};
 use easybo_opt::Bounds;
 use easybo_scenario::{zoo, Link, ParamSpace, Scenario, ScenarioOutcome};
 use proptest::prelude::*;
@@ -298,7 +299,8 @@ fn zoo_scenarios_run_end_to_end_with_feasible_incumbents() {
 }
 
 // ---------------------------------------------------------------------
-// 3. Golden file: constrained policy blob (CNST v1) as committed bytes.
+// 3. Golden files: constrained policy blobs (CNST v1 and v2) as
+//    committed bytes.
 // ---------------------------------------------------------------------
 
 /// Deterministic observations feeding the golden constrained policy.
@@ -311,48 +313,101 @@ fn golden_dataset() -> Dataset {
     data
 }
 
-/// The committed `tests/data/golden_cnst_v1.blob` must keep restoring
-/// for as long as the CNST format stays at version 1, and re-snapshot
-/// to the exact committed bytes. Regenerate (after an *intentional*
-/// format change, with a version bump) via:
-/// `EASYBO_REGEN_GOLDEN=1 cargo test -p easybo-integration --test scenario golden`.
-#[test]
-fn golden_cnst_v1_blob_still_restores() {
-    let path = std::path::Path::new(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/data/golden_cnst_v1.blob"
-    ));
+/// Runs `f` on a fresh policy for the golden constrained problem.
+fn with_golden_cnst_policy<R>(f: impl FnOnce(&mut ConstrainedPolicy<'_>) -> R) -> R {
     let objective = |x: &[f64]| -(x[0] - 0.3).powi(2) - (x[1] - 0.6).powi(2);
     let constraint = |x: &[f64]| x[0] + x[1] - 0.4;
     let problem = ConstrainedProblem::new(&objective).subject_to_named("sum>=0.4", &constraint);
     let mut opt = EasyBo::new(Bounds::unit_cube(2).unwrap());
     opt.seed(42);
+    f(&mut opt.build_constrained_policy(&problem))
+}
 
-    if std::env::var("EASYBO_REGEN_GOLDEN").is_ok() {
-        let mut policy = opt.build_constrained_policy(&problem);
-        let _ = policy.select_next(&golden_dataset(), &[]);
-        std::fs::write(path, policy.snapshot_state().expect("constrained blob")).unwrap();
-    }
+fn golden_blob_path(name: &str) -> std::path::PathBuf {
+    std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/data")).join(name)
+}
 
-    let blob = std::fs::read(path).expect("committed golden CNST blob");
-    let mut restored = opt.build_constrained_policy(&problem);
-    restored.restore_state(&blob).unwrap_or_else(|e| {
-        panic!(
-            "the committed golden CNST v1 blob no longer restores: {e}\n\
-             If the constrained-state layout changed intentionally, bump \
-             CONSTRAINED_BLOB_VERSION, keep a migration for blobs written \
-             by older builds, and regenerate this fixture with \
-             EASYBO_REGEN_GOLDEN=1 cargo test -p easybo-integration --test \
-             scenario golden"
-        )
-    });
-    // The codec round-trips: a fresh snapshot of the restored policy is
-    // byte-identical to the committed fixture.
+/// Three selections of a policy restored from a golden blob: on the
+/// golden dataset, after one more observation (an incremental append to
+/// the restored factor), and with one busy point (a pseudo-point push).
+/// The bit patterns are those the CNST v1 golden selected before factor
+/// replay existed.
+fn assert_golden_selections(policy: &mut ConstrainedPolicy<'_>, blob: &str) {
+    let mut data = golden_dataset();
+    let mut got = vec![policy.select_next(&data, &[])];
+    data.push(vec![0.35, 0.55], -0.01);
+    got.push(policy.select_next(&data, &[]));
+    let busy = BusyPoint {
+        x: vec![0.4, 0.4],
+        task: 9,
+        worker: 1,
+    };
+    got.push(policy.select_next(&data, &[busy]));
+    let bits: Vec<[u64; 2]> = got
+        .iter()
+        .map(|x| [x[0].to_bits(), x[1].to_bits()])
+        .collect();
     assert_eq!(
-        restored.snapshot_state().expect("constrained blob"),
-        blob,
-        "golden CNST blob round trip is not byte-identical"
+        bits,
+        [
+            [0x3ff0_0000_0000_0000, 0x3ff0_0000_0000_0000],
+            [0x3ff0_0000_0000_0000, 0x3fd7_7ad9_85ea_eafc],
+            [0x3ff0_0000_0000_0000, 0x3fda_e957_9a17_2bd0],
+        ],
+        "selections after restoring {blob}"
     );
+}
+
+/// The committed `tests/data/golden_cnst_v1.blob`, written before factor
+/// replay, stores its GP's Cholesky factor verbatim. It must keep
+/// restoring and selecting exactly as it did, and its re-snapshot is a
+/// CNST v2 blob that still carries the stored factors.
+#[test]
+fn golden_cnst_v1_blob_still_restores() {
+    let blob = std::fs::read(golden_blob_path("golden_cnst_v1.blob")).expect("committed v1 blob");
+    with_golden_cnst_policy(|restored| {
+        restored.restore_state(&blob).unwrap_or_else(|e| {
+            panic!("the committed golden CNST v1 blob no longer restores: {e}")
+        });
+        let migrated = restored.snapshot_state().expect("constrained blob");
+        assert_eq!(&migrated[..4], b"CNST");
+        assert_eq!(migrated[4..8], 2u32.to_le_bytes(), "re-snapshots as v2");
+        // One tag byte per GP (the objective's and the constraint's).
+        assert_eq!(migrated.len(), blob.len() + 2, "the factors stay stored");
+        assert_golden_selections(restored, "golden_cnst_v1.blob");
+    });
+}
+
+/// The committed `tests/data/golden_cnst_v2.blob` replays its factor on
+/// restore, re-snapshots to the exact committed bytes, and selects what
+/// the v1 golden's stored factor selects. Regenerate (after an
+/// *intentional* format change, with a version bump and a migration for
+/// older blobs) via
+/// `EASYBO_REGEN_GOLDEN=1 cargo test -p easybo-integration --test scenario golden`.
+#[test]
+fn golden_cnst_v2_blob_replays_its_factor() {
+    let path = golden_blob_path("golden_cnst_v2.blob");
+    if std::env::var("EASYBO_REGEN_GOLDEN").is_ok() {
+        let fresh = with_golden_cnst_policy(|policy| {
+            let _ = policy.select_next(&golden_dataset(), &[]);
+            policy.snapshot_state().expect("constrained blob")
+        });
+        std::fs::write(&path, fresh).unwrap();
+    }
+    let blob = std::fs::read(&path).expect("committed v2 blob");
+    let v1 = std::fs::read(golden_blob_path("golden_cnst_v1.blob")).unwrap();
+    assert!(blob.len() < v1.len(), "a replayed factor is not stored");
+    with_golden_cnst_policy(|restored| {
+        restored.restore_state(&blob).unwrap_or_else(|e| {
+            panic!("the committed golden CNST v2 blob no longer restores: {e}")
+        });
+        assert_eq!(
+            restored.snapshot_state().expect("constrained blob"),
+            blob,
+            "golden CNST v2 blob round trip is not byte-identical"
+        );
+        assert_golden_selections(restored, "golden_cnst_v2.blob");
+    });
 }
 
 /// Bit flips anywhere in the constrained blob must be detected, never a
