@@ -18,8 +18,8 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> exact-bits suites of the GP and acquisition hot path, the trajectory-digest pin and the fallback-draw pin under release arithmetic"
-cargo test --release -q -p easybo-linalg -p easybo-gp -p easybo-persist -p easybo
+echo "==> exact-bits suites of the GP and acquisition hot path, the refiner and gradient suites, the trajectory-digest pin and the fallback-draw pin under release arithmetic"
+cargo test --release -q -p easybo-linalg -p easybo-gp -p easybo-persist -p easybo-opt -p easybo
 cargo test --release -q -p easybo-integration --test incremental
 
 echo "==> kill-and-resume suite under release arithmetic (restores replay the Cholesky factor)"

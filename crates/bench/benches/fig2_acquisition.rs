@@ -4,10 +4,10 @@
 //! maximizer; and (b) the sampling density of `w = κ/(κ+1)`, `κ ~ U[0, 6]`,
 //! showing the concentration near `w = 1`.
 
-use easybo::acquisition;
+use easybo::acquisition::{Acquisition, Moments, Score};
 use easybo::sample_kappa_weight;
-use easybo_gp::{Gp, KernelFamily};
-use easybo_opt::{Bounds, MultiStartMaximizer};
+use easybo_gp::{Gp, IncrementalGp, KernelFamily};
+use easybo_opt::{Bounds, MultiStartMaximizer, Parallelism};
 use rand::SeedableRng;
 
 fn main() {
@@ -26,15 +26,17 @@ fn main() {
         (1e-6f64).ln(),
     )
     .expect("toy GP fits");
+    let model = IncrementalGp::new(gp);
 
     println!("Fig. 2 reproduction (a): argmax of (1-w)*mu + w*sigma over [0,1] vs w");
     println!("{:>6} {:>12} {:>12}", "w", "x_selected", "acq_value");
     let bounds = Bounds::unit_cube(1).expect("1-d cube");
-    let maximizer = MultiStartMaximizer::new(512, 4, 120);
+    let maximizer = MultiStartMaximizer::new(512, 4, 30);
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
     for i in 0..=20 {
         let w = i as f64 / 20.0;
-        let best = maximizer.maximize(&bounds, &mut rng, |p| acquisition::weighted(&gp, p, w));
+        let acq = Acquisition::new(&model, Score::Weighted(w), Moments::Posterior);
+        let best = maximizer.maximize_batched(&bounds, &mut rng, Parallelism::sequential(), &acq);
         println!("{w:>6.2} {:>12.4} {:>12.4}", best.x[0], best.value);
     }
     println!(

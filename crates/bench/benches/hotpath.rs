@@ -1,7 +1,8 @@
 //! Hot-path benchmark: batched GP posterior vs scalar prediction, the
 //! blocked batch posterior vs one whole-batch `K*`, the fused penalized
 //! posterior vs its two-call form, the hoisted scalar cross row vs
-//! per-pair kernel calls, sequential-EI probe scoring through the batched
+//! per-pair kernel calls, the scalar penalized posterior with its gradient
+//! vs without, sequential-EI probe scoring through the batched
 //! vs the scalar acquisition, and the parallel multi-start /
 //! parallel training fan-out vs the sequential legacy path.
 //!
@@ -275,6 +276,43 @@ fn bench_hoisted_row(rows: &mut Vec<BenchRecord>, reps: usize) {
     ));
 }
 
+/// The cost of a gradient: 2,000 scalar penalized posteriors at class-E
+/// size (n = 274 with 14 pseudo-points, d = 12) against the same 2,000
+/// with both moments' gradients, `IncrementalGp::predict_penalized_grad`,
+/// the refiner's query. The moments must agree bit for bit; the ratio
+/// reads below 1, as the value-and-gradient side does more work.
+fn bench_penalized_grad(rows: &mut Vec<BenchRecord>, reps: usize) {
+    let (inc, probes) = class_e_stack(2000);
+    let bits = |v: &[(f64, f64)]| -> Vec<(u64, u64)> {
+        v.iter().map(|p| (p.0.to_bits(), p.1.to_bits())).collect()
+    };
+    let (value_s, value) = time_best(reps, || {
+        probes
+            .iter()
+            .map(|p| inc.predict_penalized(p))
+            .collect::<Vec<_>>()
+    });
+    let (grad_s, grad) = time_best(reps, || {
+        probes
+            .iter()
+            .map(|p| {
+                let m = inc.predict_penalized_grad(p);
+                (m.mean, m.var)
+            })
+            .collect::<Vec<_>>()
+    });
+    rows.push(BenchRecord::from_seconds(
+        format!(
+            "penalized_grad_vs_value_n{}_d{}_q2000",
+            inc.gp().n_train(),
+            inc.gp().dim()
+        ),
+        value_s,
+        grad_s,
+        bits(&value) == bits(&grad),
+    ));
+}
+
 /// Sends a standardized `(μ, σ²)` pair's mean to raw units and back: the
 /// rounding Eq. 9's acquisition applies to the base mean.
 fn raw_round_trip(gp: &Gp) -> impl Fn((f64, f64)) -> (f64, f64) + '_ {
@@ -317,7 +355,7 @@ fn bench_ei_probe_scoring(rows: &mut Vec<BenchRecord>, reps: usize) {
 fn bench_parallel_multistart(rows: &mut Vec<BenchRecord>, reps: usize, d: usize) {
     let model = IncrementalGp::new(fitted_gp(200, d));
     let bounds = Bounds::unit_cube(d).expect("unit cube");
-    let ms = MultiStartMaximizer::new(64.max(44 * d), 8, 100.max(14 * d));
+    let ms = MultiStartMaximizer::new(64.max(44 * d), 8, 30);
     let acq = Acquisition::new(&model, Score::Weighted(0.35), Moments::Posterior);
     let run = |k: usize| {
         ms.maximize_batched(
@@ -380,6 +418,7 @@ fn main() {
     bench_blocked_posterior(&mut rows, reps);
     bench_fused_penalized(&mut rows, reps);
     bench_hoisted_row(&mut rows, reps);
+    bench_penalized_grad(&mut rows, reps);
     bench_ei_probe_scoring(&mut rows, reps);
     bench_parallel_multistart(&mut rows, reps, 10);
     bench_parallel_train(&mut rows, reps, 200, 10);

@@ -3,10 +3,11 @@
 //! acquisition maximization and the circuit models themselves.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use easybo::acquisition::{Acquisition, Moments, Score};
 use easybo_circuits::{class_e::ClassEPa, opamp::TwoStageOpAmp, Circuit};
-use easybo_gp::{Gp, GpConfig, KernelFamily};
+use easybo_gp::{Gp, GpConfig, IncrementalGp, KernelFamily};
 use easybo_linalg::{Cholesky, Matrix, Vector};
-use easybo_opt::{sampling, Bounds, MultiStartMaximizer};
+use easybo_opt::{sampling, Bounds, MultiStartMaximizer, Parallelism};
 use rand::SeedableRng;
 
 fn spd(n: usize) -> Matrix {
@@ -83,14 +84,12 @@ fn bench_acquisition_maximization(c: &mut Criterion) {
     )
     .expect("fits");
     let bounds = Bounds::unit_cube(10).expect("unit cube");
-    let maximizer = MultiStartMaximizer::new(384, 3, 120);
+    let model = IncrementalGp::new(gp);
+    let acq = Acquisition::new(&model, Score::Weighted(0.7), Moments::Posterior);
+    let maximizer = MultiStartMaximizer::new(384, 3, 30);
     c.bench_function("acq_maximize_weighted_10d", |b| {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        b.iter(|| {
-            maximizer.maximize(&bounds, &mut rng, |p| {
-                easybo::acquisition::weighted(&gp, p, 0.7)
-            })
-        })
+        b.iter(|| maximizer.maximize_batched(&bounds, &mut rng, Parallelism::sequential(), &acq))
     });
 }
 

@@ -13,6 +13,7 @@
 //! | `fig4_opamp_trace` | Fig. 4 — op-amp best-FOM vs wall-clock, B = 15 |
 //! | `fig6_class_e_trace` | Fig. 6 — class-E best-FOM vs wall-clock, B = 15 |
 //! | `micro` | Criterion micro-benchmarks of the numerical kernels |
+//! | `quality_pairs` | Per-seed best FOM of EasyBO, EasyBO-SP and StdBO for paired verdicts |
 //!
 //! Environment knobs:
 //!

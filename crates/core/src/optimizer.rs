@@ -725,9 +725,9 @@ mod tests {
                 .on_exhausted(FailureAction::Penalty(-3.5)),
         );
         let hex = |fp: u64| format!("{fp:016x}");
-        assert_eq!(hex(default.config_fingerprint()), "748311d13a4ef27c");
-        assert_eq!(hex(tuned.config_fingerprint()), "92fb7e25a448e434");
-        assert_eq!(hex(tuned.constrained_fingerprint(2)), "e9ebe2a6cb649e53");
+        assert_eq!(hex(default.config_fingerprint()), "b9e4f0c56e3d9222");
+        assert_eq!(hex(tuned.config_fingerprint()), "27195933ce20d8b2");
+        assert_eq!(hex(tuned.constrained_fingerprint(2)), "3e698d24df07359d");
     }
 
     #[test]

@@ -79,14 +79,15 @@ use crate::persistence::PolicyStateBlob;
 use crate::surrogate::{SurrogateConfig, SurrogateManager};
 
 /// Sizing of the inner acquisition maximization (random probes + local
-/// Nelder–Mead refinement over the unit cube).
+/// gradient refinement over the unit cube).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AcqOptConfig {
     /// Random probe count (default `max(256, 48·d)` via [`AcqOptConfig::for_dim`]).
     pub probes: usize,
     /// Local refinements of the top seeds (default 3).
     pub starts: usize,
-    /// Nelder–Mead evaluations per refinement (default 120).
+    /// Value-and-gradient evaluations per refinement start, the bounded
+    /// L-BFGS run's budget (default 30).
     pub refine_evals: usize,
     /// Worker threads for probe scoring and the refinement starts (default:
     /// available cores; 1 = the legacy sequential path). The selected point
@@ -99,20 +100,23 @@ impl Default for AcqOptConfig {
         AcqOptConfig {
             probes: 384,
             starts: 3,
-            refine_evals: 120,
+            refine_evals: 30,
             parallelism: Parallelism::default(),
         }
     }
 }
 
 impl AcqOptConfig {
-    /// Scales probe count and refinement budget with dimensionality; the
-    /// setting every built-in policy constructor uses.
+    /// Scales the probe count with dimensionality; the setting every
+    /// built-in policy constructor uses. The refinement budget is 30
+    /// value-and-gradient evaluations per start whatever `d`: a paired
+    /// 20-seed quality verdict held it at the op-amp's d = 10 and the
+    /// class-E's d = 12.
     pub fn for_dim(d: usize) -> Self {
         AcqOptConfig {
             probes: 320.max(44 * d),
             starts: 3,
-            refine_evals: 100.max(14 * d),
+            refine_evals: 30,
             parallelism: Parallelism::default(),
         }
     }
@@ -136,12 +140,13 @@ impl AcqMaximizer {
 
     /// Maximizes `f` over the unit cube and returns unit coordinates.
     /// Probes score through `eval_batch` (for an [`Acquisition`], the
-    /// batched posterior); refinement starts call `eval` on the
+    /// batched posterior); refinement starts call `eval_grad` on the
     /// configured worker threads.
     ///
     /// On a disabled handle this is a direct call. Otherwise it opens an
-    /// `acquisition` span (with `batch_predict` / `nm_refine` phases),
-    /// counts acquisition evaluations across threads, emits
+    /// `acquisition` span (with `batch_predict` / `nm_refine` phases; the
+    /// latter is the local refinement), counts acquisition evaluations
+    /// (a value-and-gradient evaluation counts one) across threads, emits
     /// `AcqOptimized` and feeds the `acq_restarts`, `acq_evals`,
     /// `acq_batch_size` (probes scored through the batched posterior) and
     /// `parallel_starts` counters. The point is the same either way.
@@ -175,7 +180,7 @@ impl AcqMaximizer {
         telemetry.incr("acq_batch_size", self.inner.probes() as u64);
         telemetry.incr(
             "parallel_starts",
-            restarts.min(self.parallelism.threads()) as u64,
+            self.parallelism.os_threads(restarts) as u64,
         );
         telemetry.observe("acq_opt_s", duration);
         telemetry.emit(Event::AcqOptimized {
@@ -204,6 +209,11 @@ impl<F: BatchObjective + ?Sized> BatchObjective for CountedObjective<'_, F> {
     fn eval_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
         self.evals.fetch_add(xs.len() as u64, Ordering::Relaxed);
         self.inner.eval_batch(xs)
+    }
+
+    fn eval_grad(&self, x: &[f64], grad: &mut [f64]) -> f64 {
+        self.evals.fetch_add(1, Ordering::Relaxed);
+        self.inner.eval_grad(x, grad)
     }
 }
 
@@ -416,13 +426,45 @@ mod tests {
         assert!(bounds.contains(&core.uniform()));
     }
 
+    /// `-(p − (0.8, 0.2))²` with its gradient.
+    struct Peak;
+
+    impl BatchObjective for Peak {
+        fn eval(&self, p: &[f64]) -> f64 {
+            -(p[0] - 0.8).powi(2) - (p[1] - 0.2).powi(2)
+        }
+
+        fn eval_grad(&self, p: &[f64], grad: &mut [f64]) -> f64 {
+            grad[0] = -2.0 * (p[0] - 0.8);
+            grad[1] = -2.0 * (p[1] - 0.2);
+            self.eval(p)
+        }
+    }
+
     #[test]
     fn maximizer_finds_unit_cube_peak() {
         let m = AcqMaximizer::new(2, AcqOptConfig::default());
         let mut rng = StdRng::seed_from_u64(5);
-        let peak = |p: &[f64]| -(p[0] - 0.8).powi(2) - (p[1] - 0.2).powi(2);
-        let x = m.maximize(&mut rng, &Telemetry::disabled(), &peak);
-        assert!((x[0] - 0.8).abs() < 1e-2);
-        assert!((x[1] - 0.2).abs() < 1e-2);
+        let x = m.maximize(&mut rng, &Telemetry::disabled(), &Peak);
+        assert!((x[0] - 0.8).abs() < 1e-6);
+        assert!((x[1] - 0.2).abs() < 1e-6);
+    }
+
+    #[test]
+    fn parallel_starts_counts_the_threads_the_starts_run_on() {
+        let parallelism = Parallelism::new(8);
+        let config = AcqOptConfig {
+            parallelism,
+            ..AcqOptConfig::for_dim(2)
+        };
+        let m = AcqMaximizer::new(2, config);
+        let (telemetry, _recorder) = Telemetry::recording();
+        m.maximize(&mut StdRng::seed_from_u64(5), &telemetry, &Peak);
+        let metrics = telemetry.metrics_snapshot().unwrap();
+        assert_eq!(
+            metrics.counter("parallel_starts"),
+            parallelism.os_threads(config.starts) as u64
+        );
+        assert!(metrics.counter("parallel_starts") <= config.starts as u64);
     }
 }

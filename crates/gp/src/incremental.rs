@@ -28,7 +28,7 @@
 use easybo_linalg::Vector;
 use easybo_telemetry::Telemetry;
 
-use crate::model::{validate_point, Gp};
+use crate::model::{validate_point, Gp, PosteriorGrad};
 use crate::GpError;
 
 /// A [`Gp`] wrapped with an incremental-update API and a pseudo-point
@@ -230,6 +230,16 @@ impl IncrementalGp {
         self.gp.posterior(x, self.base_alpha())
     }
 
+    /// [`IncrementalGp::predict_penalized`] with the gradients of both
+    /// moments in `x`; the moments are bit-identical to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != dim()`.
+    pub fn predict_penalized_grad(&self, x: &[f64]) -> PosteriorGrad {
+        self.gp.posterior_grad(x, self.base_alpha())
+    }
+
     /// Batched [`IncrementalGp::predict_penalized`], bit-identical per
     /// point, in the blocks of [`Gp::predict_standardized_batch`].
     ///
@@ -395,6 +405,80 @@ mod tests {
                 assert_replays(inc.gp(), &probes, &format!("{at} +3 pseudo"));
             }
         }
+    }
+
+    /// Central differences of `f`'s two outputs along every coordinate.
+    fn central_differences(f: impl Fn(&[f64]) -> (f64, f64), x: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let h = 1e-4;
+        (0..x.len())
+            .map(|j| {
+                let (mut up, mut down) = (x.to_vec(), x.to_vec());
+                up[j] += h;
+                down[j] -= h;
+                let (a, b) = (f(&up), f(&down));
+                ((a.0 - b.0) / (2.0 * h), (a.1 - b.1) / (2.0 * h))
+            })
+            .unzip()
+    }
+
+    fn assert_close(got: &[f64], want: &[f64], at: &str) {
+        for (j, (g, w)) in got.iter().zip(want).enumerate() {
+            let tol = 1e-6 + 1e-5 * w.abs();
+            assert!((g - w).abs() <= tol, "{at} coordinate {j}: {g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn posterior_gradients_match_central_differences() {
+        for family in FAMILIES {
+            let mut inc = IncrementalGp::new(class_e_gp(family, 40));
+            for pushed in [false, true] {
+                if pushed {
+                    inc.push_pseudo_mean(cube_points(1, 3).remove(0)).unwrap();
+                    inc.push_pseudo_lie(cube_points(1, 4).remove(0), 0.7)
+                        .unwrap();
+                }
+                for (i, q) in cube_points(5, 11).iter().enumerate() {
+                    let at = format!("{family:?} pushed={pushed} query {i}");
+                    let pen = inc.predict_penalized_grad(q);
+                    let live = inc.gp().predict_standardized_grad(q);
+                    // The moments are the value paths' bits.
+                    let (mean, var) = inc.predict_penalized(q);
+                    assert_eq!(
+                        (pen.mean.to_bits(), pen.var.to_bits()),
+                        (mean.to_bits(), var.to_bits()),
+                        "{at}"
+                    );
+                    let (mean, var) = inc.gp().predict_standardized(q);
+                    assert_eq!(
+                        (live.mean.to_bits(), live.var.to_bits()),
+                        (mean.to_bits(), var.to_bits()),
+                        "{at}"
+                    );
+                    assert!(pen.var > 0.0, "{at}");
+
+                    let (dm, dv) = central_differences(|x| inc.predict_penalized(x), q);
+                    assert_close(&pen.d_mean, &dm, &format!("{at} penalized mean"));
+                    assert_close(&pen.d_var, &dv, &format!("{at} penalized variance"));
+                    let (dm, dv) = central_differences(|x| inc.gp().predict_standardized(x), q);
+                    assert_close(&live.d_mean, &dm, &format!("{at} mean"));
+                    assert_close(&live.d_var, &dv, &format!("{at} variance"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn variance_gradient_is_zero_on_the_floor() {
+        // A noiseless 1-d model queried on a training point: σ² floors at
+        // zero there, and so does its gradient.
+        let gp = near_noiseless_gp((0..6).map(|i| vec![i as f64 / 5.0]).collect());
+        let at = gp.predict_standardized_grad(&[0.4]);
+        if at.var == 0.0 {
+            assert_eq!(at.d_var, vec![0.0]);
+        }
+        assert!(at.d_var[0].abs() < 1e-6, "{at:?}");
+        assert!(at.d_mean[0].is_finite());
     }
 
     /// The 1-d grid of [`duplicate_pseudo_point_bumps_jitter_counter`],

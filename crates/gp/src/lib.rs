@@ -41,7 +41,7 @@ mod train;
 pub use error::GpError;
 pub use incremental::IncrementalGp;
 pub use kernel::{ArdKernel, KernelFamily};
-pub use model::{Gp, GpConfig, GpFactor, GpState, Prediction};
+pub use model::{Gp, GpConfig, GpFactor, GpState, PosteriorGrad, Prediction};
 pub use scaler::YScaler;
 pub use train::TrainConfig;
 

@@ -46,6 +46,21 @@ impl Prediction {
     }
 }
 
+/// Standardized posterior moments at one query point with their
+/// gradients in the query's coordinates (see
+/// [`Gp::predict_standardized_grad`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct PosteriorGrad {
+    /// Posterior mean `μ_z(x)`.
+    pub mean: f64,
+    /// Posterior variance `σ²_z(x)`, floored at zero.
+    pub var: f64,
+    /// `∂μ_z/∂x`.
+    pub d_mean: Vec<f64>,
+    /// `∂σ²_z/∂x` (zero where the floor is active).
+    pub d_var: Vec<f64>,
+}
+
 /// Exact raw-parts capture of a fitted [`Gp`], produced by
 /// [`Gp::state`] and consumed by [`Gp::from_state`].
 ///
@@ -513,17 +528,79 @@ impl Gp {
     pub(crate) fn posterior(&self, x: &[f64], mean_alpha: &Vector) -> (f64, f64) {
         assert_eq!(x.len(), self.dim(), "query dimension mismatch");
         let kstar = self.kernel.cross_row(&self.theta, x, &self.x);
+        let (mean, var, _) = self.moments_of_row(x, &kstar, mean_alpha);
+        (mean, var)
+    }
+
+    /// `(mean, variance, v = L⁻¹k*)` from the cross row `kstar` at `x`.
+    fn moments_of_row(&self, x: &[f64], kstar: &Vector, mean_alpha: &Vector) -> (f64, f64, Vector) {
         // The same `Σ k·a` reduction, in the same order, as `Vector::dot`.
         let mean = kstar
             .iter()
             .zip(mean_alpha.iter())
             .map(|(k, a)| k * a)
             .sum();
-        let v = self.chol.solve_lower(&kstar);
+        let v = self.chol.solve_lower(kstar);
         // Not `signal_variance`: an infinite coordinate makes this NaN (so 0 below).
         let prior = self.kernel.eval(&self.theta, x, x);
         let var = (prior - v.dot(&v)).max(0.0);
-        (mean, var)
+        (mean, var, v)
+    }
+
+    /// [`Gp::predict_standardized`] with the gradients of both moments in
+    /// `x`. The moments are bit-identical to [`Gp::predict_standardized`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != dim()`.
+    pub fn predict_standardized_grad(&self, x: &[f64]) -> PosteriorGrad {
+        self.posterior_grad(x, &self.alpha)
+    }
+
+    /// [`Gp::posterior`] with gradients. With `uᵢ = (x − xᵢ)·ℓ⁻¹` and `gᵢ`
+    /// the radial factor of [`ArdKernel::eval_scaled`], `∂kᵢ/∂x_d =
+    /// −gᵢ·uᵢ_d·ℓ_d⁻¹`; then `∇μ = Σ αᵢ ∂kᵢ/∂x` over the leading
+    /// `mean_alpha.len()` rows and `∇σ² = −2 Σ wᵢ ∂kᵢ/∂x` with
+    /// `w = L⁻ᵀL⁻¹k*` on the whole factor. The variance gradient is zero
+    /// where the variance floor at zero is active.
+    pub(crate) fn posterior_grad(&self, x: &[f64], mean_alpha: &Vector) -> PosteriorGrad {
+        let d = self.dim();
+        assert_eq!(x.len(), d, "query dimension mismatch");
+        let sf2 = self.kernel.signal_variance(&self.theta);
+        let inv_l = self.kernel.inv_lengthscales(&self.theta);
+        let n = self.x.len();
+        let mut kstar = Vector::zeros(n);
+        let mut radial = vec![0.0; n];
+        let mut u = vec![0.0; n * d];
+        for (i, (row, ui)) in self.x.iter().zip(u.chunks_exact_mut(d)).enumerate() {
+            // The value is bit-identical to `cross_row`'s entry.
+            (kstar[i], radial[i]) = self.kernel.eval_scaled(sf2, &inv_l, x, row, ui);
+        }
+        let (mean, var, v) = self.moments_of_row(x, &kstar, mean_alpha);
+        let w = if var > 0.0 {
+            self.chol.solve_lower_transpose_rows(v)
+        } else {
+            Vector::zeros(n)
+        };
+        let (mut d_mean, mut d_var) = (vec![0.0; d], vec![0.0; d]);
+        for (i, ui) in u.chunks_exact(d).enumerate() {
+            let a = mean_alpha.as_slice().get(i).map_or(0.0, |a| a * radial[i]);
+            let b = w[i] * radial[i];
+            for ((dm, dv), &uid) in d_mean.iter_mut().zip(d_var.iter_mut()).zip(ui) {
+                *dm += a * uid;
+                *dv += b * uid;
+            }
+        }
+        for ((dm, dv), &il) in d_mean.iter_mut().zip(d_var.iter_mut()).zip(&inv_l) {
+            *dm *= -il;
+            *dv *= 2.0 * il;
+        }
+        PosteriorGrad {
+            mean,
+            var,
+            d_mean,
+            d_var,
+        }
     }
 
     /// Posterior predictions for a whole batch of query points (raw units).

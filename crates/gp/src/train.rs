@@ -590,6 +590,62 @@ mod tests {
         assert_eq!(seq, counts(4), "eval counts must not depend on threading");
     }
 
+    /// One training result pinned bit for bit: the L-BFGS the acquisition
+    /// refiner shares must leave unbounded training untouched.
+    #[test]
+    fn training_result_is_pinned() {
+        let x: Vec<Vec<f64>> = (0..24)
+            .map(|i| {
+                (0..3)
+                    .map(|j| ((i * 7 + j * 11) % 24) as f64 / 23.0)
+                    .collect()
+            })
+            .collect();
+        let y: Vec<f64> = x
+            .iter()
+            .map(|p| (3.0 * p[0]).sin() + p[1] * p[2] - 0.5 * p[2])
+            .collect();
+        let scaler = crate::YScaler::fit(&y);
+        let z = Vector::from_iter(y.iter().map(|&v| scaler.transform(v)));
+        let pinned: [(KernelFamily, [u64; 5]); 2] = [
+            (
+                KernelFamily::SquaredExponential,
+                [
+                    0x3f9a_f2a7_f602_ad75,
+                    0x3fff_f6e6_df6d_5228,
+                    0x4004_b7ab_eccb_e316,
+                    0x4010_0000_0000_0000,
+                    0xc032_6bb1_bbb5_5516,
+                ],
+            ),
+            (
+                KernelFamily::Matern52,
+                [
+                    0x3ff2_05de_e44d_1611,
+                    0x4002_1095_465a_43b7,
+                    0x4002_a689_93f2_20cc,
+                    0x4010_0000_0000_0000,
+                    0xc030_28bb_7f1a_1974,
+                ],
+            ),
+        ];
+        let (telemetry, _recorder) = Telemetry::recording();
+        for (family, want) in pinned {
+            let kernel = ArdKernel::new(family, 3);
+            let cfg = TrainConfig {
+                restarts: 2,
+                seed: 5,
+                parallelism: Parallelism::sequential(),
+                ..Default::default()
+            };
+            let (theta, noise) = train(&kernel, &x, &z, &cfg, 1e-8, &telemetry);
+            let got: Vec<u64> = theta.iter().chain([&noise]).map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "{family:?}");
+        }
+        let metrics = telemetry.metrics_snapshot().unwrap();
+        assert_eq!(metrics.counter("gp_nll_evals"), 496);
+    }
+
     #[test]
     fn infinite_objective_outside_safe_box() {
         let (x, z) = data();

@@ -321,6 +321,32 @@ impl Cholesky {
         x
     }
 
+    /// Solves `L^T x = b` streaming the rows of `L` from the bottom up:
+    /// once `x[j]` is known, row `j` leaves the rest of the right-hand side
+    /// in one axpy over contiguous memory. The same solution as
+    /// [`Cholesky::solve_lower_transpose`], which walks a column of `L` per
+    /// unknown, but not the same rounding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len() != dim()`.
+    pub fn solve_lower_transpose_rows(&self, b: Vector) -> Vector {
+        let n = self.dim();
+        assert_eq!(b.len(), n, "solve_lower_transpose_rows dimension mismatch");
+        let mut x = b;
+        let xs = x.as_mut_slice();
+        for j in (0..n).rev() {
+            let row = self.l.row(j);
+            let (head, tail) = xs.split_at_mut(j);
+            let xj = tail[0] / row[j];
+            tail[0] = xj;
+            for (xk, &l) in head.iter_mut().zip(&row[..j]) {
+                *xk -= l * xj;
+            }
+        }
+        x
+    }
+
     /// Solves `A x = b` where `A = L L^T`.
     ///
     /// # Panics
@@ -768,6 +794,22 @@ mod tests {
                     );
                     assert_eq!(inv[(i, j)].to_bits(), inv[(j, i)].to_bits(), "n={n}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn row_streaming_transpose_solve_matches_the_column_walk() {
+        for n in [1usize, 2, 7, 40] {
+            let c = Cholesky::new(&spd(n, 3 + n as u64)).unwrap();
+            let b = Vector::from_iter((0..n).map(|i| (i as f64 * 0.7).sin() + 0.2));
+            let want = c.solve_lower_transpose(&b);
+            let got = c.solve_lower_transpose_rows(b);
+            for (g, w) in got.iter().zip(want.iter()) {
+                assert!(
+                    (g - w).abs() <= 1e-12 * (1.0 + w.abs()),
+                    "n = {n}: {g} vs {w}"
+                );
             }
         }
     }

@@ -1,11 +1,12 @@
-//! Limited-memory BFGS with Armijo backtracking line search, for smooth
-//! minimization with analytic gradients (GP hyperparameter training).
+//! Limited-memory BFGS with a weak-Wolfe line search, for smooth
+//! minimization with analytic gradients: unconstrained for GP
+//! hyperparameter training, inside a box for acquisition refinement.
 
 use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
-use crate::OptError;
+use crate::{Bounds, OptError};
 
 /// Configuration for [`Lbfgs`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -116,7 +117,48 @@ impl Lbfgs {
 
     /// Minimizes `f`, which must write the gradient into its second argument
     /// and return the objective value. Returns the best `(x, f(x))` seen.
-    pub fn minimize<F>(&self, x0: Vec<f64>, mut f: F) -> (Vec<f64>, f64)
+    pub fn minimize<F>(&self, x0: Vec<f64>, f: F) -> (Vec<f64>, f64)
+    where
+        F: FnMut(&[f64], &mut [f64]) -> f64,
+    {
+        self.run(x0, None, usize::MAX, f)
+    }
+
+    /// Minimizes `f` over the box `bounds` from `x0` (clamped into the
+    /// box) with at most `max_evals` calls of `f`, and returns the best
+    /// `(x, f(x))` seen. Every point `f` sees lies in the box: a
+    /// coordinate on a face its gradient pushes through is held for the
+    /// iteration, the search direction never leaves through a face, and
+    /// the line search stops at the first face it reaches. Non-finite
+    /// values fail the sufficient-decrease test, so the search backs out
+    /// of non-finite regions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x0.len() != bounds.dim()`.
+    pub fn minimize_in<F>(
+        &self,
+        bounds: &Bounds,
+        x0: Vec<f64>,
+        max_evals: usize,
+        f: F,
+    ) -> (Vec<f64>, f64)
+    where
+        F: FnMut(&[f64], &mut [f64]) -> f64,
+    {
+        assert_eq!(x0.len(), bounds.dim(), "start point dimension mismatch");
+        self.run(bounds.clamp(&x0), Some(bounds), max_evals.max(1), f)
+    }
+
+    /// The one L-BFGS loop. Without `bounds` every box step below is
+    /// skipped, so unconstrained minimization keeps its arithmetic.
+    fn run<F>(
+        &self,
+        x0: Vec<f64>,
+        bounds: Option<&Bounds>,
+        max_evals: usize,
+        mut f: F,
+    ) -> (Vec<f64>, f64)
     where
         F: FnMut(&[f64], &mut [f64]) -> f64,
     {
@@ -125,6 +167,7 @@ impl Lbfgs {
         let mut x = x0;
         let mut grad = vec![0.0; n];
         let mut fx = f(&x, &mut grad);
+        let mut evals = 1;
         if !fx.is_finite() {
             return (x, fx);
         }
@@ -132,14 +175,27 @@ impl Lbfgs {
         let mut best_f = fx;
         // (s, y, rho) curvature pairs, newest at the back.
         let mut pairs: VecDeque<(Vec<f64>, Vec<f64>, f64)> = VecDeque::new();
+        let mut held = vec![false; n];
 
         for _ in 0..c.max_iters {
-            let gmax = grad.iter().fold(0.0f64, |a, &g| a.max(g.abs()));
+            // The gradient over the free coordinates: a coordinate on a
+            // face its gradient pushes through is held for this iteration.
+            let mut free = grad.clone();
+            if let Some(b) = bounds {
+                for (i, (h, g)) in held.iter_mut().zip(free.iter_mut()).enumerate() {
+                    let (lo, hi) = b.pair(i);
+                    *h = (x[i] <= lo && *g > 0.0) || (x[i] >= hi && *g < 0.0);
+                    if *h {
+                        *g = 0.0;
+                    }
+                }
+            }
+            let gmax = free.iter().fold(0.0f64, |a, &g| a.max(g.abs()));
             if gmax < c.grad_tol || !gmax.is_finite() {
                 break;
             }
             // Two-loop recursion: direction = -H grad.
-            let mut q = grad.clone();
+            let mut q = free.clone();
             let mut alphas = Vec::with_capacity(pairs.len());
             for (s, y, rho) in pairs.iter().rev() {
                 let alpha = rho * dot(s, &q);
@@ -158,16 +214,40 @@ impl Lbfgs {
                 axpy(&mut q, alpha - beta, s);
             }
             let mut dir: Vec<f64> = q.iter().map(|v| -v).collect();
-            let mut dg = dot(&dir, &grad);
+            if let Some(b) = bounds {
+                // Never move a held coordinate, nor leave through a face.
+                for (i, (d, &h)) in dir.iter_mut().zip(&held).enumerate() {
+                    let (lo, hi) = b.pair(i);
+                    if h || (x[i] <= lo && *d < 0.0) || (x[i] >= hi && *d > 0.0) {
+                        *d = 0.0;
+                    }
+                }
+            }
+            let mut dg = dot(&dir, &free);
             if dg >= 0.0 || !dg.is_finite() {
-                // Not a descent direction: reset to steepest descent.
+                // Not a descent direction: reset to steepest descent (which
+                // points into the box from every face it does not push
+                // through).
                 pairs.clear();
-                dir = grad.iter().map(|g| -g).collect();
-                dg = -dot(&grad, &grad);
+                dir = free.iter().map(|g| -g).collect();
+                dg = -dot(&free, &free);
                 if dg == 0.0 {
                     break;
                 }
             }
+            // The longest step that stays in the box.
+            let t_max = bounds.map_or(f64::INFINITY, |b| {
+                dir.iter().enumerate().fold(f64::INFINITY, |t, (i, &d)| {
+                    let (lo, hi) = b.pair(i);
+                    if d > 0.0 {
+                        t.min((hi - x[i]) / d)
+                    } else if d < 0.0 {
+                        t.min((lo - x[i]) / d)
+                    } else {
+                        t
+                    }
+                })
+            });
 
             // Weak-Wolfe bracketing line search (Lewis–Overton bisection).
             // The curvature condition guarantees s^T y > 0, which keeps the
@@ -181,7 +261,8 @@ impl Lbfgs {
                 1.0 / (1.0 + (-dg).sqrt())
             } else {
                 1.0
-            };
+            }
+            .min(t_max);
             let mut new_x = x.clone();
             let mut new_grad = vec![0.0; n];
             let mut new_f = f64::INFINITY;
@@ -189,10 +270,18 @@ impl Lbfgs {
             let mut fallback: Option<(Vec<f64>, Vec<f64>, f64)> = None;
             let mut ok = false;
             for _ in 0..c.max_line_search {
+                if evals >= max_evals {
+                    break;
+                }
                 for i in 0..n {
                     new_x[i] = x[i] + step * dir[i];
                 }
+                if let Some(b) = bounds {
+                    // Rounding at `t_max` must not leave the box.
+                    new_x = b.clamp(&new_x);
+                }
                 new_f = f(&new_x, &mut new_grad);
+                evals += 1;
                 let armijo = new_f.is_finite() && new_f <= fx + c.armijo_c * step * dg;
                 if !armijo {
                     hi = step;
@@ -200,11 +289,17 @@ impl Lbfgs {
                 } else if dot(&new_grad, &dir) < c2 * dg {
                     fallback = Some((new_x.clone(), new_grad.clone(), new_f));
                     lo = step;
+                    if lo >= t_max {
+                        // Still descending at the face: stop there.
+                        ok = true;
+                        break;
+                    }
                     step = if hi.is_finite() {
                         0.5 * (lo + hi)
                     } else {
                         2.0 * lo
-                    };
+                    }
+                    .min(t_max);
                 } else {
                     ok = true;
                     break;
@@ -332,6 +427,48 @@ mod tests {
         });
         assert_eq!(x, vec![1.0]);
         assert!(fval.is_nan());
+    }
+
+    #[test]
+    fn minimize_in_minimizes_a_shifted_sphere() {
+        let lbfgs = Lbfgs::new(LbfgsConfig::default()).unwrap();
+        let bounds = Bounds::new(vec![(-10.0, 10.0); 3]).unwrap();
+        let c = [1.0, -2.0, 3.0];
+        let (x, fval) = lbfgs.minimize_in(&bounds, vec![8.0, 8.0, 8.0], 100, |p, g| {
+            for i in 0..3 {
+                g[i] = 2.0 * (p[i] - c[i]);
+            }
+            p.iter().zip(c).map(|(v, c)| (v - c) * (v - c)).sum()
+        });
+        assert!(fval < 1e-12, "f = {fval}");
+        for i in 0..3 {
+            assert!((x[i] - c[i]).abs() < 1e-6, "{x:?}");
+        }
+    }
+
+    #[test]
+    fn minimize_in_clamps_a_start_outside_the_box_within_its_budget() {
+        let lbfgs = Lbfgs::new(LbfgsConfig::default()).unwrap();
+        let bounds = Bounds::new(vec![(0.0, 1.0), (-1.0, 0.5), (2.0, 3.0)]).unwrap();
+        for budget in [1usize, 3, 10, 50] {
+            let mut seen = 0usize;
+            // Minimum at (-1, 0.2, 5): two coordinates end on a face.
+            let (x, fx) = lbfgs.minimize_in(&bounds, vec![7.0, 0.0, 2.5], budget, |p, g| {
+                seen += 1;
+                assert!(bounds.contains(p), "{p:?} left the box");
+                let c = [-1.0, 0.2, 5.0];
+                for i in 0..3 {
+                    g[i] = 2.0 * (p[i] - c[i]);
+                }
+                p.iter().zip(c).map(|(v, c)| (v - c) * (v - c)).sum()
+            });
+            assert!(seen <= budget, "budget {budget}: {seen} evaluations");
+            assert!(bounds.contains(&x) && fx.is_finite());
+            if budget == 50 {
+                assert_eq!((x[0], x[2]), (0.0, 3.0));
+                assert!((x[1] - 0.2).abs() < 1e-8, "{x:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Design-space sampling and derivative-free/gradient optimizers for the
-//! EasyBO stack.
+//! Design-space sampling and the optimizers of the EasyBO stack.
 //!
 //! This crate supplies everything the Bayesian-optimization core needs to
 //! (a) draw space-filling initial designs, (b) maximize acquisition
@@ -8,29 +7,40 @@
 //! * [`Bounds`] — a box-constrained design space with unit-cube scaling.
 //! * [`sampling`] — Latin hypercube, Sobol and uniform random designs.
 //! * [`de`] — differential evolution (DE/rand/1/bin), the paper's DE baseline.
-//! * [`nelder_mead`] — bounded Nelder–Mead simplex local refinement.
-//! * [`lbfgs`] — the first-order optimizer for smooth objectives (used
-//!   for GP hyperparameter training).
-//! * [`multistart`] — the random-restart acquisition maximizer.
+//! * [`lbfgs`] — the first-order optimizer for smooth objectives: GP
+//!   hyperparameter training, unconstrained, and acquisition refinement,
+//!   inside a box under an evaluation budget.
+//! * [`multistart`] — the random-restart acquisition maximizer: probes
+//!   scored in batches, the best refined along the objective's gradient.
 //! * [`parallel`] — the deterministic worker-thread fan-out behind both
 //!   maximizers and GP training restarts.
 //!
 //! # Example
 //!
 //! ```
-//! use easybo_opt::{Bounds, multistart::MultiStartMaximizer};
+//! use easybo_opt::{BatchObjective, Bounds, MultiStartMaximizer, Parallelism};
 //! use rand::SeedableRng;
+//!
+//! /// A smooth unimodal function over the unit square, with its gradient.
+//! struct Bump;
+//! impl BatchObjective for Bump {
+//!     fn eval(&self, x: &[f64]) -> f64 {
+//!         -((x[0] - 0.3).powi(2) + (x[1] - 0.7).powi(2))
+//!     }
+//!     fn eval_grad(&self, x: &[f64], grad: &mut [f64]) -> f64 {
+//!         grad[0] = -2.0 * (x[0] - 0.3);
+//!         grad[1] = -2.0 * (x[1] - 0.7);
+//!         self.eval(x)
+//!     }
+//! }
 //!
 //! # fn main() -> Result<(), easybo_opt::OptError> {
 //! let bounds = Bounds::unit_cube(2)?;
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let maximizer = MultiStartMaximizer::new(256, 4, 60);
-//! // Maximize a smooth unimodal function over the unit square.
-//! let best = maximizer.maximize(&bounds, &mut rng, |x| {
-//!     -((x[0] - 0.3).powi(2) + (x[1] - 0.7).powi(2))
-//! });
-//! assert!((best.x[0] - 0.3).abs() < 1e-3);
-//! assert!((best.x[1] - 0.7).abs() < 1e-3);
+//! let maximizer = MultiStartMaximizer::new(256, 4, 30);
+//! let best = maximizer.maximize_batched(&bounds, &mut rng, Parallelism::default(), &Bump);
+//! assert!((best.x[0] - 0.3).abs() < 1e-6);
+//! assert!((best.x[1] - 0.7).abs() < 1e-6);
 //! # Ok(())
 //! # }
 //! ```
@@ -40,7 +50,6 @@ pub mod de;
 pub mod error;
 pub mod lbfgs;
 pub mod multistart;
-pub mod nelder_mead;
 pub mod parallel;
 pub mod sampling;
 
@@ -49,7 +58,6 @@ pub use de::{DeConfig, DeReport, DifferentialEvolution};
 pub use error::OptError;
 pub use lbfgs::{Lbfgs, LbfgsConfig};
 pub use multistart::{BatchObjective, MultiStartMaximizer, Optimum};
-pub use nelder_mead::{NelderMead, NelderMeadConfig};
 pub use parallel::{parallel_map, split_seeds, Parallelism};
 
 /// Convenience result alias used across the crate.

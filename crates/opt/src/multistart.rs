@@ -1,15 +1,16 @@
-//! Multi-start acquisition maximizer: dense random probing followed by
-//! Nelder–Mead refinement of the top seeds.
+//! Multi-start acquisition maximizer: dense random probing followed by a
+//! bounded L-BFGS refinement of the top seeds along the objective's
+//! gradient.
 //!
 //! Acquisition surfaces are cheap to evaluate (a GP posterior lookup) but
 //! multimodal; the standard recipe — and the one used throughout this
 //! reproduction — is to scatter a large number of probes, keep the best few,
-//! and polish each with a local derivative-free search.
+//! and polish each with a local search.
 
 use easybo_telemetry::Telemetry;
 use rand::Rng;
 
-use crate::nelder_mead::{NelderMead, NelderMeadConfig};
+use crate::lbfgs::{Lbfgs, LbfgsConfig};
 use crate::parallel::{self, Parallelism};
 use crate::sampling;
 use crate::Bounds;
@@ -23,7 +24,8 @@ pub struct Optimum {
     pub value: f64,
 }
 
-/// An acquisition objective that can score whole candidate batches at once.
+/// An acquisition objective that scores whole candidate batches at once
+/// and single points with their gradient.
 ///
 /// The default [`BatchObjective::eval_batch`] just loops
 /// [`BatchObjective::eval`]; implementations backed by a batched GP posterior
@@ -40,13 +42,11 @@ pub trait BatchObjective: Sync {
     fn eval_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
         xs.iter().map(|x| self.eval(x)).collect()
     }
-}
 
-/// Any thread-safe closure is a (pointwise) batch objective.
-impl<F: Fn(&[f64]) -> f64 + Sync> BatchObjective for F {
-    fn eval(&self, x: &[f64]) -> f64 {
-        self(x)
-    }
+    /// Scores a single point and writes the gradient of the score at
+    /// `x` into `grad` (`grad.len() == x.len()`). The value must equal
+    /// [`BatchObjective::eval`] bit for bit: the refinement reports it.
+    fn eval_grad(&self, x: &[f64], grad: &mut [f64]) -> f64;
 }
 
 /// `-inf` for non-finite values, so NaN regions lose every comparison.
@@ -84,20 +84,33 @@ fn reduce(probe_best: &(Vec<f64>, f64), refined: Vec<(Vec<f64>, f64)>) -> Optimu
     best
 }
 
-/// Random-probe + local-refinement **maximizer** for acquisition functions.
+/// Random-probe + gradient-refinement **maximizer** for acquisition
+/// functions.
 ///
 /// # Example
 ///
 /// ```
-/// use easybo_opt::{Bounds, MultiStartMaximizer};
+/// use easybo_opt::{BatchObjective, Bounds, MultiStartMaximizer, Parallelism};
 /// use rand::SeedableRng;
+///
+/// /// `-(x - 1.5)²` with its derivative.
+/// struct Parabola;
+/// impl BatchObjective for Parabola {
+///     fn eval(&self, x: &[f64]) -> f64 {
+///         -(x[0] - 1.5).powi(2)
+///     }
+///     fn eval_grad(&self, x: &[f64], grad: &mut [f64]) -> f64 {
+///         grad[0] = -2.0 * (x[0] - 1.5);
+///         self.eval(x)
+///     }
+/// }
 ///
 /// # fn main() -> Result<(), easybo_opt::OptError> {
 /// let bounds = Bounds::new(vec![(-3.0, 3.0)])?;
-/// let maximizer = MultiStartMaximizer::new(128, 3, 80);
+/// let maximizer = MultiStartMaximizer::new(128, 3, 30);
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-/// let best = maximizer.maximize(&bounds, &mut rng, |x| -(x[0] - 1.5).powi(2));
-/// assert!((best.x[0] - 1.5).abs() < 1e-3);
+/// let best = maximizer.maximize_batched(&bounds, &mut rng, Parallelism::sequential(), &Parabola);
+/// assert!((best.x[0] - 1.5).abs() < 1e-6);
 /// # Ok(())
 /// # }
 /// ```
@@ -110,8 +123,8 @@ pub struct MultiStartMaximizer {
 
 impl MultiStartMaximizer {
     /// Creates a maximizer that scatters `probes` random points, then
-    /// refines the best `starts` of them with Nelder–Mead runs of
-    /// `refine_evals` evaluations each.
+    /// refines the best `starts` of them with bounded L-BFGS runs of at
+    /// most `refine_evals` value-and-gradient evaluations each.
     ///
     /// Zero values are clipped up to 1.
     pub fn new(probes: usize, starts: usize, refine_evals: usize) -> Self {
@@ -122,18 +135,12 @@ impl MultiStartMaximizer {
         }
     }
 
-    /// A good default for acquisition maximization in `d` dimensions:
-    /// `max(512, 100·d)` probes, 5 starts, `40·d` refinement evaluations.
-    pub fn for_dim(d: usize) -> Self {
-        MultiStartMaximizer::new(512.max(100 * d), 5, 40 * d.max(1))
-    }
-
     /// Number of random probes per call.
     pub fn probes(&self) -> usize {
         self.probes
     }
 
-    /// Number of Nelder–Mead refinement starts per call.
+    /// Number of refinement starts per call.
     pub fn starts(&self) -> usize {
         self.starts
     }
@@ -149,50 +156,16 @@ impl MultiStartMaximizer {
         candidates
     }
 
-    /// The Nelder–Mead refiner shared by every start.
-    fn refiner(&self) -> NelderMead {
-        NelderMead::new(NelderMeadConfig {
-            max_evals: self.refine_evals,
-            initial_step: 0.02,
-            ..Default::default()
-        })
-        .expect("static Nelder-Mead config is valid")
-    }
-
-    /// Maximizes `f` over `bounds`, returning the best point found.
-    ///
+    /// Maximizes `f` over `bounds`: scores the probe batch through
+    /// [`BatchObjective::eval_batch`], then refines the best starts along
+    /// [`BatchObjective::eval_grad`] on `parallelism` worker threads.
     /// Non-finite objective values are treated as `-inf`.
-    pub fn maximize<R, F>(&self, bounds: &Bounds, rng: &mut R, mut f: F) -> Optimum
-    where
-        R: Rng + ?Sized,
-        F: FnMut(&[f64]) -> f64,
-    {
-        let candidates = self.candidates(bounds, rng);
-        let values: Vec<f64> = candidates.iter().map(|x| safe(f(x))).collect();
-        let starts = top_starts(candidates, values, self.starts);
-
-        // Refinement phase: Nelder-Mead on the negated objective.
-        let nm = self.refiner();
-        let refined: Vec<(Vec<f64>, f64)> = starts
-            .iter()
-            .map(|(x0, _)| {
-                let (x, neg_v) = nm.minimize(bounds, x0.clone(), |p| -safe(f(p)));
-                (x, -neg_v)
-            })
-            .collect();
-        reduce(&starts[0], refined)
-    }
-
-    /// Like [`MultiStartMaximizer::maximize`], but scores the probe batch
-    /// through [`BatchObjective::eval_batch`] and runs the Nelder–Mead
-    /// refinement starts on `parallelism` worker threads.
     ///
     /// Returns the **same `Optimum`, bit for bit, at every parallelism
-    /// level** (including the sequential `maximize` path, provided
-    /// `eval_batch` agrees with `eval` per point): probe values are
-    /// independent of how the batch is chunked, start selection is a stable
-    /// sort on those values, and the reduction scans refined starts in index
-    /// order with strict-improvement ties.
+    /// level**: probe values are independent of how the batch is chunked,
+    /// start selection is a stable sort on those values, each refinement
+    /// depends only on its start, and the reduction scans refined starts
+    /// in index order with strict-improvement ties.
     pub fn maximize_batched<R, F>(
         &self,
         bounds: &Bounds,
@@ -209,10 +182,11 @@ impl MultiStartMaximizer {
 
     /// [`MultiStartMaximizer::maximize_batched`] with a telemetry
     /// handle: the probe-scoring phase is wrapped in a
-    /// `batch_predict` span and the refinement phase in an
-    /// `nm_refine` span, both opened on the calling thread (never
-    /// inside the worker closures) so span ids stay deterministic at
-    /// every parallelism level.
+    /// `batch_predict` span and the local refinement phase in an
+    /// `nm_refine` span (the name predates the gradient refiner and is
+    /// kept so recorded traces stay comparable), both opened on the
+    /// calling thread (never inside the worker closures) so span ids stay
+    /// deterministic at every parallelism level.
     pub fn maximize_batched_traced<R, F>(
         &self,
         bounds: &Bounds,
@@ -251,13 +225,25 @@ impl MultiStartMaximizer {
         let values: Vec<f64> = raw.into_iter().map(safe).collect();
         let starts = top_starts(candidates, values, self.starts);
 
-        let nm = self.refiner();
-        let nm = &nm;
+        let lbfgs = Lbfgs::new(LbfgsConfig {
+            max_iters: self.refine_evals,
+            ..LbfgsConfig::default()
+        })
+        .expect("static L-BFGS config is valid");
+        let lbfgs = &lbfgs;
         let refined = {
             let _span = telemetry.span("nm_refine");
             parallel::parallel_map(parallelism, starts.clone(), |_, (x0, _)| {
-                let (x, neg_v) = nm.minimize(bounds, x0, |p| -safe(f.eval(p)));
-                (x, -neg_v)
+                // L-BFGS minimizes: hand it the negated score. Negation is
+                // exact, so the value comes back with `eval`'s bits.
+                let (x, neg_v) = lbfgs.minimize_in(bounds, x0, self.refine_evals, |p, g| {
+                    let v = f.eval_grad(p, g);
+                    for gi in g.iter_mut() {
+                        *gi = -*gi;
+                    }
+                    -v
+                });
+                (x, safe(-neg_v))
             })
         };
         reduce(&starts[0], refined)
@@ -268,58 +254,180 @@ impl MultiStartMaximizer {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(seed)
+    }
+
+    /// A test objective from a value and a gradient closure.
+    struct Analytic<F, G>(F, G);
+
+    impl<F, G> BatchObjective for Analytic<F, G>
+    where
+        F: Fn(&[f64]) -> f64 + Sync,
+        G: Fn(&[f64], &mut [f64]) + Sync,
+    {
+        fn eval(&self, x: &[f64]) -> f64 {
+            (self.0)(x)
+        }
+
+        fn eval_grad(&self, x: &[f64], grad: &mut [f64]) -> f64 {
+            (self.1)(x, grad);
+            (self.0)(x)
+        }
+    }
+
+    /// `-Σ (xᵢ - cᵢ)²` with its gradient.
+    fn bowl(center: &'static [f64]) -> impl BatchObjective {
+        Analytic(
+            move |x: &[f64]| {
+                -x.iter()
+                    .zip(center)
+                    .map(|(v, c)| (v - c).powi(2))
+                    .sum::<f64>()
+            },
+            move |x: &[f64], g: &mut [f64]| {
+                for ((gi, v), c) in g.iter_mut().zip(x).zip(center) {
+                    *gi = -2.0 * (v - c);
+                }
+            },
+        )
+    }
+
+    fn maximize(
+        m: &MultiStartMaximizer,
+        bounds: &Bounds,
+        seed: u64,
+        f: &impl BatchObjective,
+    ) -> Optimum {
+        m.maximize_batched(bounds, &mut rng(seed), Parallelism::sequential(), f)
     }
 
     #[test]
     fn finds_global_peak_among_two() {
         let bounds = Bounds::new(vec![(-4.0, 4.0)]).unwrap();
         // Two Gaussian bumps; the taller is at x = 2.
-        let f =
-            |x: &[f64]| 0.8 * (-(x[0] + 2.0).powi(2)).exp() + 1.0 * (-(x[0] - 2.0).powi(2)).exp();
-        let m = MultiStartMaximizer::new(256, 5, 100);
-        let best = m.maximize(&bounds, &mut rng(1), f);
-        assert!((best.x[0] - 2.0).abs() < 1e-2, "x = {}", best.x[0]);
+        let f = Analytic(
+            |x: &[f64]| 0.8 * (-(x[0] + 2.0).powi(2)).exp() + (-(x[0] - 2.0).powi(2)).exp(),
+            |x: &[f64], g: &mut [f64]| {
+                g[0] = -1.6 * (x[0] + 2.0) * (-(x[0] + 2.0).powi(2)).exp()
+                    - 2.0 * (x[0] - 2.0) * (-(x[0] - 2.0).powi(2)).exp();
+            },
+        );
+        let best = maximize(&MultiStartMaximizer::new(256, 5, 30), &bounds, 1, &f);
+        assert!((best.x[0] - 2.0).abs() < 1e-4, "x = {}", best.x[0]);
     }
 
     #[test]
     fn result_always_inside_bounds() {
         let bounds = Bounds::new(vec![(0.0, 1.0), (5.0, 6.0)]).unwrap();
-        let m = MultiStartMaximizer::new(64, 3, 40);
-        // Gradient pushes toward the corner (1, 6).
-        let best = m.maximize(&bounds, &mut rng(2), |x| x[0] + x[1]);
+        // The gradient pushes toward the corner (1, 6).
+        let f = Analytic(
+            |x: &[f64]| x[0] + x[1],
+            |_: &[f64], g: &mut [f64]| g.fill(1.0),
+        );
+        let best = maximize(&MultiStartMaximizer::new(64, 3, 30), &bounds, 2, &f);
+        assert_eq!(best.x, vec![1.0, 6.0]);
+        assert_eq!(best.value, 7.0);
+    }
+
+    #[test]
+    fn reaches_the_face_nearest_an_optimum_outside_the_box() {
+        let bounds = Bounds::new(vec![(0.0, 1.0), (0.0, 1.0)]).unwrap();
+        // Peak at (2, 0.25): the box optimum is (1, 0.25).
+        let best = maximize(
+            &MultiStartMaximizer::new(32, 2, 30),
+            &bounds,
+            3,
+            &bowl(&[2.0, 0.25]),
+        );
+        assert_eq!(best.x[0], 1.0);
+        assert!((best.x[1] - 0.25).abs() < 1e-6, "x = {:?}", best.x);
         assert!(bounds.contains(&best.x));
-        assert!((best.x[0] - 1.0).abs() < 1e-6);
-        assert!((best.x[1] - 6.0).abs() < 1e-6);
     }
 
     #[test]
     fn handles_all_nan_objective() {
         let bounds = Bounds::unit_cube(2).unwrap();
-        let m = MultiStartMaximizer::new(16, 2, 10);
-        let best = m.maximize(&bounds, &mut rng(3), |_| f64::NAN);
+        let f = Analytic(
+            |_: &[f64]| f64::NAN,
+            |_: &[f64], g: &mut [f64]| g.fill(f64::NAN),
+        );
+        let best = maximize(&MultiStartMaximizer::new(16, 2, 10), &bounds, 3, &f);
         assert!(bounds.contains(&best.x));
         assert_eq!(best.value, f64::NEG_INFINITY);
     }
 
     #[test]
-    fn for_dim_scales_probes() {
-        let small = MultiStartMaximizer::for_dim(1);
-        let large = MultiStartMaximizer::for_dim(10);
-        assert!(large.probes() >= small.probes());
+    fn walks_out_of_non_finite_regions() {
+        // NaN below 0.3; the peak sits just above it, at 0.35. Starts
+        // above the peak overshoot into the NaN region and back out.
+        let bounds = Bounds::new(vec![(0.0, 1.0)]).unwrap();
+        let f = Analytic(
+            |x: &[f64]| {
+                if x[0] < 0.3 {
+                    f64::NAN
+                } else {
+                    -(x[0] - 0.35).powi(2)
+                }
+            },
+            |x: &[f64], g: &mut [f64]| {
+                g[0] = if x[0] < 0.3 {
+                    f64::NAN
+                } else {
+                    -2.0 * (x[0] - 0.35)
+                };
+            },
+        );
+        for seed in 0..8 {
+            let best = maximize(&MultiStartMaximizer::new(8, 3, 30), &bounds, seed, &f);
+            assert!(best.value.is_finite(), "seed {seed}");
+            assert!(
+                (best.x[0] - 0.35).abs() < 1e-4,
+                "seed {seed}: x = {}",
+                best.x[0]
+            );
+        }
+    }
+
+    #[test]
+    fn refinement_respects_its_budget() {
+        struct Counting(AtomicUsize);
+        impl BatchObjective for Counting {
+            fn eval(&self, x: &[f64]) -> f64 {
+                // Rosenbrock: far from converged after a few steps.
+                -(1.0 - x[0]).powi(2) - 100.0 * (x[1] - x[0] * x[0]).powi(2)
+            }
+            fn eval_grad(&self, x: &[f64], g: &mut [f64]) -> f64 {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                g[0] = 2.0 * (1.0 - x[0]) + 400.0 * x[0] * (x[1] - x[0] * x[0]);
+                g[1] = -200.0 * (x[1] - x[0] * x[0]);
+                self.eval(x)
+            }
+        }
+        let bounds = Bounds::new(vec![(-2.0, 2.0), (-2.0, 2.0)]).unwrap();
+        for budget in [1usize, 2, 7, 30] {
+            let f = Counting(AtomicUsize::new(0));
+            maximize(&MultiStartMaximizer::new(16, 3, budget), &bounds, 4, &f);
+            let used = f.0.load(Ordering::Relaxed);
+            assert!(used <= 3 * budget, "budget {budget}: {used} evaluations");
+            assert!(used >= 3, "budget {budget}: every start evaluates once");
+        }
     }
 
     #[test]
     fn batched_bitwise_matches_sequential_for_all_parallelism() {
-        // Multimodal surface with plateaus to exercise tie-breaking.
-        let f = |x: &[f64]| {
-            (7.0 * x[0]).sin() * (5.0 * x[1]).cos() - (x[0] - 0.3).powi(2) + x[1].floor()
-        };
+        let f = Analytic(
+            |x: &[f64]| (7.0 * x[0]).sin() * (5.0 * x[1]).cos() - (x[0] - 0.3).powi(2),
+            |x: &[f64], g: &mut [f64]| {
+                g[0] = 7.0 * (7.0 * x[0]).cos() * (5.0 * x[1]).cos() - 2.0 * (x[0] - 0.3);
+                g[1] = -5.0 * (7.0 * x[0]).sin() * (5.0 * x[1]).sin();
+            },
+        );
         let bounds = Bounds::unit_cube(2).unwrap();
-        let m = MultiStartMaximizer::new(128, 4, 60);
-        let reference = m.maximize(&bounds, &mut rng(9), f);
+        let m = MultiStartMaximizer::new(128, 4, 30);
+        let reference = maximize(&m, &bounds, 9, &f);
         for k in [1usize, 2, 8] {
             let got = m.maximize_batched(&bounds, &mut rng(9), Parallelism::new(k), &f);
             // Exact equality, not tolerance: parallelism must not change a
@@ -331,8 +439,6 @@ mod tests {
 
     #[test]
     fn batched_uses_eval_batch_for_probes() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
         struct Counting {
             batch_calls: AtomicUsize,
         }
@@ -344,15 +450,19 @@ mod tests {
                 self.batch_calls.fetch_add(1, Ordering::Relaxed);
                 xs.iter().map(|x| self.eval(x)).collect()
             }
+            fn eval_grad(&self, x: &[f64], g: &mut [f64]) -> f64 {
+                g[0] = -2.0 * (x[0] - 0.5);
+                self.eval(x)
+            }
         }
         let bounds = Bounds::unit_cube(1).unwrap();
-        let m = MultiStartMaximizer::new(64, 2, 40);
+        let m = MultiStartMaximizer::new(64, 2, 30);
         let obj = Counting {
             batch_calls: AtomicUsize::new(0),
         };
-        let best = m.maximize_batched(&bounds, &mut rng(5), Parallelism::sequential(), &obj);
+        let best = maximize(&m, &bounds, 5, &obj);
         assert_eq!(obj.batch_calls.load(Ordering::Relaxed), 1);
-        assert!((best.x[0] - 0.5).abs() < 1e-3);
+        assert!((best.x[0] - 0.5).abs() < 1e-6);
     }
 
     #[test]
@@ -366,23 +476,25 @@ mod tests {
             fn eval_batch(&self, _: &[Vec<f64>]) -> Vec<f64> {
                 vec![0.0]
             }
+            fn eval_grad(&self, _: &[f64], g: &mut [f64]) -> f64 {
+                g.fill(0.0);
+                0.0
+            }
         }
         let bounds = Bounds::unit_cube(1).unwrap();
-        MultiStartMaximizer::new(16, 2, 10).maximize_batched(
-            &bounds,
-            &mut rng(1),
-            Parallelism::sequential(),
-            &Broken,
-        );
+        maximize(&MultiStartMaximizer::new(16, 2, 10), &bounds, 1, &Broken);
     }
 
     #[test]
     fn refinement_beats_pure_probing() {
         // Very narrow peak: random probing alone rarely lands within 1e-3.
         let bounds = Bounds::new(vec![(0.0, 1.0)]).unwrap();
-        let f = |x: &[f64]| -(x[0] - 0.41234).powi(2);
-        let m = MultiStartMaximizer::new(64, 3, 120);
-        let best = m.maximize(&bounds, &mut rng(4), f);
-        assert!(best.value > -1e-8, "refined value {}", best.value);
+        let best = maximize(
+            &MultiStartMaximizer::new(64, 3, 30),
+            &bounds,
+            4,
+            &bowl(&[0.41234]),
+        );
+        assert!(best.value > -1e-12, "refined value {}", best.value);
     }
 }

@@ -12,7 +12,7 @@ use std::sync::Mutex;
 use serde::{Deserialize, Serialize};
 
 /// Worker-thread budget for the parallel hot paths (acquisition probe
-/// scoring, Nelder–Mead refinement starts, L-BFGS training restarts).
+/// scoring, acquisition refinement starts, L-BFGS training restarts).
 ///
 /// The default is the number of available cores; [`Parallelism::sequential`]
 /// (`1`) selects the legacy single-threaded path. Any setting produces
@@ -58,6 +58,19 @@ impl Parallelism {
     pub fn threads(self) -> usize {
         self.0
     }
+
+    /// The OS threads [`parallel_map`] runs for `items` items under this
+    /// budget: one per item up to the budget, and never more than the
+    /// host has hardware threads, since oversubscribed threads only add
+    /// switching. `1` (or `0` for no items) means no thread is spawned.
+    pub fn os_threads(self, items: usize) -> usize {
+        self.os_threads_on(items, host_threads())
+    }
+
+    /// [`Parallelism::os_threads`] on a host with `host` hardware threads.
+    fn os_threads_on(self, items: usize, host: usize) -> usize {
+        self.0.min(items).min(host)
+    }
 }
 
 impl Default for Parallelism {
@@ -80,13 +93,6 @@ fn host_threads() -> usize {
     *HOST.get_or_init(|| Parallelism::available().threads())
 }
 
-/// OS threads for a fan-out of `items` under a `budget`: one per item up
-/// to the budget, and never more than the `host` has hardware threads,
-/// since oversubscribed threads only add switching.
-fn os_threads(budget: usize, items: usize, host: usize) -> usize {
-    budget.min(items).min(host)
-}
-
 /// Maps `f(index, item)` over `items`, fanning the items out to scoped
 /// worker threads, and returns the outputs **in input order**.
 ///
@@ -104,7 +110,7 @@ where
     F: Fn(usize, T) -> U + Sync,
 {
     let n = items.len();
-    let workers = os_threads(parallelism.threads(), n, host_threads());
+    let workers = parallelism.os_threads(n);
     if workers <= 1 {
         return items
             .into_iter()
@@ -185,12 +191,17 @@ mod tests {
 
     #[test]
     fn os_threads_never_exceed_the_host() {
-        assert_eq!(os_threads(usize::MAX, usize::MAX, 2), 2);
-        assert_eq!(os_threads(usize::MAX, 5, 64), 5);
-        assert_eq!(os_threads(8, 1_000, 64), 8);
-        assert_eq!(os_threads(8, 0, 64), 0);
-        assert_eq!(os_threads(1, 1_000, 64), 1);
-        assert!(host_threads() >= 1);
+        // A fake host count: nothing here spawns a thread.
+        let most = Parallelism::new(usize::MAX);
+        assert_eq!(most.os_threads_on(usize::MAX, 2), 2);
+        assert_eq!(most.os_threads_on(5, 64), 5);
+        assert_eq!(Parallelism::new(8).os_threads_on(1_000, 64), 8);
+        assert_eq!(Parallelism::new(8).os_threads_on(3, 2), 2);
+        assert_eq!(Parallelism::new(8).os_threads_on(0, 64), 0);
+        assert_eq!(Parallelism::sequential().os_threads_on(1_000, 64), 1);
+        let host = host_threads();
+        assert!(host >= 1);
+        assert_eq!(most.os_threads(usize::MAX), host);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! actually evaluates).
 
 use easybo_gp::{Gp, GpConfig, KernelFamily, TrainConfig};
-use easybo_opt::{sampling, Bounds, MultiStartMaximizer, Parallelism};
+use easybo_opt::{sampling, BatchObjective, Bounds, MultiStartMaximizer, Parallelism};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -31,28 +31,39 @@ fn training_data(n: usize, d: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
 /// A deterministic multi-modal objective with enough structure that the
 /// probe ranking and refinement starts actually differ between runs that
 /// diverge anywhere.
-fn rastrigin_like(p: &[f64]) -> f64 {
-    -p.iter()
-        .map(|v| (v - 0.37) * (v - 0.37) - 0.08 * (14.0 * v).cos())
-        .sum::<f64>()
+struct RastriginLike;
+
+impl BatchObjective for RastriginLike {
+    fn eval(&self, p: &[f64]) -> f64 {
+        -p.iter()
+            .map(|v| (v - 0.37) * (v - 0.37) - 0.08 * (14.0 * v).cos())
+            .sum::<f64>()
+    }
+
+    fn eval_grad(&self, p: &[f64], grad: &mut [f64]) -> f64 {
+        for (g, v) in grad.iter_mut().zip(p) {
+            *g = -(2.0 * (v - 0.37) + 0.08 * 14.0 * (14.0 * v).sin());
+        }
+        self.eval(p)
+    }
 }
 
 #[test]
 fn multistart_optimum_is_bit_identical_across_parallelism() {
     let bounds = Bounds::unit_cube(5).expect("cube");
-    let ms = MultiStartMaximizer::new(96, 4, 60);
+    let ms = MultiStartMaximizer::new(96, 4, 30);
     let reference = ms.maximize_batched(
         &bounds,
         &mut rand::rngs::StdRng::seed_from_u64(11),
         Parallelism::sequential(),
-        &rastrigin_like,
+        &RastriginLike,
     );
     for k in [1usize, 2, 8] {
         let got = ms.maximize_batched(
             &bounds,
             &mut rand::rngs::StdRng::seed_from_u64(11),
             Parallelism::new(k),
-            &rastrigin_like,
+            &RastriginLike,
         );
         assert_eq!(got.x, reference.x, "argmax differs at k={k}");
         assert_eq!(

@@ -160,25 +160,25 @@ fn every_policy_trajectory_matches_its_pinned_digest() {
     use rand::{rngs::StdRng, SeedableRng};
 
     let pinned: [(&str, u64); 19] = [
-        ("lcb", 0xd979685e382951a5),
-        ("ei", 0xa9daca34bacdf73c),
-        ("easybo-seq", 0x04d14fad9adad927),
-        ("pbo", 0x41c96e53e56c2d3c),
-        ("phcbo", 0x4198b01ee06b1079),
-        ("easybo-s", 0xd2eb067a2e6e1118),
-        ("easybo-a", 0x80c0a3c9f59adc46),
-        ("easybo-sp", 0x2ad7c955803c38a4),
-        ("easybo", 0xdd93cc003d27a0c6),
-        ("bucb", 0xa93327f705e3baae),
-        ("lp", 0xc42f3a780e8b4704),
-        ("eps-greedy", 0xc065b72e42941cee),
-        ("pessimistic", 0x601bd2915979bf2d),
-        ("standard", 0xf33aac8902b44cfc),
+        ("lcb", 0xe38dfe7ba9c816b1),
+        ("ei", 0x94b63f47d4869621),
+        ("easybo-seq", 0xc9c4dc44b5fe1e11),
+        ("pbo", 0x80a062353110ff8d),
+        ("phcbo", 0x466630f01ad22e3c),
+        ("easybo-s", 0x74d56a27dafe2344),
+        ("easybo-a", 0x13739d52593d3dc9),
+        ("easybo-sp", 0xf944264b2264101b),
+        ("easybo", 0xdc7cd8d637ba5c32),
+        ("bucb", 0xdae9d207af80e75a),
+        ("lp", 0xdb57caa72ccad8c0),
+        ("eps-greedy", 0x6e25c7585431cba2),
+        ("pessimistic", 0x172cbf029b5bfc0e),
+        ("standard", 0x37556bc10f650e39),
         ("de", 0x5c6129b75f35b5a0),
-        ("mean", 0xd3299bb910796c60),
-        ("liar-min", 0xa196de45517d1583),
-        ("liar-max", 0x261f769fce6e3ff8),
-        ("constrained", 0x385af7a735d79ace),
+        ("mean", 0x7d4e6ed87b2cb8d0),
+        ("liar-min", 0xbdedeb359252084e),
+        ("liar-max", 0x4b329925e7f3a29a),
+        ("constrained", 0x649fde978e2cd636),
     ];
 
     let bb = opamp_blackbox();

@@ -19,6 +19,11 @@
 # each side. Each call keeps its runs' output in a new subdirectory.
 # Nothing is written inside either checkout.
 #
+# Each run's host line (the first JSON line perfbench prints) is kept
+# beside its result, and both sides' `units` and `wait_samples` per run
+# are printed first: the work a run finished and the latency samples it
+# stored, which memory metrics such as `peak_rss_mb` track.
+#
 # For every metric the runs report, prints the first quartile, median
 # and third quartile of each side, the median change, and the number of
 # pairs the change won (and tied). A metric that `BENCHMARK.json` (read
@@ -61,6 +66,7 @@ run() { # side pair
     (cd "$out/src-$1" && "$out/target-$1/release/easybo-perfbench" \
         --workload "$workload" --seed "$seed" "${args[@]}") >"$log"
     tail -n 1 "$log" >>"$runs/$1.jsonl"
+    grep -m 1 '"wait_samples"' "$log" >>"$runs/$1.host.jsonl"
 }
 
 stage parent "$parent"
@@ -105,6 +111,11 @@ def quartiles(xs):
 
 par, chg = load("parent"), load("change")
 print(f"workload {workload}  seed {seed}  args {args}  pairs {len(par)}  runs in {out}")
+for side in ("parent", "change"):
+    hosts = [json.loads(line) for line in open(f"{out}/{side}.host.jsonl")]
+    units = " ".join(str(h["units"]) for h in hosts)
+    waits = " ".join(str(h["wait_samples"]) for h in hosts)
+    print(f"{side}: units per run {units}; wait samples per run {waits}")
 for side, runs in (("parent", par), ("change", chg)):
     bad = [i + 1 for i, r in enumerate(runs) if not r["correct"] or r["failed"]]
     if bad:
