@@ -1,23 +1,23 @@
-//! Hot-path benchmark: batched GP posterior vs scalar prediction, the
-//! blocked batch posterior vs one whole-batch `K*`, the fused penalized
-//! posterior vs its two-call form, the hoisted scalar cross row vs
-//! per-pair kernel calls, the scalar penalized posterior with its gradient
-//! vs without, sequential-EI probe scoring through the batched
-//! vs the scalar acquisition, and the parallel multi-start /
-//! parallel training fan-out vs the sequential legacy path.
+//! Hot-path benchmark: batched GP posterior vs batches of one, the
+//! blocked batch posterior vs one whole-batch `K*`, narrow multi-column
+//! forward solves vs one column at a time, the fused penalized posterior
+//! vs its two-call form, the batch of one vs per-pair kernel calls, the
+//! penalized posterior with its gradient vs without, sequential-EI probe
+//! scoring in one batch vs one probe at a time, and the parallel
+//! multi-start / parallel training fan-out vs the sequential path.
 //!
 //! Prints a table and writes `BENCH_hotpath.json` at the repository root
 //! with the measured times, speedups, the host thread count, and a
-//! bit-identity verdict for every parallel comparison. Repetition count
-//! comes from `EASYBO_REPS` (default 5); each cell reports the best
-//! (minimum) wall-clock across repetitions.
+//! bit-identity verdict for every comparison. Repetition count comes from
+//! `EASYBO_REPS` (default 5); each cell reports the best (minimum)
+//! wall-clock across repetitions.
 
 use std::time::Instant;
 
 use easybo::acquisition::{Acquisition, Moments, Score};
 use easybo_bench::{bench_report, host_threads, write_bench_report, BenchRecord};
 use easybo_gp::{Gp, GpConfig, IncrementalGp, KernelFamily, TrainConfig};
-use easybo_linalg::Vector;
+use easybo_linalg::{Matrix, Vector};
 use easybo_opt::{sampling, BatchObjective, Bounds, MultiStartMaximizer, Parallelism};
 use rand::SeedableRng;
 
@@ -63,7 +63,8 @@ fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     (best, out.expect("reps >= 1"))
 }
 
-/// predict_batch on `m` probes vs `m` scalar `predict` calls.
+/// predict_batch on `m` probes vs `m` `predict` calls, each a batch of
+/// one.
 fn bench_predict_batch(rows: &mut Vec<BenchRecord>, reps: usize, label: &str, n: usize, d: usize) {
     let gp = fitted_gp(n, d);
     let bounds = Bounds::unit_cube(d).expect("unit cube");
@@ -166,15 +167,69 @@ fn bench_blocked_posterior(rows: &mut Vec<BenchRecord>, reps: usize) {
     ));
 }
 
+/// Forward solves against the class-E factor (n = 274 with 14
+/// pseudo-points): the columns of `K*` for up to 2,400 probes solved `m`
+/// at a time through `Cholesky::solve_lower_multi_in_place`, against one
+/// `Cholesky::solve_lower` per column. Both sides copy their right-hand
+/// sides once, as the solve itself does. One row per width `m`; the
+/// columns must agree bit for bit.
+fn bench_narrow_solves(rows: &mut Vec<BenchRecord>, reps: usize) {
+    let (inc, probes) = class_e_stack(2400);
+    let gp = inc.gp();
+    let chol = gp.cholesky();
+    let n = gp.n_train();
+    let kstar = gp
+        .kernel()
+        .cross_covariance(gp.theta(), &gp.state().x, &probes);
+    for m in [1, 2, 3, 4, 5, 8, 13, 16] {
+        let q = m * (probes.len() / m);
+        let columns: Vec<Vector> = (0..q).map(|j| kstar.col(j)).collect();
+        let blocks: Vec<Matrix> = (0..q / m)
+            .map(|b| Matrix::from_fn(n, m, |i, j| kstar[(i, b * m + j)]))
+            .collect();
+        let (single_s, single) = time_best(reps, || {
+            columns
+                .iter()
+                .map(|c| chol.solve_lower(c))
+                .collect::<Vec<_>>()
+        });
+        let (multi_s, multi) = time_best(reps, || {
+            blocks
+                .iter()
+                .map(|b| {
+                    let mut y = b.clone();
+                    chol.solve_lower_multi_in_place(&mut y);
+                    y
+                })
+                .collect::<Vec<_>>()
+        });
+        let identical = single.iter().enumerate().all(|(j, y)| {
+            let block = &multi[j / m];
+            (0..n).all(|i| block[(i, j % m)].to_bits() == y[i].to_bits())
+        });
+        rows.push(BenchRecord::from_seconds(
+            format!("narrow_solve_width{m}_vs_width1_n{n}_q{q}"),
+            single_s,
+            multi_s,
+            identical,
+        ));
+    }
+}
+
+/// `probe` as a batch of one, without copying it.
+fn one(probe: &Vec<f64>) -> &[Vec<f64>] {
+    std::slice::from_ref(probe)
+}
+
 /// The penalized posterior of Eq. 9 at class-E size (n = 274 with 14
 /// pseudo-points, d = 12): the two-call evaluation — base mean from the
 /// un-augmented model, `σ̂²` from the augmented one, two kernel rows per
-/// query — against the fused [`IncrementalGp::predict_penalized`] pair,
-/// which builds one row (or one `K*` block) and one forward solve. The
-/// fused side sends its mean to raw units and back, as Eq. 9's
-/// acquisition does (`Moments::Penalized { raw_round_trip: true }`), so
-/// both sides round alike. One row for 2,000 scalar queries,
-/// one for an m = 528 batch.
+/// query — against the fused [`IncrementalGp::predict_penalized_batch`]
+/// pair, which builds one `K*` block and one forward solve. The fused
+/// side sends its mean to raw units and back, as Eq. 9's acquisition
+/// does (`Moments::Penalized { raw_round_trip: true }`), so both sides
+/// round alike. One row for 2,000 queries as batches of one, one for an
+/// m = 528 batch.
 fn bench_fused_penalized(rows: &mut Vec<BenchRecord>, reps: usize) {
     let (inc, probes) = class_e_stack(2000);
     let base = inc.clone().into_gp();
@@ -185,15 +240,18 @@ fn bench_fused_penalized(rows: &mut Vec<BenchRecord>, reps: usize) {
     let two_call = |mean: f64, var: (f64, f64)| (base.scaler().transform(mean), var.1);
     let round_trip = raw_round_trip(gp);
     let (scalar_two_s, scalar_two) = time_best(reps, || {
-        let post = probes
-            .iter()
-            .map(|p| two_call(base.predict_mean(p), gp.predict_standardized(p)));
+        let post = probes.iter().map(|p| {
+            two_call(
+                base.predict_mean_batch(one(p))[0],
+                gp.predict_standardized(p),
+            )
+        });
         post.collect::<Vec<_>>()
     });
     let (scalar_fused_s, scalar_fused) = time_best(reps, || {
         probes
             .iter()
-            .map(|p| round_trip(inc.predict_penalized(p)))
+            .map(|p| round_trip(inc.predict_penalized_batch(one(p))[0]))
             .collect::<Vec<_>>()
     });
     rows.push(BenchRecord::from_seconds(
@@ -232,13 +290,14 @@ fn bench_fused_penalized(rows: &mut Vec<BenchRecord>, reps: usize) {
     ));
 }
 
-/// The scalar penalized posterior at class-E size (n = 274 with 14
-/// pseudo-points, d = 12) over 2,000 queries: the per-pair path, rebuilt
-/// from [`Gp::state`] — one `ArdKernel::eval` per training row, each
-/// recomputing `d + 2` exponentials — plus the same forward solve,
-/// against [`IncrementalGp::predict_penalized`], whose hoisted
-/// `ArdKernel::cross_row` pays one exponential per row. Both sides send
-/// the mean to raw units and back, as Eq. 9's acquisition does.
+/// The penalized posterior at class-E size (n = 274 with 14
+/// pseudo-points, d = 12) over 2,000 queries: the per-pair oracle of the
+/// GP tests, rebuilt from [`Gp::state`] — one `ArdKernel::eval` per
+/// training row, each recomputing `d + 2` exponentials — plus the same
+/// forward solve, against [`IncrementalGp::predict_penalized_batch`] on
+/// batches of one, whose `K*` column pays one exponential per row. Both
+/// sides send the mean to raw units and back, as Eq. 9's acquisition
+/// does.
 fn bench_hoisted_row(rows: &mut Vec<BenchRecord>, reps: usize) {
     let (inc, probes) = class_e_stack(2000);
     let gp = inc.gp();
@@ -247,11 +306,12 @@ fn bench_hoisted_row(rows: &mut Vec<BenchRecord>, reps: usize) {
     let chol = gp.cholesky();
     let base_alpha = inc.clone().into_gp().state().alpha;
     let (kernel, theta, scaler) = (gp.kernel(), gp.theta(), gp.scaler());
+    let prior = kernel.signal_variance(theta);
     let per_pair = |x: &[f64]| {
         let kstar = Vector::from_iter(s.x.iter().map(|xi| kernel.eval(theta, x, xi)));
-        let mean_z: f64 = kstar.iter().zip(&base_alpha).map(|(k, a)| k * a).sum();
+        let mean_z = (kstar.iter().zip(&base_alpha)).fold(0.0, |acc, (k, a)| acc + k * a);
         let v = chol.solve_lower(&kstar);
-        let var = (kernel.eval(theta, x, x) - v.dot(&v)).max(0.0);
+        let var = (prior - v.dot(&v)).max(0.0);
         (scaler.transform(scaler.inverse(mean_z)), var)
     };
     let (per_pair_s, baseline) = time_best(reps, || {
@@ -261,7 +321,7 @@ fn bench_hoisted_row(rows: &mut Vec<BenchRecord>, reps: usize) {
     let (hoisted_s, hoisted) = time_best(reps, || {
         probes
             .iter()
-            .map(|p| round_trip(inc.predict_penalized(p)))
+            .map(|p| round_trip(inc.predict_penalized_batch(one(p))[0]))
             .collect::<Vec<_>>()
     });
     let identical = baseline
@@ -276,11 +336,12 @@ fn bench_hoisted_row(rows: &mut Vec<BenchRecord>, reps: usize) {
     ));
 }
 
-/// The cost of a gradient: 2,000 scalar penalized posteriors at class-E
-/// size (n = 274 with 14 pseudo-points, d = 12) against the same 2,000
-/// with both moments' gradients, `IncrementalGp::predict_penalized_grad`,
-/// the refiner's query. The moments must agree bit for bit; the ratio
-/// reads below 1, as the value-and-gradient side does more work.
+/// The cost of a gradient: 2,000 penalized posteriors at class-E size
+/// (n = 274 with 14 pseudo-points, d = 12) as batches of one against the
+/// same 2,000 with both moments' gradients,
+/// `IncrementalGp::predict_penalized_grad`, the refiner's query. The
+/// moments must agree bit for bit; the ratio reads below 1, as the
+/// value-and-gradient side does more work.
 fn bench_penalized_grad(rows: &mut Vec<BenchRecord>, reps: usize) {
     let (inc, probes) = class_e_stack(2000);
     let bits = |v: &[(f64, f64)]| -> Vec<(u64, u64)> {
@@ -289,7 +350,7 @@ fn bench_penalized_grad(rows: &mut Vec<BenchRecord>, reps: usize) {
     let (value_s, value) = time_best(reps, || {
         probes
             .iter()
-            .map(|p| inc.predict_penalized(p))
+            .map(|p| inc.predict_penalized_batch(one(p))[0])
             .collect::<Vec<_>>()
     });
     let (grad_s, grad) = time_best(reps, || {
@@ -322,9 +383,9 @@ fn raw_round_trip(gp: &Gp) -> impl Fn((f64, f64)) -> (f64, f64) + '_ {
 
 /// Sequential-EI probe scoring at op-amp size: n = 400, d = 10 and the
 /// m = 440 probes `AcqOptConfig::for_dim(10)` draws. One
-/// [`Acquisition`] `eval` per probe, as EI scored its probes before it
-/// had a batched path, against one `eval_batch` through the batched
-/// posterior.
+/// [`Acquisition`] `eval_batch` per probe, a batch of one each, as EI
+/// scored its probes before it had a batched path, against one
+/// `eval_batch` over all of them.
 fn bench_ei_probe_scoring(rows: &mut Vec<BenchRecord>, reps: usize) {
     let (n, d, m) = (400, 10, 440);
     let model = IncrementalGp::new(fitted_gp(n, d));
@@ -338,7 +399,10 @@ fn bench_ei_probe_scoring(rows: &mut Vec<BenchRecord>, reps: usize) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(17);
     let probes = sampling::uniform(&bounds, m, &mut rng);
     let (scalar_s, scalar) = time_best(reps, || {
-        probes.iter().map(|p| ei.eval(p)).collect::<Vec<_>>()
+        probes
+            .iter()
+            .map(|p| ei.eval_batch(one(p))[0])
+            .collect::<Vec<_>>()
     });
     let (batch_s, batch) = time_best(reps, || ei.eval_batch(&probes));
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -416,6 +480,7 @@ fn main() {
     bench_predict_batch(&mut rows, reps, "opamp", 400, 10);
     bench_predict_batch(&mut rows, reps, "class_e", 400, 12);
     bench_blocked_posterior(&mut rows, reps);
+    bench_narrow_solves(&mut rows, reps);
     bench_fused_penalized(&mut rows, reps);
     bench_hoisted_row(&mut rows, reps);
     bench_penalized_grad(&mut rows, reps);
@@ -441,10 +506,11 @@ fn main() {
     let json = bench_report(
         "hotpath",
         reps,
-        "baseline = scalar/sequential/whole-batch/two-call/per-pair path, candidate = \
-         batched/parallel/blocked/fused/hoisted path; best-of-reps wall clock. Thread speedups require host_threads > 1; on a single-core host the \
-         parallel rows measure fan-out overhead only, while the predict_batch rows are \
-         algorithmic and host-independent.",
+        "baseline = batch-of-one/width-1/sequential/whole-batch/two-call/per-pair/value-only \
+         path, candidate = batched/width-m/parallel/blocked/fused/batch-of-one/value-and-gradient \
+         path; best-of-reps wall clock. Thread speedups require host_threads > 1; on a \
+         single-core host the parallel rows measure fan-out overhead only, while the \
+         predict_batch rows are algorithmic and host-independent.",
         &rows,
     );
     let path = write_bench_report("BENCH_hotpath.json", &json);
@@ -452,6 +518,6 @@ fn main() {
 
     assert!(
         rows.iter().all(|r| r.identical),
-        "parallel/batched results must be bit-identical to the sequential path"
+        "every candidate must be bit-identical to its baseline"
     );
 }

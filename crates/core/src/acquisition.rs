@@ -16,17 +16,17 @@
 //!   distance penalty, Local Penalization's log-cones, or constrained
 //!   EasyBO's log probability of feasibility.
 //!
-//! Its [`BatchObjective::eval_batch`] reads the batched posterior (probe
-//! scoring), its [`BatchObjective::eval`] the scalar one, and its
-//! [`BatchObjective::eval_grad`] the scalar one with the moments'
-//! gradients (local refinement). All three agree bit for bit on the
-//! value. The gradient chains each part's derivative: the score's
-//! partials in `(μ_z, σ²_z)`, the moments' gradients from
-//! [`Gp::predict_standardized_grad`] or
+//! Its [`BatchObjective::eval_batch`] reads the batched posterior, the
+//! model's and each constraint GP's once per batch (probe scoring; a
+//! single point is a batch of one). Its [`BatchObjective::eval_grad`]
+//! reads one point with the moments' gradients (local refinement). Both
+//! agree bit for bit on the value. The gradient chains each part's
+//! derivative: the score's partials in `(μ_z, σ²_z)`, the moments'
+//! gradients from [`Gp::predict_standardized_grad`] or
 //! [`IncrementalGp::predict_penalized_grad`], and the adjustment's own.
 //! Where a part is floored or capped, its derivative is zero.
 
-use easybo_gp::{Gp, IncrementalGp, Prediction};
+use easybo_gp::{Gp, IncrementalGp, PosteriorGrad, Prediction};
 use easybo_opt::BatchObjective;
 
 /// `Φ(z)`: standard normal CDF via the Abramowitz–Stegun erf approximation
@@ -126,15 +126,15 @@ pub enum Moments {
     /// The live model's posterior: the fitted GP, or the augmented one
     /// when pseudo-points are pushed (a constant-liar lie moves its mean).
     Posterior,
-    /// The penalized pair of [`IncrementalGp::predict_penalized`]: the
-    /// mean from the base `α` under the pseudo-point stack, `σ̂²` from the
-    /// augmented factor.
+    /// The penalized pair of [`IncrementalGp::predict_penalized_batch`]:
+    /// the mean from the base `α` under the pseudo-point stack, `σ̂²` from
+    /// the augmented factor.
     Penalized {
         /// Send the mean to raw units and back. Eq. 9 (EasyBO, EasyBO-SP,
         /// constrained EasyBO) reads μ through the raw-unit mean-only path
-        /// (`scaler.transform(base.predict_mean(x))`); that round trip
-        /// rounds, so it is repeated to keep every trajectory on the same
-        /// bits. BUCB reads the mean as it comes.
+        /// (`scaler.transform(base.predict_mean_batch(xs)[j])`); that round
+        /// trip rounds, so it is repeated to keep every trajectory on the
+        /// same bits. BUCB reads the mean as it comes.
         raw_round_trip: bool,
     },
 }
@@ -191,19 +191,16 @@ fn add_scaled_offset(grad: &mut [f64], scale: f64, u: &[f64], center: &[f64]) {
     }
 }
 
-/// `ln P(c(u) ≥ 0)` under the constraint GP, the probability floored at
-/// 1e-12; with `grad`, adds its gradient there (zero on the floor and
-/// where the constraint's σ < 1e-12 makes the probability a step).
-fn log_feasibility(gp: &Gp, u: &[f64], grad: Option<&mut [f64]>) -> f64 {
+/// `ln P(c ≥ 0)` from a constraint GP's standardized moments `m`, the
+/// probability floored at 1e-12. With `grad`, the moments' gradients and
+/// the gradient being built, adds the term's gradient (zero on the floor
+/// and where the constraint's σ < 1e-12 makes the probability a step).
+fn log_feasibility(gp: &Gp, m: (f64, f64), grad: Option<(&PosteriorGrad, &mut [f64])>) -> f64 {
     let scaler = gp.scaler();
-    let moments = grad.as_ref().map(|_| gp.predict_standardized_grad(u));
-    let (mean_z, var_z) = moments
-        .as_ref()
-        .map_or_else(|| gp.predict_standardized(u), |m| (m.mean, m.var));
     // `Gp::predict`'s raw-unit conversion.
     let pred = Prediction {
-        mean: scaler.inverse(mean_z),
-        variance: scaler.inverse_variance(var_z),
+        mean: scaler.inverse(m.0),
+        variance: scaler.inverse_variance(m.1),
     };
     let sigma = pred.std();
     if sigma < 1e-12 {
@@ -211,29 +208,31 @@ fn log_feasibility(gp: &Gp, u: &[f64], grad: Option<&mut [f64]>) -> f64 {
     }
     let r = pred.mean / sigma;
     let (probability, slope) = normal_cdf_slope(r);
-    if let (Some(grad), Some(m)) = (grad, moments) {
-        if probability > 1e-12 {
-            // r = μ/σ in raw units: μ = s·μ_z + m, σ = s·σ_z.
-            let std = scaler.std();
-            let scale = slope / probability;
-            for ((g, dm), dv) in grad.iter_mut().zip(&m.d_mean).zip(&m.d_var) {
-                let d_sigma = std * std * dv / (2.0 * sigma);
-                *g += scale * (std * dm - r * d_sigma) / sigma;
-            }
+    if let (Some((moments, grad)), true) = (grad, probability > 1e-12) {
+        // r = μ/σ in raw units: μ = s·μ_z + m, σ = s·σ_z.
+        let std = scaler.std();
+        let scale = slope / probability;
+        for ((g, dm), dv) in grad.iter_mut().zip(&moments.d_mean).zip(&moments.d_var) {
+            let d_sigma = std * std * dv / (2.0 * sigma);
+            *g += scale * (std * dm - r * d_sigma) / sigma;
         }
     }
     probability.max(1e-12).ln()
 }
 
 impl Adjustment<'_> {
-    /// `score` adjusted at the unit point `u`.
-    pub(crate) fn apply(self, score: f64, u: &[f64]) -> f64 {
-        self.adjust(score, u, None)
-    }
-
-    /// [`Adjustment::apply`]; with `grad` holding the score's gradient at
-    /// `u`, leaves the adjusted score's gradient there.
-    fn adjust(self, score: f64, u: &[f64], mut grad: Option<&mut [f64]>) -> f64 {
+    /// `score` adjusted at the unit point `u`; with `grad` holding the
+    /// score's gradient at `u`, leaves the adjusted score's gradient
+    /// there. `log_pof` is the Feasibility term at `u`, read by the caller
+    /// ([`Adjustment::log_pof_batch`] or [`Adjustment::log_pof_grad`]),
+    /// its gradient already in `grad`; the other adjustments ignore it.
+    pub(crate) fn adjust(
+        self,
+        score: f64,
+        u: &[f64],
+        log_pof: f64,
+        mut grad: Option<&mut [f64]>,
+    ) -> f64 {
         match self {
             Adjustment::None | Adjustment::Coverage { history: [], .. } => score,
             Adjustment::Coverage {
@@ -280,13 +279,35 @@ impl Adjustment<'_> {
                     acq + cdf.max(1e-300).ln()
                 })
             }
-            Adjustment::Feasibility(gps) => {
-                let log_pof = gps.iter().fold(0.0, |acc, gp| {
-                    acc + log_feasibility(gp, u, grad.as_deref_mut())
-                });
-                score + log_pof
+            Adjustment::Feasibility(_) => score + log_pof,
+        }
+    }
+
+    /// Constrained EasyBO's `Σ_j ln P(c_j ≥ 0)` at each of `us`, each
+    /// constraint GP read once through its batched posterior; zeros for
+    /// the other adjustments.
+    fn log_pof_batch(self, us: &[Vec<f64>]) -> Vec<f64> {
+        let mut log_pof = vec![0.0; us.len()];
+        if let Adjustment::Feasibility(gps) = self {
+            for gp in gps {
+                for (acc, m) in log_pof.iter_mut().zip(gp.predict_standardized_batch(us)) {
+                    *acc += log_feasibility(gp, m, None);
+                }
             }
         }
+        log_pof
+    }
+
+    /// [`Adjustment::log_pof_batch`] at one point through each constraint
+    /// GP's gradient path, adding the term's gradient to `grad`.
+    fn log_pof_grad(self, u: &[f64], grad: &mut [f64]) -> f64 {
+        let Adjustment::Feasibility(gps) = self else {
+            return 0.0;
+        };
+        gps.iter().fold(0.0, |acc, gp| {
+            let m = gp.predict_standardized_grad(u);
+            acc + log_feasibility(gp, (m.mean, m.var), Some((&m, &mut *grad)))
+        })
     }
 }
 
@@ -307,13 +328,14 @@ impl Adjustment<'_> {
 /// let model = IncrementalGp::new(Gp::fit(x, y, GpConfig::default())?);
 /// let best_z = model.gp().scaler().transform(1.0);
 /// let ei = Acquisition::new(&model, Score::Ei(best_z), Moments::Posterior);
-/// // Unvisited territory has positive EI; the batched path agrees bit
-/// // for bit with the scalar one.
+/// // Unvisited territory has positive EI; the value that comes with the
+/// // gradient agrees bit for bit with the batched one.
 /// let probes = vec![vec![0.25], vec![0.5], vec![0.75]];
 /// let batch = ei.eval_batch(&probes);
 /// for (p, v) in probes.iter().zip(&batch) {
 ///     assert!(*v >= 0.0);
-///     assert_eq!(v.to_bits(), ei.eval(p).to_bits());
+///     let mut grad = [0.0];
+///     assert_eq!(v.to_bits(), ei.eval_grad(p, &mut grad).to_bits());
 /// }
 /// # Ok(())
 /// # }
@@ -355,32 +377,23 @@ impl<'a> Acquisition<'a> {
             _ => mu_z,
         }
     }
-
-    /// Scores one `(μ_z, σ²_z)` pair read at `u`.
-    fn finish(&self, (mu_z, var_z): (f64, f64), u: &[f64]) -> f64 {
-        let score = self.score.of((self.score_mean(mu_z), var_z));
-        self.adjustment.apply(score, u)
-    }
 }
 
 impl BatchObjective for Acquisition<'_> {
-    fn eval(&self, u: &[f64]) -> f64 {
-        let moments = match self.moments {
-            Moments::Posterior => self.model.gp().predict_standardized(u),
-            Moments::Penalized { .. } => self.model.predict_penalized(u),
-        };
-        self.finish(moments, u)
-    }
-
     fn eval_batch(&self, us: &[Vec<f64>]) -> Vec<f64> {
         let moments = match self.moments {
             Moments::Posterior => self.model.gp().predict_standardized_batch(us),
             Moments::Penalized { .. } => self.model.predict_penalized_batch(us),
         };
+        let log_pof = self.adjustment.log_pof_batch(us);
         moments
             .into_iter()
             .zip(us)
-            .map(|(m, u)| self.finish(m, u))
+            .zip(log_pof)
+            .map(|(((mu_z, var_z), u), log_pof)| {
+                let score = self.score.of((self.score_mean(mu_z), var_z));
+                self.adjustment.adjust(score, u, log_pof, None)
+            })
             .collect()
     }
 
@@ -393,14 +406,9 @@ impl BatchObjective for Acquisition<'_> {
         for ((g, dm), dv) in grad.iter_mut().zip(&m.d_mean).zip(&m.d_var) {
             *g = d_mu * dm + d_var * dv;
         }
-        self.adjustment.adjust(score, u, Some(grad))
+        let log_pof = self.adjustment.log_pof_grad(u, grad);
+        self.adjustment.adjust(score, u, log_pof, Some(grad))
     }
-}
-
-/// The weighted acquisition of pBO/EasyBO (Eqs. 4 and 8):
-/// `α(x, w) = (1-w)·μ(x) + w·σ(x)` in standardized space.
-pub fn weighted(gp: &Gp, x: &[f64], w: f64) -> f64 {
-    Score::Weighted(w).of(gp.predict_standardized(x))
 }
 
 #[cfg(test)]
@@ -412,9 +420,22 @@ mod tests {
     /// the O(n·d) mean-only path, `σ̂` from the *augmented* GP (busy
     /// points hallucinated by [`Gp::augment`]).
     fn weighted_penalized(base: &Gp, augmented: &Gp, x: &[f64], w: f64) -> f64 {
-        let mu_z = base.scaler().transform(base.predict_mean(x));
+        let mu_z = base
+            .scaler()
+            .transform(base.predict_mean_batch(&[x.to_vec()])[0]);
         let (_, var_hat) = augmented.predict_standardized(x);
         Score::Weighted(w).of((mu_z, var_hat))
+    }
+
+    /// The weighted acquisition of pBO/EasyBO (Eqs. 4 and 8),
+    /// `(1-w)·μ(x) + w·σ(x)` on `gp`'s standardized posterior.
+    fn weighted(gp: &Gp, x: &[f64], w: f64) -> f64 {
+        Score::Weighted(w).of(gp.predict_standardized(x))
+    }
+
+    /// `acq` at one point: a batch of one.
+    fn eval_one(acq: &Acquisition<'_>, u: &[f64]) -> f64 {
+        acq.eval_batch(&[u.to_vec()])[0]
     }
 
     /// Expected improvement over a raw-unit incumbent on `gp`'s posterior.
@@ -423,8 +444,17 @@ mod tests {
     }
 
     fn toy_gp() -> Gp {
+        toy_constraint(0.0)
+    }
+
+    /// [`toy_gp`]'s data shifted by `offset`: the same standardized
+    /// model, but feasible (`c ≥ 0`) over a different region.
+    fn toy_constraint(offset: f64) -> Gp {
         let x = vec![vec![0.0], vec![0.25], vec![0.5], vec![0.75], vec![1.0]];
-        let y = vec![0.0, 0.7, 1.0, 0.7, 0.0];
+        let y = vec![0.0, 0.7, 1.0, 0.7, 0.0]
+            .into_iter()
+            .map(|y| y + offset)
+            .collect();
         let mut theta = vec![-1.2, 0.0];
         theta[1] = 0.0;
         Gp::fit_with_params(
@@ -523,6 +553,10 @@ mod tests {
         assert!((weighted_penalized(&gp, &aug, &q, 0.0) - mu).abs() < 1e-10);
     }
 
+    /// Every Score × Moments × Adjustment reads one value three ways, bit
+    /// for bit: in a ragged batch of 33 probes (one full 32-column block of
+    /// the batched posterior plus one column), as a batch of one, and with
+    /// its gradient.
     #[test]
     fn batch_acquisitions_bitwise_match_scalar() {
         let plain = IncrementalGp::new(toy_gp());
@@ -530,8 +564,8 @@ mod tests {
         for b in [vec![0.4], vec![1.2]] {
             stacked.push_pseudo_mean(b).unwrap();
         }
-        let constraint = toy_gp();
-        let constraints = [&constraint, &constraint];
+        let (constraint_a, constraint_b) = (toy_constraint(-0.4), toy_constraint(0.2));
+        let constraints = [&constraint_a, &constraint_b];
         let history = vec![vec![0.45], vec![0.8]];
         let cones = vec![
             Cone {
@@ -579,36 +613,28 @@ mod tests {
             },
             Adjustment::Feasibility(&constraints),
         ];
-        // 11 queries: two full blocks of four plus the `m mod 4` tail.
-        let queries: Vec<Vec<f64>> = (0..11).map(|i| vec![i as f64 * 0.17 - 0.3]).collect();
+        let queries: Vec<Vec<f64>> = (0..33).map(|i| vec![i as f64 * 0.053 - 0.3]).collect();
         for model in [&plain, &stacked] {
             for score in scores {
                 for moments in sources {
-                    for adjustment in adjustments {
-                        let acq = Acquisition::new(model, score, moments).adjusted(adjustment);
+                    for (k, adjustment) in adjustments.iter().enumerate() {
+                        let acq = Acquisition::new(model, score, moments).adjusted(*adjustment);
                         let batch = acq.eval_batch(&queries);
                         assert_eq!(batch.len(), queries.len());
                         for (i, q) in queries.iter().enumerate() {
-                            // Exact equality: the batch path must not
-                            // perturb a bit.
-                            assert_eq!(
-                                batch[i].to_bits(),
-                                acq.eval(q).to_bits(),
-                                "{score:?} {moments:?} at {i}, {} pseudo-points",
+                            let at = format!(
+                                "{score:?} {moments:?} adjustment {k} at {i}, {} pseudo-points",
                                 model.n_pseudo()
                             );
+                            let mut grad = [f64::NAN];
+                            let with_grad = acq.eval_grad(q, &mut grad);
+                            // Exact equality: no path may perturb a bit.
+                            assert_eq!(batch[i].to_bits(), eval_one(&acq, q).to_bits(), "{at}");
+                            assert_eq!(batch[i].to_bits(), with_grad.to_bits(), "{at} grad");
                         }
                     }
                 }
             }
-        }
-        // The plain weighted score is the public scalar helper.
-        let acq = Acquisition::new(&plain, Score::Weighted(0.35), Moments::Posterior);
-        for q in &queries {
-            assert_eq!(
-                acq.eval(q).to_bits(),
-                weighted(plain.gp(), q, 0.35).to_bits()
-            );
         }
     }
 
@@ -641,17 +667,17 @@ mod tests {
                 let (mut up, mut down) = (u.to_vec(), u.to_vec());
                 up[j] += h;
                 down[j] -= h;
-                (acq.eval(&up) - acq.eval(&down)) / (2.0 * h)
+                (eval_one(acq, &up) - eval_one(acq, &down)) / (2.0 * h)
             })
             .collect()
     }
 
-    /// `eval_grad`'s value has `eval`'s bits, and its gradient matches
-    /// central differences.
+    /// `eval_grad`'s value has the batch of one's bits, and its gradient
+    /// matches central differences.
     fn assert_gradient(acq: &Acquisition<'_>, u: &[f64], at: &str) -> Vec<f64> {
         let mut grad = vec![f64::NAN; u.len()];
         let value = acq.eval_grad(u, &mut grad);
-        assert_eq!(value.to_bits(), acq.eval(u).to_bits(), "{at}: value");
+        assert_eq!(value.to_bits(), eval_one(acq, u).to_bits(), "{at}: value");
         let fd = central_differences(acq, u);
         for (j, (g, want)) in grad.iter().zip(&fd).enumerate() {
             let tol = 1e-5 + 1e-4 * want.abs();
@@ -787,7 +813,7 @@ mod tests {
         });
         let mut grad = vec![f64::NAN; 2];
         let value = capped.eval_grad(&u, &mut grad);
-        assert_eq!(value.to_bits(), capped.eval(&u).to_bits());
+        assert_eq!(value.to_bits(), eval_one(&capped, &u).to_bits());
         assert_eq!(grad, score_grad);
 
         // LP's 1e-300 floor on a negative score: only the cones move it.
@@ -842,7 +868,7 @@ mod tests {
                 let cloned = weighted_penalized(&gp, &aug, q, w);
                 assert_eq!(
                     cloned.to_bits(),
-                    fast.eval(q).to_bits(),
+                    eval_one(&fast, q).to_bits(),
                     "scalar at {i}, w = {w}"
                 );
                 assert_eq!(

@@ -43,7 +43,8 @@
 //! the penalized pair under hallucinated busy points) and, for pHCBO, LP
 //! and constrained EasyBO, a per-point adjustment. The core's maximizer
 //! scores the probe batch through the batched posterior and refines the
-//! best probes through the scalar one; both give the same bits (see
+//! best probes along the acquisition's gradient (`eval_grad`); the value
+//! that comes with a gradient has the batch's bits (see
 //! [`crate::acquisition`]).
 
 mod asynchronous;
@@ -82,7 +83,8 @@ use crate::surrogate::{SurrogateConfig, SurrogateManager};
 /// gradient refinement over the unit cube).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AcqOptConfig {
-    /// Random probe count (default `max(256, 48·d)` via [`AcqOptConfig::for_dim`]).
+    /// Random probe count (384 by default; `max(320, 44·d)` via
+    /// [`AcqOptConfig::for_dim`]).
     pub probes: usize,
     /// Local refinements of the top seeds (default 3).
     pub starts: usize,
@@ -201,11 +203,6 @@ struct CountedObjective<'a, F: ?Sized> {
 }
 
 impl<F: BatchObjective + ?Sized> BatchObjective for CountedObjective<'_, F> {
-    fn eval(&self, x: &[f64]) -> f64 {
-        self.evals.fetch_add(1, Ordering::Relaxed);
-        self.inner.eval(x)
-    }
-
     fn eval_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
         self.evals.fetch_add(xs.len() as u64, Ordering::Relaxed);
         self.inner.eval_batch(xs)
@@ -429,15 +426,19 @@ mod tests {
     /// `-(p − (0.8, 0.2))²` with its gradient.
     struct Peak;
 
+    fn peak(p: &[f64]) -> f64 {
+        -(p[0] - 0.8).powi(2) - (p[1] - 0.2).powi(2)
+    }
+
     impl BatchObjective for Peak {
-        fn eval(&self, p: &[f64]) -> f64 {
-            -(p[0] - 0.8).powi(2) - (p[1] - 0.2).powi(2)
+        fn eval_batch(&self, ps: &[Vec<f64>]) -> Vec<f64> {
+            ps.iter().map(|p| peak(p)).collect()
         }
 
         fn eval_grad(&self, p: &[f64], grad: &mut [f64]) -> f64 {
             grad[0] = -2.0 * (p[0] - 0.8);
             grad[1] = -2.0 * (p[1] - 0.2);
-            self.eval(p)
+            peak(p)
         }
     }
 

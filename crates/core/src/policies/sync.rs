@@ -317,7 +317,7 @@ mod tests {
                 history: hist,
                 distance,
             }
-            .apply(0.0, u)
+            .adjust(0.0, u, 0.0, None)
         };
         let hist = vec![vec![0.5, 0.5]];
         let d = 0.1 * 2f64.sqrt();

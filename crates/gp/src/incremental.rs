@@ -216,38 +216,30 @@ impl IncrementalGp {
         }
     }
 
-    /// The penalized posterior of the paper's Eq. 9 in standardized space:
-    /// the **base** model's mean (live pseudo-points ignored) and the
-    /// augmented model's variance `σ̂²`, both from one cross row and one
-    /// forward solve. The mean is bit-identical to
-    /// `base.predict_standardized(x).0` on the model as it stood before
-    /// the pushes, and the variance to `gp().predict_standardized(x).1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != dim()`.
-    pub fn predict_penalized(&self, x: &[f64]) -> (f64, f64) {
-        self.gp.posterior(x, self.base_alpha())
-    }
-
-    /// [`IncrementalGp::predict_penalized`] with the gradients of both
-    /// moments in `x`; the moments are bit-identical to it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != dim()`.
-    pub fn predict_penalized_grad(&self, x: &[f64]) -> PosteriorGrad {
-        self.gp.posterior_grad(x, self.base_alpha())
-    }
-
-    /// Batched [`IncrementalGp::predict_penalized`], bit-identical per
-    /// point, in the blocks of [`Gp::predict_standardized_batch`].
+    /// The penalized posterior of the paper's Eq. 9 in standardized space,
+    /// one `(mean, variance)` per point: the **base** model's mean (live
+    /// pseudo-points ignored) and the augmented model's variance `σ̂²`,
+    /// both from one `K*` block and one forward solve. The mean is
+    /// bit-identical to `base.predict_standardized(x).0` on the model as it
+    /// stood before the pushes, and the variance to
+    /// `gp().predict_standardized(x).1`. A single point is a batch of one.
     ///
     /// # Panics
     ///
     /// Panics if any point has the wrong dimension.
     pub fn predict_penalized_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
         self.gp.posterior_batch(xs, self.base_alpha())
+    }
+
+    /// The penalized posterior at one point with the gradients of both
+    /// moments in `x`; the moments are bit-identical to
+    /// [`IncrementalGp::predict_penalized_batch`]'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != dim()`.
+    pub fn predict_penalized_grad(&self, x: &[f64]) -> PosteriorGrad {
+        self.gp.posterior_grad(x, self.base_alpha())
     }
 
     /// The weight vector of the base model: the bottom of the saved-α
@@ -317,7 +309,7 @@ mod tests {
     }
 
     /// The two-call reference for the base half of
-    /// [`IncrementalGp::predict_penalized`]: the mean-only path over the
+    /// [`IncrementalGp::predict_penalized_batch`]: the mean-only path over the
     /// base rows against the base `α`, raw units.
     fn predict_mean_base(inc: &IncrementalGp, x: &[f64]) -> f64 {
         let gp = inc.gp();
@@ -407,6 +399,11 @@ mod tests {
         }
     }
 
+    /// The penalized posterior at one point: a batch of one.
+    fn penalized(inc: &IncrementalGp, x: &[f64]) -> (f64, f64) {
+        inc.predict_penalized_batch(&[x.to_vec()])[0]
+    }
+
     /// Central differences of `f`'s two outputs along every coordinate.
     fn central_differences(f: impl Fn(&[f64]) -> (f64, f64), x: &[f64]) -> (Vec<f64>, Vec<f64>) {
         let h = 1e-4;
@@ -443,7 +440,7 @@ mod tests {
                     let pen = inc.predict_penalized_grad(q);
                     let live = inc.gp().predict_standardized_grad(q);
                     // The moments are the value paths' bits.
-                    let (mean, var) = inc.predict_penalized(q);
+                    let (mean, var) = penalized(&inc, q);
                     assert_eq!(
                         (pen.mean.to_bits(), pen.var.to_bits()),
                         (mean.to_bits(), var.to_bits()),
@@ -457,7 +454,7 @@ mod tests {
                     );
                     assert!(pen.var > 0.0, "{at}");
 
-                    let (dm, dv) = central_differences(|x| inc.predict_penalized(x), q);
+                    let (dm, dv) = central_differences(|x| penalized(&inc, x), q);
                     assert_close(&pen.d_mean, &dm, &format!("{at} penalized mean"));
                     assert_close(&pen.d_var, &dv, &format!("{at} penalized variance"));
                     let (dm, dv) = central_differences(|x| inc.gp().predict_standardized(x), q);
@@ -541,40 +538,42 @@ mod tests {
         }
     }
 
-    /// Bit patterns of a scalar posterior and its raw mean.
-    fn post_bits((mu, var): (f64, f64), mean: f64) -> [u64; 3] {
-        [mu, var, mean].map(f64::to_bits)
+    /// Bit patterns of a `(mean, variance)` pair.
+    fn bits((mu, var): (f64, f64)) -> [u64; 2] {
+        [mu.to_bits(), var.to_bits()]
     }
 
-    /// Every scalar entry point that builds one hoisted cross row
-    /// (`predict_standardized`, `predict_penalized`, `predict_mean`)
-    /// against [`posterior_per_pair`]'s per-pair row plus the same solve,
-    /// bit for bit.
-    fn assert_scalar_matches_per_pair(inc: &IncrementalGp, q: &[f64], at: &str) {
+    /// Every way to read the posterior at one point against
+    /// [`posterior_per_pair`]'s per-pair row plus the same solve, bit for
+    /// bit: the batch of one (`predict_standardized`, `predict_mean_batch`,
+    /// `predict_penalized_batch`) and the gradient path's moments
+    /// (`predict_standardized_grad`, `predict_penalized_grad`).
+    fn assert_point_matches_per_pair(inc: &IncrementalGp, q: &[f64], at: &str) {
         let gp = inc.gp();
-        let (mu, var) = posterior_per_pair(gp, q, gp.alpha_vec());
-        let mean = gp.scaler().inverse(mu);
-        let got = (gp.predict_standardized(q), gp.predict_mean(q));
+        let one = [q.to_vec()];
+        let live = posterior_per_pair(gp, q, gp.alpha_vec());
+        let grad = gp.predict_standardized_grad(q);
+        assert_eq!(bits(gp.predict_standardized(q)), bits(live), "live {at}");
+        assert_eq!(bits((grad.mean, grad.var)), bits(live), "live grad {at}");
+        let mean = gp.predict_mean_batch(&one)[0];
+        let want = gp.scaler().inverse(live.0);
+        assert_eq!(mean.to_bits(), want.to_bits(), "mean-only {at}");
+        let base = posterior_per_pair(gp, q, inc.base_alpha());
+        let grad = inc.predict_penalized_grad(q);
+        assert_eq!(bits(penalized(inc, q)), bits(base), "penalized {at}");
         assert_eq!(
-            post_bits(got.0, got.1),
-            post_bits((mu, var), mean),
-            "hoisted vs per-pair {at}"
-        );
-        let (base_mu, base_var) = posterior_per_pair(gp, q, inc.base_alpha());
-        let pen = inc.predict_penalized(q);
-        assert_eq!(
-            (pen.0.to_bits(), pen.1.to_bits()),
-            (base_mu.to_bits(), base_var.to_bits()),
-            "penalized vs per-pair {at}"
+            bits((grad.mean, grad.var)),
+            bits(base),
+            "penalized grad {at}"
         );
     }
 
     #[test]
     fn blocked_batch_posterior_is_bitwise_scalar_at_block_boundaries() {
         let queries = cube_points(528, 3);
-        // A NaN or an infinite coordinate must keep the per-pair path's
-        // bits too (an infinite one zeroes the variance through the NaN
-        // `k(x, x)` prior).
+        // A query with a NaN or an infinite coordinate reads the σ_f² prior
+        // on every path, in a batch or alone: its variance is σ_f² − v·v,
+        // zero where `v` is NaN.
         let mut odd = Vec::new();
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             for j in [0, 11] {
@@ -583,6 +582,10 @@ mod tests {
                 odd.push(q);
             }
         }
+        // 33 queries with the odd ones straddling the 32-column block edge.
+        let mut mixed = queries[..27].to_vec();
+        mixed.extend(odd.iter().cloned());
+        mixed.swap(31, 20);
         for family in FAMILIES {
             // n = 274 is 260 real points plus 14 live pseudo-points.
             for (n_real, n_pseudo) in [(1, 0), (24, 0), (260, 14)] {
@@ -594,10 +597,13 @@ mod tests {
                 assert_eq!(gp.n_train(), n_real + n_pseudo);
                 for (j, q) in queries.iter().chain(&odd).enumerate() {
                     let at = format!("{family:?} n={} q={j}", gp.n_train());
-                    assert_scalar_matches_per_pair(&inc, q, &at);
+                    assert_point_matches_per_pair(&inc, q, &at);
                 }
-                for m in [1, 31, 32, 33, 528] {
-                    let xs = &queries[..m];
+                for (m, xs) in [1, 31, 32, 33, 528]
+                    .map(|m| (m, &queries[..m]))
+                    .into_iter()
+                    .chain([(mixed.len(), &mixed[..])])
+                {
                     let post = gp.predict_standardized_batch(xs);
                     let means = gp.predict_mean_batch(xs);
                     let base = predict_mean_base_batch(&inc, xs);
@@ -608,20 +614,19 @@ mod tests {
                     );
                     for (j, q) in xs.iter().enumerate() {
                         let at = format!("{family:?} n={} m={m} j={j}", gp.n_train());
-                        let (mu, var) = gp.predict_standardized(q);
-                        assert_eq!(post[j].0.to_bits(), mu.to_bits(), "mean {at}");
-                        assert_eq!(post[j].1.to_bits(), var.to_bits(), "var {at}");
-                        assert_eq!(means[j].to_bits(), gp.predict_mean(q).to_bits(), "{at}");
+                        let one = gp.predict_standardized(q);
+                        assert_eq!(bits(post[j]), bits(one), "{at}");
+                        let mean = gp.scaler().inverse(one.0);
+                        assert_eq!(means[j].to_bits(), mean.to_bits(), "mean-only {at}");
                         let scalar_base = predict_mean_base(&inc, q);
                         assert_eq!(base[j].to_bits(), scalar_base.to_bits(), "base {at}");
-                        // The batched penalized posterior against the scalar
-                        // one (itself checked against the per-pair base-α
+                        // The batched penalized posterior against the batch
+                        // of one (itself checked against the per-pair base-α
                         // posterior above); its variance is the augmented
                         // model's.
-                        let (pen_mu, pen_var) = inc.predict_penalized(q);
-                        assert_eq!(pen_var.to_bits(), var.to_bits(), "penalized var {at}");
-                        assert_eq!(pen[j].0.to_bits(), pen_mu.to_bits(), "batch mean {at}");
-                        assert_eq!(pen[j].1.to_bits(), var.to_bits(), "batch var {at}");
+                        let (pen_mu, pen_var) = penalized(&inc, q);
+                        assert_eq!(pen_var.to_bits(), one.1.to_bits(), "penalized var {at}");
+                        assert_eq!(bits(pen[j]), bits((pen_mu, pen_var)), "batch {at}");
                     }
                 }
             }
@@ -688,7 +693,7 @@ mod tests {
         let legacy = base.predict_mean_batch(&probes);
         let pen = inc.predict_penalized_batch(&probes);
         for (i, p) in probes.iter().enumerate() {
-            let base_mean = base.predict_mean(p);
+            let base_mean = base.predict(p).mean;
             assert_eq!(
                 predict_mean_base(&inc, p).to_bits(),
                 base_mean.to_bits(),
@@ -698,7 +703,7 @@ mod tests {
             // The fused posterior keeps the base mean, not the lie-moved one.
             let (base_z, _) = base.predict_standardized(p);
             let (_, var_hat) = inc.gp().predict_standardized(p);
-            for (mu, var) in [inc.predict_penalized(p), pen[i]] {
+            for (mu, var) in [penalized(&inc, p), pen[i]] {
                 assert_eq!(mu.to_bits(), base_z.to_bits(), "penalized mean at {i}");
                 assert_eq!(var.to_bits(), var_hat.to_bits(), "penalized var at {i}");
             }
@@ -707,7 +712,7 @@ mod tests {
         inc.pop_all_pseudo();
         assert_eq!(
             predict_mean_base(&inc, &probes[3]).to_bits(),
-            base.predict_mean(&probes[3]).to_bits()
+            base.predict(&probes[3]).mean.to_bits()
         );
     }
 

@@ -161,7 +161,7 @@ impl ArdKernel {
     }
 
     /// Inverse length-scales `ℓᵢ⁻¹ = e^{-θᵢ}`, hoisted out of the batched
-    /// builds and the scalar cross row so no inner loop pays an `exp` per dimension.
+    /// builds and the cross row so no inner loop pays an `exp` per dimension.
     pub(crate) fn inv_lengthscales(&self, theta: &[f64]) -> Vec<f64> {
         theta[..self.dim].iter().map(|t| (-t).exp()).collect()
     }
@@ -235,9 +235,15 @@ impl ArdKernel {
     /// # Panics
     ///
     /// Panics if `theta` or any point has the wrong length.
-    pub fn cross_covariance(&self, theta: &[f64], rows: &[Vec<f64>], cols: &[Vec<f64>]) -> Matrix {
+    pub fn cross_covariance<C: AsRef<[f64]>>(
+        &self,
+        theta: &[f64],
+        rows: &[Vec<f64>],
+        cols: &[C],
+    ) -> Matrix {
         assert_eq!(theta.len(), self.n_theta(), "theta length mismatch");
-        for x in rows.iter().chain(cols) {
+        let queries = cols.iter().map(AsRef::as_ref);
+        for x in rows.iter().map(Vec::as_slice).chain(queries) {
             assert_eq!(x.len(), self.dim, "input dimension mismatch");
         }
         let inv_l = self.inv_lengthscales(theta);
@@ -247,7 +253,7 @@ impl ArdKernel {
         // streams cache lines instead of chasing per-Vec allocations.
         let mut packed = Vec::with_capacity(cols.len() * d);
         for c in cols {
-            packed.extend_from_slice(c);
+            packed.extend_from_slice(c.as_ref());
             packed.resize(packed.len() + (d - self.dim), 0.0);
         }
         let mut k = Matrix::zeros(rows.len(), cols.len());
@@ -576,7 +582,8 @@ mod tests {
         let theta = k.default_theta();
         assert_eq!(k.covariance(&theta, &[]).shape(), (0, 0));
         let pts = vec![vec![0.1, 0.2]];
-        assert_eq!(k.cross_covariance(&theta, &pts, &[]).shape(), (1, 0));
+        let none: &[&[f64]] = &[];
+        assert_eq!(k.cross_covariance(&theta, &pts, none).shape(), (1, 0));
         assert_eq!(k.cross_covariance(&theta, &[], &pts).shape(), (0, 1));
         assert!(k.cross_row(&theta, &[0.3, 0.4], &[]).is_empty());
     }

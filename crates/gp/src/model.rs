@@ -513,38 +513,14 @@ impl Gp {
         }
     }
 
-    /// Posterior `(mean, variance)` in standardized target space.
+    /// Posterior `(mean, variance)` in standardized target space: the
+    /// batched posterior on a batch of one.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != dim()`.
     pub fn predict_standardized(&self, x: &[f64]) -> (f64, f64) {
-        self.posterior(x, &self.alpha)
-    }
-
-    /// [`Gp::predict_standardized`] with the mean taken against `mean_alpha`
-    /// over the leading `mean_alpha.len()` training points (the base `α`
-    /// below a pseudo-point stack), from the same cross row.
-    pub(crate) fn posterior(&self, x: &[f64], mean_alpha: &Vector) -> (f64, f64) {
-        assert_eq!(x.len(), self.dim(), "query dimension mismatch");
-        let kstar = self.kernel.cross_row(&self.theta, x, &self.x);
-        let (mean, var, _) = self.moments_of_row(x, &kstar, mean_alpha);
-        (mean, var)
-    }
-
-    /// `(mean, variance, v = L⁻¹k*)` from the cross row `kstar` at `x`.
-    fn moments_of_row(&self, x: &[f64], kstar: &Vector, mean_alpha: &Vector) -> (f64, f64, Vector) {
-        // The same `Σ k·a` reduction, in the same order, as `Vector::dot`.
-        let mean = kstar
-            .iter()
-            .zip(mean_alpha.iter())
-            .map(|(k, a)| k * a)
-            .sum();
-        let v = self.chol.solve_lower(kstar);
-        // Not `signal_variance`: an infinite coordinate makes this NaN (so 0 below).
-        let prior = self.kernel.eval(&self.theta, x, x);
-        let var = (prior - v.dot(&v)).max(0.0);
-        (mean, var, v)
+        self.posterior_batch(&[x], &self.alpha)[0]
     }
 
     /// [`Gp::predict_standardized`] with the gradients of both moments in
@@ -557,12 +533,15 @@ impl Gp {
         self.posterior_grad(x, &self.alpha)
     }
 
-    /// [`Gp::posterior`] with gradients. With `uᵢ = (x − xᵢ)·ℓ⁻¹` and `gᵢ`
-    /// the radial factor of [`ArdKernel::eval_scaled`], `∂kᵢ/∂x_d =
-    /// −gᵢ·uᵢ_d·ℓ_d⁻¹`; then `∇μ = Σ αᵢ ∂kᵢ/∂x` over the leading
-    /// `mean_alpha.len()` rows and `∇σ² = −2 Σ wᵢ ∂kᵢ/∂x` with
-    /// `w = L⁻ᵀL⁻¹k*` on the whole factor. The variance gradient is zero
-    /// where the variance floor at zero is active.
+    /// The posterior of [`Gp::posterior_batch`] at one point, with the
+    /// mean against `mean_alpha`, and the gradients of both moments. The
+    /// moments repeat the batch's arithmetic term for term, so they carry
+    /// its bits. With `uᵢ = (x − xᵢ)·ℓ⁻¹` and `gᵢ` the radial factor of
+    /// [`ArdKernel::eval_scaled`], `∂kᵢ/∂x_d = −gᵢ·uᵢ_d·ℓ_d⁻¹`; then
+    /// `∇μ = Σ αᵢ ∂kᵢ/∂x` over the leading `mean_alpha.len()` rows and
+    /// `∇σ² = −2 Σ wᵢ ∂kᵢ/∂x` with `w = L⁻ᵀL⁻¹k*` on the whole factor.
+    /// The variance gradient is zero where the variance floor at zero is
+    /// active.
     pub(crate) fn posterior_grad(&self, x: &[f64], mean_alpha: &Vector) -> PosteriorGrad {
         let d = self.dim();
         assert_eq!(x.len(), d, "query dimension mismatch");
@@ -576,7 +555,12 @@ impl Gp {
             // The value is bit-identical to `cross_row`'s entry.
             (kstar[i], radial[i]) = self.kernel.eval_scaled(sf2, &inv_l, x, row, ui);
         }
-        let (mean, var, v) = self.moments_of_row(x, &kstar, mean_alpha);
+        let mean = kstar
+            .iter()
+            .zip(mean_alpha.iter())
+            .fold(0.0, |acc, (k, a)| acc + k * a);
+        let v = self.chol.solve_lower(&kstar);
+        let var = (sf2 - v.dot(&v)).max(0.0);
         let w = if var > 0.0 {
             self.chol.solve_lower_transpose_rows(v)
         } else {
@@ -607,8 +591,8 @@ impl Gp {
     ///
     /// Walks the queries in blocks of 32: each block's `n × 32`
     /// cross-covariance `K*` is assembled once and forward-substituted in
-    /// place, instead of one scalar solve per query. Each entry is
-    /// bit-identical to [`Gp::predict`] on the same point.
+    /// place. Each entry is bit-identical to [`Gp::predict`] on the same
+    /// point, whatever the batch around it.
     ///
     /// # Panics
     ///
@@ -618,9 +602,9 @@ impl Gp {
         post.into_iter().map(|p| self.to_raw(p)).collect()
     }
 
-    /// Batched posterior `(mean, variance)` in standardized target space —
-    /// the batch counterpart of [`Gp::predict_standardized`], bit-identical
-    /// per point. Scratch is one `n × 32` block, whatever the batch size.
+    /// Batched posterior `(mean, variance)` in standardized target space,
+    /// bit-identical per point to [`Gp::predict_standardized`]. Scratch is
+    /// one `n × 32` block, whatever the batch size.
     ///
     /// # Panics
     ///
@@ -629,19 +613,26 @@ impl Gp {
         self.posterior_batch(xs, &self.alpha)
     }
 
-    /// Batched [`Gp::posterior`], bit-identical per point.
-    pub(crate) fn posterior_batch(&self, xs: &[Vec<f64>], mean_alpha: &Vector) -> Vec<(f64, f64)> {
-        // k(x, x) reduces to σ_f² exactly for every stationary family here
-        // (the radial factor is exactly 1.0 at r² = 0), matching the scalar
-        // path's `kernel.eval(x, x)` prior bit for bit on finite queries.
+    /// The posterior every value query reads: `(mean, variance)` per
+    /// point, the mean taken against `mean_alpha` over the leading
+    /// `mean_alpha.len()` training points (the base `α` below a
+    /// pseudo-point stack), the variance against the whole factor.
+    pub(crate) fn posterior_batch<Q: AsRef<[f64]>>(
+        &self,
+        xs: &[Q],
+        mean_alpha: &Vector,
+    ) -> Vec<(f64, f64)> {
+        // k(x, x) = σ_f² for every stationary family. A query with a
+        // non-finite coordinate gets σ_f² too, where `kernel.eval(x, x)`
+        // would read NaN.
         let prior = self.kernel.signal_variance(&self.theta);
         let mut out = Vec::with_capacity(xs.len());
         for block in xs.chunks(QUERY_BLOCK) {
             let mut kstar = self.kernel.cross_covariance(&self.theta, &self.x, block);
             let means = block_means(&kstar, mean_alpha);
             self.chol.solve_lower_multi_in_place(&mut kstar);
-            // Row-wise accumulation: column j sees the same i-ascending
-            // order as the scalar `v.dot(v)` reduction.
+            // Row-wise accumulation: column j sums its squares in
+            // ascending i, as `v.dot(v)` does.
             let mut vss = [0.0; QUERY_BLOCK];
             for i in 0..kstar.rows() {
                 for (s, &vij) in vss.iter_mut().zip(kstar.row(i)) {
@@ -659,8 +650,8 @@ impl Gp {
         out
     }
 
-    /// Batched posterior means only (raw units) — the batch counterpart of
-    /// [`Gp::predict_mean`], skipping the triangular solves entirely.
+    /// Batched posterior means only (raw units), skipping the triangular
+    /// solves entirely. Bit-identical per point to [`Gp::predict`]'s mean.
     ///
     /// # Panics
     ///
@@ -670,17 +661,6 @@ impl Gp {
             .into_iter()
             .map(|mu| self.scaler.inverse(mu))
             .collect()
-    }
-
-    /// Posterior mean only (skips the triangular solve), raw units.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != dim()`.
-    pub fn predict_mean(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.dim(), "query dimension mismatch");
-        let kstar = self.kernel.cross_row(&self.theta, x, &self.x);
-        self.scaler.inverse(kstar.dot(&self.alpha))
     }
 
     /// Leave-one-out cross-validation residuals in **raw target units**,
@@ -876,8 +856,7 @@ pub(crate) fn validate_point(x: &[f64], dim: usize, what: &str) -> crate::Result
 pub(crate) const QUERY_BLOCK: usize = 32;
 
 /// Per-column `Σᵢ K*[i][j]·αᵢ` of one query block over its leading
-/// `alpha.len()` rows. Row-wise accumulation: column j sees the same
-/// i-ascending order as the scalar `k*·α` dot product.
+/// `alpha.len()` rows, each column accumulated in ascending `i`.
 fn block_means(kstar: &Matrix, alpha: &Vector) -> [f64; QUERY_BLOCK] {
     let mut means = [0.0; QUERY_BLOCK];
     for (i, &a) in alpha.iter().enumerate() {
@@ -890,7 +869,7 @@ fn block_means(kstar: &Matrix, alpha: &Vector) -> [f64; QUERY_BLOCK] {
 
 /// Standardized posterior means `K*ᵀ α` of a query batch against the
 /// training rows `x`, walked in [`QUERY_BLOCK`]-column blocks.
-/// Bit-identical per point to the scalar mean.
+/// Bit-identical per point to the posterior's mean.
 pub(crate) fn mean_batch(
     kernel: &ArdKernel,
     theta: &[f64],
@@ -976,18 +955,18 @@ pub(crate) mod tests {
         Vector::from_iter(gp.x.iter().map(|xi| gp.kernel.eval(&gp.theta, x, xi)))
     }
 
-    /// [`Gp::posterior`] rebuilt on [`cross_row_per_pair`] with the same
-    /// solve and reductions: the oracle for the scalar
-    /// `(mean against mean_alpha, variance)`.
+    /// [`Gp::posterior_batch`] at one point, rebuilt on
+    /// [`cross_row_per_pair`] with one forward solve and the same
+    /// reductions: the oracle for `(mean against mean_alpha, variance)`.
+    /// The prior is σ_f², also at a non-finite coordinate.
     pub(crate) fn posterior_per_pair(gp: &Gp, x: &[f64], mean_alpha: &Vector) -> (f64, f64) {
         let kstar = cross_row_per_pair(gp, x);
         let mean = kstar
             .iter()
             .zip(mean_alpha.iter())
-            .map(|(k, a)| k * a)
-            .sum();
+            .fold(0.0, |acc, (k, a)| acc + k * a);
         let v = gp.chol.solve_lower(&kstar);
-        let var = (gp.kernel.eval(&gp.theta, x, x) - v.dot(&v)).max(0.0);
+        let var = (gp.kernel.signal_variance(&gp.theta) - v.dot(&v)).max(0.0);
         (mean, var)
     }
 
@@ -1184,7 +1163,8 @@ pub(crate) mod tests {
         let (x, y) = toy_1d();
         let gp = fixed_gp(x, y);
         for q in [0.1, 0.37, 0.93, 2.0] {
-            assert!((gp.predict(&[q]).mean - gp.predict_mean(&[q])).abs() < 1e-12);
+            let mean = gp.predict_mean_batch(&[vec![q]])[0];
+            assert_eq!(gp.predict(&[q]).mean.to_bits(), mean.to_bits());
         }
     }
 
@@ -1217,7 +1197,7 @@ pub(crate) mod tests {
             // in the same order per query point.
             assert_eq!(batch[i].mean, scalar.mean, "mean at query {i}");
             assert_eq!(batch[i].variance, scalar.variance, "variance at query {i}");
-            assert_eq!(mean_batch[i], gp.predict_mean(q), "mean-only at query {i}");
+            assert_eq!(mean_batch[i], scalar.mean, "mean-only at query {i}");
         }
         assert!(gp.predict_batch(&[]).is_empty());
         assert!(gp.predict_mean_batch(&[]).is_empty());

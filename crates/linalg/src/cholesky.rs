@@ -263,27 +263,35 @@ impl Cholesky {
     ///
     /// Panics if `b.len() != dim()`.
     pub fn solve_lower(&self, b: &Vector) -> Vector {
-        let n = self.dim();
-        assert_eq!(b.len(), n, "solve_lower dimension mismatch");
-        let mut y = vec![0.0; n];
-        let blocked = n - n % 4;
-        for i in (0..blocked).step_by(4) {
-            self.forward_rows::<4>(b, &mut y, i);
-        }
-        for i in blocked..n {
-            self.forward_rows::<1>(b, &mut y, i);
-        }
-        Vector::from(y)
+        assert_eq!(b.len(), self.dim(), "solve_lower dimension mismatch");
+        let mut y = b.clone();
+        self.forward_in_place(y.as_mut_slice());
+        y
     }
 
-    /// Forward-substitutes rows `i..i + R` of `L y = b` given `y[..i]`.
-    /// The shared prefix `k < i` runs as `R` independent accumulation
-    /// chains, then the diagonal block finishes the rows in order. Every
-    /// row still subtracts its terms in ascending `k`, so the result is
-    /// bit-identical to the row-by-row loop at any `R`.
-    fn forward_rows<const R: usize>(&self, b: &Vector, y: &mut [f64], i: usize) {
+    /// Overwrites `y`, holding `b`, with the solution of `L y = b`: rows
+    /// in blocks of four, then the last `n mod 4` one at a time. The one
+    /// forward-substitution kernel of a single right-hand side.
+    fn forward_in_place(&self, y: &mut [f64]) {
+        let n = y.len();
+        let blocked = n - n % 4;
+        for i in (0..blocked).step_by(4) {
+            self.forward_rows::<4>(y, i);
+        }
+        for i in blocked..n {
+            self.forward_rows::<1>(y, i);
+        }
+    }
+
+    /// Forward-substitutes rows `i..i + R` of `L y = b` in place, given
+    /// `y[..i]` solved and `y[i..i + R]` still holding `b`. The shared
+    /// prefix `k < i` runs as `R` independent accumulation chains, then the
+    /// diagonal block finishes the rows in order. Every row still subtracts
+    /// its terms in ascending `k`, so the result is bit-identical to the
+    /// row-by-row loop at any `R`.
+    fn forward_rows<const R: usize>(&self, y: &mut [f64], i: usize) {
         let rows: [&[f64]; R] = std::array::from_fn(|r| &self.l.row(i + r)[..i + R]);
-        let mut v: [f64; R] = std::array::from_fn(|r| b[i + r]);
+        let mut v: [f64; R] = std::array::from_fn(|r| y[i + r]);
         for (k, &yk) in y[..i].iter().enumerate() {
             for r in 0..R {
                 v[r] -= rows[r][k] * yk;
@@ -369,10 +377,13 @@ impl Cholesky {
     /// Overwrites `B` with the solution `Y` of `L Y = B`. Each column gets
     /// exactly the operations of [`Cholesky::solve_lower`] in the same
     /// order, so the result is bit-identical to solving column by column.
-    /// Row `i` is finished in groups of 16 columns whose running sums stay
-    /// in registers across the whole `k` sweep, and no second `n × m`
-    /// buffer is needed. This is what the blocked GP posterior runs on
-    /// each query block of `K*`.
+    /// Row `i` is finished in groups of 16, then 4, columns whose running
+    /// sums stay in registers across the whole `k` sweep. Each of the last
+    /// `m mod 4` columns is gathered into one contiguous buffer and solved
+    /// by [`Cholesky::solve_lower`]'s four-row kernel; a single column is
+    /// contiguous already and is solved where it lies. This is what the
+    /// GP posterior runs on each query block of `K*`, a batch of one
+    /// included.
     ///
     /// # Panics
     ///
@@ -382,6 +393,10 @@ impl Cholesky {
         assert_eq!(b.rows(), n, "solve_lower_multi dimension mismatch");
         let m = b.cols();
         let data = b.as_mut_slice();
+        if m == 1 {
+            self.forward_in_place(data);
+            return;
+        }
         let wide = m - m % 16;
         let narrow = m - m % 4;
         for i in 0..n {
@@ -394,8 +409,12 @@ impl Cholesky {
             for c in (wide..narrow).step_by(4) {
                 forward_cols::<4>(li, done, yi, c);
             }
-            for c in narrow..m {
-                forward_cols::<1>(li, done, yi, c);
+        }
+        for c in narrow..m {
+            let mut column: Vec<f64> = data[c..].iter().step_by(m).copied().collect();
+            self.forward_in_place(&mut column);
+            for (row, y) in data.chunks_exact_mut(m).zip(column) {
+                row[c] = y;
             }
         }
     }
@@ -719,30 +738,33 @@ mod tests {
 
     #[test]
     fn solve_lower_multi_bitwise_matches_scalar() {
-        let a = spd(8, 23);
-        let c = Cholesky::new(&a).unwrap();
-        // Every mix of 16-, 4- and 1-column groups.
-        for m in [1, 3, 4, 5, 16, 17, 21, 32, 37] {
-            let b = Matrix::from_fn(8, m, |i, j| ((i * 3 + j * 7) as f64 * 0.37).sin());
-            let y = c.solve_lower_multi(&b);
-            let x = c.solve_lower_transpose_multi(&b);
-            for j in 0..m {
-                let col = b.col(j);
-                let y_col = c.solve_lower(&col);
-                let x_col = c.solve_lower_transpose(&col);
-                for i in 0..8 {
-                    // Exact bits: the multi-RHS sweep performs the same
-                    // floating-point operations in the same order per column.
-                    assert_eq!(
-                        y[(i, j)].to_bits(),
-                        y_col[i].to_bits(),
-                        "forward m={m} ({i}, {j})"
-                    );
-                    assert_eq!(
-                        x[(i, j)].to_bits(),
-                        x_col[i].to_bits(),
-                        "backward m={m} ({i}, {j})"
-                    );
+        // Every remainder of the 4-row block, and every mix of 16- and
+        // 4-column groups with 0 to 3 gathered columns.
+        for n in [7, 8, 9, 10] {
+            let c = Cholesky::new(&spd(n, 23)).unwrap();
+            for m in [1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 21, 32, 37] {
+                let b = Matrix::from_fn(n, m, |i, j| ((i * 3 + j * 7) as f64 * 0.37).sin());
+                let y = c.solve_lower_multi(&b);
+                let x = c.solve_lower_transpose_multi(&b);
+                for j in 0..m {
+                    let col = b.col(j);
+                    let y_col = solve_lower_scalar(&c, &col);
+                    let x_col = c.solve_lower_transpose(&col);
+                    for i in 0..n {
+                        // Exact bits: the multi-RHS sweep performs the same
+                        // floating-point operations in the same order per
+                        // column.
+                        assert_eq!(
+                            y[(i, j)].to_bits(),
+                            y_col[i].to_bits(),
+                            "forward n={n} m={m} ({i}, {j})"
+                        );
+                        assert_eq!(
+                            x[(i, j)].to_bits(),
+                            x_col[i].to_bits(),
+                            "backward n={n} m={m} ({i}, {j})"
+                        );
+                    }
                 }
             }
         }

@@ -23,14 +23,17 @@
 //!
 //! /// A smooth unimodal function over the unit square, with its gradient.
 //! struct Bump;
+//! fn bump(x: &[f64]) -> f64 {
+//!     -((x[0] - 0.3).powi(2) + (x[1] - 0.7).powi(2))
+//! }
 //! impl BatchObjective for Bump {
-//!     fn eval(&self, x: &[f64]) -> f64 {
-//!         -((x[0] - 0.3).powi(2) + (x[1] - 0.7).powi(2))
+//!     fn eval_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
+//!         xs.iter().map(|x| bump(x)).collect()
 //!     }
 //!     fn eval_grad(&self, x: &[f64], grad: &mut [f64]) -> f64 {
 //!         grad[0] = -2.0 * (x[0] - 0.3);
 //!         grad[1] = -2.0 * (x[1] - 0.7);
-//!         self.eval(x)
+//!         bump(x)
 //!     }
 //! }
 //!

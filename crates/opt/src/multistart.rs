@@ -27,25 +27,21 @@ pub struct Optimum {
 /// An acquisition objective that scores whole candidate batches at once
 /// and single points with their gradient.
 ///
-/// The default [`BatchObjective::eval_batch`] just loops
-/// [`BatchObjective::eval`]; implementations backed by a batched GP posterior
-/// override it to amortize the `K*` assembly and triangular solves over the
-/// whole probe set. Implementations must return one value per candidate,
-/// with each value independent of the batch composition — that independence
-/// is what lets [`MultiStartMaximizer::maximize_batched`] split a batch
-/// across threads without changing any result.
+/// Implementations backed by a GP posterior amortize the `K*` assembly
+/// and triangular solves over the whole probe set. They must return one
+/// value per candidate, with each value independent of the batch
+/// composition: that independence is what lets
+/// [`MultiStartMaximizer::maximize_batched`] split a batch across threads
+/// without changing any result, and what makes a single point a batch of
+/// one.
 pub trait BatchObjective: Sync {
-    /// Scores a single point.
-    fn eval(&self, x: &[f64]) -> f64;
-
     /// Scores a batch of points, one value per input in order.
-    fn eval_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        xs.iter().map(|x| self.eval(x)).collect()
-    }
+    fn eval_batch(&self, xs: &[Vec<f64>]) -> Vec<f64>;
 
     /// Scores a single point and writes the gradient of the score at
     /// `x` into `grad` (`grad.len() == x.len()`). The value must equal
-    /// [`BatchObjective::eval`] bit for bit: the refinement reports it.
+    /// [`BatchObjective::eval_batch`]'s at `x` bit for bit: the refinement
+    /// reports it.
     fn eval_grad(&self, x: &[f64], grad: &mut [f64]) -> f64;
 }
 
@@ -96,12 +92,12 @@ fn reduce(probe_best: &(Vec<f64>, f64), refined: Vec<(Vec<f64>, f64)>) -> Optimu
 /// /// `-(x - 1.5)²` with its derivative.
 /// struct Parabola;
 /// impl BatchObjective for Parabola {
-///     fn eval(&self, x: &[f64]) -> f64 {
-///         -(x[0] - 1.5).powi(2)
+///     fn eval_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
+///         xs.iter().map(|x| -(x[0] - 1.5).powi(2)).collect()
 ///     }
 ///     fn eval_grad(&self, x: &[f64], grad: &mut [f64]) -> f64 {
 ///         grad[0] = -2.0 * (x[0] - 1.5);
-///         self.eval(x)
+///         -(x[0] - 1.5).powi(2)
 ///     }
 /// }
 ///
@@ -235,7 +231,7 @@ impl MultiStartMaximizer {
             let _span = telemetry.span("nm_refine");
             parallel::parallel_map(parallelism, starts.clone(), |_, (x0, _)| {
                 // L-BFGS minimizes: hand it the negated score. Negation is
-                // exact, so the value comes back with `eval`'s bits.
+                // exact, so the value comes back with `eval_batch`'s bits.
                 let (x, neg_v) = lbfgs.minimize_in(bounds, x0, self.refine_evals, |p, g| {
                     let v = f.eval_grad(p, g);
                     for gi in g.iter_mut() {
@@ -268,8 +264,8 @@ mod tests {
         F: Fn(&[f64]) -> f64 + Sync,
         G: Fn(&[f64], &mut [f64]) + Sync,
     {
-        fn eval(&self, x: &[f64]) -> f64 {
-            (self.0)(x)
+        fn eval_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
+            xs.iter().map(|x| (self.0)(x)).collect()
         }
 
         fn eval_grad(&self, x: &[f64], grad: &mut [f64]) -> f64 {
@@ -393,17 +389,20 @@ mod tests {
 
     #[test]
     fn refinement_respects_its_budget() {
+        /// Rosenbrock: far from converged after a few steps.
+        fn rosenbrock(x: &[f64]) -> f64 {
+            -(1.0 - x[0]).powi(2) - 100.0 * (x[1] - x[0] * x[0]).powi(2)
+        }
         struct Counting(AtomicUsize);
         impl BatchObjective for Counting {
-            fn eval(&self, x: &[f64]) -> f64 {
-                // Rosenbrock: far from converged after a few steps.
-                -(1.0 - x[0]).powi(2) - 100.0 * (x[1] - x[0] * x[0]).powi(2)
+            fn eval_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
+                xs.iter().map(|x| rosenbrock(x)).collect()
             }
             fn eval_grad(&self, x: &[f64], g: &mut [f64]) -> f64 {
                 self.0.fetch_add(1, Ordering::Relaxed);
                 g[0] = 2.0 * (1.0 - x[0]) + 400.0 * x[0] * (x[1] - x[0] * x[0]);
                 g[1] = -200.0 * (x[1] - x[0] * x[0]);
-                self.eval(x)
+                rosenbrock(x)
             }
         }
         let bounds = Bounds::new(vec![(-2.0, 2.0), (-2.0, 2.0)]).unwrap();
@@ -443,16 +442,13 @@ mod tests {
             batch_calls: AtomicUsize,
         }
         impl BatchObjective for Counting {
-            fn eval(&self, x: &[f64]) -> f64 {
-                -(x[0] - 0.5).powi(2)
-            }
             fn eval_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
                 self.batch_calls.fetch_add(1, Ordering::Relaxed);
-                xs.iter().map(|x| self.eval(x)).collect()
+                xs.iter().map(|x| -(x[0] - 0.5).powi(2)).collect()
             }
             fn eval_grad(&self, x: &[f64], g: &mut [f64]) -> f64 {
                 g[0] = -2.0 * (x[0] - 0.5);
-                self.eval(x)
+                -(x[0] - 0.5).powi(2)
             }
         }
         let bounds = Bounds::unit_cube(1).unwrap();
@@ -470,9 +466,6 @@ mod tests {
     fn batched_rejects_wrong_length_eval_batch() {
         struct Broken;
         impl BatchObjective for Broken {
-            fn eval(&self, _: &[f64]) -> f64 {
-                0.0
-            }
             fn eval_batch(&self, _: &[Vec<f64>]) -> Vec<f64> {
                 vec![0.0]
             }

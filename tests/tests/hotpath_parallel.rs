@@ -33,18 +33,22 @@ fn training_data(n: usize, d: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
 /// diverge anywhere.
 struct RastriginLike;
 
+fn rastrigin_like(p: &[f64]) -> f64 {
+    -p.iter()
+        .map(|v| (v - 0.37) * (v - 0.37) - 0.08 * (14.0 * v).cos())
+        .sum::<f64>()
+}
+
 impl BatchObjective for RastriginLike {
-    fn eval(&self, p: &[f64]) -> f64 {
-        -p.iter()
-            .map(|v| (v - 0.37) * (v - 0.37) - 0.08 * (14.0 * v).cos())
-            .sum::<f64>()
+    fn eval_batch(&self, ps: &[Vec<f64>]) -> Vec<f64> {
+        ps.iter().map(|p| rastrigin_like(p)).collect()
     }
 
     fn eval_grad(&self, p: &[f64], grad: &mut [f64]) -> f64 {
         for (g, v) in grad.iter_mut().zip(p) {
             *g = -(2.0 * (v - 0.37) + 0.08 * 14.0 * (14.0 * v).sin());
         }
-        self.eval(p)
+        rastrigin_like(p)
     }
 }
 

@@ -1,6 +1,7 @@
 //! Property-based cross-crate invariants: randomized checks of the
 //! mathematical contracts the EasyBO stack depends on.
 
+use easybo::acquisition::Score;
 use easybo_exec::{CostedFunction, Dataset, SimTimeModel, VirtualExecutor};
 use easybo_gp::{Gp, GpConfig, KernelFamily};
 use easybo_opt::{sampling, Bounds};
@@ -194,7 +195,7 @@ proptest! {
             let q = [qx];
             let (mu, var) = gp.predict_standardized(&q);
             let sigma = var.max(0.0).sqrt();
-            let a = easybo::acquisition::weighted(&gp, &q, w);
+            let a = Score::Weighted(w).of((mu, var));
             let lo = mu.min(sigma) - 1e-12;
             let hi = mu.max(sigma) + 1e-12;
             prop_assert!(a >= lo && a <= hi, "α({qx}, {w}) = {a} outside [{lo}, {hi}]");

@@ -24,6 +24,13 @@
 # are printed first: the work a run finished and the latency samples it
 # stored, which memory metrics such as `peak_rss_mb` track.
 #
+# On traced runs (`--trace 1`), a counter diff comes next: every
+# per-layer metric that `BENCHMARK.json` gives in `count` or `bytes`,
+# compared pair by pair. It prints `all N identical`, or each differing
+# counter with both sides' values per run. With `--seconds 0` every run
+# finishes the same units, so a change that moves no trajectory must
+# leave every counter identical.
+#
 # For every metric the runs report, prints the first quartile, median
 # and third quartile of each side, the median change, and the number of
 # pairs the change won (and tied). A metric that `BENCHMARK.json` (read
@@ -121,6 +128,25 @@ for side, runs in (("parent", par), ("change", chg)):
     if bad:
         print(f"{side}: runs {bad} report incorrect or failed operations")
 names = [n for n in par[0]["metrics"] if all(n in r["metrics"] for r in par + chg)]
+counters = [
+    m["name"]
+    for m in bench.get("per_layer", [])
+    if m["unit"] in ("count", "bytes") and m["name"] in names
+]
+if counters:
+    differ = []
+    for name in counters:
+        p = [r["metrics"][name]["value"] for r in par]
+        c = [r["metrics"][name]["value"] for r in chg]
+        if p != c:
+            differ.append((name, p, c))
+    if differ:
+        print(f"counters: {len(differ)} of {len(counters)} differ")
+        for name, p, c in differ:
+            show = lambda vs: " ".join(f"{v:.10g}" for v in vs)
+            print(f"  {name}: parent {show(p)}; change {show(c)}")
+    else:
+        print(f"counters: all {len(counters)} identical")
 print(f"{'metric':<28} {'parent q1/med/q3':>32} {'change q1/med/q3':>32} {'change':>8} {'wins':>6}")
 for name in names:
     p = [r["metrics"][name]["value"] for r in par]
