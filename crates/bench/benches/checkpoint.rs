@@ -15,7 +15,7 @@
 use std::time::Instant;
 
 use easybo::EasyBo;
-use easybo_bench::{bench_report, write_bench_report, BenchRecord};
+use easybo_bench::{bench_report, fs_type, write_bench_report, BenchRecord};
 use easybo_gp::{Gp, GpFactor, GpState, KernelFamily};
 use easybo_opt::{sampling, Bounds};
 use rand::SeedableRng;
@@ -38,9 +38,11 @@ fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 }
 
 /// Full optimizer run, snapshot every completed evaluation (k = 1, the
-/// worst case) vs checkpointing disabled. Returns the snapshot size.
-fn bench_checkpoint_writes(rows: &mut Vec<BenchRecord>, reps: usize) -> u64 {
-    let path = std::env::temp_dir().join(format!("easybo-bench-ckpt-{}.snap", std::process::id()));
+/// worst case) vs checkpointing disabled. Returns the snapshot size and
+/// the filesystem the snapshots went to.
+fn bench_checkpoint_writes(rows: &mut Vec<BenchRecord>, reps: usize) -> (u64, String) {
+    let dir = std::env::temp_dir();
+    let path = dir.join(format!("easybo-bench-ckpt-{}.snap", std::process::id()));
     let optimizer = || {
         let mut opt = EasyBo::new(Bounds::unit_cube(2).expect("unit cube"));
         opt.batch_size(4).initial_points(6).max_evals(24).seed(11);
@@ -61,7 +63,7 @@ fn bench_checkpoint_writes(rows: &mut Vec<BenchRecord>, reps: usize) -> u64 {
         on_s,
         off.trace.to_csv() == on.trace.to_csv() && off.data == on.data,
     ));
-    snapshot_bytes
+    (snapshot_bytes, fs_type(&dir))
 }
 
 /// `Gp::from_state` at class-E size (260 fitted points plus 14 appended,
@@ -127,7 +129,7 @@ fn main() {
     println!("Checkpoint overhead benchmark: {reps} repetitions");
 
     let mut rows = Vec::new();
-    let snapshot_bytes = bench_checkpoint_writes(&mut rows, reps);
+    let (snapshot_bytes, fs) = bench_checkpoint_writes(&mut rows, reps);
     bench_gp_restore(&mut rows, reps);
 
     println!(
@@ -144,15 +146,16 @@ fn main() {
             r.identical
         );
     }
-    println!("snapshot size at max_evals=24, d=2: {snapshot_bytes} bytes");
+    println!("snapshot size at max_evals=24, d=2: {snapshot_bytes} bytes, written on {fs}");
 
     let json = bench_report(
         "checkpoint",
         reps,
         &format!(
             "checkpoint rows: baseline = checkpointing disabled, candidate = \
-             snapshot-per-eval; identical compares the full best-so-far trace and dataset \
-             bit for bit. gp_restore rows: baseline = restore with the factor stored, \
+             snapshot-per-eval, synced on {fs} by the run's writer thread while the next \
+             decision computes; identical compares the full best-so-far trace and \
+             dataset bit for bit. gp_restore rows: baseline = restore with the factor stored, \
              candidate = restore replaying it (a cost, not a gain: the state is 274^2 * 8 \
              bytes smaller); identical compares the restored factor and state bit for bit. \
              Best-of-reps wall clock. snapshot_bytes at max_evals=24, d=2: {snapshot_bytes}."

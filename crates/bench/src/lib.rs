@@ -300,6 +300,26 @@ pub fn host_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// Filesystem type of the mount holding `path`: the longest mount point
+/// in `/proc/mounts` that prefixes its canonical form, or `unknown`.
+/// Sync-bound timings depend on it, so reports that write files name it.
+pub fn fs_type(path: &std::path::Path) -> String {
+    let (Ok(path), Ok(mounts)) = (path.canonicalize(), std::fs::read_to_string("/proc/mounts"))
+    else {
+        return "unknown".to_string();
+    };
+    mounts
+        .lines()
+        .filter_map(|line| {
+            let mut fields = line.split_whitespace().skip(1);
+            let mount = fields.next()?.replace("\\040", " ");
+            let fstype = fields.next()?;
+            path.starts_with(&mount).then_some((mount.len(), fstype))
+        })
+        .max_by_key(|&(len, _)| len)
+        .map_or_else(|| "unknown".to_string(), |(_, t)| t.to_string())
+}
+
 /// Renders the shared `BENCH_*.json` schema: every benchmark artifact
 /// carries the same top-level fields (`bench`, `generated_by`, `env`,
 /// `note`, `results`) so the regression tooling can diff reports without
@@ -458,6 +478,12 @@ mod tests {
             results[0].get("speedup").and_then(|v| v.as_f64()),
             Some(2.0)
         );
+    }
+
+    #[test]
+    fn fs_type_names_the_root_mount() {
+        assert!(!fs_type(std::path::Path::new("/")).is_empty());
+        assert_eq!(fs_type(std::path::Path::new("/no/such/path")), "unknown");
     }
 
     #[test]

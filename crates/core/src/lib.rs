@@ -44,6 +44,7 @@
 
 pub mod acquisition;
 mod algorithms;
+mod checkpoint;
 mod constrained;
 mod error;
 mod optimizer;

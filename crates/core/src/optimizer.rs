@@ -3,15 +3,16 @@
 use std::path::{Path, PathBuf};
 
 use easybo_exec::{
-    AsyncPolicy, BlackBox, CostedFunction, Dataset, HookAction, InvalidSessionParts, RetryPolicy,
-    RunResult, RunTrace, Schedule, SessionState, SimTimeModel, ThreadedExecutor, VirtualExecutor,
+    AsyncPolicy, BlackBox, CostedFunction, Dataset, InvalidSessionParts, RetryPolicy, RunResult,
+    RunTrace, Schedule, SessionHook, SessionState, SimTimeModel, ThreadedExecutor, VirtualExecutor,
 };
-use easybo_opt::{sampling, Bounds, Parallelism};
-use easybo_persist::{load_snapshot, PersistError, RunSnapshot};
+use easybo_opt::{sampling, Bounds, OptError, Parallelism};
+use easybo_persist::{load_snapshot, PersistError};
 use easybo_telemetry::{Event, RunReport, Telemetry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::checkpoint::Checkpointer;
 use crate::persistence::{kernel_tag, Fingerprint};
 use crate::policies::{AcqOptConfig, EasyBoAsyncPolicy};
 use crate::surrogate::SurrogateConfig;
@@ -174,13 +175,27 @@ impl EasyBo {
     ///
     /// Default cadence: after every completed evaluation; tune with
     /// [`EasyBo::checkpoint_every`].
+    ///
+    /// The run thread captures and encodes each snapshot; one writer
+    /// thread per run makes it durable (write, fsync, rename, directory
+    /// fsync) while the next decision computes. At most one snapshot is
+    /// in flight: the run waits for snapshot k−1 before it hands off k,
+    /// so a crash leaves snapshot k or k−1 on disk, both valid resume
+    /// points. `CheckpointWritten` is emitted, stamped with the capture
+    /// clock, once a snapshot is durable, and the run returns only after
+    /// its last snapshot is. A failed write stops the run with an
+    /// executor failure (`checkpoint write failed: …`) at the next
+    /// checkpoint, or when the run returns. Telemetry records the run's
+    /// waits as `snapshot_fsync_ns` and the writer's own write time as
+    /// `snapshot_sync_ns`.
     pub fn checkpoint_to(&mut self, path: impl Into<PathBuf>) -> &mut Self {
         self.checkpoint_path = Some(path.into());
         self
     }
 
     /// Checkpoints after every `k` completed evaluations (requires
-    /// [`EasyBo::checkpoint_to`]). Default 1.
+    /// [`EasyBo::checkpoint_to`]), counted from the session start: zero
+    /// on a new run, the snapshot's count on a resume. Default 1.
     pub fn checkpoint_every(&mut self, k: usize) -> &mut Self {
         self.checkpoint_every_evals = Some(k.max(1));
         self
@@ -189,7 +204,9 @@ impl EasyBo {
     /// Fault injection for chaos tests and the kill-and-resume recipe:
     /// aborts the run with an executor failure once `n` evaluations have
     /// completed, as if the coordinator process had been killed. The
-    /// checkpoint file written before the abort is a valid resume point.
+    /// checkpoint written before the abort is durable when the run
+    /// returns, and is a valid resume point; a failed write of it is
+    /// reported instead of the abort.
     pub fn abort_after_evals(&mut self, n: usize) -> &mut Self {
         self.abort_after = Some(n);
         self
@@ -326,90 +343,12 @@ impl EasyBo {
         fp.finish()
     }
 
-    /// Builds the per-run session hook: writes a snapshot (and emits
-    /// `CheckpointWritten`) every `checkpoint_every` observations
-    /// counted from `completed`, then applies the `abort_after_evals`
-    /// fault injection. Pure observer of the session — it never perturbs
-    /// the optimization trajectory. `fingerprint` is what snapshots are
-    /// stamped with.
-    #[allow(clippy::type_complexity)]
-    fn session_hook(
-        &self,
-        mut completed_at_last: usize,
-        fingerprint: u64,
-    ) -> Box<dyn FnMut(&SessionState, &dyn AsyncPolicy, f64) -> HookAction> {
-        let every = self.checkpoint_every_evals.unwrap_or(1);
-        let path = self.checkpoint_path.clone();
-        let telemetry = self.telemetry.clone();
-        let abort_after = self.abort_after;
-        Box::new(
-            move |session: &SessionState, policy: &dyn AsyncPolicy, now: f64| {
-                let completed = session.completed();
-                if let Some(path) = &path {
-                    if completed >= completed_at_last + every {
-                        completed_at_last = completed;
-                        telemetry.set_now(now);
-                        let _ckpt_span = telemetry.span("checkpoint");
-                        let snap = RunSnapshot {
-                            config_fingerprint: fingerprint,
-                            session: session.to_parts(),
-                            policy: policy.snapshot_state(),
-                        };
-                        let t0 = std::time::Instant::now();
-                        let bytes = {
-                            let _span = telemetry.span("snapshot_encode");
-                            easybo_persist::encode_snapshot(&snap)
-                        };
-                        telemetry.observe("snapshot_encode_ns", t0.elapsed().as_nanos() as f64);
-                        let t1 = std::time::Instant::now();
-                        let written = {
-                            let _span = telemetry.span("snapshot_fsync");
-                            easybo_persist::write_snapshot_bytes(path, &bytes)
-                        };
-                        telemetry.observe("snapshot_fsync_ns", t1.elapsed().as_nanos() as f64);
-                        match written {
-                            Ok(()) => {
-                                telemetry.incr("checkpoints_written", 1);
-                                telemetry.emit_at(
-                                    now,
-                                    Event::CheckpointWritten {
-                                        completed,
-                                        bytes: bytes.len(),
-                                    },
-                                );
-                            }
-                            Err(e) => {
-                                // Checkpointing was explicitly requested;
-                                // failing loudly beats silently losing
-                                // durability for the rest of the run.
-                                return HookAction::Stop {
-                                    reason: format!("checkpoint write failed: {e}"),
-                                };
-                            }
-                        }
-                    }
-                }
-                if let Some(n) = abort_after {
-                    if completed >= n {
-                        return HookAction::Stop {
-                            reason: format!(
-                                "aborted after {completed} completed evaluations \
-                                 (abort_after_evals({n}))"
-                            ),
-                        };
-                    }
-                }
-                HookAction::Continue
-            },
-        )
-    }
-
     /// The one path behind every run and resume entry point. Starts
     /// from a new session, or from the snapshot at `resume_from`: its
     /// fingerprint is checked against `fingerprint`, its policy blob
     /// restored into `policy`, and the resume announced. Then runs the
     /// session on `executor` with the checkpoint/abort hook, whose
-    /// snapshots carry `fingerprint`.
+    /// snapshots carry `fingerprint`, and waits for its last snapshot.
     pub(crate) fn drive(
         &self,
         executor: Executor<'_>,
@@ -427,8 +366,24 @@ impl EasyBo {
             }
         };
         let active = self.checkpoint_path.is_some() || self.abort_after.is_some();
-        let mut hook = active.then(|| self.session_hook(session.completed(), fingerprint));
-        let (retry, telemetry, hook) = (&self.retry, &self.telemetry, hook.as_deref_mut());
+        let mut checkpointer = active
+            .then(|| {
+                Checkpointer::new(
+                    self.checkpoint_path.clone(),
+                    self.checkpoint_every_evals.unwrap_or(1),
+                    session.completed(),
+                    fingerprint,
+                    self.abort_after,
+                    self.telemetry.clone(),
+                )
+            })
+            .transpose()
+            .map_err(|e| PersistError::io("starting the snapshot writer", e))?;
+        let mut hook = checkpointer.as_mut().map(|c| {
+            move |s: &SessionState, p: &dyn AsyncPolicy, now: f64| c.after_commit(s, p, now)
+        });
+        let hook = hook.as_mut().map(|h| h as &mut SessionHook<'_>);
+        let (retry, telemetry) = (&self.retry, &self.telemetry);
         let result = match executor {
             Executor::Virtual(bb) => VirtualExecutor::new(self.batch_size)
                 .run(bb, session, policy, retry, telemetry, hook),
@@ -437,6 +392,13 @@ impl EasyBo {
                     .run(bb, session, policy, retry, telemetry, hook)
             }
         };
+        // No run returns, aborted or not, before its last snapshot is
+        // durable, and a failed write outranks the executor's own error.
+        if let Some(mut checkpointer) = checkpointer {
+            checkpointer
+                .settle()
+                .map_err(|reason| OptError::ExecutorFailure { reason })?;
+        }
         Ok(result?)
     }
 
@@ -756,6 +718,17 @@ mod tests {
         -(x[0] - 0.3f64).powi(2) - (x[1] - 0.6f64).powi(2)
     }
 
+    /// The `completed` count of every `CheckpointWritten`, in order.
+    fn written(events: Vec<easybo_telemetry::TimedEvent>) -> Vec<usize> {
+        let completed = events.into_iter().filter_map(|e| match e.event {
+            Event::CheckpointWritten { completed, .. } => Some(completed),
+            _ => None,
+        });
+        completed.collect()
+    }
+
+    /// Also: when the run returns, its last snapshot is on disk and
+    /// every snapshot was reported written once.
     #[test]
     fn checkpointed_run_is_bit_identical_to_plain_run() {
         let bounds = Bounds::unit_cube(2).unwrap();
@@ -764,16 +737,26 @@ mod tests {
         let a = plain.run(objective).unwrap();
 
         let path = snap_path("bitident");
+        let (tel, recorder) = Telemetry::recording();
         let mut ckpt = EasyBo::new(bounds);
         ckpt.batch_size(3).initial_points(6).max_evals(14).seed(4);
-        ckpt.checkpoint_to(&path).checkpoint_every(2);
+        ckpt.telemetry(tel).checkpoint_to(&path).checkpoint_every(2);
         let b = ckpt.run(objective).unwrap();
+        let on_disk = load_snapshot(&path).unwrap();
         std::fs::remove_file(&path).ok();
 
         assert_eq!(a.data, b.data);
         assert_eq!(a.trace.to_csv(), b.trace.to_csv());
+        assert_eq!(on_disk.session.observations.len(), 14);
+        assert_eq!(written(recorder.events()), [2, 4, 6, 8, 10, 12, 14]);
+        let summary = b.report.summary.as_ref().unwrap();
+        assert_eq!(summary.checkpoints_written, 7);
+        assert_eq!(b.report.snapshot_fsync.as_ref().unwrap().count, 7);
+        assert_eq!(b.report.snapshot_sync.as_ref().unwrap().count, 7);
     }
 
+    /// Also: the snapshot of the abort's evaluation is durable, and
+    /// reported written, when the aborted run returns.
     #[test]
     fn kill_and_resume_reproduces_uninterrupted_trace() {
         let bounds = Bounds::unit_cube(2).unwrap();
@@ -782,11 +765,17 @@ mod tests {
         let baseline = opt.run(objective).unwrap();
 
         let path = snap_path("killresume");
+        let (tel, recorder) = Telemetry::recording();
         let mut killed = opt.clone();
-        killed.checkpoint_to(&path).checkpoint_every(1);
+        killed
+            .telemetry(tel)
+            .checkpoint_to(&path)
+            .checkpoint_every(1);
         killed.abort_after_evals(9);
         let err = killed.run(objective).unwrap_err();
         assert!(matches!(err, EasyBoError::Opt(_)), "{err}");
+        assert_eq!(load_snapshot(&path).unwrap().session.observations.len(), 9);
+        assert_eq!(written(recorder.events()).last(), Some(&9));
 
         let mut resumer = opt.clone();
         resumer.checkpoint_to(&path);
@@ -803,13 +792,6 @@ mod tests {
     /// snapshot's count on a resume.
     #[test]
     fn checkpoint_cadence_counts_from_the_session_start() {
-        let written = |events: Vec<easybo_telemetry::TimedEvent>| -> Vec<usize> {
-            let completed = events.into_iter().filter_map(|e| match e.event {
-                Event::CheckpointWritten { completed, .. } => Some(completed),
-                _ => None,
-            });
-            completed.collect()
-        };
         let path = snap_path("cadence");
         let mut opt = EasyBo::new(Bounds::unit_cube(2).unwrap());
         opt.batch_size(3).initial_points(6).max_evals(14).seed(4);
@@ -827,6 +809,43 @@ mod tests {
         resumer.resume(&path, objective).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(written(recorder.events()), [12]);
+    }
+
+    /// A failed write stops the run on either executor: at the next
+    /// checkpoint, when the run returns, or in place of an abort. The
+    /// failed snapshot is never reported written.
+    #[test]
+    fn failed_checkpoint_write_stops_the_run() {
+        let blocker = snap_path("blocker");
+        std::fs::write(&blocker, b"a file, not a directory").unwrap();
+        let bounds = Bounds::unit_cube(2).unwrap();
+        let time = SimTimeModel::new(&bounds, 1.0, 0.0, 0);
+        let bb = CostedFunction::new("toy", bounds.clone(), time, objective);
+        for (every, abort) in [(1, None), (12, None), (5, Some(5))] {
+            for threaded in [false, true] {
+                let (tel, recorder) = Telemetry::recording();
+                let mut opt = EasyBo::new(bounds.clone());
+                opt.batch_size(3).initial_points(6).max_evals(12).seed(4);
+                opt.telemetry(tel)
+                    .checkpoint_to(blocker.join("run.snap"))
+                    .checkpoint_every(every);
+                if let Some(n) = abort {
+                    opt.abort_after_evals(n);
+                }
+                let result = match threaded {
+                    false => opt.run_blackbox(&bb),
+                    true => opt.run_threaded(&bb, 0.0),
+                };
+                let err = result.unwrap_err();
+                assert!(
+                    matches!(&err, EasyBoError::Opt(OptError::ExecutorFailure { reason })
+                        if reason.starts_with("checkpoint write failed: ")),
+                    "every {every}, abort {abort:?}, threaded {threaded}: {err}"
+                );
+                assert!(written(recorder.events()).is_empty());
+            }
+        }
+        std::fs::remove_file(&blocker).ok();
     }
 
     #[test]

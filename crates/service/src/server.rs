@@ -387,24 +387,29 @@ fn handle_request(
             let accepted = lock(manager).tell(conn, session, task, attempt, value, cost, outcome);
             Message::TellAck { req, accepted }
         }
-        Message::Checkpoint { req, session } => match lock(manager).checkpoint(session) {
-            Ok(bytes) => {
-                if let Some(dir) = checkpoint_dir {
-                    let path = dir.join(format!("session_{session}.snap"));
-                    if let Err(e) = write_snapshot_bytes(&path, &bytes) {
-                        return Message::Error {
-                            req,
-                            message: format!("checkpoint write failed: {e}"),
-                        };
+        Message::Checkpoint { req, session } => {
+            // Bound first: a guard in a `match` scrutinee would hold the
+            // manager through the disk write and stall every connection.
+            let encoded = lock(manager).checkpoint(session);
+            match encoded {
+                Ok(bytes) => {
+                    if let Some(dir) = checkpoint_dir {
+                        let path = dir.join(format!("session_{session}.snap"));
+                        if let Err(e) = write_snapshot_bytes(&path, &bytes) {
+                            return Message::Error {
+                                req,
+                                message: format!("checkpoint write failed: {e}"),
+                            };
+                        }
+                    }
+                    Message::CheckpointAck {
+                        req,
+                        bytes: bytes.len() as u64,
                     }
                 }
-                Message::CheckpointAck {
-                    req,
-                    bytes: bytes.len() as u64,
-                }
+                Err(message) => Message::Error { req, message },
             }
-            Err(message) => Message::Error { req, message },
-        },
+        }
         Message::Evict { req, session } => match lock(manager).evict(session) {
             Ok(()) => Message::Ack { req },
             Err(message) => Message::Error { req, message },

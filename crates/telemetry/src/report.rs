@@ -132,17 +132,24 @@ pub struct RunReport {
     /// Acquisition real seconds / makespan (`None` without telemetry
     /// or with a zero makespan).
     pub acq_share: Option<f64>,
-    /// Checkpoint real seconds (snapshot encode + durable write) /
-    /// makespan (`None` without the snapshot histograms or with a
-    /// zero makespan).
+    /// Checkpoint real seconds the run loop spent (snapshot encode +
+    /// waits for the writer) / makespan (`None` without the snapshot
+    /// histograms or with a zero makespan).
     pub checkpoint_share: Option<f64>,
     /// `snapshot_encode_ns` histogram: per-checkpoint time spent
     /// encoding the snapshot payload (`None` when never observed).
     pub snapshot_encode: Option<HistogramSummary>,
-    /// `snapshot_fsync_ns` histogram: per-checkpoint time spent on
-    /// the durable write (tmp file + fsync + rename; `None` when
-    /// never observed).
+    /// `snapshot_fsync_ns` histogram: per-checkpoint time the run loop
+    /// waited for the snapshot writer to make the snapshot durable.
+    /// The writer syncs each snapshot while the next decision
+    /// computes, so this is the part of the write the loop still pays
+    /// (`None` when never observed).
     pub snapshot_fsync: Option<HistogramSummary>,
+    /// `snapshot_sync_ns` histogram: per-checkpoint time of the durable
+    /// write itself on the writer thread (tmp file + fsync + rename +
+    /// directory fsync), the device's latency (`None` when never
+    /// observed).
+    pub snapshot_sync: Option<HistogramSummary>,
     /// Rank-1 Cholesky extensions of the cached factor (per-tell
     /// appends and pseudo-point pushes; `None` without metrics).
     pub cholesky_updates: Option<u64>,
@@ -183,8 +190,8 @@ impl RunReport {
 
     /// Like [`RunReport::new`], but additionally mines a metrics
     /// snapshot for the checkpoint write-path histograms
-    /// (`snapshot_encode_ns` / `snapshot_fsync_ns`) and derives the
-    /// checkpoint share of makespan from them.
+    /// (`snapshot_encode_ns` / `snapshot_fsync_ns` / `snapshot_sync_ns`)
+    /// and derives the checkpoint share of makespan from the first two.
     pub fn with_metrics(
         makespan: f64,
         workers: usize,
@@ -202,14 +209,15 @@ impl RunReport {
         };
         let gp_fit_share = summary.as_ref().and_then(|s| share(s.gp_fit_seconds));
         let acq_share = summary.as_ref().and_then(|s| share(s.acq_seconds));
-        let snapshot_encode = metrics
-            .and_then(|m| m.histogram("snapshot_encode_ns"))
-            .filter(|h| h.count > 0)
-            .cloned();
-        let snapshot_fsync = metrics
-            .and_then(|m| m.histogram("snapshot_fsync_ns"))
-            .filter(|h| h.count > 0)
-            .cloned();
+        let histogram = |name: &str| {
+            metrics
+                .and_then(|m| m.histogram(name))
+                .filter(|h| h.count > 0)
+                .cloned()
+        };
+        let snapshot_encode = histogram("snapshot_encode_ns");
+        let snapshot_fsync = histogram("snapshot_fsync_ns");
+        let snapshot_sync = histogram("snapshot_sync_ns");
         let checkpoint_ns = snapshot_encode.as_ref().map_or(0.0, |h| h.sum)
             + snapshot_fsync.as_ref().map_or(0.0, |h| h.sum);
         let checkpoint_share = if snapshot_encode.is_some() || snapshot_fsync.is_some() {
@@ -244,6 +252,7 @@ impl RunReport {
             checkpoint_share,
             snapshot_encode,
             snapshot_fsync,
+            snapshot_sync,
             cholesky_updates,
             cholesky_downdates,
             gp_factorizations,
@@ -297,10 +306,11 @@ impl fmt::Display for RunReport {
                     };
                     writeln!(
                         f,
-                        "  checkpoints {} (encode {} fsync {} mean{})",
+                        "  checkpoints {} (encode {} wait {} sync {} mean{})",
                         s.checkpoints_written,
                         ms(&self.snapshot_encode),
                         ms(&self.snapshot_fsync),
+                        ms(&self.snapshot_sync),
                         self.checkpoint_share
                             .map(|v| format!(", {:.2}% of makespan", 100.0 * v))
                             .unwrap_or_default()

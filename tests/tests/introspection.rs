@@ -371,10 +371,13 @@ fn checkpoint_histograms_surface_in_the_run_report() {
     assert!(summary.checkpoints_written > 0);
     let encode = report.snapshot_encode.as_ref().expect("encode histogram");
     let fsync = report.snapshot_fsync.as_ref().expect("fsync histogram");
+    let sync = report.snapshot_sync.as_ref().expect("sync histogram");
     assert_eq!(encode.count, summary.checkpoints_written as u64);
     assert_eq!(fsync.count, summary.checkpoints_written as u64);
+    assert_eq!(sync.count, summary.checkpoints_written as u64);
     assert!(encode.mean().expect("nonempty") > 0.0);
     assert!(fsync.mean().expect("nonempty") > 0.0);
+    assert!(sync.mean().expect("nonempty") > 0.0);
     let share = report.checkpoint_share.expect("checkpoint share");
     assert!(share >= 0.0);
     let rendered = report.to_string();
@@ -387,6 +390,7 @@ fn reports_without_checkpoints_omit_the_histograms() {
     let report = report_run(33);
     assert!(report.snapshot_encode.is_none());
     assert!(report.snapshot_fsync.is_none());
+    assert!(report.snapshot_sync.is_none());
     assert!(report.checkpoint_share.is_none());
 }
 

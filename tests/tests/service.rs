@@ -18,7 +18,7 @@ use easybo::{Algorithm, EasyBo, Parallelism};
 use easybo_circuits::opamp::TwoStageOpAmp;
 use easybo_circuits::Circuit;
 use easybo_exec::{
-    AsyncPolicy, BlackBox, BusyPoint, CostedFunction, Dataset, EvalOutcome, FaultPlan,
+    AsyncPolicy, BlackBox, BusyPoint, CostedFunction, Dataset, EvalOutcome, Evaluation, FaultPlan,
     FaultyBlackBox, RetryPolicy, RunResult, SimTimeModel, VirtualExecutor,
 };
 use easybo_opt::{sampling, Bounds};
@@ -341,9 +341,66 @@ fn dead_workers_and_dropped_connections_do_not_perturb_the_run() {
     assert_same_run(&result, &baseline, "dead worker + hostile links");
 }
 
+/// Lets the first `open` evaluations through and holds every later one
+/// until [`Gate::release`], so a session is certainly mid-run while a
+/// test acts on it, however fast its workers are.
+struct Gate {
+    open: usize,
+    /// Evaluations admitted so far, and whether the gate was released.
+    state: Mutex<(usize, bool)>,
+    released: std::sync::Condvar,
+}
+
+impl Gate {
+    fn new(open: usize) -> Arc<Self> {
+        let (state, released) = (Mutex::new((0, false)), std::sync::Condvar::new());
+        Arc::new(Gate {
+            open,
+            state,
+            released,
+        })
+    }
+
+    fn pass(&self) {
+        let mut s = self.state.lock().unwrap();
+        s.0 += 1;
+        if s.0 > self.open {
+            let _released = self.released.wait_while(s, |s| !s.1).unwrap();
+        }
+    }
+
+    fn release(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.released.notify_all();
+    }
+}
+
+/// A black box whose evaluations pass through a [`Gate`] first.
+struct Gated<B> {
+    inner: B,
+    gate: Arc<Gate>,
+}
+
+impl<B: BlackBox> BlackBox for Gated<B> {
+    fn bounds(&self) -> &Bounds {
+        self.inner.bounds()
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn evaluate(&self, x: &[f64]) -> Evaluation {
+        self.gate.pass();
+        self.inner.evaluate(x)
+    }
+}
+
 /// Admin-driven checkpoint → evict → rehydrate over the socket,
 /// mid-run, with a durable snapshot written server-side. The resumed
-/// session must finish exactly where the uninterrupted one does.
+/// session must finish exactly where the uninterrupted one does. The
+/// workers' evaluations after the sixth wait until the session is
+/// rehydrated, so the session cannot finish before the evict.
 #[test]
 fn socket_driven_evict_and_rehydrate_mid_run_preserves_the_trajectory() {
     let (batch, max_evals) = (4, 16);
@@ -359,11 +416,14 @@ fn socket_driven_evict_and_rehydrate_mid_run_preserves_the_trajectory() {
         lock(&server.manager()).open_session(spec_for(&opt, batch, max_evals, "two-stage-opamp"));
     let addr = server.local_addr();
 
+    let gate = Gate::new(6);
     let worker_handles: Vec<_> = (0..2)
         .map(|_| {
+            let gate = Arc::clone(&gate);
             std::thread::spawn(move || {
                 let mut w = WorkerClient::connect(addr);
-                w.register("two-stage-opamp", Box::new(opamp_blackbox()));
+                let inner = opamp_blackbox();
+                w.register("two-stage-opamp", Box::new(Gated { inner, gate }));
                 w.run()
             })
         })
@@ -396,6 +456,7 @@ fn socket_driven_evict_and_rehydrate_mid_run_preserves_the_trajectory() {
         Ok(()) | Err(WireError::Protocol(_)) => {}
         Err(e) => panic!("rehydrate rpc failed fatally: {e}"),
     }
+    gate.release();
 
     for h in worker_handles {
         h.join()

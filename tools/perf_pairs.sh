@@ -36,6 +36,14 @@
 # pairs the change won (and tied). A metric that `BENCHMARK.json` (read
 # from the change checkout) lists as end-to-end is flagged `OVER BOUND`
 # when its median moved the wrong way by more than its bound.
+#
+# Each metric also gets the verdict of the pairing rule: `gain` when at
+# least ten pairs ran, the change won at least nine tenths of them (ties
+# count for neither side) and its median is better than the parent's by
+# more than the parent's interquartile range; for an end-to-end metric,
+# `unresolved` when that range, relative to the parent's median, is
+# wider than the metric's bound and not every change run beats every
+# parent run. Neither verdict leaves the column empty.
 
 set -euo pipefail
 
@@ -161,6 +169,13 @@ for name in names:
         worse = rel if sense == "lower" else -rel
         if worse > bounds[name][1]:
             flag = f"  OVER BOUND {bounds[name][1]}"
+    iqr = pq[2] - pq[0]
+    gained = pq[1] - cq[1] if sense == "lower" else cq[1] - pq[1]
+    beats_all = max(c) < min(p) if sense == "lower" else min(c) > max(p)
+    if len(p) >= 10 and wins >= 0.9 * len(p) and gained > iqr:
+        flag += "  gain"
+    elif name in bounds and pq[1] and iqr / abs(pq[1]) > bounds[name][1] and not beats_all:
+        flag += "  unresolved"
     fmt = lambda q: "/".join(f"{v:.4g}" for v in q)
     tied = f" ({ties} tied)" if ties else ""
     print(f"{name:<28} {fmt(pq):>32} {fmt(cq):>32} {rel:>+8.1%} {wins:>3}/{len(p)}{tied}{flag}")
