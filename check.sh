@@ -67,6 +67,12 @@ echo "==> cargo bench --no-run (every bench must compile)"
 cargo bench --workspace --no-run
 
 echo "==> repository benchmark: builds against the public API and passes its own tests"
-cargo test --release --offline --manifest-path perfbench/Cargo.toml
+# perfbench/Cargo.lock is not tracked: a fresh checkout generates it, and
+# an existing one is used as it is (`--locked`) rather than rewritten.
+locked=
+if [ -f perfbench/Cargo.lock ]; then
+    locked=--locked
+fi
+cargo test --release --offline $locked --manifest-path perfbench/Cargo.toml
 
 echo "==> all checks passed"

@@ -9,8 +9,10 @@
 //! Prints a table and writes `BENCH_checkpoint.json` at the repository
 //! root with the measured times, relative overheads, snapshot size, and
 //! a bit-identity verdict per comparison. Repetition count comes from
-//! `EASYBO_REPS` (default 5); each cell reports the best (minimum)
-//! wall-clock across repetitions.
+//! `EASYBO_REPS` (default 21). The checkpoint row runs that many pairs,
+//! the disabled and the checkpointed run alternated within each pair,
+//! and reports each side's median; the restore rows report the best
+//! (minimum) wall-clock across repetitions.
 
 use std::time::Instant;
 
@@ -37,9 +39,45 @@ fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     (best, out.expect("reps >= 1"))
 }
 
+/// Median wall-clock of `a` and of `b`, in seconds, over `pairs` pairs
+/// that run both back to back, `a` first in even pairs and `b` first in
+/// odd ones, after one untimed pair; with the last result of each.
+fn time_alternated<A, B>(
+    pairs: usize,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> ((f64, A), (f64, B)) {
+    let (mut out_a, mut out_b) = (a(), b());
+    let (mut a_s, mut b_s) = (Vec::new(), Vec::new());
+    for pair in 0..pairs {
+        for a_turn in [pair % 2 == 0, pair % 2 == 1] {
+            let t0 = Instant::now();
+            if a_turn {
+                out_a = a();
+                a_s.push(t0.elapsed().as_secs_f64());
+            } else {
+                out_b = b();
+                b_s.push(t0.elapsed().as_secs_f64());
+            }
+        }
+    }
+    ((median(a_s), out_a), (median(b_s), out_b))
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    assert!(!xs.is_empty(), "pairs >= 1");
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        0.5 * (xs[mid - 1] + xs[mid])
+    }
+}
+
 /// Full optimizer run, snapshot every completed evaluation (k = 1, the
-/// worst case) vs checkpointing disabled. Returns the snapshot size and
-/// the filesystem the snapshots went to.
+/// worst case) vs checkpointing disabled, alternated. Returns the
+/// snapshot size and the filesystem the snapshots went to.
 fn bench_checkpoint_writes(rows: &mut Vec<BenchRecord>, reps: usize) -> (u64, String) {
     let dir = std::env::temp_dir();
     let path = dir.join(format!("easybo-bench-ckpt-{}.snap", std::process::id()));
@@ -49,12 +87,15 @@ fn bench_checkpoint_writes(rows: &mut Vec<BenchRecord>, reps: usize) -> (u64, St
         opt
     };
 
-    let (off_s, off) = time_best(reps, || optimizer().run(objective).expect("runs"));
-    let (on_s, on) = time_best(reps, || {
-        let mut opt = optimizer();
-        opt.checkpoint_to(&path).checkpoint_every(1);
-        opt.run(objective).expect("runs")
-    });
+    let ((off_s, off), (on_s, on)) = time_alternated(
+        reps,
+        || optimizer().run(objective).expect("runs"),
+        || {
+            let mut opt = optimizer();
+            opt.checkpoint_to(&path).checkpoint_every(1);
+            opt.run(objective).expect("runs")
+        },
+    );
     let snapshot_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     std::fs::remove_file(&path).ok();
     rows.push(BenchRecord::from_seconds(
@@ -125,7 +166,7 @@ fn main() {
     let reps: usize = std::env::var("EASYBO_REPS")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
+        .unwrap_or(21);
     println!("Checkpoint overhead benchmark: {reps} repetitions");
 
     let mut rows = Vec::new();
@@ -154,11 +195,12 @@ fn main() {
         &format!(
             "checkpoint rows: baseline = checkpointing disabled, candidate = \
              snapshot-per-eval, synced on {fs} by the run's writer thread while the next \
-             decision computes; identical compares the full best-so-far trace and \
+             decision computes; each the median wall clock over reps pairs that run both, \
+             alternating which runs first; identical compares the full best-so-far trace and \
              dataset bit for bit. gp_restore rows: baseline = restore with the factor stored, \
              candidate = restore replaying it (a cost, not a gain: the state is 274^2 * 8 \
-             bytes smaller); identical compares the restored factor and state bit for bit. \
-             Best-of-reps wall clock. snapshot_bytes at max_evals=24, d=2: {snapshot_bytes}."
+             bytes smaller); best-of-reps wall clock; identical compares the restored factor \
+             and state bit for bit. snapshot_bytes at max_evals=24, d=2: {snapshot_bytes}."
         ),
         &rows,
     );

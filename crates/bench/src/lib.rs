@@ -324,8 +324,8 @@ pub fn fs_type(path: &std::path::Path) -> String {
 /// carries the same top-level fields (`bench`, `generated_by`, `env`,
 /// `note`, `results`) so the regression tooling can diff reports without
 /// per-bench parsers and knows the exact command that regenerates a stale
-/// artifact. serde is stubbed in this workspace, so the JSON is formatted
-/// by hand.
+/// artifact. The workspace has no serialization framework, so the JSON
+/// is formatted by hand.
 pub fn bench_report(bench: &str, reps: usize, note: &str, records: &[BenchRecord]) -> String {
     let entries: Vec<String> = records
         .iter()

@@ -6,10 +6,8 @@
 //! equations for hand analysis, and they produce the smooth but non-convex
 //! performance landscapes the BO benchmark needs. All quantities are SI.
 
-use serde::{Deserialize, Serialize};
-
 /// Device polarity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MosType {
     /// N-channel device.
     Nmos,
@@ -18,7 +16,7 @@ pub enum MosType {
 }
 
 /// Process corner constants for one device polarity of the 180nm process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProcessParams {
     /// Transconductance parameter `K' = µ·Cox` (A/V²).
     pub kp: f64,
@@ -75,7 +73,7 @@ pub const VDD_180NM: f64 = 1.8;
 /// let expect = (2.0 * 300e-6 * (10.0 / 0.18) * 100e-6_f64).sqrt();
 /// assert!((gm - expect).abs() / expect < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mosfet {
     mos_type: MosType,
     /// Gate width (m).

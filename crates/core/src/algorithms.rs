@@ -23,7 +23,6 @@ use easybo_opt::{sampling, Bounds, DeConfig, DifferentialEvolution, Parallelism}
 use easybo_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::policies::{
     AcqOptConfig, BucbPolicy, EasyBoAsyncPolicy, EasyBoSyncPolicy, EpsGreedyPolicy,
@@ -34,7 +33,7 @@ use crate::surrogate::SurrogateConfig;
 use crate::weight::DEFAULT_LAMBDA;
 
 /// Scheduling mode of an [`Algorithm`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AlgorithmMode {
     /// Differential evolution, evaluated one point at a time.
     Evolutionary,
@@ -47,7 +46,7 @@ pub enum AlgorithmMode {
 }
 
 /// Every optimization algorithm in the benchmark matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Differential evolution baseline (Liu et al., ref. \[13\]).
     De,

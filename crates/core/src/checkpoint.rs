@@ -5,10 +5,13 @@
 //! k−1 to be durable, and hands k to the writer, which syncs it while
 //! the next decision computes. At most one snapshot is in flight, so
 //! snapshots land in completion order and the file on disk is always
-//! a complete snapshot: k, or k−1 while k is being written.
+//! a complete snapshot: k, or k−1 while k is being written. One slot
+//! each way, a `Mutex` and a `Condvar`, carries the snapshot to the
+//! writer and its outcome back.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -162,62 +165,182 @@ impl Checkpointer {
 }
 
 /// The thread that runs [`easybo_persist::write_snapshot_bytes`] on
-/// each snapshot it is handed, in order, and sends back the outcome
-/// with the time the write took. Dropping it closes its queue and
-/// joins it.
+/// each snapshot it is handed, in order, and posts back the outcome
+/// with the time the write took. Dropping it closes the mailbox and
+/// joins the thread, which first writes a snapshot still in the slot.
 struct SnapshotWriter {
-    queue: Option<Sender<Vec<u8>>>,
-    results: Receiver<(Result<(), PersistError>, Duration)>,
+    mailbox: Arc<Mailbox>,
     thread: Option<JoinHandle<()>>,
     /// The snapshot handed over and not yet waited for.
     in_flight: Option<InFlight>,
 }
 
+/// The one-slot mailbox between the loop thread and the writer: at most
+/// one snapshot is in flight, so one slot each way is enough.
+#[derive(Default)]
+struct Mailbox {
+    slot: Mutex<Slot>,
+    changed: Condvar,
+}
+
+/// What the loop thread and the writer hand each other.
+#[derive(Default)]
+struct Slot {
+    /// The snapshot handed over and not yet taken by the writer.
+    snapshot: Option<Vec<u8>>,
+    /// The outcome of the snapshot written last, not yet waited for.
+    outcome: Option<Outcome>,
+    /// Set when either side leaves: the writer's drop or the thread's exit.
+    closed: bool,
+}
+
+/// A write's result and the time it took.
+type Outcome = (Result<(), PersistError>, Duration);
+
+impl Mailbox {
+    /// Locks the slot, waiting while `blocked` holds.
+    fn wait_while(&self, blocked: impl FnMut(&mut Slot) -> bool) -> MutexGuard<'_, Slot> {
+        let slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+        let slot = self.changed.wait_while(slot, blocked);
+        slot.unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Changes the slot, unlocks it and wakes the other side.
+    fn update<T>(&self, change: impl FnOnce(&mut Slot) -> T) -> T {
+        let out = change(&mut self.slot.lock().unwrap_or_else(PoisonError::into_inner));
+        self.changed.notify_all();
+        out
+    }
+
+    /// The writer's next snapshot, or `None` once the mailbox is closed
+    /// and empty.
+    fn next_snapshot(&self) -> Option<Vec<u8>> {
+        let mut slot = self.wait_while(|s| s.snapshot.is_none() && !s.closed);
+        slot.snapshot.take()
+    }
+}
+
 impl SnapshotWriter {
     fn spawn(path: PathBuf) -> std::io::Result<Self> {
-        let (queue, snapshots) = channel::<Vec<u8>>();
-        let (done, results) = channel();
+        Self::spawn_with(move |mailbox| {
+            while let Some(bytes) = mailbox.next_snapshot() {
+                let t0 = Instant::now();
+                let written = easybo_persist::write_snapshot_bytes(&path, &bytes);
+                mailbox.update(|s| s.outcome = Some((written, t0.elapsed())));
+            }
+        })
+    }
+
+    /// Starts `body` as the writer thread. The mailbox closes when the
+    /// thread exits, panic or not, so a `wait` cannot outlive it.
+    fn spawn_with(body: impl FnOnce(&Mailbox) + Send + 'static) -> std::io::Result<Self> {
+        let mailbox = Arc::new(Mailbox::default());
+        let shared = Arc::clone(&mailbox);
         let thread = std::thread::Builder::new()
             .name("easybo-snapshot-writer".to_string())
             .spawn(move || {
-                for bytes in snapshots {
-                    let t0 = Instant::now();
-                    let written = easybo_persist::write_snapshot_bytes(&path, &bytes);
-                    if done.send((written, t0.elapsed())).is_err() {
-                        break;
-                    }
-                }
+                let _ = catch_unwind(AssertUnwindSafe(|| body(&shared)));
+                shared.update(|s| s.closed = true);
             })?;
         Ok(SnapshotWriter {
-            queue: Some(queue),
-            results,
+            mailbox,
             thread: Some(thread),
             in_flight: None,
         })
     }
 
     fn submit(&mut self, bytes: Vec<u8>, sent: InFlight) {
-        let queue = self.queue.as_ref().expect("the queue closes only on drop");
-        queue
-            .send(bytes)
-            .expect("the snapshot writer takes every snapshot unless it panicked");
+        let open = self.mailbox.update(|s| {
+            s.snapshot = Some(bytes);
+            !s.closed
+        });
+        assert!(
+            open,
+            "the snapshot writer takes every snapshot unless it panicked"
+        );
         self.in_flight = Some(sent);
     }
 
-    /// The outcome of the oldest snapshot not yet waited for.
-    fn wait(&self) -> (Result<(), PersistError>, Duration) {
-        self.results
-            .recv()
-            .expect("the snapshot writer reports every snapshot unless it panicked")
+    /// The outcome of the snapshot in flight.
+    fn wait(&self) -> Outcome {
+        let mut slot = self
+            .mailbox
+            .wait_while(|s| s.outcome.is_none() && !s.closed);
+        let outcome = slot.outcome.take();
+        outcome.expect("the snapshot writer reports every snapshot unless it panicked")
     }
 }
 
 impl Drop for SnapshotWriter {
     fn drop(&mut self) {
-        drop(self.queue.take());
+        self.mailbox.update(|s| s.closed = true);
         if let Some(thread) = self.thread.take() {
-            // A panic of the writer already surfaced in `submit` or `wait`.
+            // The thread catches its own panics: they surface in `submit`
+            // or `wait`.
             let _ = thread.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use easybo_exec::{BusyPoint, Dataset};
+
+    /// A policy whose snapshot blob is `[self.0]`.
+    struct Blob(u8);
+    impl AsyncPolicy for Blob {
+        fn select_next(&mut self, _d: &Dataset, _b: &[BusyPoint]) -> Vec<f64> {
+            vec![0.5]
+        }
+        fn snapshot_state(&self) -> Option<Vec<u8>> {
+            Some(vec![self.0])
+        }
+    }
+
+    #[test]
+    fn dropping_the_hook_lands_the_snapshot_in_flight() {
+        let path = std::env::temp_dir().join(format!(
+            "easybo-checkpoint-test-{}-drop.snap",
+            std::process::id()
+        ));
+        let session = SessionState::new(2, 4, &[vec![0.25]]);
+        let mut hook =
+            Checkpointer::new(Some(path.clone()), 1, 0, 7, None, Telemetry::disabled()).unwrap();
+        hook.checkpoint(&session, &Blob(1), 0.5).unwrap();
+        hook.checkpoint(&session, &Blob(2), 1.5).unwrap();
+        drop(hook); // snapshot 2 was handed over, never waited for
+        let on_disk = easybo_persist::load_snapshot(&path).expect("the file decodes");
+        std::fs::remove_file(&path).ok();
+        let want = RunSnapshot {
+            config_fingerprint: 7,
+            session: session.to_parts(),
+            policy: Some(vec![2]),
+        };
+        assert_eq!(on_disk, want);
+    }
+
+    #[test]
+    fn a_writer_that_exits_without_an_outcome_wakes_the_wait() {
+        let mut writer = SnapshotWriter::spawn_with(|mailbox| {
+            mailbox.next_snapshot(); // taken, never written
+        })
+        .unwrap();
+        let sent = InFlight {
+            completed: 1,
+            bytes: 1,
+            now: 0.0,
+        };
+        writer.submit(vec![0], sent);
+        // Wait on another thread so that a hang fails the test.
+        let waiter = std::thread::spawn(move || writer.wait().1);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !waiter.is_finished() {
+            assert!(Instant::now() < deadline, "`wait` outlived the writer");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let panic = waiter.join().expect_err("`wait` panics");
+        let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(message.contains("reports every snapshot"), "{message}");
     }
 }

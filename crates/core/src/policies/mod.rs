@@ -73,7 +73,6 @@ use easybo_opt::{BatchObjective, Bounds, MultiStartMaximizer, Parallelism};
 use easybo_telemetry::{Event, Telemetry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::acquisition::{Acquisition, Adjustment, Moments, Score};
 use crate::persistence::PolicyStateBlob;
@@ -81,7 +80,7 @@ use crate::surrogate::{SurrogateConfig, SurrogateManager};
 
 /// Sizing of the inner acquisition maximization (random probes + local
 /// gradient refinement over the unit cube).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AcqOptConfig {
     /// Random probe count (384 by default; `max(320, 44·d)` via
     /// [`AcqOptConfig::for_dim`]).

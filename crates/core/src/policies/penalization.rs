@@ -8,10 +8,9 @@
 
 use easybo_gp::IncrementalGp;
 use easybo_telemetry::{Event, Telemetry};
-use serde::{Deserialize, Serialize};
 
 /// How a busy (in-flight) query point is converted into a pseudo-observation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PenalizationMode {
     /// Paper behavior: hallucinate the GP's predictive mean (BUCB-style).
     /// Leaves the posterior mean unchanged; only shrinks `σ̂`.

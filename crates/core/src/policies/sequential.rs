@@ -3,7 +3,6 @@
 
 use easybo_exec::{AsyncPolicy, BusyPoint, Dataset};
 use easybo_opt::Bounds;
-use serde::{Deserialize, Serialize};
 
 use crate::acquisition::{Adjustment, Moments, Score};
 use crate::persistence::SEQUENTIAL_BLOB;
@@ -12,7 +11,7 @@ use crate::surrogate::SurrogateConfig;
 use crate::weight::sample_kappa_weight;
 
 /// Which sequential acquisition to use.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SequentialAcquisition {
     /// Expected improvement (Mockus et al.).
     Ei,

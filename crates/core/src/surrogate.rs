@@ -11,10 +11,9 @@ use easybo_exec::Dataset;
 use easybo_gp::{Gp, GpConfig, GpState, IncrementalGp, KernelFamily, TrainConfig};
 use easybo_opt::{Bounds, Parallelism};
 use easybo_telemetry::Telemetry;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`SurrogateManager`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SurrogateConfig {
     /// Kernel family (paper: squared exponential).
     pub kernel: KernelFamily,

@@ -9,7 +9,6 @@
 //! always.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The paper's λ: κ is drawn uniformly from `[0, λ]` (§III-B sets λ = 6).
 pub const DEFAULT_LAMBDA: f64 = 6.0;
@@ -32,7 +31,7 @@ pub fn sample_kappa_weight<R: Rng + ?Sized>(lambda: f64, rng: &mut R) -> f64 {
 }
 
 /// A schedule producing exploration weights for batch members.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WeightSchedule {
     /// pBO's fixed grid: `w_i = (i-1)/(B-1)` for batch size B
     /// (`w = 0.5` when B = 1).

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// Observed evaluations accumulated during an optimization run.
 ///
 /// # Example
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(d.len(), 2);
 /// assert_eq!(d.best().unwrap().1, 2.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Dataset {
     x: Vec<Vec<f64>>,
     y: Vec<f64>,
@@ -79,7 +77,7 @@ impl Dataset {
 
 /// A query point currently being evaluated by a worker (the "busy" points
 /// that EasyBO's penalization scheme hallucinates observations for).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BusyPoint {
     /// The design under evaluation.
     pub x: Vec<f64>,

@@ -13,8 +13,8 @@
 //!   the paper's testbed in microseconds of real time. The async runs
 //!   go through the [`EventLoop`], the same loop the network session
 //!   manager feeds with results that arrive later.
-//! * [`ThreadedExecutor`] — a real multi-threaded executor (crossbeam
-//!   channels + OS threads) for production use of the library, where the
+//! * [`ThreadedExecutor`] — a real multi-threaded executor (scoped OS
+//!   threads + `std` channels) for production use of the library, where the
 //!   black box is genuinely expensive. It drives the same [`EventLoop`]
 //!   on a real clock, declaring each clock reading the loop's horizon.
 //!

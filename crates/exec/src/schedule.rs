@@ -1,8 +1,6 @@
-use serde::{Deserialize, Serialize};
-
 /// One task occupying one worker for a time interval (the bars of the
 /// paper's Fig. 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskSpan {
     /// Worker index.
     pub worker: usize,
@@ -32,7 +30,7 @@ pub struct TaskSpan {
 /// assert_eq!(s.makespan(), 10.0);
 /// assert!((s.utilization() - 0.7).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     workers: usize,
     spans: Vec<TaskSpan>,

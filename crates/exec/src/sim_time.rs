@@ -10,7 +10,6 @@
 
 use easybo_opt::Bounds;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Deterministic, parameter-dependent simulation-time model.
 ///
@@ -37,7 +36,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimTimeModel {
     bounds: Bounds,
     base: f64,

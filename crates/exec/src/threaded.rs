@@ -5,12 +5,13 @@
 //! the black box is genuinely expensive (an actual simulator invocation).
 //! It drives the same [`EventLoop`] on a real clock, through one entry
 //! point, [`ThreadedExecutor::run`], for new and captured sessions
-//! alike. The loop's resolver
-//! sends each dispatch to a crossbeam job channel that worker threads
-//! pull from, and each worker report resolves its attempt with cost =
-//! arrival time − dispatch start. Once per pass the driver reads the
-//! clock, resolves the reports it drained, declares that reading the
-//! loop's horizon ([`EventLoop::set_horizon`]: every attempt still out
+//! alike. The workers are scoped threads ([`std::thread::scope`]) that
+//! share the receiver of one `std::sync::mpsc` job channel; the loop's
+//! resolver sends each dispatch to it, and each worker report, sent
+//! back on a second channel, resolves its attempt with cost = arrival
+//! time − dispatch start. Once per pass the driver reads the clock,
+//! resolves the reports it drained, declares that reading the loop's
+//! horizon ([`EventLoop::set_horizon`]: every attempt still out
 //! finishes later, and one whose deadline has passed timed out), and
 //! runs every event at or before it.
 //!
@@ -39,9 +40,10 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel;
 use easybo_opt::OptError;
 use easybo_telemetry::{Event, Telemetry};
 
@@ -208,14 +210,15 @@ impl ThreadedExecutor {
         let (offset, epoch) = (session.clock(), Instant::now());
         let clock = || offset + epoch.elapsed().as_secs_f64();
         let shutdown = AtomicBool::new(false);
-        let (job_tx, job_rx) = channel::unbounded::<Job>();
-        let (msg_tx, msg_rx) = channel::unbounded::<WorkerMsg>();
+        let (job_tx, job_rx) = channel::<Job>();
+        let job_rx = Arc::new(Mutex::new(job_rx));
+        let (msg_tx, msg_rx) = channel::<WorkerMsg>();
 
-        let run = crossbeam::scope(|scope| {
+        let run = std::thread::scope(|scope| {
             for thread in 0..n {
-                let (jobs, msgs, shutdown) = (job_rx.clone(), msg_tx.clone(), &shutdown);
+                let (jobs, msgs, shutdown) = (Arc::clone(&job_rx), msg_tx.clone(), &shutdown);
                 let scale = self.time_scale;
-                scope.spawn(move |_| work(thread, bb, scale, &jobs, &msgs, shutdown));
+                scope.spawn(move || work(thread, bb, scale, &jobs, &msgs, shutdown));
             }
             drop(msg_tx); // workers hold the remaining clones
             drop(job_rx); // so sends fail once every worker has exited
@@ -235,8 +238,7 @@ impl ThreadedExecutor {
             shutdown.store(true, Ordering::Relaxed);
             drop(job_tx); // signal workers to exit
             out.map(|()| lp)
-        })
-        .expect("executor scope panicked");
+        });
         Ok(finish_run(telemetry, run?))
     }
 }
@@ -247,7 +249,7 @@ impl ThreadedExecutor {
 /// before it, then waits for the next event, deadline or report.
 fn pump(
     lp: &mut EventLoop,
-    msgs: &channel::Receiver<WorkerMsg>,
+    msgs: &Receiver<WorkerMsg>,
     clock: impl Fn() -> f64,
     policy: &mut dyn AsyncPolicy,
     telemetry: &Telemetry,
@@ -281,8 +283,8 @@ fn pump(
             None => Some(msgs.recv().map_err(|_| severed())?),
             Some(t) => match msgs.recv_timeout(Duration::from_secs_f64((t - clock()).max(0.0))) {
                 Ok(msg) => Some(msg),
-                Err(channel::RecvTimeoutError::Timeout) => None,
-                Err(channel::RecvTimeoutError::Disconnected) => return Err(severed()),
+                Err(RecvTimeoutError::Timeout) => None,
+                Err(RecvTimeoutError::Disconnected) => return Err(severed()),
             },
         };
     }
@@ -370,8 +372,8 @@ fn work(
     thread: usize,
     bb: &(dyn BlackBox + Sync),
     scale: f64,
-    jobs: &channel::Receiver<Job>,
-    msgs: &channel::Sender<WorkerMsg>,
+    jobs: &Mutex<Receiver<Job>>,
+    msgs: &Sender<WorkerMsg>,
     shutdown: &AtomicBool,
 ) {
     let report = |job: &Job, kind| {
@@ -384,7 +386,12 @@ fn work(
         })
         .is_ok()
     };
-    'jobs: while let Ok(job) = jobs.recv() {
+    'jobs: loop {
+        // The lock guard drops at the end of this statement, so the next
+        // idle thread can take a job while this one evaluates.
+        let Ok(job) = jobs.lock().unwrap_or_else(PoisonError::into_inner).recv() else {
+            break;
+        };
         if !report(&job, Report::Started) {
             break;
         }
@@ -425,6 +432,7 @@ mod tests {
     use crate::fault::FaultPlan;
     use crate::{BusyPoint, CostedFunction, Dataset, FaultyBlackBox, SimTimeModel};
     use easybo_opt::Bounds;
+    use std::sync::atomic::AtomicUsize;
 
     struct Walker(f64);
     impl AsyncPolicy for Walker {
@@ -516,6 +524,49 @@ mod tests {
         // At selection time the other workers are (still) busy.
         assert!(spy.0.iter().all(|&n| n <= 3));
         assert!(spy.0.iter().any(|&n| n >= 1));
+    }
+
+    #[test]
+    fn workers_evaluate_at_the_same_time() {
+        // Each evaluation waits, up to a deadline, until all three workers
+        // are inside the black box at once. Workers that take jobs one at a
+        // time (say, by holding the shared receiver's lock across an
+        // evaluation) never get there.
+        struct Rendezvous {
+            bounds: Bounds,
+            inside: AtomicUsize,
+            peak: AtomicUsize,
+        }
+        impl BlackBox for Rendezvous {
+            fn bounds(&self) -> &Bounds {
+                &self.bounds
+            }
+            fn evaluate(&self, x: &[f64]) -> Evaluation {
+                let now = self.inside.fetch_add(1, Ordering::SeqCst) + 1;
+                self.peak.fetch_max(now, Ordering::SeqCst);
+                let deadline = Instant::now() + Duration::from_secs(2);
+                while self.peak.load(Ordering::SeqCst) < 3 && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                self.inside.fetch_sub(1, Ordering::SeqCst);
+                Evaluation::ok(x[0], 1.0)
+            }
+        }
+        let bb = Rendezvous {
+            bounds: Bounds::unit_cube(1).unwrap(),
+            inside: AtomicUsize::new(0),
+            peak: AtomicUsize::new(0),
+        };
+        let init = [vec![0.1], vec![0.2], vec![0.3]];
+        let exec = ThreadedExecutor::new(3, 0.0);
+        let r =
+            run(exec, &bb, &init, 3, &mut Walker(0.0), &RetryPolicy::none()).expect("run succeeds");
+        assert_eq!(r.data.len(), 3);
+        assert_eq!(
+            bb.peak.load(Ordering::SeqCst),
+            3,
+            "workers ran one at a time"
+        );
     }
 
     #[test]

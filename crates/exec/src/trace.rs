@@ -1,7 +1,5 @@
-use serde::{Deserialize, Serialize};
-
 /// One completed evaluation on the run timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TracePoint {
     /// Virtual wall-clock time (seconds) of completion.
     pub time: f64,
@@ -29,7 +27,7 @@ pub struct TracePoint {
 /// assert_eq!(t.best_at(30.0), Some(2.0));
 /// assert_eq!(t.best_at(5.0), None);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunTrace {
     points: Vec<TracePoint>,
 }

@@ -7,7 +7,6 @@
 //! lives in the GP model, not the kernel.
 
 use easybo_linalg::{Matrix, Vector};
-use serde::{Deserialize, Serialize};
 
 /// Fixed shape parameter of the rational-quadratic kernel.
 const RQ_ALPHA: f64 = 2.0;
@@ -29,7 +28,7 @@ fn scaled_r2(a: &[f64], b: &[f64], inv_l: &[f64]) -> f64 {
 /// The EasyBO paper uses the squared-exponential kernel (§II-B); the Matérn
 /// variants are provided as drop-in extensions (rougher sample paths, often
 /// better-behaved hyperparameter surfaces on real circuit data).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelFamily {
     /// Squared exponential (RBF / Gaussian), infinitely differentiable.
     #[default]
@@ -58,7 +57,7 @@ pub enum KernelFamily {
 /// let far = k.eval(&theta, &[0.0, 0.0], &[10.0, 10.0]);
 /// assert!(far < 1e-10); // decays with distance
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ArdKernel {
     family: KernelFamily,
     dim: usize,

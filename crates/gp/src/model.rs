@@ -1,6 +1,5 @@
 use easybo_linalg::{Cholesky, Matrix, Vector};
 use easybo_telemetry::{Event, Telemetry};
-use serde::{Deserialize, Serialize};
 
 use crate::kernel::{ArdKernel, KernelFamily};
 use crate::scaler::YScaler;
@@ -8,7 +7,7 @@ use crate::train::{self, TrainConfig};
 use crate::GpError;
 
 /// Configuration for fitting a [`Gp`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpConfig {
     /// Kernel family (the paper uses the squared exponential).
     pub kernel: KernelFamily,
@@ -31,7 +30,7 @@ impl Default for GpConfig {
 }
 
 /// A GP posterior at a single point (raw target units, noise-free).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prediction {
     /// Posterior mean `μ(x)`.
     pub mean: f64,

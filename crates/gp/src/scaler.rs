@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// Z-score scaler for GP targets.
 ///
 /// Fitting a GP to raw figure-of-merit values (which can live around ~690
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// let z = s.transform(14.0);
 /// assert!((s.inverse(z) - 14.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct YScaler {
     mean: f64,
     std: f64,

@@ -5,13 +5,12 @@ use easybo_linalg::{Cholesky, Vector};
 use easybo_opt::Parallelism;
 use easybo_telemetry::Telemetry;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::kernel::ArdKernel;
 use crate::model::covariance_matrix;
 
 /// Hyperparameter-training schedule for [`crate::Gp::fit`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
     /// Number of random restarts beyond the default start (default 2).
     pub restarts: usize,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{LinalgError, Matrix, Vector};
 
 /// Jitter ladder: relative jitter magnitudes tried in order when the plain
@@ -29,7 +27,7 @@ const JITTER_LADDER: [f64; 7] = [0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-4];
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cholesky {
     l: Matrix,
     jitter: f64,

@@ -1,8 +1,6 @@
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::{LinalgError, Vector};
 
 /// A dense, row-major matrix of `f64` values.
@@ -23,7 +21,7 @@ use crate::{LinalgError, Vector};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

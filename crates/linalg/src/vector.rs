@@ -1,8 +1,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::LinalgError;
 
 /// A dense column vector of `f64` values.
@@ -20,7 +18,7 @@ use crate::LinalgError;
 /// assert_eq!(v.norm(), 5.0);
 /// assert_eq!(v.dot(&v), 25.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Vector {
     data: Vec<f64>,
 }

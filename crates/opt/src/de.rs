@@ -7,12 +7,11 @@
 //! DE with bounce-back bound handling and a maximum-evaluation budget.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{Bounds, OptError};
 
 /// Configuration for [`DifferentialEvolution`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeConfig {
     /// Population size (default 40; clipped to at least 4).
     pub population: usize,
@@ -78,7 +77,7 @@ impl DeConfig {
 
 /// Outcome of a DE run: the best point, its objective value, and the number
 /// of objective evaluations consumed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeReport {
     /// Best design found.
     pub x: Vec<f64>,

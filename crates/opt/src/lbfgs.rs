@@ -4,12 +4,10 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Bounds, OptError};
 
 /// Configuration for [`Lbfgs`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LbfgsConfig {
     /// History size `m` (default 8).
     pub memory: usize,

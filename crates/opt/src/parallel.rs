@@ -9,8 +9,6 @@
 
 use std::sync::Mutex;
 
-use serde::{Deserialize, Serialize};
-
 /// Worker-thread budget for the parallel hot paths (acquisition probe
 /// scoring, acquisition refinement starts, L-BFGS training restarts).
 ///
@@ -30,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(Parallelism::new(0).threads(), 1); // clamped up
 /// assert!(Parallelism::default().threads() >= 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Parallelism(usize);
 
 impl Parallelism {
